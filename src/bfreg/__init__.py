@@ -18,7 +18,6 @@ from .constraints import (
     fractional_posterior_beta,
     marginal_xiE,
     minimal_fraction,
-    projector_null_rows,
 )
 from .engine import (
     BFComponents,
@@ -48,7 +47,6 @@ from .hyparse import (
     ValidationReport,
     is_exploratory,
     parse_hypotheses,
-    render,
     validate,
 )
 from .model import Dataset, RegressionFit, fit_ols, load_csv, standardize
@@ -102,9 +100,7 @@ __all__ = [
     "mvt_sample",
     "parse_hypotheses",
     "posterior_probabilities",
-    "projector_null_rows",
     "pseudo_inverse",
-    "render",
     "standardize",
     "t_cdf",
     "test_hypotheses",

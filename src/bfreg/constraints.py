@@ -45,7 +45,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import ConstraintCenterWarning, InvalidInputError, NumericError
 from .hyparse import ConstraintSystem
 from .model import RegressionFit
-from .numkernel import MultivariateT, null_space_basis, pseudo_inverse
+from .numkernel import MultivariateT
 
 
 @dataclass(frozen=True)
@@ -112,31 +112,15 @@ def build_transform(cs: ConstraintSystem, fit: RegressionFit) -> TransformedSyst
             f"hypothesis is over {cs.k} coefficients, model has {fit.k}"
         )
     k = cs.k
-    if cs.q_E == 0:
-        D = np.eye(k)
-        T = np.eye(k)
-        T_inv_E = np.zeros((k, 0))
-        T_inv_I = np.eye(k)
-    else:
-        D = null_space_basis(cs.R_E)
-        if D.shape[0] != k - cs.q_E:
-            raise NumericError(
-                f"{cs.label}: equality rows are not linearly independent"
-            )
-        T = np.vstack([cs.R_E, D])
-        T_inv_E = pseudo_inverse(cs.R_E)
-        T_inv_I = pseudo_inverse(D)
+    D, T_inv_E, T_inv_I, Rtilde, rtilde = cs.reduction
+    if D.shape[0] != k - cs.q_E:
+        raise NumericError(f"{cs.label}: equality rows are not linearly independent")
+    if cs.q_E:
         if not np.allclose(cs.R_E @ T_inv_E, np.eye(cs.q_E), atol=1e-9):
             raise NumericError(f"{cs.label}: transform is numerically singular")
         if D.size and not np.allclose(D @ T_inv_I, np.eye(k - cs.q_E), atol=1e-9):
             raise NumericError(f"{cs.label}: transform is numerically singular")
-
-    if cs.q_I:
-        Rtilde = cs.R_I @ T_inv_I
-        rtilde = cs.r_I - (cs.R_I @ T_inv_E @ cs.r_E if cs.q_E else 0.0)
-    else:
-        Rtilde = np.zeros((0, k - cs.q_E))
-        rtilde = np.zeros(0)
+    T = np.vstack([cs.R_E, D])
 
     xi_hat = T @ fit.beta_hat
     r_star = Rtilde @ xi_hat[cs.q_E:]
@@ -171,26 +155,6 @@ def build_transform(cs: ConstraintSystem, fit: RegressionFit) -> TransformedSyst
         k=k,
         consistent=consistent,
     )
-
-
-def projector_null_rows(R_E):
-    """Independent rows of ``I - R_E'(R_E R_E')^{-1} R_E``.
-
-    A cross-check construction of the free directions: the projector onto
-    the null space of ``R_E``, thinned to a spanning set of rows.  The
-    rows are not orthonormal; :func:`build_transform` uses the orthonormal
-    SVD basis instead, and any basis of the same null space yields the
-    same Bayes factors.
-    """
-    R_E = np.atleast_2d(np.asarray(R_E, dtype=float))
-    k = R_E.shape[1]
-    P = np.eye(k) - R_E.T @ np.linalg.solve(R_E @ R_E.T, R_E)
-    rows = []
-    for row in P:
-        trial = np.array(rows + [row])
-        if np.linalg.matrix_rank(trial) > len(rows):
-            rows.append(row)
-    return np.array(rows) if rows else np.zeros((0, k))
 
 
 def _joint_xi(fit: RegressionFit, ts: TransformedSystem, b: float) -> MultivariateT:

@@ -20,7 +20,7 @@ inequality-only hypotheses leave free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp, ndtri
@@ -38,15 +38,14 @@ from .hyparse import (
     ConstraintSystem,
     is_exploratory,
     parse_hypotheses,
-    render,
     validate,
 )
 from .model import RegressionFit
 from .numkernel import (
     MultivariateT,
     ProbEstimate,
-    _sample_chunks,
     derived_seed,
+    mc_union_prob,
     mvt_constraint_prob,
     mvt_logpdf,
     pseudo_inverse,
@@ -112,6 +111,12 @@ class ExploratoryResult:
     mcrep: int
 
 
+def _equal_weights(prior_probs) -> bool:
+    return prior_probs is None or (
+        isinstance(prior_probs, str) and prior_probs == "equal"
+    )
+
+
 def posterior_probabilities(bayes_factors, prior_probs=None) -> np.ndarray:
     """Normalize Bayes factors and prior weights into posterior probabilities.
 
@@ -124,9 +129,7 @@ def posterior_probabilities(bayes_factors, prior_probs=None) -> np.ndarray:
         raise InvalidInputError("need a nonempty vector of Bayes factors")
     if np.any(b < 0) or not np.all(np.isfinite(b)):
         raise InvalidInputError("Bayes factors must be finite and nonnegative")
-    if prior_probs is None or (
-        isinstance(prior_probs, str) and prior_probs == "equal"
-    ):
+    if _equal_weights(prior_probs):
         w = np.ones_like(b)
     else:
         w = np.atleast_1d(np.asarray(prior_probs, dtype=float))
@@ -138,6 +141,7 @@ def posterior_probabilities(bayes_factors, prior_probs=None) -> np.ndarray:
             raise InvalidInputError(
                 "prior weights must be nonnegative and not all zero"
             )
+        w = w / w.sum()
     with np.errstate(divide="ignore"):
         score = np.log(b) + np.log(w)
     if np.all(np.isneginf(score)):
@@ -215,27 +219,17 @@ def bf_unconstrained(
 
     if cs.q_I:
         if cs.q_E:
-            cond_post = conditional_xiI(
-                fit, ts, 1.0, cs.r_E, df_as_printed=df_as_printed
-            )
-            f_ie = mvt_constraint_prob(
-                cond_post, ts.Rtilde_I, ts.rtilde_I, mcrep, derived_seed(seed, 1)
-            )
-            cond_prior = conditional_xiI(
+            post = conditional_xiI(fit, ts, 1.0, cs.r_E, df_as_printed=df_as_printed)
+            prior = conditional_xiI(
                 fit, ts, b_min, ts.xi_hat[: cs.q_E], df_as_printed=df_as_printed
             )
-            c_ie = mvt_constraint_prob(
-                cond_prior, ts.Rtilde_I, ts.r_star, mcrep, derived_seed(seed, 2)
-            )
+            R, r_f, r_c = ts.Rtilde_I, ts.rtilde_I, ts.r_star
         else:
             post = fractional_posterior_beta(fit, 1.0)
-            f_ie = mvt_constraint_prob(
-                post, cs.R_I, cs.r_I, mcrep, derived_seed(seed, 1)
-            )
             prior = fractional_posterior_beta(fit, b_min).relocate(ts.mu0)
-            c_ie = mvt_constraint_prob(
-                prior, cs.R_I, cs.r_I, mcrep, derived_seed(seed, 2)
-            )
+            R, r_f, r_c = cs.R_I, cs.r_I, cs.r_I
+        f_ie = mvt_constraint_prob(post, R, r_f, mcrep, derived_seed(seed, 1))
+        c_ie = mvt_constraint_prob(prior, R, r_c, mcrep, derived_seed(seed, 2))
         _check_prior_prob(c_ie, label, "constraint probability")
         with np.errstate(divide="ignore"):
             log_bf += float(np.log(f_ie.value)) - math.log(c_ie.value)
@@ -249,16 +243,9 @@ def bf_unconstrained(
     return BFComponents(label, c_e, f_e, c_ie, f_ie, log_bf, bf, ci90)
 
 
-def _union_prob(dist: MultivariateT, systems, n_draws: int, seed):
-    """Shared-draw Monte Carlo estimate of Pr(any system satisfied)."""
-    hits = 0
-    for chunk in _sample_chunks(dist, n_draws, seed):
-        sat = np.zeros(chunk.shape[0], dtype=bool)
-        for cs in systems:
-            sat |= np.all(chunk @ cs.R_I.T > cs.r_I, axis=1)
-        hits += int(sat.sum())
-    p = hits / n_draws
-    return float(p), math.sqrt(p * (1.0 - p) / n_draws)
+def _union_prob(dist: MultivariateT, systems, n_draws: int, seed) -> ProbEstimate:
+    """Shared-draw Monte Carlo estimate of Pr(any system's inequalities hold)."""
+    return mc_union_prob(dist, [(cs.R_I, cs.r_I) for cs in systems], n_draws, seed)
 
 
 def bf_complement(
@@ -287,33 +274,23 @@ def bf_complement(
         one = ProbEstimate(1.0, 0.0, True, 0)
         return BFComponents("Hc", None, None, one, one, 0.0, 1.0, None)
     if len(ineq) == 1:
-        cs, comp = ineq[0]
-        u_f, u_c = comp.f_ie, comp.c_ie
-        exact_f, exact_c = u_f.exact, u_c.exact
-        nd_f, nd_c = u_f.n_draws, u_c.n_draws
-        Uf, se_f = u_f.value, u_f.std_error
-        Uc, se_c = u_c.value, u_c.std_error
+        u_f, u_c = ineq[0][1].f_ie, ineq[0][1].c_ie
     else:
+        systems = [cs for cs, _ in ineq]
         post = fractional_posterior_beta(fit, 1.0)
-        Uf, se_f = _union_prob(
-            post, [cs for cs, _ in ineq], mcrep, derived_seed(seed, 1)
-        )
-        stack_R = np.vstack([cs.R_I for cs, _ in ineq])
-        stack_r = np.concatenate([cs.r_I for cs, _ in ineq])
+        u_f = _union_prob(post, systems, mcrep, derived_seed(seed, 1))
+        stack_R = np.vstack([cs.R_I for cs in systems])
+        stack_r = np.concatenate([cs.r_I for cs in systems])
         center = pseudo_inverse(stack_R) @ stack_r
         prior = fractional_posterior_beta(fit, minimal_fraction(fit)).relocate(
             center
         )
-        Uc, se_c = _union_prob(
-            prior, [cs for cs, _ in ineq], mcrep, derived_seed(seed, 2)
-        )
-        exact_f = exact_c = False
-        nd_f = nd_c = mcrep
+        u_c = _union_prob(prior, systems, mcrep, derived_seed(seed, 2))
 
-    if 1.0 - Uc < _EXHAUSTION_TOL + 3.0 * se_c:
+    f_ie = replace(u_f, value=1.0 - u_f.value)
+    c_ie = replace(u_c, value=1.0 - u_c.value)
+    if c_ie.value < _EXHAUSTION_TOL + 3.0 * c_ie.std_error:
         return None
-    f_ie = ProbEstimate(1.0 - Uf, se_f, exact_f, nd_f)
-    c_ie = ProbEstimate(1.0 - Uc, se_c, exact_c, nd_c)
     with np.errstate(divide="ignore"):
         log_bf = float(np.log(f_ie.value)) - math.log(c_ie.value)
     bf = math.exp(log_bf) if log_bf > -math.inf else 0.0
@@ -326,26 +303,6 @@ def _complement_text(n_hypotheses: int) -> str:
     if n_hypotheses == 1:
         return "Not H1"
     return f"Not H1-H{n_hypotheses}"
-
-
-def _resolve_priors(prior_probs, n_components: int, n_stated: int):
-    if prior_probs is None or (
-        isinstance(prior_probs, str) and prior_probs == "equal"
-    ):
-        return np.full(n_components, 1.0 / n_components)
-    w = np.atleast_1d(np.asarray(prior_probs, dtype=float))
-    if w.shape != (n_components,):
-        detail = (
-            f"{n_stated} stated hypotheses plus the automatic complement"
-            if n_components != n_stated
-            else f"{n_stated} stated hypotheses"
-        )
-        raise InvalidInputError(
-            f"got {w.size} prior weights, expected {n_components} ({detail})"
-        )
-    if np.any(w < 0) or not np.all(np.isfinite(w)) or w.sum() <= 0:
-        raise InvalidInputError("prior weights must be nonnegative and not all zero")
-    return w / w.sum()
 
 
 def test_hypotheses(
@@ -395,18 +352,25 @@ def test_hypotheses(
     complement = bf_complement(
         fit, systems, components, mcrep, derived_seed(seed, 20)
     )
-    texts = [render(cs) for cs in systems]
+    texts = [cs.source for cs in systems]
     if complement is not None:
         components.append(complement)
         texts.append(_complement_text(len(systems)))
-    labels = tuple(c.label for c in components)
-    w = _resolve_priors(prior_probs, len(components), len(systems))
+    n = len(components)
+    w = np.ones(n) if _equal_weights(prior_probs) else np.asarray(prior_probs, float)
+    if w.shape != (n,):
+        detail = (
+            f"{len(systems)} stated hypotheses plus the automatic complement"
+            if complement is not None
+            else f"{len(systems)} stated hypotheses"
+        )
+        raise InvalidInputError(f"got {w.size} prior weights, expected {n} ({detail})")
     post = posterior_probabilities([c.bf for c in components], w)
     return TestResult(
-        labels=labels,
+        labels=tuple(c.label for c in components),
         hypothesis_texts=tuple(texts),
         components=tuple(components),
-        prior_probs=w,
+        prior_probs=w / w.sum(),
         post_probs=post,
         bf_matrix=bf_matrix(components),
         seed=seed,

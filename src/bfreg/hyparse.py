@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -47,12 +49,30 @@ def is_exploratory(text: str) -> bool:
     return text.strip().lower() == EXPLORATORY
 
 
+class EqualityReduction(NamedTuple):
+    """The inequalities restated over the free directions ``xi_I = D beta``.
+
+    ``D`` is an orthonormal basis of the null space of ``R_E`` (one row
+    per direction), ``T_inv_E = R_E^+`` and ``T_inv_I = D^+`` the blocks
+    of ``T^{-1}`` for ``T = [R_E; D]``, and ``Rtilde_I xi_I > rtilde_I``
+    the inequality part with the equalities substituted: ``Rtilde_I =
+    R_I D^+`` and ``rtilde_I = r_I - R_I R_E^+ r_E``.  Without equalities
+    ``D`` is the identity and the inequalities are unchanged.
+    """
+
+    D: np.ndarray
+    T_inv_E: np.ndarray
+    T_inv_I: np.ndarray
+    Rtilde_I: np.ndarray
+    rtilde_I: np.ndarray
+
+
 @dataclass(frozen=True)
 class ConstraintSystem:
     """One hypothesis as matrices: ``R_E beta = r_E`` and ``R_I beta > r_I``.
 
     ``source`` is the canonical text (whitespace stripped) the system was
-    parsed from; rendering it and reparsing reproduces the matrices.
+    parsed from; reparsing it reproduces the matrices.
     """
 
     label: str
@@ -92,6 +112,27 @@ class ConstraintSystem:
     @property
     def k(self) -> int:
         return self.R_E.shape[1]
+
+    @cached_property
+    def reduction(self) -> EqualityReduction:
+        """The equality reduction, computed once and read by :func:`validate`
+        and :func:`bfreg.constraints.build_transform`; its arrays are shared
+        by every transform built from this system, not copied."""
+        if not self.q_E:
+            k = self.k
+            return EqualityReduction(
+                np.eye(k), np.zeros((k, 0)), np.eye(k), self.R_I, self.r_I
+            )
+        D = null_space_basis(self.R_E)
+        T_inv_E = pseudo_inverse(self.R_E)
+        T_inv_I = pseudo_inverse(D)
+        return EqualityReduction(
+            D,
+            T_inv_E,
+            T_inv_I,
+            self.R_I @ T_inv_I,
+            self.r_I - self.R_I @ T_inv_E @ self.r_E,
+        )
 
 
 @dataclass(frozen=True)
@@ -305,11 +346,6 @@ def parse_hypotheses(text: str, coef_names) -> list:
     return systems
 
 
-def render(cs: ConstraintSystem) -> str:
-    """Canonical text for a parsed system (reparses to the same matrices)."""
-    return cs.source
-
-
 # --- validation -------------------------------------------------------
 
 def validate(cs: ConstraintSystem) -> ValidationReport:
@@ -328,14 +364,7 @@ def validate(cs: ConstraintSystem) -> ValidationReport:
     if cs.q_I == 0:
         return ValidationReport(cs.label, rank_eq, 0, 0, cs.q_E, cs.q_I)
 
-    if cs.q_E:
-        D = null_space_basis(cs.R_E)
-        Rt = cs.R_I @ pseudo_inverse(D)
-        rt = cs.r_I - cs.R_I @ pseudo_inverse(cs.R_E) @ cs.r_E
-    else:
-        Rt = cs.R_I
-        rt = cs.r_I
-
+    Rt, rt = cs.reduction.Rtilde_I, cs.reduction.rtilde_I
     norms = np.linalg.norm(Rt, axis=1) if Rt.shape[1] else np.zeros(cs.q_I)
     live = norms > 1e-9 * max(1.0, float(norms.max(initial=0.0)))
     tol = 1e-9 * (1.0 + float(np.abs(rt).max(initial=0.0)))

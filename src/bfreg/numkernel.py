@@ -17,6 +17,15 @@ factor of the scale.  The generator is Philox (counter based), keyed by a
 ``SeedSequence`` over the user seed, so chunked draws reproduce the serial
 stream and the contract is: same seed + same number of draws -> identical
 estimate, bit for bit.
+
+Probability estimates
+---------------------
+:func:`mvt_constraint_prob` is where the estimation path of a region
+probability is chosen: an exact univariate t CDF for a single row, Monte
+Carlo on the transformed law of ``R xi`` when ``R`` has full row rank,
+and Monte Carlo on ``xi`` itself otherwise.  Both Monte Carlo paths, and
+the engine's union for the complement, count hits in one kernel,
+:func:`mc_union_prob`.
 """
 
 from __future__ import annotations
@@ -309,20 +318,26 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
         z = (m - r[0]) / math.sqrt(s2)
         return ProbEstimate(t_cdf(z, dist.df), 0.0, True, 0)
 
+    if q <= dist.dim and np.linalg.matrix_rank(R) == q:
+        dist = MultivariateT(R @ dist.location, R @ dist.scale @ R.T, dist.df)
+        R = np.eye(q)
+    return mc_union_prob(dist, [(R, r)], n_draws, seed)
+
+
+def mc_union_prob(dist: MultivariateT, systems, n_draws, seed) -> ProbEstimate:
+    """Monte Carlo estimate of ``Pr(R xi > r for some (R, r) in systems)``.
+
+    Every system is checked on the same ``n_draws`` draws of ``xi ~
+    dist``; the estimate carries the binomial standard error.
+    """
     n_draws = int(n_draws)
     if n_draws < 1:
         raise InvalidInputError("n_draws must be at least 1")
-    if q <= dist.dim and np.linalg.matrix_rank(R) == q:
-        target = MultivariateT(R @ dist.location, R @ dist.scale @ R.T, dist.df)
-        hits = sum(
-            int(np.all(chunk > r, axis=1).sum())
-            for chunk in _sample_chunks(target, n_draws, seed)
-        )
-    else:
-        hits = sum(
-            int(np.all(chunk @ R.T > r, axis=1).sum())
-            for chunk in _sample_chunks(dist, n_draws, seed)
-        )
+    hits = 0
+    for chunk in _sample_chunks(dist, n_draws, seed):
+        sat = np.zeros(chunk.shape[0], dtype=bool)
+        for R, r in systems:
+            sat |= np.all(chunk @ R.T > r, axis=1)
+        hits += int(sat.sum())
     p = hits / n_draws
-    se = math.sqrt(p * (1.0 - p) / n_draws)
-    return ProbEstimate(float(p), float(se), False, n_draws)
+    return ProbEstimate(p, math.sqrt(p * (1.0 - p) / n_draws), False, n_draws)

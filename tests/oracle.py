@@ -121,6 +121,26 @@ def oracle_marginal_density(
     return OracleEstimate(value, float(rel), "quadrature")
 
 
+def projector_null_rows(R_E):
+    """Independent rows of ``I - R_E'(R_E R_E')^{-1} R_E``.
+
+    A cross-check construction of the free directions: the projector onto
+    the null space of ``R_E``, thinned to a spanning set of rows.  The
+    rows are not orthonormal; ``bfreg.build_transform`` uses the orthonormal
+    SVD basis instead, and any basis of the same null space yields the
+    same Bayes factors.
+    """
+    R_E = np.atleast_2d(np.asarray(R_E, dtype=float))
+    k = R_E.shape[1]
+    P = np.eye(k) - R_E.T @ np.linalg.solve(R_E @ R_E.T, R_E)
+    rows = []
+    for row in P:
+        trial = np.array(rows + [row])
+        if np.linalg.matrix_rank(trial) > len(rows):
+            rows.append(row)
+    return np.array(rows) if rows else np.zeros((0, k))
+
+
 def _posterior_beta_t(fit: RegressionFit, b: float) -> MultivariateT:
     nu = fit.n * b - fit.k
     return MultivariateT(fit.beta_hat, fit.s2 / nu * fit.xtx_inv, nu)

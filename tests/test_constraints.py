@@ -16,9 +16,9 @@ from bfreg import (
     minimal_fraction,
     mvt_logpdf,
     parse_hypotheses,
-    projector_null_rows,
 )
 from conftest import make_random_fit, make_two_effect_fit
+from oracle import projector_null_rows
 
 COEFS4 = ("(Intercept)", "x1", "x2", "x3")
 

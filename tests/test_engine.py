@@ -224,6 +224,24 @@ class TestTestHypotheses:
                 two_effect_fit, "x1>0", prior_probs=[1.0, 2.0, 3.0], seed=1
             )
 
+    def test_equality_reduction_runs_once_per_mixed_hypothesis(
+        self, two_effect_fit, monkeypatch
+    ):
+        """validate and build_transform share one null-space basis."""
+        calls = []
+
+        def counted(orig):
+            return lambda M: calls.append(1) or orig(M)
+
+        # wrap the basis wherever a bfreg module looks it up
+        for mod in (bfreg.hyparse, bfreg.constraints, bfreg.engine):
+            if hasattr(mod, "null_space_basis"):
+                monkeypatch.setattr(
+                    mod, "null_space_basis", counted(mod.null_space_basis)
+                )
+        run_hypotheses(two_effect_fit, "x1>x2=0", mcrep=10_000, seed=1)
+        assert len(calls) == 1
+
     def test_prior_weights_reorder_posteriors(self, two_effect_fit):
         res = run_hypotheses(
             two_effect_fit,
