@@ -1,0 +1,167 @@
+"""Write the JSON documents of a fixed set of analyses to one file.
+
+Every case is rendered with ``bfreg.cli.render_json`` at a fixed seed, so
+two checkouts that compute the same numbers write byte-identical files.
+The cases cover every estimation path: the benchmark's workload inputs at
+seed 5, mixed hypotheses with zero and nonzero bounds, raw-coordinate
+systems, two- and three-system complements, ``df_as_printed`` and the
+README demo.  A case that raises records its error instead.
+
+Usage:
+    python scripts/dump_outputs.py OUT [--root CHECKOUT]
+
+``--root`` imports bfreg and the benchmark inputs from another checkout
+(default: the one holding this script), so a change is checked with
+
+    python scripts/dump_outputs.py new.json
+    python scripts/dump_outputs.py old.json --root path/to/parent
+    cmp old.json new.json
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+SEED = 5
+K5_SEEDS = ((1, False), (12345, False), (3, True))
+K5_MCREP = 40_000
+K5_HYPOTHESES = (
+    "(x1,x2)>(x3,x4)",
+    "x1>x2>0; (x3,x4)<0",
+    "x1>x2>0; (x3,x4)<0; (x1,x2)>(x3,x4)",
+    "x1>0.1; x2<-0.2; x3>x4=0.5; (x1,x2)>0.05",
+    "x1>x2=0.3",
+    "(x1,x2)>x3=0",
+    "x1>x2>x3=x4=0",
+    "x1>x2=0",
+    "x1>0",
+    "x1=x2=0",
+)
+README_HYPOTHESES = "x1=x2=0; (x1,x2)>0; x1>x2=0"
+
+
+def _config(cli, formula, mode="test"):
+    return cli.CliConfig(
+        mode=mode,
+        data="",
+        formula=formula,
+        hyp="",
+        prior_probs="equal",
+        mcrep=0,
+        seed=0,
+        seed_was_derived=False,
+        standardize=False,
+        output="json",
+        show=(),
+        delimiter=",",
+        df_as_printed=False,
+    )
+
+
+def _outcome(fn):
+    """``fn()`` or the error it raised, as text."""
+    try:
+        return fn()
+    except Exception as exc:  # the error itself is the output to compare
+        return f"error: {type(exc).__name__}: {exc}"
+
+
+def _k5_fit(bfreg):
+    rng = np.random.default_rng(2018)
+    x = rng.standard_normal((200, 4))
+    y = 0.2 + x @ np.array([0.5, 0.3, 0.1, -0.1]) + rng.standard_normal(200)
+    names = ("y", "x1", "x2", "x3", "x4")
+    data = bfreg.Dataset(names, np.column_stack([y, x]))
+    return bfreg.fit_ols(data, "y ~ x1 + x2 + x3 + x4")
+
+
+def cases(tmp):
+    """Yield ``(name, thunk)`` pairs; each thunk returns the case's text."""
+    import bfreg
+    import bfreg.cli as cli
+    from perfbench import workloads
+
+    demo = workloads.CliDemo(SEED, tmp)
+
+    def cli_demo():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(demo.argv(0))
+        return f"exit {code}\n{out.getvalue()}"
+
+    yield "cli-demo", cli_demo
+
+    order = workloads.OrderMC(SEED)
+    yield "order-mc", lambda: cli.render_json(
+        order.operation(0), _config(cli, "order-mc")
+    )
+    sim = workloads.SimStudy(SEED)
+    for i in range(3):
+        yield f"sim-study-{i}", lambda i=i: cli.render_json(
+            sim.operation(i)[2], _config(cli, sim.FORMULA)
+        )
+    wide = workloads.ExploreWide(SEED)
+    yield "explore-wide", lambda: cli.render_json(
+        wide.operation(0), _config(cli, "explore-wide", mode="exploratory")
+    )
+
+    fit = _k5_fit(bfreg)
+    cfg = _config(cli, "y ~ x1 + x2 + x3 + x4")
+    for seed, df_as_printed in K5_SEEDS:
+        for text in K5_HYPOTHESES:
+            yield f"k5 seed={seed} df_as_printed={df_as_printed} {text}", (
+                lambda text=text, seed=seed, flag=df_as_printed: cli.render_json(
+                    bfreg.test_hypotheses(
+                        fit, text, mcrep=K5_MCREP, seed=seed, df_as_printed=flag
+                    ),
+                    cfg,
+                )
+            )
+
+    demo_fit = bfreg.RegressionFit(
+        coef_names=("(Intercept)", "x1", "x2"),
+        beta_hat=np.array([1.0, 0.7, 0.03]),
+        s2=19.0,
+        xtx_inv=np.diag([1 / 20, 1 / 19, 1 / 19]),
+        n=20,
+        k=3,
+    )
+    yield "readme-demo", lambda: cli.render_json(
+        bfreg.test_hypotheses(demo_fit, README_HYPOTHESES, seed=42),
+        _config(cli, "y ~ x1 + x2"),
+    )
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="file to write the JSON map of outputs to")
+    parser.add_argument(
+        "--root",
+        default=str(Path(__file__).resolve().parents[1]),
+        help="checkout to import bfreg and perfbench from",
+    )
+    args = parser.parse_args(argv)
+    root = Path(args.root).resolve()
+    sys.path[:0] = [str(root / "src"), str(root)]
+
+    outputs = {}
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name, thunk in cases(tmp):
+            outputs[name] = _outcome(thunk)
+            print(name, file=sys.stderr)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(outputs, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

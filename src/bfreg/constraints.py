@@ -9,7 +9,13 @@ null space of ``R_E``.  Then ``xi_E = R_E beta`` carries the equality
 part, ``xi_I = D beta`` the free directions, and
 ``T^{-1} = [R_E^+  D^+]`` by blocks.  Inequalities map to
 ``Rtilde_I xi_I > rtilde_I`` with ``Rtilde_I = R_I D^+`` and
-``rtilde_I = r_I - R_I R_E^+ r_E``.
+``rtilde_I = r_I - R_I R_E^+ r_E``.  That reduction and the prior center
+``mu0 = (r_E, c)``, with ``c`` the minimum-norm least-squares solution of
+``Rtilde_I xi_I = rtilde_I``, depend on the hypothesis alone and are
+cached on the system (:attr:`~bfreg.hyparse.ConstraintSystem.reduction`).
+When ``c`` is exact every inequality boundary passes through it, so each
+prior region is a cone with its apex at the prior's center; otherwise (a
+band such as ``1 > x1 > 0``) a :class:`ConstraintCenterWarning` is raised.
 
 The fraction ``b`` of the likelihood used to build the implicit prior
 gives the unconstrained fractional posterior
@@ -59,7 +65,6 @@ class TransformedSystem:
     Rtilde_I: np.ndarray
     rtilde_I: np.ndarray
     xi_hat: np.ndarray
-    r_star: np.ndarray
     mu0: np.ndarray
     q_E: int
     q_I: int
@@ -97,63 +102,46 @@ def fractional_posterior_beta(fit: RegressionFit, b: float) -> MultivariateT:
     return MultivariateT(fit.beta_hat, fit.s2 / nu * fit.xtx_inv, nu)
 
 
-def build_transform(cs: ConstraintSystem, fit: RegressionFit) -> TransformedSystem:
-    """Construct the rotation and derived quantities for one hypothesis.
+def warn_if_inexact(label: str, exact: bool) -> None:
+    """Warn unless ``label``'s prior center is exact; the warning is
+    attributed to the caller of this function's caller."""
+    if not exact:
+        warnings.warn(
+            f"{label}: the stacked constraint system has no exact "
+            "solution; the prior is centered on its least-squares point",
+            ConstraintCenterWarning,
+            stacklevel=3,
+        )
 
-    The prior center ``mu0 = T beta0`` places the implicit prior on the
-    boundary of the constrained region, with ``beta0`` the minimum-norm
-    least-squares solution of the stacked system ``[R_E; R_I] beta =
-    [r_E; r_I]``.  When that stacked system has no exact solution a
-    :class:`ConstraintCenterWarning` is emitted and the least-squares
-    point is used.
+
+def build_transform(cs: ConstraintSystem, fit: RegressionFit) -> TransformedSystem:
+    """Rotate one hypothesis into ``xi = T beta`` for ``fit``.
+
+    Only ``xi_hat = T beta_hat`` is computed here; the rest, ``mu0``
+    included, comes from the system's cached reduction (see the module
+    notes).  A :class:`ConstraintCenterWarning` is emitted when ``mu0`` is
+    only a least-squares point (``consistent`` is False).
     """
     if cs.k != fit.k:
         raise InvalidInputError(
             f"hypothesis is over {cs.k} coefficients, model has {fit.k}"
         )
-    k = cs.k
-    D, T_inv_E, T_inv_I, Rtilde, rtilde = cs.reduction
-    if D.shape[0] != k - cs.q_E:
-        raise NumericError(f"{cs.label}: equality rows are not linearly independent")
-    if cs.q_E:
-        if not np.allclose(cs.R_E @ T_inv_E, np.eye(cs.q_E), atol=1e-9):
-            raise NumericError(f"{cs.label}: transform is numerically singular")
-        if D.size and not np.allclose(D @ T_inv_I, np.eye(k - cs.q_E), atol=1e-9):
-            raise NumericError(f"{cs.label}: transform is numerically singular")
-    T = np.vstack([cs.R_E, D])
-
-    xi_hat = T @ fit.beta_hat
-    r_star = Rtilde @ xi_hat[cs.q_E:]
-
-    stack_R = np.vstack([cs.R_E, cs.R_I])
-    stack_r = np.concatenate([cs.r_E, cs.r_I])
-    beta0, *_ = np.linalg.lstsq(stack_R, stack_r, rcond=None)
-    consistent = bool(
-        np.linalg.norm(stack_R @ beta0 - stack_r)
-        <= 1e-8 * (1.0 + np.linalg.norm(stack_r))
-    )
-    if not consistent:
-        warnings.warn(
-            f"{cs.label}: the stacked constraint system has no exact "
-            "solution; the prior is centered on its least-squares point",
-            ConstraintCenterWarning,
-            stacklevel=2,
-        )
-    mu0 = T @ beta0
+    red = cs.reduction
+    warn_if_inexact(cs.label, red.center_exact)
+    T = np.vstack([cs.R_E, red.D])
     return TransformedSystem(
         T=T,
-        D=D,
-        T_inv_E=T_inv_E,
-        T_inv_I=T_inv_I,
-        Rtilde_I=Rtilde,
-        rtilde_I=rtilde,
-        xi_hat=xi_hat,
-        r_star=r_star,
-        mu0=mu0,
+        D=red.D,
+        T_inv_E=red.T_inv_E,
+        T_inv_I=red.T_inv_I,
+        Rtilde_I=red.Rtilde_I,
+        rtilde_I=red.rtilde_I,
+        xi_hat=T @ fit.beta_hat,
+        mu0=np.concatenate([cs.r_E, red.center]),
         q_E=cs.q_E,
         q_I=cs.q_I,
-        k=k,
-        consistent=consistent,
+        k=cs.k,
+        consistent=red.center_exact,
     )
 
 

@@ -26,18 +26,19 @@ import numpy as np
 from scipy.special import logsumexp, ndtri
 
 from .constraints import (
-    TransformedSystem,
     build_transform,
     conditional_xiI,
     fractional_posterior_beta,
     marginal_xiE,
     minimal_fraction,
+    warn_if_inexact,
 )
 from .errors import BfregError, InvalidInputError, NumericError
 from .hyparse import (
     ConstraintSystem,
     is_exploratory,
     parse_hypotheses,
+    prior_center,
     validate,
 )
 from .model import RegressionFit
@@ -48,7 +49,6 @@ from .numkernel import (
     mc_union_prob,
     mvt_constraint_prob,
     mvt_logpdf,
-    pseudo_inverse,
 )
 
 _Z90 = float(ndtri(0.95))
@@ -174,6 +174,14 @@ def _ratio_ci90(bf, f_est: ProbEstimate, c_est: ProbEstimate):
     return (bf * math.exp(-h), bf * math.exp(h))
 
 
+def _exp(log_x: float) -> float:
+    """``exp(log_x)``, or inf where it overflows the float range."""
+    try:
+        return math.exp(log_x)
+    except OverflowError:
+        return math.inf
+
+
 def _check_prior_prob(est: ProbEstimate, label: str, what: str):
     if est.value <= 0.0:
         raise NumericError(
@@ -213,8 +221,8 @@ def bf_unconstrained(
         prior = marginal_xiE(fit, ts, b_min).relocate(cs.r_E)
         log_f = mvt_logpdf(cs.r_E, post)
         log_c = mvt_logpdf(cs.r_E, prior)
-        f_e = math.exp(log_f)
-        c_e = math.exp(log_c)
+        f_e = _exp(log_f)
+        c_e = _exp(log_c)
         log_bf += log_f - log_c
 
     if cs.q_I:
@@ -223,20 +231,18 @@ def bf_unconstrained(
             prior = conditional_xiI(
                 fit, ts, b_min, ts.xi_hat[: cs.q_E], df_as_printed=df_as_printed
             )
-            R, r_f, r_c = ts.Rtilde_I, ts.rtilde_I, ts.r_star
         else:
             post = fractional_posterior_beta(fit, 1.0)
-            prior = fractional_posterior_beta(fit, b_min).relocate(ts.mu0)
-            R, r_f, r_c = cs.R_I, cs.r_I, cs.r_I
-        f_ie = mvt_constraint_prob(post, R, r_f, mcrep, derived_seed(seed, 1))
-        c_ie = mvt_constraint_prob(prior, R, r_c, mcrep, derived_seed(seed, 2))
+            prior = fractional_posterior_beta(fit, b_min)
+        prior = prior.relocate(ts.mu0[cs.q_E :])
+        R, r = ts.Rtilde_I, ts.rtilde_I
+        f_ie = mvt_constraint_prob(post, R, r, mcrep, derived_seed(seed, 1))
+        c_ie = mvt_constraint_prob(prior, R, r, mcrep, derived_seed(seed, 2))
         _check_prior_prob(c_ie, label, "constraint probability")
         with np.errstate(divide="ignore"):
             log_bf += float(np.log(f_ie.value)) - math.log(c_ie.value)
 
-    bf = math.exp(log_bf) if log_bf > -math.inf else 0.0
-    if not math.isfinite(bf) and log_bf < math.inf:
-        bf = math.inf
+    bf = _exp(log_bf)
     ci90 = None
     if f_ie is not None and c_ie is not None:
         ci90 = _ratio_ci90(bf, f_ie, c_ie)
@@ -260,10 +266,11 @@ def bf_complement(
     Equality-constrained hypotheses occupy measure-zero slices and are
     ignored; the complement divides what the inequality-only hypotheses
     leave over: ``B_cu = (1 - U_f) / (1 - U_c)`` with U the posterior or
-    prior probability of the union of their regions (shared draws).  With
-    no inequality-only hypothesis at all the complement is the
-    unconstrained model itself (B = 1).  Returns None when the stated
-    hypotheses exhaust the space.
+    prior probability of the union of their regions (shared draws), the
+    prior centered by :func:`~bfreg.hyparse.prior_center` on all their rows
+    (warning as Hc when inexact).  With no inequality-only hypothesis at
+    all the complement is the unconstrained model itself (B = 1).  Returns
+    None when the stated hypotheses exhaust the space.
     """
     ineq = [
         (cs, comp)
@@ -279,12 +286,12 @@ def bf_complement(
         systems = [cs for cs, _ in ineq]
         post = fractional_posterior_beta(fit, 1.0)
         u_f = _union_prob(post, systems, mcrep, derived_seed(seed, 1))
-        stack_R = np.vstack([cs.R_I for cs in systems])
-        stack_r = np.concatenate([cs.r_I for cs in systems])
-        center = pseudo_inverse(stack_R) @ stack_r
-        prior = fractional_posterior_beta(fit, minimal_fraction(fit)).relocate(
-            center
+        center, exact = prior_center(
+            np.vstack([cs.R_I for cs in systems]),
+            np.concatenate([cs.r_I for cs in systems]),
         )
+        warn_if_inexact("Hc", exact)
+        prior = fractional_posterior_beta(fit, minimal_fraction(fit)).relocate(center)
         u_c = _union_prob(prior, systems, mcrep, derived_seed(seed, 2))
 
     f_ie = replace(u_f, value=1.0 - u_f.value)
@@ -293,7 +300,7 @@ def bf_complement(
         return None
     with np.errstate(divide="ignore"):
         log_bf = float(np.log(f_ie.value)) - math.log(c_ie.value)
-    bf = math.exp(log_bf) if log_bf > -math.inf else 0.0
+    bf = _exp(log_bf)
     return BFComponents(
         "Hc", None, None, c_ie, f_ie, log_bf, bf, _ratio_ci90(bf, f_ie, c_ie)
     )

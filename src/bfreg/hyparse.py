@@ -34,6 +34,7 @@ from .errors import (
     HypothesisSyntaxError,
     InconsistentEqualityError,
     InfeasibleHypothesisError,
+    NumericError,
 )
 from .numkernel import null_space_basis, pseudo_inverse
 
@@ -49,6 +50,14 @@ def is_exploratory(text: str) -> bool:
     return text.strip().lower() == EXPLORATORY
 
 
+def prior_center(R, r):
+    """The minimum-norm least-squares solution of ``R x = r``, the prior
+    center for ``R x > r``, and whether it solves the system exactly."""
+    center = np.linalg.lstsq(R, r, rcond=None)[0]
+    exact = bool(np.linalg.norm(R @ center - r) <= 1e-8 * (1.0 + np.linalg.norm(r)))
+    return center, exact
+
+
 class EqualityReduction(NamedTuple):
     """The inequalities restated over the free directions ``xi_I = D beta``.
 
@@ -57,7 +66,8 @@ class EqualityReduction(NamedTuple):
     of ``T^{-1}`` for ``T = [R_E; D]``, and ``Rtilde_I xi_I > rtilde_I``
     the inequality part with the equalities substituted: ``Rtilde_I =
     R_I D^+`` and ``rtilde_I = r_I - R_I R_E^+ r_E``.  Without equalities
-    ``D`` is the identity and the inequalities are unchanged.
+    ``D`` is the identity and the inequalities are unchanged.  ``center``
+    and ``center_exact`` are :func:`prior_center` of the reduced rows.
     """
 
     D: np.ndarray
@@ -65,6 +75,8 @@ class EqualityReduction(NamedTuple):
     T_inv_I: np.ndarray
     Rtilde_I: np.ndarray
     rtilde_I: np.ndarray
+    center: np.ndarray
+    center_exact: bool
 
 
 @dataclass(frozen=True)
@@ -115,24 +127,32 @@ class ConstraintSystem:
 
     @cached_property
     def reduction(self) -> EqualityReduction:
-        """The equality reduction, computed once and read by :func:`validate`
-        and :func:`bfreg.constraints.build_transform`; its arrays are shared
-        by every transform built from this system, not copied."""
-        if not self.q_E:
-            k = self.k
-            return EqualityReduction(
-                np.eye(k), np.zeros((k, 0)), np.eye(k), self.R_I, self.r_I
-            )
-        D = null_space_basis(self.R_E)
-        T_inv_E = pseudo_inverse(self.R_E)
-        T_inv_I = pseudo_inverse(D)
-        return EqualityReduction(
-            D,
-            T_inv_E,
-            T_inv_I,
-            self.R_I @ T_inv_I,
-            self.r_I - self.R_I @ T_inv_E @ self.r_E,
-        )
+        """The equality reduction and prior center, computed once and read
+        by :func:`validate` and :func:`bfreg.constraints.build_transform`.
+
+        Raises :class:`InconsistentEqualityError` for linearly dependent
+        equality rows and :class:`NumericError` for a singular ``T``.
+        """
+        k = self.k
+        if self.q_E:
+            D = null_space_basis(self.R_E)
+            if D.shape[0] != k - self.q_E:
+                raise InconsistentEqualityError(
+                    f"{self.label}: equality rows are linearly dependent"
+                )
+            T_inv_E = pseudo_inverse(self.R_E)
+            T_inv_I = pseudo_inverse(D)
+            if not (
+                np.allclose(self.R_E @ T_inv_E, np.eye(self.q_E), atol=1e-9)
+                and np.allclose(D @ T_inv_I, np.eye(k - self.q_E), atol=1e-9)
+            ):
+                raise NumericError(f"{self.label}: transform is numerically singular")
+            Rt = self.R_I @ T_inv_I
+            rt = self.r_I - self.R_I @ T_inv_E @ self.r_E
+        else:
+            D, T_inv_E, T_inv_I = np.eye(k), np.zeros((k, 0)), np.eye(k)
+            Rt, rt = self.R_I, self.r_I
+        return EqualityReduction(D, T_inv_E, T_inv_I, Rt, rt, *prior_center(Rt, rt))
 
 
 @dataclass(frozen=True)
@@ -228,14 +248,6 @@ def _check_name(name, coef_names, label):
         )
 
 
-def _normalized(row, rhs):
-    """Sign-normalized copy for duplicate detection: first nonzero > 0."""
-    idx = np.flatnonzero(row)[0]
-    if row[idx] < 0:
-        return tuple(-row), -rhs
-    return tuple(row), rhs
-
-
 def _parse_segment(segment: str, coef_names, label: str) -> ConstraintSystem:
     text = "".join(segment.split())
     if not text:
@@ -288,42 +300,25 @@ def _parse_segment(segment: str, coef_names, label: str) -> ConstraintSystem:
                     eq_rows.append(row)
                     eq_rhs.append(rhs)
 
-    # Collapse duplicate equality rows; a repeated row with a different
-    # bound is a contradiction, a linearly dependent row must agree with
-    # the combination it repeats.
-    seen = {}
-    kept_rows, kept_rhs = [], []
-    for row, rhs in zip(eq_rows, eq_rhs):
-        key_row, key_rhs = _normalized(row, rhs)
-        if key_row in seen:
-            if abs(seen[key_row] - key_rhs) > 1e-9 * (1.0 + abs(key_rhs)):
-                raise InconsistentEqualityError(
-                    f"{label}: contradictory equality constraints"
-                )
-            continue
-        seen[key_row] = key_rhs
-        kept_rows.append(row)
-        kept_rhs.append(rhs)
-    if kept_rows:
-        A = np.array(kept_rows)
-        b = np.array(kept_rhs)
-        rank = np.linalg.matrix_rank(A)
-        if rank < len(kept_rows):
-            sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-            if not np.allclose(A @ sol, b, atol=1e-9, rtol=1e-9):
-                raise InconsistentEqualityError(
-                    f"{label}: contradictory equality constraints"
-                )
-            ind_rows, ind_rhs = [], []
-            for row, rhs in zip(kept_rows, kept_rhs):
-                trial = np.array(ind_rows + [row])
-                if np.linalg.matrix_rank(trial) > len(ind_rows):
-                    ind_rows.append(row)
-                    ind_rhs.append(rhs)
-            kept_rows, kept_rhs = ind_rows, ind_rhs
+    # A dependent equality row must agree with the rows it depends on and
+    # is then dropped, keeping the first independent rows in text order.
+    if eq_rows and np.linalg.matrix_rank(np.array(eq_rows)) < len(eq_rows):
+        A = np.array(eq_rows)
+        b = np.array(eq_rhs)
+        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+        if not np.allclose(A @ sol, b, atol=1e-9, rtol=1e-9):
+            raise InconsistentEqualityError(
+                f"{label}: contradictory equality constraints"
+            )
+        ind_rows, ind_rhs = [], []
+        for row, rhs in zip(eq_rows, eq_rhs):
+            if np.linalg.matrix_rank(np.array(ind_rows + [row])) > len(ind_rows):
+                ind_rows.append(row)
+                ind_rhs.append(rhs)
+        eq_rows, eq_rhs = ind_rows, ind_rhs
 
-    RE = np.array(kept_rows) if kept_rows else np.zeros((0, k))
-    rE = np.array(kept_rhs) if kept_rhs else np.zeros(0)
+    RE = np.array(eq_rows) if eq_rows else np.zeros((0, k))
+    rE = np.array(eq_rhs) if eq_rhs else np.zeros(0)
     RI = np.array(ineq_rows) if ineq_rows else np.zeros((0, k))
     rI = np.array(ineq_rhs) if ineq_rhs else np.zeros(0)
     return ConstraintSystem(label, text, RE, rE, RI, rI)
@@ -355,16 +350,14 @@ def validate(cs: ConstraintSystem) -> ValidationReport:
     to ``0 > c`` with ``c >= 0`` or an inequality system with an empty
     interior raises :class:`InfeasibleHypothesisError`.  Rows that reduce
     to a vacuously true statement are counted in ``n_trivial_rows``.
+    Dependent equality rows raise :class:`InconsistentEqualityError` from
+    :attr:`ConstraintSystem.reduction`.
     """
-    rank_eq = int(np.linalg.matrix_rank(cs.R_E)) if cs.q_E else 0
-    if cs.q_E and rank_eq < cs.q_E:
-        raise InconsistentEqualityError(
-            f"{cs.label}: equality rows are linearly dependent"
-        )
+    reduction = cs.reduction  # checks that the equality rows are independent
     if cs.q_I == 0:
-        return ValidationReport(cs.label, rank_eq, 0, 0, cs.q_E, cs.q_I)
+        return ValidationReport(cs.label, cs.q_E, 0, 0, cs.q_E, cs.q_I)
 
-    Rt, rt = cs.reduction.Rtilde_I, cs.reduction.rtilde_I
+    Rt, rt = reduction.Rtilde_I, reduction.rtilde_I
     norms = np.linalg.norm(Rt, axis=1) if Rt.shape[1] else np.zeros(cs.q_I)
     live = norms > 1e-9 * max(1.0, float(norms.max(initial=0.0)))
     tol = 1e-9 * (1.0 + float(np.abs(rt).max(initial=0.0)))
@@ -396,4 +389,4 @@ def validate(cs: ConstraintSystem) -> ValidationReport:
             raise InfeasibleHypothesisError(
                 f"{cs.label}: the inequality system has an empty interior"
             )
-    return ValidationReport(cs.label, rank_eq, rank_ineq, n_trivial, cs.q_E, cs.q_I)
+    return ValidationReport(cs.label, cs.q_E, rank_ineq, n_trivial, cs.q_E, cs.q_I)

@@ -182,9 +182,10 @@ def oracle_bf(
     f_ie = oracle_inequality_prob(
         cond_post, ts.Rtilde_I, ts.rtilde_I, n_draws, seed + 3
     )
-    c_ie = oracle_inequality_prob(
-        cond_prior, ts.Rtilde_I, ts.r_star, n_draws, seed + 4
-    )
+    # the prior region is the cone with its apex at the conditional prior's
+    # own location, whatever center rule the engine uses
+    apex = ts.Rtilde_I @ ts.xi_hat[cs.q_E :]
+    c_ie = oracle_inequality_prob(cond_prior, ts.Rtilde_I, apex, n_draws, seed + 4)
     value = (f_e.value / c_e.value) * (f_ie.value / c_ie.value)
     rel = float(
         f_e.rel_error_bound

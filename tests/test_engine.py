@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 import bfreg
 from bfreg import (
+    BfregError,
+    ConstraintCenterWarning,
+    ConstraintSystem,
     Dataset,
+    InconsistentEqualityError,
     InvalidInputError,
     NumericError,
     RegressionFit,
@@ -17,6 +21,7 @@ from bfreg import (
     fit_ols,
     parse_hypotheses,
     posterior_probabilities,
+    validate,
 )
 from conftest import make_two_effect_dataset
 
@@ -176,6 +181,43 @@ class TestBfUnconstrainedTwoEffect:
         with pytest.raises(NumericError, match="prior"):
             bf_unconstrained(two_effect_fit, cs, 20_000, seed=5)
 
+    def test_band_next_to_equality_centers_on_least_squares_point(
+        self, two_effect_fit
+    ):
+        """1 > x1 > x2 = 0 has no exact prior center; it warns and works.
+
+        Given x2 = 0 the prior on x1 is t with 2 df and scale 1/2, centered
+        at x1 = 1/2, so Pr(0 < x1 < 1) = 2 T_2(1/sqrt 2) - 1 = 1/sqrt 5.
+        """
+        cs = parse_one("1 > x1 > x2 = 0", two_effect_fit.coef_names)
+        with pytest.warns(ConstraintCenterWarning, match="^H1:"):
+            comp = bf_unconstrained(two_effect_fit, cs, 200_000, seed=6)
+        assert np.isfinite(comp.bf) and comp.bf > 0
+        assert abs(comp.c_ie.value - 1 / np.sqrt(5)) < 4 * comp.c_ie.std_error
+
+    def test_dependent_equality_rows_are_inconsistent(self, two_effect_fit):
+        """A hand-built system bypassing the parser fails as validate does."""
+        row = np.array([[0.0, 1.0, 0.0]])
+        cs = ConstraintSystem(
+            "H1", "x1=0", np.vstack([row, row]), np.zeros(2), np.zeros((0, 3)), []
+        )
+        with pytest.raises(InconsistentEqualityError, match="dependent"):
+            validate(cs)
+        with pytest.raises(InconsistentEqualityError, match="dependent"):
+            bf_unconstrained(two_effect_fit, cs, 10_000, seed=7)
+
+    def test_overflowing_bayes_factor_saturates(self):
+        """A log BF past the float range gives bf = inf, not OverflowError."""
+        k, n = 101, 10**12
+        names = ("(Intercept)",) + tuple(f"x{j}" for j in range(1, k))
+        fit = RegressionFit(names, np.zeros(k), float(n), np.eye(k) / n, n, k)
+        text = "=".join(names[1:]) + "=0"
+        comp = bf_unconstrained(fit, parse_one(text, names), 10_000, seed=8)
+        assert comp.bf == np.inf
+        assert np.isfinite(comp.log_bf) and comp.log_bf > 709.8
+        with pytest.raises(BfregError):
+            run_hypotheses(fit, text, mcrep=10_000, seed=8)
+
 
 class TestTestHypotheses:
     def test_two_effect_full_run(self, two_effect_fit):
@@ -281,6 +323,27 @@ class TestComplement:
         assert res.labels == ("H1", "H2", "Hc")
         assert res.components[2].bf == 1.0
         assert not res.components[2].uses_mc
+
+    def test_inexact_union_center_warns_for_complement(self, two_effect_fit):
+        """x1 > 1 and x1 < 0 share no boundary point: only Hc warns.
+
+        The union's prior center is x1 = 1/2, and the prior on x1 is a
+        Cauchy of scale 1 there, so the complement keeps 2 atan(1/2) / pi
+        of it.  The pinned Bayes factors come from centering the union on
+        the pseudoinverse solution of the stacked rows, the same point.
+        """
+        with pytest.warns(ConstraintCenterWarning, match="^Hc:") as record:
+            res = run_hypotheses(
+                two_effect_fit, "x1 > 1; x1 < 0", mcrep=20_000, seed=3
+            )
+        assert len(record) == 1
+        assert [c.bf for c in res.components] == pytest.approx(
+            [0.2329279230312939, 0.010258668651996086, 2.9347498745189897],
+            rel=1e-12,
+        )
+        hc = res.components[2]
+        want = 2 * np.arctan(0.5) / np.pi
+        assert abs(hc.c_ie.value - want) < 4 * hc.c_ie.std_error
 
     def test_exhaustive_pair_omits_complement(self, two_effect_fit):
         """x1 > 0 and x1 < 0 cover everything but a null set."""
