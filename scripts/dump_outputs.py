@@ -3,9 +3,9 @@
 Every case is rendered with ``bfreg.cli.render_json`` at a fixed seed, so
 two checkouts that compute the same numbers write byte-identical files.
 The cases cover every estimation path: the benchmark's workload inputs at
-seed 5, mixed hypotheses with zero and nonzero bounds, raw-coordinate
-systems, two- and three-system complements, ``df_as_printed`` and the
-README demo.  A case that raises records its error instead.
+seed 5, mixed hypotheses with zero and nonzero bounds, a band whose
+prior center is inexact, raw-coordinate systems, two- and three-system
+complements, ``df_as_printed`` and the README demo.  A case that raises records its error instead.
 
 Usage:
     python scripts/dump_outputs.py OUT [--root CHECKOUT]
@@ -43,6 +43,7 @@ K5_HYPOTHESES = (
     "x1>x2=0",
     "x1>0",
     "x1=x2=0",
+    "1 > x1 > x2 = 0",
 )
 README_HYPOTHESES = "x1=x2=0; (x1,x2)>0; x1>x2=0"
 

@@ -26,10 +26,13 @@ HYPOTHESES = "x1=x2=0; (x1,x2)>0; x1>x2=0"
 def build_dataset(design_seed=7, noise_seed=None):
     """Orthonormalized two-predictor design with optional fresh noise.
 
-    The predictors are centered and orthogonalized via QR so the gram
-    matrix is exactly diagonal; the frozen-noise variant reuses a third
-    orthogonal direction as the error so every sufficient statistic is
-    reproducible to the last bit.
+    Two predictor columns are centered and orthonormalized by QR, then
+    scaled so each has sample variance 1 and X'X = diag(20, 19, 19).
+    With the default frozen error (the third orthonormal direction scaled
+    to norm sqrt(19)) the fit reproduces beta_hat = (1, 0.7, 0.03) and a
+    raw residual sum of squares of 19 to the last bit.  Passing
+    ``noise_seed`` swaps in fresh standard normal errors while keeping
+    the design fixed.  The test suite uses this dataset too.
     """
     n = 20
     rng = np.random.default_rng(design_seed)
@@ -42,7 +45,7 @@ def build_dataset(design_seed=7, noise_seed=None):
     else:
         err = np.random.default_rng(noise_seed).standard_normal(n)
     y = 1.0 + 0.7 * x[:, 0] + 0.03 * x[:, 1] + err
-    return Dataset(("y", "x1", "x2"), np.column_stack([y, x[:, 0], x[:, 1]]))
+    return Dataset(("y", "x1", "x2"), np.column_stack([y, x]))
 
 
 def main(argv=None):

@@ -26,6 +26,17 @@ Carlo on the transformed law of ``R xi`` when ``R`` has full row rank,
 and Monte Carlo on ``xi`` itself otherwise.  Both Monte Carlo paths, and
 the engine's union for the complement, count hits in one kernel,
 :func:`mc_union_prob`.
+
+A cone whose apex is the location of the law (every row has ``R mu = r``
+to within ``_APEX_TOL`` of its standard deviation, as for every prior
+factor with an exact center) has the same probability under every
+elliptical law, whatever the df: the Gaussian orthant probability of the
+correlation of ``R S R'``.  On the transformed path with two or three
+rows that probability is exact (Sheppard's and Plackett's formulas).
+Elsewhere, including unions whose every system has its apex at the
+location, the hit test depends only on the direction of a draw from the
+location, so :func:`mc_union_prob` counts standard normals ``z L'``
+against ``R y > 0`` and skips the chi-square draws and the location.
 """
 
 from __future__ import annotations
@@ -45,6 +56,15 @@ from .errors import DecompositionError, InvalidInputError
 _CHUNK = 1 << 18
 
 _EPS = float(np.finfo(float).eps)
+
+# A row whose offset |R mu - r| is within this many of its standard
+# deviations counts as passing through the location.  Moving the apex by
+# delta standard deviations moves a cone probability p by at most
+# 0.4 q delta (0.4 bounds every standardized t density), so treating such
+# a cone as centred changes log p by less than 1.2e-10 for p >= 1e-3 and
+# q <= 3.  Centers computed by least squares on well-scaled rows miss by
+# about 1e-16.
+_APEX_TOL = 1e-13
 
 
 def _seed_sequence(seed, path=()):
@@ -252,17 +272,23 @@ def t_cdf(x, df) -> float:
     return float(stdtr(df, x))
 
 
-def _sample_chunks(dist: MultivariateT, n_draws: int, seed):
-    """Yield draws from ``dist`` in fixed-size chunks (shared RNG stream)."""
+def _sample_chunks(dist: MultivariateT, n_draws: int, seed, centred=False):
+    """Yield draws from ``dist`` in fixed-size chunks (shared RNG stream).
+
+    With ``centred`` only the Gaussian part ``z L'`` of each draw is
+    produced: it points from the location in the same direction as the
+    t draw ``location + z L' sqrt(df / w)`` would.
+    """
     L = _cholesky(dist.scale)
     rng = rng_from_seed(seed)
     loc, df, d = dist.location, dist.df, dist.dim
     done = 0
     while done < n_draws:
         m = int(min(_CHUNK, n_draws - done))
-        z = rng.standard_normal((m, d))
-        w = rng.chisquare(df, m)
-        yield loc + (z @ L.T) * np.sqrt(df / w)[:, None]
+        y = rng.standard_normal((m, d)) @ L.T
+        if not centred:
+            y = loc + y * np.sqrt(df / rng.chisquare(df, m))[:, None]
+        yield y
         done += m
 
 
@@ -282,8 +308,9 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
 
     A single constraint row is evaluated exactly through the univariate t
     CDF.  With several rows and a full row rank ``R`` the draws are taken
-    from the lower-dimensional transformed t of ``R xi``; otherwise ``xi``
-    itself is sampled and the rows are checked directly.  Rows with no
+    from the lower-dimensional transformed t of ``R xi``, except that two
+    or three rows through the location have a closed form; otherwise
+    ``xi`` itself is sampled and the rows are checked directly.  Rows with no
     coefficient content decide the event outright: ``0 > r_i`` is false
     for ``r_i >= 0`` and vacuously true otherwise.
     """
@@ -320,24 +347,67 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
 
     if q <= dist.dim and np.linalg.matrix_rank(R) == q:
         dist = MultivariateT(R @ dist.location, R @ dist.scale @ R.T, dist.df)
-        R = np.eye(q)
+        R = None
+        if q <= 3 and _apex_at_location(dist, [(R, r)]):
+            return ProbEstimate(_centred_orthant_prob(dist.scale), 0.0, True, 0)
     return mc_union_prob(dist, [(R, r)], n_draws, seed)
+
+
+def _centred_orthant_prob(S) -> float:
+    """``Pr(Y > 0)`` for a centred elliptical ``Y`` of dimension 2 or 3.
+
+    With ``rho`` the correlation of the scale ``S``, this is
+    ``1/4 + asin(rho_12) / (2 pi)`` for two rows (Sheppard) and
+    ``1/8 + sum_{i<j} asin(rho_ij) / (4 pi)`` for three (Plackett 1954,
+    Biometrika 41); it does not depend on df.
+    """
+    q = S.shape[0]
+    sd = np.sqrt(np.diag(S))
+    rho = S / np.outer(sd, sd)
+    angles = sum(
+        math.asin(min(1.0, max(-1.0, float(rho[i, j]))))
+        for i in range(q)
+        for j in range(i + 1, q)
+    )
+    return min(1.0, max(0.0, 0.5**q + angles / (2 ** (q - 1) * math.pi)))
+
+
+def _apex_at_location(dist: MultivariateT, systems) -> bool:
+    """Whether every row of every ``(R, r)`` passes through ``dist.location``.
+
+    ``R`` None stands for the identity.  Each offset ``R mu - r`` is
+    measured in standard deviations of its row, ``sqrt((R S R')_ii)``.
+    """
+    for R, r in systems:
+        if R is None:
+            offset, var = dist.location - r, np.diag(dist.scale)
+        else:
+            offset = R @ dist.location - r
+            var = np.einsum("ij,jk,ik->i", R, dist.scale, R)
+        if np.any(np.abs(offset) > _APEX_TOL * np.sqrt(var)):
+            return False
+    return True
 
 
 def mc_union_prob(dist: MultivariateT, systems, n_draws, seed) -> ProbEstimate:
     """Monte Carlo estimate of ``Pr(R xi > r for some (R, r) in systems)``.
 
     Every system is checked on the same ``n_draws`` draws of ``xi ~
-    dist``; the estimate carries the binomial standard error.
+    dist``; ``R`` None stands for the identity.  When every system's apex
+    sits at the location, the draws are the Gaussian parts ``z L'`` alone
+    and a hit is ``R y > 0``.  The estimate carries the binomial standard
+    error.
     """
     n_draws = int(n_draws)
     if n_draws < 1:
         raise InvalidInputError("n_draws must be at least 1")
+    centred = _apex_at_location(dist, systems)
     hits = 0
-    for chunk in _sample_chunks(dist, n_draws, seed):
+    for chunk in _sample_chunks(dist, n_draws, seed, centred):
         sat = np.zeros(chunk.shape[0], dtype=bool)
         for R, r in systems:
-            sat |= np.all(chunk @ R.T > r, axis=1)
+            y = chunk if R is None else chunk @ R.T
+            sat |= np.all(y > (0.0 if centred else r), axis=1)
         hits += int(sat.sum())
     p = hits / n_draws
     return ProbEstimate(p, math.sqrt(p * (1.0 - p) / n_draws), False, n_draws)

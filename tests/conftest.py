@@ -1,9 +1,16 @@
 """Shared fixtures and fit builders for the test suite."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bfreg import Dataset, RegressionFit, fit_ols
+
+# the demo script owns the raw two-effect data; make_two_effect_fit is its fit
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from two_effect_demo import build_dataset as make_two_effect_dataset  # noqa: E402
 
 
 def make_two_effect_fit() -> RegressionFit:
@@ -22,32 +29,6 @@ def make_two_effect_fit() -> RegressionFit:
         xtx_inv=np.diag([1 / 20, 1 / 19, 1 / 19]),
         n=20,
         k=3,
-    )
-
-
-def make_two_effect_dataset(design_seed: int = 7, noise_seed=None) -> Dataset:
-    """Raw data whose OLS fit matches make_two_effect_fit.
-
-    Two predictor columns are centered and orthonormalized by QR, then
-    scaled so each has sample variance 1 and X'X = diag(20, 19, 19).
-    With the default deterministic error (the third orthonormal
-    direction scaled to norm sqrt(19)) the fit reproduces beta_hat =
-    (1, 0.7, 0.03) and s2 = 19 exactly.  Passing ``noise_seed`` swaps in
-    fresh standard normal errors while keeping the design fixed, which
-    is the regeneration variant used by the shape checks.
-    """
-    rng = np.random.default_rng(design_seed)
-    z = rng.standard_normal((20, 3))
-    z -= z.mean(axis=0)
-    q, _ = np.linalg.qr(z)
-    x = q[:, :2] * np.sqrt(19.0)
-    if noise_seed is None:
-        err = q[:, 2] * np.sqrt(19.0)
-    else:
-        err = np.random.default_rng(noise_seed).standard_normal(20)
-    y = 1.0 + 0.7 * x[:, 0] + 0.03 * x[:, 1] + err
-    return Dataset(
-        column_names=("y", "x1", "x2"), columns=np.column_stack([y, x])
     )
 
 

@@ -55,17 +55,32 @@ def _draw_t(rng, location, scale, df, n_draws):
     return loc + z / np.sqrt(w)[:, None]
 
 
+# Cap on the chunks of draws one proportion may take to reach its target.
+_MAX_CHUNKS = 64
+
+
 def oracle_inequality_prob(
-    dist: MultivariateT, R, r, n_draws: int, seed: int
+    dist: MultivariateT, R, r, n_draws: int, seed: int, rel_se: float = np.inf
 ) -> OracleEstimate:
-    """Proportion of raw draws from ``dist`` satisfying R x > r."""
+    """Proportion of raw draws from ``dist`` satisfying R x > r.
+
+    Draws come in chunks of ``n_draws`` from one stream, one chunk by
+    default; more follow (up to ``_MAX_CHUNKS``) until the proportion's
+    relative standard error is at most ``rel_se``.
+    """
     rng = np.random.default_rng(seed)
-    x = _draw_t(rng, dist.location, dist.scale, dist.df, n_draws)
-    hits = np.all(x @ np.atleast_2d(np.asarray(R, float)).T > np.asarray(r, float), axis=1)
-    p = float(hits.mean())
-    se = float(np.sqrt(max(p * (1.0 - p), 0.0) / n_draws))
-    rel = se / p if p > 0 else float("inf")
-    return OracleEstimate(p, rel, "sampling_proportion")
+    R = np.atleast_2d(np.asarray(R, float))
+    r = np.asarray(r, float)
+    hits = draws = 0
+    while True:
+        x = _draw_t(rng, dist.location, dist.scale, dist.df, n_draws)
+        hits += int(np.all(x @ R.T > r, axis=1).sum())
+        draws += n_draws
+        p = hits / draws
+        se = float(np.sqrt(max(p * (1.0 - p), 0.0) / draws))
+        rel = se / p if p > 0 else float("inf")
+        if rel <= rel_se or draws >= _MAX_CHUNKS * n_draws:
+            return OracleEstimate(p, rel, "sampling_proportion")
 
 
 def _sigma2_grid(fit: RegressionFit, n_nodes: int):
@@ -147,14 +162,20 @@ def _posterior_beta_t(fit: RegressionFit, b: float) -> MultivariateT:
 
 
 def oracle_bf(
-    fit: RegressionFit, cs: ConstraintSystem, n_draws: int, seed: int
+    fit: RegressionFit,
+    cs: ConstraintSystem,
+    n_draws: int,
+    seed: int,
+    rel_se: float = np.inf,
 ) -> OracleEstimate:
     """Reference Bayes factor against the unconstrained model.
 
     Assembled per constraint case from oracle densities and raw
-    proportions.  The prior density factor is evaluated at its own
-    location (relocation does not change a t density's peak height), so
-    no relocated distribution object is ever built here.
+    proportions, each proportion drawn until its relative standard error
+    is at most ``rel_se`` (see :func:`oracle_inequality_prob`).  The prior
+    density factor is evaluated at its own location (relocation does not
+    change a t density's peak height), so no relocated distribution object
+    is ever built here.
     """
     b_min = minimal_fraction(fit)
     if cs.q_I == 0:
@@ -170,8 +191,8 @@ def oracle_bf(
         mu0 = np.linalg.lstsq(cs.R_I, cs.r_I, rcond=None)[0]
         prior_base = _posterior_beta_t(fit, b_min)
         prior = MultivariateT(mu0, prior_base.scale, prior_base.df)
-        f = oracle_inequality_prob(post, cs.R_I, cs.r_I, n_draws, seed + 1)
-        c = oracle_inequality_prob(prior, cs.R_I, cs.r_I, n_draws, seed + 2)
+        f = oracle_inequality_prob(post, cs.R_I, cs.r_I, n_draws, seed + 1, rel_se)
+        c = oracle_inequality_prob(prior, cs.R_I, cs.r_I, n_draws, seed + 2, rel_se)
         rel = float(np.hypot(f.rel_error_bound, c.rel_error_bound))
         return OracleEstimate(f.value / c.value, rel, "sampling_proportion")
     ts = build_transform(cs, fit)
@@ -180,12 +201,14 @@ def oracle_bf(
     cond_post = conditional_xiI(fit, ts, 1.0, cs.r_E)
     cond_prior = conditional_xiI(fit, ts, b_min, ts.xi_hat[: cs.q_E])
     f_ie = oracle_inequality_prob(
-        cond_post, ts.Rtilde_I, ts.rtilde_I, n_draws, seed + 3
+        cond_post, ts.Rtilde_I, ts.rtilde_I, n_draws, seed + 3, rel_se
     )
     # the prior region is the cone with its apex at the conditional prior's
     # own location, whatever center rule the engine uses
     apex = ts.Rtilde_I @ ts.xi_hat[cs.q_E :]
-    c_ie = oracle_inequality_prob(cond_prior, ts.Rtilde_I, apex, n_draws, seed + 4)
+    c_ie = oracle_inequality_prob(
+        cond_prior, ts.Rtilde_I, apex, n_draws, seed + 4, rel_se
+    )
     value = (f_e.value / c_e.value) * (f_ie.value / c_ie.value)
     rel = float(
         f_e.rel_error_bound

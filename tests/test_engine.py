@@ -17,13 +17,19 @@ from bfreg import (
     RegressionFit,
     bf_matrix,
     bf_unconstrained,
+    build_transform,
+    conditional_xiI,
     exploratory_test,
     fit_ols,
+    minimal_fraction,
+    mvt_sample,
     parse_hypotheses,
     posterior_probabilities,
     validate,
 )
-from conftest import make_two_effect_dataset
+from bfreg.numkernel import derived_seed
+from conftest import make_random_fit, make_two_effect_dataset
+from oracle import oracle_inequality_prob
 
 # pytest would otherwise try to collect the package entry point as a test
 run_hypotheses = bfreg.test_hypotheses
@@ -132,7 +138,7 @@ class TestBfUnconstrainedTwoEffect:
         comp = bf_unconstrained(two_effect_fit, cs, 400_000, seed=2)
         assert comp.c_e is None and comp.f_e is None
         assert abs(comp.f_ie.value - H2_F_IE) < 3 * comp.f_ie.std_error
-        assert abs(comp.c_ie.value - H2_C_IE) < 3 * comp.c_ie.std_error
+        assert comp.c_ie.exact and comp.c_ie.value == H2_C_IE
         assert comp.uses_mc
         assert comp.ci90 is not None
         lo, hi = comp.ci90
@@ -194,6 +200,36 @@ class TestBfUnconstrainedTwoEffect:
             comp = bf_unconstrained(two_effect_fit, cs, 200_000, seed=6)
         assert np.isfinite(comp.bf) and comp.bf > 0
         assert abs(comp.c_ie.value - 1 / np.sqrt(5)) < 4 * comp.c_ie.std_error
+
+    def test_inexact_band_counts_t_draws(self, two_effect_fit):
+        """Without a common apex the prior factor is counted on t draws."""
+        cs = parse_one("1 > x1 > x2 = 0", two_effect_fit.coef_names)
+        with pytest.warns(ConstraintCenterWarning, match="^H1:"):
+            comp = bf_unconstrained(two_effect_fit, cs, 50_000, seed=6)
+            ts = build_transform(cs, two_effect_fit)
+        prior = conditional_xiI(
+            two_effect_fit, ts, minimal_fraction(two_effect_fit), ts.xi_hat[:1]
+        ).relocate(ts.mu0[1:])
+        draws = mvt_sample(prior, 50_000, derived_seed(6, 2))
+        hits = np.all(draws @ ts.Rtilde_I.T > ts.rtilde_I, axis=1).sum()
+        assert not comp.c_ie.exact
+        assert comp.c_ie.value == hits / 50_000
+
+    def test_mixed_centred_cone_is_exact(self):
+        """(x1,x2)>x3=0: the conditional prior cone has a closed form.
+
+        The oracle samples the conditional prior in raw coordinates with
+        the apex at its own location.
+        """
+        fit = make_random_fit(seed=91, n=40, k=4)
+        cs = parse_one("(x1,x2)>x3=0", fit.coef_names)
+        comp = bf_unconstrained(fit, cs, 100_000, seed=92)
+        assert comp.c_ie.exact and not comp.f_ie.exact
+        ts = build_transform(cs, fit)
+        prior = conditional_xiI(fit, ts, minimal_fraction(fit), ts.xi_hat[:1])
+        apex = ts.Rtilde_I @ ts.xi_hat[1:]
+        ref = oracle_inequality_prob(prior, ts.Rtilde_I, apex, 400_000, seed=93)
+        assert abs(comp.c_ie.value - ref.value) < 4 * ref.value * ref.rel_error_bound
 
     def test_dependent_equality_rows_are_inconsistent(self, two_effect_fit):
         """A hand-built system bypassing the parser fails as validate does."""

@@ -17,7 +17,8 @@ from bfreg import (
     pseudo_inverse,
     t_cdf,
 )
-from bfreg.numkernel import null_space_basis
+from bfreg.numkernel import mc_union_prob, null_space_basis, rng_from_seed
+from oracle import oracle_inequality_prob
 
 
 _trapz = getattr(np, "trapezoid", getattr(np, "trapz", None))
@@ -178,6 +179,13 @@ class TestTCdf:
         assert t_cdf(lo, df) <= t_cdf(hi, df)
 
 
+def _within_4_se(est, t_hits):
+    """``est`` agrees with the hit rate of independent t draws."""
+    p_t = t_hits.mean()
+    se = np.hypot(est.std_error, np.sqrt(p_t * (1.0 - p_t) / t_hits.size))
+    return abs(est.value - p_t) < 4 * se
+
+
 class TestMvtSample:
     def _dist(self):
         scale = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -226,18 +234,88 @@ class TestMvtConstraintProb:
     def test_independent_orthant_quarter(self):
         d = MultivariateT(np.zeros(2), np.diag([1.0, 3.0]), 8.0)
         est = mvt_constraint_prob(d, np.eye(2), np.zeros(2), 400_000, seed=2)
-        assert not est.exact
-        assert abs(est.value - 0.25) < 3 * est.std_error
+        assert est.exact and est.n_draws == 0
+        assert est.value == 0.25
+        # off the apex the t draws decide; uncorrelated is not independent
+        # for a t, so the reference is raw sampling of the same law
+        r = np.array([-0.3, 0.4])
+        est = mvt_constraint_prob(d, np.eye(2), r, 400_000, seed=2)
+        ref = oracle_inequality_prob(d, np.eye(2), r, 400_000, seed=12)
+        assert not est.exact and est.n_draws == 400_000
+        se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
+        assert abs(est.value - ref.value) < 4 * se
 
     def test_correlated_orthant_against_elliptical_formula(self):
         """Orthant mass of an elliptical pair is 1/4 + asin(rho)/(2 pi).
 
-        The formula holds for every df, so it is an independent oracle
-        for the correlated Monte Carlo path; rho = 0.5 gives exactly 1/3.
+        The formula holds for every df; rho = 0.5 gives exactly 1/3.
         """
         d = MultivariateT(np.zeros(2), np.array([[1.0, 0.5], [0.5, 1.0]]), 1.0)
         est = mvt_constraint_prob(d, np.eye(2), np.zeros(2), 500_000, seed=3)
-        assert abs(est.value - 1.0 / 3.0) < 3 * est.std_error
+        assert est.exact
+        assert abs(est.value - 1.0 / 3.0) <= 1e-15
+
+    @pytest.mark.parametrize("df", [1.0, 5.0, 60.0])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_centred_cone_closed_form_against_sampling(self, q, df):
+        """Two or three rows through the location: Sheppard and Plackett.
+
+        The apex is away from the origin and the correlations are random;
+        raw t draws of the same law are the reference.
+        """
+        rng = np.random.default_rng(60 + q + int(df))
+        s = rng.standard_normal((4, 4))
+        d = MultivariateT(rng.standard_normal(4), s @ s.T + 0.5 * np.eye(4), df)
+        r_mat = rng.standard_normal((q, 4))
+        r_vec = r_mat @ d.location
+        est = mvt_constraint_prob(d, r_mat, r_vec, 400_000, seed=61)
+        assert est.exact and est.std_error == 0.0 and est.n_draws == 0
+        ref = oracle_inequality_prob(d, r_mat, r_vec, 400_000, seed=62)
+        assert abs(est.value - ref.value) < 4 * ref.value * ref.rel_error_bound
+
+    def test_centred_chain_counts_gaussian_draws_only(self):
+        """Five rows through the location: normals z L' against 0, no chi-square.
+
+        The estimate is the hit count of the transformed law's Gaussian
+        parts, drawn from the seed's own stream, and it agrees with t
+        draws of the same law.  The draws span two chunks, so chi-square
+        draws between them would shift the second chunk's normals.
+        """
+        rng = np.random.default_rng(70)
+        s = rng.standard_normal((6, 6))
+        d = MultivariateT(rng.standard_normal(6), s @ s.T + np.eye(6), 3.0)
+        chain = np.eye(6)[:-1] - np.eye(6)[1:]
+        r_vec = chain @ d.location
+        n = 300_000
+        est = mvt_constraint_prob(d, chain, r_vec, n, seed=71)
+        assert est == mvt_constraint_prob(d, chain, r_vec, n, seed=71)
+        assert not est.exact and est.n_draws == n
+        chol = np.linalg.cholesky(chain @ d.scale @ chain.T)
+        z = rng_from_seed(71).standard_normal((n, 5))
+        assert est.value == np.all(z @ chol.T > 0.0, axis=1).sum() / n
+        t_hits = np.all(mvt_sample(d, n, seed=72) @ chain.T > r_vec, axis=1)
+        assert _within_4_se(est, t_hits)
+
+    def test_centred_union_counts_gaussian_draws_only(self):
+        """A three-system union whose every apex is the location."""
+        rng = np.random.default_rng(80)
+        s = rng.standard_normal((4, 4))
+        d = MultivariateT(rng.standard_normal(4), s @ s.T + np.eye(4), 2.0)
+        mats = [rng.standard_normal((q, 4)) for q in (1, 2, 3)]
+        systems = [(m, m @ d.location) for m in mats]
+        n = 300_000
+        est = mc_union_prob(d, systems, n, seed=81)
+        assert est == mc_union_prob(d, systems, n, seed=81)
+        y = rng_from_seed(81).standard_normal((n, 4)) @ np.linalg.cholesky(d.scale).T
+        hits = np.zeros(n, dtype=bool)
+        for m in mats:
+            hits |= np.all(y @ m.T > 0.0, axis=1)
+        assert est.value == hits.sum() / n
+        draws = mvt_sample(d, n, seed=82)
+        t_hits = np.zeros(n, dtype=bool)
+        for m, r in systems:
+            t_hits |= np.all(draws @ m.T > r, axis=1)
+        assert _within_4_se(est, t_hits)
 
     def test_complementary_halves_exact_path(self):
         d = MultivariateT(np.array([0.4]), np.array([[2.3]]), 9.0)
