@@ -5,7 +5,9 @@ two checkouts that compute the same numbers write byte-identical files.
 The cases cover every estimation path: the benchmark's workload inputs at
 seed 5, mixed hypotheses with zero and nonzero bounds, a band whose
 prior center is inexact, raw-coordinate systems, two- and three-system
-complements, ``df_as_printed`` and the README demo.  A case that raises records its error instead.
+complements, ``df_as_printed``, a five-row chain off and through the
+location of a fixed t law (the lattice rule) and the README demo.  A case
+that raises records its error instead.
 
 Usage:
     python scripts/dump_outputs.py OUT [--root CHECKOUT]
@@ -46,6 +48,8 @@ K5_HYPOTHESES = (
     "1 > x1 > x2 = 0",
 )
 README_HYPOTHESES = "x1=x2=0; (x1,x2)>0; x1>x2=0"
+CHAIN_SEEDS = (1, 12345)
+CHAIN_MCREP = 1_000_000
 
 
 def _config(cli, formula, mode="test"):
@@ -81,6 +85,24 @@ def _k5_fit(bfreg):
     names = ("y", "x1", "x2", "x3", "x4")
     data = bfreg.Dataset(names, np.column_stack([y, x]))
     return bfreg.fit_ols(data, "y ~ x1 + x2 + x3 + x4")
+
+
+def _chain_prob(bfreg, seed, centred):
+    """``Pr(x1 > ... > x6)`` under a fixed 6-d t, as the estimate's JSON."""
+    rng = np.random.default_rng(2018)
+    s = rng.standard_normal((6, 6))
+    dist = bfreg.MultivariateT(rng.standard_normal(6), s @ s.T + np.eye(6), 7.0)
+    chain = np.eye(6)[:-1] - np.eye(6)[1:]
+    r = chain @ dist.location if centred else np.zeros(5)
+    est = bfreg.mvt_constraint_prob(dist, chain, r, CHAIN_MCREP, seed)
+    return json.dumps(
+        {
+            "value": est.value,
+            "std_error": est.std_error,
+            "exact": est.exact,
+            "n_draws": est.n_draws,
+        }
+    )
 
 
 def cases(tmp):
@@ -124,6 +146,12 @@ def cases(tmp):
                     ),
                     cfg,
                 )
+            )
+
+    for seed in CHAIN_SEEDS:
+        for name, centred in (("off-apex", False), ("centred", True)):
+            yield f"q5 chain {name} seed={seed}", (
+                lambda seed=seed, centred=centred: _chain_prob(bfreg, seed, centred)
             )
 
     demo_fit = bfreg.RegressionFit(

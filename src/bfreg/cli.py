@@ -180,6 +180,17 @@ def _fmt(x, places=3) -> str:
     return f"{x:.{places}f}"
 
 
+def _ci_places(bf, lb, ub) -> int:
+    """Fewest decimals, at least 3, at which ``lb < bf < ub`` still shows."""
+    places = 3
+    while places < 17:
+        shown = [float(_fmt(x, places)) for x in (lb, bf, ub)]
+        if shown[0] < shown[1] < shown[2]:
+            break
+        places += 1
+    return places
+
+
 def _table(headers, rows, row_labels) -> str:
     label_w = max(len(str(r)) for r in row_labels) if row_labels else 0
     widths = [
@@ -244,9 +255,8 @@ def render_test_text(res: TestResult, show) -> str:
             if comp.ci90 is None:
                 rows.append([_fmt(comp.bf), "NA", "NA"])
             else:
-                rows.append(
-                    [_fmt(comp.bf), _fmt(comp.ci90[0]), _fmt(comp.ci90[1])]
-                )
+                places = _ci_places(comp.bf, *comp.ci90)
+                rows.append([_fmt(x, places) for x in (comp.bf, *comp.ci90)])
         note = ""
         if all(comp.ci90 is None for comp in res.components):
             note = "\n(all Bayes factors are exact; no Monte Carlo error)"

@@ -125,17 +125,32 @@ def posterior_probabilities(bayes_factors, prior_probs=None) -> np.ndarray:
     not all zero.  The result sums to 1.
     """
     b = np.atleast_1d(np.asarray(bayes_factors, dtype=float))
-    if b.ndim != 1 or b.size == 0:
-        raise InvalidInputError("need a nonempty vector of Bayes factors")
     if np.any(b < 0) or not np.all(np.isfinite(b)):
         raise InvalidInputError("Bayes factors must be finite and nonnegative")
+    with np.errstate(divide="ignore"):
+        return _log_posteriors(np.log(b), prior_probs)
+
+
+def _log_posteriors(log_bf, prior_probs=None) -> np.ndarray:
+    """Posterior probabilities from log Bayes factors, normalised in log space.
+
+    ``Pr(H_t | y) = exp(log B_tu + log w_t - logsumexp_s(log B_su + log
+    w_s))``, so a Bayes factor past the float range still gets its share.
+    Each ``log_bf`` is finite or -inf (a zero Bayes factor); weights as in
+    :func:`posterior_probabilities`.
+    """
+    lb = np.atleast_1d(np.asarray(log_bf, dtype=float))
+    if lb.ndim != 1 or lb.size == 0:
+        raise InvalidInputError("need a nonempty vector of Bayes factors")
+    if np.any(np.isnan(lb) | (lb == np.inf)):
+        raise InvalidInputError("log Bayes factors must be finite or -inf")
     if _equal_weights(prior_probs):
-        w = np.ones_like(b)
+        w = np.ones_like(lb)
     else:
         w = np.atleast_1d(np.asarray(prior_probs, dtype=float))
-        if w.shape != b.shape:
+        if w.shape != lb.shape:
             raise InvalidInputError(
-                f"got {w.size} prior weights, expected {b.size}"
+                f"got {w.size} prior weights, expected {lb.size}"
             )
         if np.any(w < 0) or not np.all(np.isfinite(w)) or w.sum() <= 0:
             raise InvalidInputError(
@@ -143,7 +158,7 @@ def posterior_probabilities(bayes_factors, prior_probs=None) -> np.ndarray:
             )
         w = w / w.sum()
     with np.errstate(divide="ignore"):
-        score = np.log(b) + np.log(w)
+        score = lb + np.log(w)
     if np.all(np.isneginf(score)):
         raise NumericError("all hypotheses have zero weighted Bayes factor")
     p = np.exp(score - logsumexp(score))
@@ -372,7 +387,7 @@ def test_hypotheses(
             else f"{len(systems)} stated hypotheses"
         )
         raise InvalidInputError(f"got {w.size} prior weights, expected {n} ({detail})")
-    post = posterior_probabilities([c.bf for c in components], w)
+    post = _log_posteriors([c.log_bf for c in components], w)
     return TestResult(
         labels=tuple(c.label for c in components),
         hypothesis_texts=tuple(texts),
@@ -413,7 +428,7 @@ def exploratory_test(
             bf_unconstrained(fit, cs, mcrep, derived_seed(seed, 30, j, i))
             for i, cs in enumerate(triple)
         )
-        rows.append(posterior_probabilities([c.bf for c in comps]))
+        rows.append(_log_posteriors([c.log_bf for c in comps]))
         comps_all.append(comps)
         matrices[name] = bf_matrix(comps)
     return ExploratoryResult(

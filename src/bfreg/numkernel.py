@@ -21,22 +21,29 @@ estimate, bit for bit.
 Probability estimates
 ---------------------
 :func:`mvt_constraint_prob` is where the estimation path of a region
-probability is chosen: an exact univariate t CDF for a single row, Monte
-Carlo on the transformed law of ``R xi`` when ``R`` has full row rank,
-and Monte Carlo on ``xi`` itself otherwise.  Both Monte Carlo paths, and
-the engine's union for the complement, count hits in one kernel,
-:func:`mc_union_prob`.
+probability is chosen:
+
+- exact 1-d: the univariate t CDF for a single row;
+- closed form: two or three rows through the location (below);
+- QMC: any other system whose ``R`` has full row rank is estimated on
+  the transformed law of ``R xi`` by Genz-Bretz separation of variables
+  on randomly shifted lattice points (:func:`_lattice_prob`), with the
+  standard error taken from the spread of independent shifts;
+- MC: a rank-deficient ``R`` (or a budget of fewer draws than shifts)
+  counts hits of draws of ``xi`` itself in :func:`mc_union_prob`, the
+  kernel that also estimates the engine's union for the complement.
 
 A cone whose apex is the location of the law (every row has ``R mu = r``
 to within ``_APEX_TOL`` of its standard deviation, as for every prior
 factor with an exact center) has the same probability under every
 elliptical law, whatever the df: the Gaussian orthant probability of the
-correlation of ``R S R'``.  On the transformed path with two or three
-rows that probability is exact (Sheppard's and Plackett's formulas).
-Elsewhere, including unions whose every system has its apex at the
-location, the hit test depends only on the direction of a draw from the
-location, so :func:`mc_union_prob` counts standard normals ``z L'``
-against ``R y > 0`` and skips the chi-square draws and the location.
+correlation of ``R S R'``.  With two or three rows that probability is
+exact (Sheppard's and Plackett's formulas); with more the lattice rule
+drops its radial coordinate, so the estimate does not depend on df.  In
+:func:`mc_union_prob`, when every system's apex is the location, the hit
+test depends only on the direction of a draw from the location, so it
+counts standard normals ``z L'`` against ``R y > 0`` and skips the
+chi-square draws and the location.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import gammaln, stdtr
+from scipy.special import gammaincinv, gammaln, ndtr, ndtri, stdtr
 
 from .errors import DecompositionError, InvalidInputError
 
@@ -65,6 +72,16 @@ _EPS = float(np.finfo(float).eps)
 # q <= 3.  Centers computed by least squares on well-scaled rows miss by
 # about 1e-16.
 _APEX_TOL = 1e-13
+
+# The lattice rule of the transformed path: _SHIFTS independent random
+# shifts give the standard error, and the points per shift double from
+# _LATTICE_BLOCK, so blocks hold 1024 * 2**j points.  An error divided by
+# a standard error from S shifts follows Student's t with S - 1 df: with
+# 16 shifts 6e-4 of the estimates land beyond 4.5 standard errors, with
+# 64 none of 10000 did.
+_SHIFTS = 64
+_LATTICE_BLOCK = 16
+_TINY = float(np.finfo(float).tiny)
 
 
 def _seed_sequence(seed, path=()):
@@ -154,9 +171,11 @@ class MultivariateT:
 class ProbEstimate:
     """A probability with its estimation pedigree.
 
-    ``exact`` estimates carry ``std_error == 0`` and ``n_draws == 0``;
-    Monte Carlo estimates carry the binomial standard error
-    ``sqrt(p(1-p)/n_draws)``.
+    ``exact`` estimates carry ``std_error == 0`` and ``n_draws == 0``.
+    Monte Carlo estimates count hits over ``n_draws`` draws and carry the
+    binomial standard error ``sqrt(p(1-p)/n_draws)``; lattice (QMC)
+    estimates average the integrand over ``n_draws`` points and carry
+    the standard error of their independent random shifts.
     """
 
     value: float
@@ -287,9 +306,20 @@ def _sample_chunks(dist: MultivariateT, n_draws: int, seed, centred=False):
         m = int(min(_CHUNK, n_draws - done))
         y = rng.standard_normal((m, d)) @ L.T
         if not centred:
-            y = loc + y * np.sqrt(df / rng.chisquare(df, m))[:, None]
+            y *= np.sqrt(df / rng.chisquare(df, m))[:, None]
+            y += loc
         yield y
+        # release the chunk before the next one is drawn, so that two
+        # chunks are never alive at once
+        del y
         done += m
+
+
+def _draw_count(n_draws) -> int:
+    n_draws = int(n_draws)
+    if n_draws < 1:
+        raise InvalidInputError("n_draws must be at least 1")
+    return n_draws
 
 
 def mvt_sample(dist: MultivariateT, n_draws, seed):
@@ -297,9 +327,7 @@ def mvt_sample(dist: MultivariateT, n_draws, seed):
 
     Returns an array of shape ``(n_draws, d)``.
     """
-    n_draws = int(n_draws)
-    if n_draws < 1:
-        raise InvalidInputError("n_draws must be at least 1")
+    n_draws = _draw_count(n_draws)
     return np.concatenate(list(_sample_chunks(dist, n_draws, seed)), axis=0)
 
 
@@ -307,12 +335,16 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
     """Estimate ``Pr(R xi > r)`` for ``xi ~ dist``.
 
     A single constraint row is evaluated exactly through the univariate t
-    CDF.  With several rows and a full row rank ``R`` the draws are taken
-    from the lower-dimensional transformed t of ``R xi``, except that two
-    or three rows through the location have a closed form; otherwise
-    ``xi`` itself is sampled and the rows are checked directly.  Rows with no
-    coefficient content decide the event outright: ``0 > r_i`` is false
-    for ``r_i >= 0`` and vacuously true otherwise.
+    CDF.  With several rows and a full row rank ``R`` the probability is
+    taken under the lower-dimensional transformed t of ``R xi``: two or
+    three rows through the location have a closed form, and every other
+    system takes the lattice rule of :func:`_lattice_prob`, which stops
+    once its standard error is at most the binomial one of ``n_draws``
+    draws and never uses more than ``n_draws`` points.  Otherwise ``xi``
+    itself is sampled ``n_draws`` times and the rows are checked
+    directly.  Rows with no coefficient content decide the event
+    outright: ``0 > r_i`` is false for ``r_i >= 0`` and vacuously true
+    otherwise.
     """
     R = np.atleast_2d(_as_matrix(np.atleast_2d(R), "constraint matrix"))
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -347,10 +379,91 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
 
     if q <= dist.dim and np.linalg.matrix_rank(R) == q:
         dist = MultivariateT(R @ dist.location, R @ dist.scale @ R.T, dist.df)
-        R = None
-        if q <= 3 and _apex_at_location(dist, [(R, r)]):
+        centred = _apex_at_location(dist, [(None, r)])
+        if q <= 3 and centred:
             return ProbEstimate(_centred_orthant_prob(dist.scale), 0.0, True, 0)
+        if n_draws >= _SHIFTS:
+            return _lattice_prob(dist, r, n_draws, seed, centred)
+        R = None
     return mc_union_prob(dist, [(R, r)], n_draws, seed)
+
+
+def _first_primes(n):
+    primes = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return np.array(primes, dtype=float)
+
+
+def _lattice_prob(dist: MultivariateT, r, n_draws, seed, centred) -> ProbEstimate:
+    """Quasi-Monte Carlo estimate of ``Pr(Y > r)`` for ``Y ~ dist``, q >= 2.
+
+    Genz-Bretz separation of variables (Genz 1992, JCGS 1; Genz and Bretz
+    2009, LNS 195).  The rows are sorted by standardised bound
+    ``a = (r - mu) / sd``, largest (least likely) first, and ``L`` is the
+    Cholesky factor of their correlation.  Then ``Y > r`` reads
+    ``L z > s a`` for standard normals ``z`` and the radial factor
+    ``s = sqrt(w / df)``, ``w ~ chi-square(df)``, drawn as
+    ``sqrt(2 gammaincinv(df/2, u) / df)``.  Given ``s`` and the earlier
+    ``z``, row ``i`` holds with probability ``e_i = Phi(-c_i)`` and ``z_i``
+    is drawn above ``c_i`` as ``-Phi^-1(e_i (1 - u_i))``, so the integrand
+    is ``prod e_i`` over the unit cube of ``s, z_1, ..., z_{q-1}``.  A
+    ``centred`` cone has ``a = 0`` and drops ``s``: its estimate does not
+    depend on df.
+
+    The points of shift ``k`` are ``|2 frac(i sqrt(p_j) + shift_kj) - 1|``
+    (Richtmyer's generator, one prime ``p_j`` per coordinate, folded by
+    the baker's transform) for ``i = 1, 2, ...``, with ``_SHIFTS`` uniform
+    shifts drawn from ``seed``; the standard error is the spread of the
+    shift means.  Points per shift double from ``_LATTICE_BLOCK`` until
+    that error is at most the binomial one of ``n_draws`` draws,
+    ``sqrt(p(1-p)/n_draws)``, or until the next block would pass
+    ``n_draws`` points in all.  ``n_draws`` of the estimate counts the
+    points used.
+    """
+    n_draws = int(n_draws)
+    q = dist.dim
+    sd = np.sqrt(np.diag(dist.scale))
+    a = np.zeros(q) if centred else (r - dist.location) / sd
+    order = np.argsort(-a, kind="stable")
+    a, sd = a[order], sd[order]
+    L = _cholesky(dist.scale[np.ix_(order, order)] / np.outer(sd, sd))
+    dims = q - 1 if centred else q
+    alpha = np.sqrt(_first_primes(dims))
+    shifts = rng_from_seed(seed).random((dims, _SHIFTS, 1))
+
+    def integrand(i):
+        """Values at points ``i`` of every shift, shape (_SHIFTS, len(i))."""
+        u = np.abs(2.0 * ((i * alpha[:, None, None] + shifts) % 1.0) - 1.0)
+        s = 0.0
+        if not centred:
+            w = 2.0 * gammaincinv(0.5 * dist.df, np.minimum(u[-1], 1.0 - _EPS))
+            s = np.sqrt(w / dist.df)
+        z = np.empty((q - 1, _SHIFTS, i.size))
+        prob = np.ones((_SHIFTS, i.size))
+        for row in range(q):
+            c = (s * a[row] - np.tensordot(L[row, :row], z[:row], axes=1)) / L[row, row]
+            e = ndtr(-c)
+            prob *= e
+            if row < q - 1:
+                z[row] = -ndtri(np.maximum(e * (1.0 - u[row]), _TINY))
+        return prob
+
+    sums = np.zeros(_SHIFTS)
+    step = _CHUNK // _SHIFTS
+    done, n = 0, min(_LATTICE_BLOCK, n_draws // _SHIFTS)
+    while True:
+        for start in range(done, n, step):
+            sums += integrand(np.arange(start + 1, min(n, start + step) + 1.0)).sum(axis=1)
+        means = sums / n
+        p = float(means.mean())
+        se = float(means.std(ddof=1)) / math.sqrt(_SHIFTS)
+        if se <= math.sqrt(p * (1.0 - p) / n_draws) or 2 * n * _SHIFTS > n_draws:
+            return ProbEstimate(p, se, False, n * _SHIFTS)
+        done, n = n, 2 * n
 
 
 def _centred_orthant_prob(S) -> float:
@@ -398,9 +511,7 @@ def mc_union_prob(dist: MultivariateT, systems, n_draws, seed) -> ProbEstimate:
     and a hit is ``R y > 0``.  The estimate carries the binomial standard
     error.
     """
-    n_draws = int(n_draws)
-    if n_draws < 1:
-        raise InvalidInputError("n_draws must be at least 1")
+    n_draws = _draw_count(n_draws)
     centred = _apex_at_location(dist, systems)
     hits = 0
     for chunk in _sample_chunks(dist, n_draws, seed, centred):
@@ -409,5 +520,6 @@ def mc_union_prob(dist: MultivariateT, systems, n_draws, seed) -> ProbEstimate:
             y = chunk if R is None else chunk @ R.T
             sat |= np.all(y > (0.0 if centred else r), axis=1)
         hits += int(sat.sum())
+        del chunk, y
     p = hits / n_draws
     return ProbEstimate(p, math.sqrt(p * (1.0 - p) / n_draws), False, n_draws)

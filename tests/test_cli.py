@@ -198,7 +198,7 @@ class TestJsonOutput:
         doc = json.loads(out1)
         est = doc["bf_unconstrained"][0]["f_ie"]
         assert est["exact"] is False
-        assert est["n_draws"] == 10000
+        assert 0 < est["n_draws"] <= 10000
         assert est["std_error"] > 0
 
     def test_exploratory_json(self, capsys, csv_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import bfreg
 from bfreg import (
-    BfregError,
     ConstraintCenterWarning,
     ConstraintSystem,
     Dataset,
@@ -243,7 +242,11 @@ class TestBfUnconstrainedTwoEffect:
             bf_unconstrained(two_effect_fit, cs, 10_000, seed=7)
 
     def test_overflowing_bayes_factor_saturates(self):
-        """A log BF past the float range gives bf = inf, not OverflowError."""
+        """A log BF past the float range gives bf = inf, not OverflowError.
+
+        Posteriors are normalised from the log BFs, so the hypothesis
+        still gets (nearly) all the posterior mass.
+        """
         k, n = 101, 10**12
         names = ("(Intercept)",) + tuple(f"x{j}" for j in range(1, k))
         fit = RegressionFit(names, np.zeros(k), float(n), np.eye(k) / n, n, k)
@@ -251,8 +254,11 @@ class TestBfUnconstrainedTwoEffect:
         comp = bf_unconstrained(fit, parse_one(text, names), 10_000, seed=8)
         assert comp.bf == np.inf
         assert np.isfinite(comp.log_bf) and comp.log_bf > 709.8
-        with pytest.raises(BfregError):
-            run_hypotheses(fit, text, mcrep=10_000, seed=8)
+        res = run_hypotheses(fit, text, mcrep=10_000, seed=8)
+        assert res.labels == ("H1", "Hc")
+        assert np.all(np.isfinite(res.post_probs))
+        assert res.post_probs.sum() == pytest.approx(1.0, abs=1e-15)
+        assert res.post_probs[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTestHypotheses:

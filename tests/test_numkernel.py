@@ -236,12 +236,12 @@ class TestMvtConstraintProb:
         est = mvt_constraint_prob(d, np.eye(2), np.zeros(2), 400_000, seed=2)
         assert est.exact and est.n_draws == 0
         assert est.value == 0.25
-        # off the apex the t draws decide; uncorrelated is not independent
+        # off the apex the lattice rule decides; uncorrelated is not independent
         # for a t, so the reference is raw sampling of the same law
         r = np.array([-0.3, 0.4])
         est = mvt_constraint_prob(d, np.eye(2), r, 400_000, seed=2)
         ref = oracle_inequality_prob(d, np.eye(2), r, 400_000, seed=12)
-        assert not est.exact and est.n_draws == 400_000
+        assert not est.exact and 0 < est.n_draws <= 400_000
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
         assert abs(est.value - ref.value) < 4 * se
 
@@ -273,13 +273,11 @@ class TestMvtConstraintProb:
         ref = oracle_inequality_prob(d, r_mat, r_vec, 400_000, seed=62)
         assert abs(est.value - ref.value) < 4 * ref.value * ref.rel_error_bound
 
-    def test_centred_chain_counts_gaussian_draws_only(self):
-        """Five rows through the location: normals z L' against 0, no chi-square.
+    def test_centred_chain_takes_the_lattice_path(self):
+        """Five rows through the location: the lattice rule without df.
 
-        The estimate is the hit count of the transformed law's Gaussian
-        parts, drawn from the seed's own stream, and it agrees with t
-        draws of the same law.  The draws span two chunks, so chi-square
-        draws between them would shift the second chunk's normals.
+        The estimate reruns to the same bits, stays within its draw
+        budget, and agrees with t draws of the same law.
         """
         rng = np.random.default_rng(70)
         s = rng.standard_normal((6, 6))
@@ -289,10 +287,7 @@ class TestMvtConstraintProb:
         n = 300_000
         est = mvt_constraint_prob(d, chain, r_vec, n, seed=71)
         assert est == mvt_constraint_prob(d, chain, r_vec, n, seed=71)
-        assert not est.exact and est.n_draws == n
-        chol = np.linalg.cholesky(chain @ d.scale @ chain.T)
-        z = rng_from_seed(71).standard_normal((n, 5))
-        assert est.value == np.all(z @ chol.T > 0.0, axis=1).sum() / n
+        assert not est.exact and 0 < est.n_draws <= n
         t_hits = np.all(mvt_sample(d, n, seed=72) @ chain.T > r_vec, axis=1)
         assert _within_4_se(est, t_hits)
 
@@ -316,6 +311,103 @@ class TestMvtConstraintProb:
         for m, r in systems:
             t_hits |= np.all(draws @ m.T > r, axis=1)
         assert _within_4_se(est, t_hits)
+
+    @pytest.mark.parametrize("df", [1.0, 5.0, 60.0])
+    @pytest.mark.parametrize(
+        "q, centred",
+        [(2, False), (3, False), (4, False), (5, False), (6, False),
+         (4, True), (5, True), (6, True)],
+    )
+    def test_lattice_path_against_sampling(self, q, centred, df):
+        """The lattice rule agrees with raw t draws within 4 SE.
+
+        Random correlations; the bounds are either scattered around the
+        location or, for q >= 4, the location itself (a centred cone).
+        """
+        rng = np.random.default_rng(100 + 10 * q + int(df) + centred)
+        s = rng.standard_normal((7, 7))
+        d = MultivariateT(rng.standard_normal(7), s @ s.T + 0.5 * np.eye(7), df)
+        r_mat = rng.standard_normal((q, 7))
+        r_vec = r_mat @ d.location
+        if not centred:
+            r_vec += 0.5 * rng.standard_normal(q) * np.sqrt(
+                np.diag(r_mat @ d.scale @ r_mat.T)
+            )
+        est = mvt_constraint_prob(d, r_mat, r_vec, 1_000_000, seed=101)
+        assert not est.exact and 0 < est.n_draws <= 1_000_000
+        ref = oracle_inequality_prob(d, r_mat, r_vec, 400_000, seed=102)
+        se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
+        assert abs(est.value - ref.value) < 4 * se
+
+    def test_lattice_path_reruns_to_the_same_bits(self):
+        rng = np.random.default_rng(110)
+        s = rng.standard_normal((5, 5))
+        d = MultivariateT(rng.standard_normal(5), s @ s.T + np.eye(5), 4.0)
+        r_vec = rng.standard_normal(5)
+        a = mvt_constraint_prob(d, np.eye(5), r_vec, 200_000, seed=111)
+        b = mvt_constraint_prob(d, np.eye(5), r_vec, 200_000, seed=111)
+        assert a.value.hex() == b.value.hex()
+        assert a.std_error.hex() == b.std_error.hex()
+        assert a == b
+        assert mvt_constraint_prob(d, np.eye(5), r_vec, 200_000, seed=112) != a
+
+    def test_centred_cone_does_not_depend_on_df(self):
+        """A cone through the location drops the radial coordinate."""
+        rng = np.random.default_rng(120)
+        s = rng.standard_normal((5, 5))
+        scale = s @ s.T + np.eye(5)
+        loc = rng.standard_normal(5)
+        chain = np.eye(5)[:-1] - np.eye(5)[1:]
+        est = [
+            mvt_constraint_prob(
+                MultivariateT(loc, scale, df), chain, chain @ loc, 100_000, seed=121
+            )
+            for df in (1.0, 60.0)
+        ]
+        assert not est[0].exact
+        assert est[0].value.hex() == est[1].value.hex()
+        assert est[0] == est[1]
+
+    @pytest.mark.parametrize("mcrep", [1, 63, 64, 1000, 5000, 20_000, 1_000_000])
+    def test_lattice_points_within_mcrep(self, mcrep):
+        """``n_draws <= mcrep``; below the cap the SE meets the binomial one.
+
+        The cap is reached when doubling the points would pass mcrep;
+        fewer draws than shifts fall back to Monte Carlo.
+        """
+        rng = np.random.default_rng(130)
+        for q in (2, 4, 6):
+            s = rng.standard_normal((q, q))
+            d = MultivariateT(rng.standard_normal(q), s @ s.T + np.eye(q), 5.0)
+            r_vec = rng.standard_normal(q)
+            est = mvt_constraint_prob(d, np.eye(q), r_vec, mcrep, seed=131)
+            assert 0 < est.n_draws <= mcrep
+            if 2 * est.n_draws <= mcrep:
+                p = est.value
+                assert est.std_error <= np.sqrt(p * (1.0 - p) / mcrep)
+
+    def test_lattice_standard_error_coverage(self):
+        """At most 8% of 400 errors exceed two reported standard errors.
+
+        Twenty random systems (q 2 to 6, df 1, 5 or 60, off the apex or
+        centred) at twenty seeds each, against the same rule with a
+        standard error target 100 times finer.
+        """
+        rng = np.random.default_rng(140)
+        z = []
+        for k in range(20):
+            q = 2 + k % 5
+            df = (1.0, 5.0, 60.0)[k % 3]
+            s = rng.standard_normal((q, q))
+            d = MultivariateT(rng.standard_normal(q), s @ s.T + 0.5 * np.eye(q), df)
+            r_vec = d.location + 0.7 * rng.standard_normal(q)
+            if q > 3 and k % 2 == 0:
+                r_vec = d.location
+            hp = mvt_constraint_prob(d, np.eye(q), r_vec, 10**10, seed=1000 + k)
+            for seed in range(20):
+                est = mvt_constraint_prob(d, np.eye(q), r_vec, 1_000_000, seed=seed)
+                z.append((est.value - hp.value) / np.hypot(est.std_error, hp.std_error))
+        assert np.mean(np.abs(z) > 2.0) <= 0.08
 
     def test_complementary_halves_exact_path(self):
         d = MultivariateT(np.array([0.4]), np.array([[2.3]]), 9.0)
