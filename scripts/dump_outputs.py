@@ -4,10 +4,12 @@ Every case is rendered with ``bfreg.cli.render_json`` at a fixed seed, so
 two checkouts that compute the same numbers write byte-identical files.
 The cases cover every estimation path: the benchmark's workload inputs at
 seed 5, mixed hypotheses with zero and nonzero bounds, a band whose
-prior center is inexact, raw-coordinate systems, two- and three-system
-complements, ``df_as_printed``, a five-row chain off and through the
-location of a fixed t law (the lattice rule) and the README demo.  A case
-that raises records its error instead.
+prior center is inexact, inequalities that the equalities make vacuous
+(with free directions left and with every coefficient pinned),
+raw-coordinate systems, two- and three-system complements,
+``df_as_printed``, a five-row chain off and through the location of a
+fixed t law (the lattice rule) and the README demo.  A case that raises
+records its error instead.
 
 Usage:
     python scripts/dump_outputs.py OUT [--root CHECKOUT]
@@ -46,6 +48,8 @@ K5_HYPOTHESES = (
     "x1>0",
     "x1=x2=0",
     "1 > x1 > x2 = 0",
+    "0 < x1 = 1",
+    "1 > x1 = x2 = x3 = x4 = (Intercept) = 0",
 )
 README_HYPOTHESES = "x1=x2=0; (x1,x2)>0; x1>x2=0"
 CHAIN_SEEDS = (1, 12345)
@@ -78,23 +82,23 @@ def _outcome(fn):
         return f"error: {type(exc).__name__}: {exc}"
 
 
-def _k5_fit(bfreg):
+def _k5_fit(model):
     rng = np.random.default_rng(2018)
     x = rng.standard_normal((200, 4))
     y = 0.2 + x @ np.array([0.5, 0.3, 0.1, -0.1]) + rng.standard_normal(200)
     names = ("y", "x1", "x2", "x3", "x4")
-    data = bfreg.Dataset(names, np.column_stack([y, x]))
-    return bfreg.fit_ols(data, "y ~ x1 + x2 + x3 + x4")
+    data = model.Dataset(names, np.column_stack([y, x]))
+    return model.fit_ols(data, "y ~ x1 + x2 + x3 + x4")
 
 
-def _chain_prob(bfreg, seed, centred):
+def _chain_prob(numkernel, seed, centred):
     """``Pr(x1 > ... > x6)`` under a fixed 6-d t, as the estimate's JSON."""
     rng = np.random.default_rng(2018)
     s = rng.standard_normal((6, 6))
-    dist = bfreg.MultivariateT(rng.standard_normal(6), s @ s.T + np.eye(6), 7.0)
+    dist = numkernel.MultivariateT(rng.standard_normal(6), s @ s.T + np.eye(6), 7.0)
     chain = np.eye(6)[:-1] - np.eye(6)[1:]
     r = chain @ dist.location if centred else np.zeros(5)
-    est = bfreg.mvt_constraint_prob(dist, chain, r, CHAIN_MCREP, seed)
+    est = numkernel.mvt_constraint_prob(dist, chain, r, CHAIN_MCREP, seed)
     return json.dumps(
         {
             "value": est.value,
@@ -106,9 +110,15 @@ def _chain_prob(bfreg, seed, centred):
 
 
 def cases(tmp):
-    """Yield ``(name, thunk)`` pairs; each thunk returns the case's text."""
-    import bfreg
+    """Yield ``(name, thunk)`` pairs; each thunk returns the case's text.
+
+    bfreg is read through its modules, whose names have not changed
+    between versions, rather than through the package exports.
+    """
     import bfreg.cli as cli
+    import bfreg.engine as engine
+    import bfreg.model as model
+    import bfreg.numkernel as numkernel
     from perfbench import workloads
 
     demo = workloads.CliDemo(SEED, tmp)
@@ -135,13 +145,13 @@ def cases(tmp):
         wide.operation(0), _config(cli, "explore-wide", mode="exploratory")
     )
 
-    fit = _k5_fit(bfreg)
+    fit = _k5_fit(model)
     cfg = _config(cli, "y ~ x1 + x2 + x3 + x4")
     for seed, df_as_printed in K5_SEEDS:
         for text in K5_HYPOTHESES:
             yield f"k5 seed={seed} df_as_printed={df_as_printed} {text}", (
                 lambda text=text, seed=seed, flag=df_as_printed: cli.render_json(
-                    bfreg.test_hypotheses(
+                    engine.test_hypotheses(
                         fit, text, mcrep=K5_MCREP, seed=seed, df_as_printed=flag
                     ),
                     cfg,
@@ -151,10 +161,10 @@ def cases(tmp):
     for seed in CHAIN_SEEDS:
         for name, centred in (("off-apex", False), ("centred", True)):
             yield f"q5 chain {name} seed={seed}", (
-                lambda seed=seed, centred=centred: _chain_prob(bfreg, seed, centred)
+                lambda seed=seed, centred=centred: _chain_prob(numkernel, seed, centred)
             )
 
-    demo_fit = bfreg.RegressionFit(
+    demo_fit = model.RegressionFit(
         coef_names=("(Intercept)", "x1", "x2"),
         beta_hat=np.array([1.0, 0.7, 0.03]),
         s2=19.0,
@@ -163,7 +173,7 @@ def cases(tmp):
         k=3,
     )
     yield "readme-demo", lambda: cli.render_json(
-        bfreg.test_hypotheses(demo_fit, README_HYPOTHESES, seed=42),
+        engine.test_hypotheses(demo_fit, README_HYPOTHESES, seed=42),
         _config(cli, "y ~ x1 + x2"),
     )
 

@@ -17,15 +17,12 @@ from .constraints import (
     conditional_xiI,
     fractional_posterior_beta,
     marginal_xiE,
-    minimal_fraction,
 )
 from .engine import (
     BFComponents,
     ExploratoryResult,
     TestResult,
-    bf_complement,
     bf_matrix,
-    bf_unconstrained,
     exploratory_test,
     posterior_probabilities,
     test_hypotheses,
@@ -42,23 +39,9 @@ from .errors import (
     InvalidInputError,
     NumericError,
 )
-from .hyparse import (
-    ConstraintSystem,
-    ValidationReport,
-    is_exploratory,
-    parse_hypotheses,
-    validate,
-)
+from .hyparse import ConstraintSystem, parse_hypotheses
 from .model import Dataset, RegressionFit, fit_ols, load_csv, standardize
-from .numkernel import (
-    MultivariateT,
-    ProbEstimate,
-    mvt_constraint_prob,
-    mvt_logpdf,
-    mvt_sample,
-    pseudo_inverse,
-    t_cdf,
-)
+from .numkernel import MultivariateT, ProbEstimate
 
 __version__ = "0.1.0"
 
@@ -82,27 +65,16 @@ __all__ = [
     "RegressionFit",
     "TestResult",
     "TransformedSystem",
-    "ValidationReport",
-    "bf_complement",
     "bf_matrix",
-    "bf_unconstrained",
     "build_transform",
     "conditional_xiI",
     "exploratory_test",
     "fit_ols",
     "fractional_posterior_beta",
-    "is_exploratory",
     "load_csv",
     "marginal_xiE",
-    "minimal_fraction",
-    "mvt_constraint_prob",
-    "mvt_logpdf",
-    "mvt_sample",
     "parse_hypotheses",
     "posterior_probabilities",
-    "pseudo_inverse",
     "standardize",
-    "t_cdf",
     "test_hypotheses",
-    "validate",
 ]

@@ -9,8 +9,10 @@ null space of ``R_E``.  Then ``xi_E = R_E beta`` carries the equality
 part, ``xi_I = D beta`` the free directions, and
 ``T^{-1} = [R_E^+  D^+]`` by blocks.  Inequalities map to
 ``Rtilde_I xi_I > rtilde_I`` with ``Rtilde_I = R_I D^+`` and
-``rtilde_I = r_I - R_I R_E^+ r_E``.  That reduction and the prior center
-``mu0 = (r_E, c)``, with ``c`` the minimum-norm least-squares solution of
+``rtilde_I = r_I - R_I R_E^+ r_E``; a row the equalities leave without
+coefficient content is dropped when vacuously true and rejected
+otherwise.  That reduction and the prior center ``mu0 = (r_E, c)``, with
+``c`` the minimum-norm least-squares solution of the remaining rows
 ``Rtilde_I xi_I = rtilde_I``, depend on the hypothesis alone and are
 cached on the system (:attr:`~bfreg.hyparse.ConstraintSystem.reduction`).
 When ``c`` is exact every inequality boundary passes through it, so each
@@ -56,20 +58,17 @@ from .numkernel import MultivariateT
 
 @dataclass(frozen=True)
 class TransformedSystem:
-    """A hypothesis rotated into the ``xi = T beta`` coordinates."""
+    """A hypothesis rotated into the ``xi = T beta`` coordinates of one fit.
+
+    ``T = [R_E; D]``, ``xi_hat = T beta_hat`` and ``q_E`` are what the
+    conditioning helpers need.  The reduced inequalities and the prior
+    center depend on the hypothesis alone and are read from
+    :attr:`~bfreg.hyparse.ConstraintSystem.reduction`.
+    """
 
     T: np.ndarray
-    D: np.ndarray
-    T_inv_E: np.ndarray
-    T_inv_I: np.ndarray
-    Rtilde_I: np.ndarray
-    rtilde_I: np.ndarray
     xi_hat: np.ndarray
-    mu0: np.ndarray
     q_E: int
-    q_I: int
-    k: int
-    consistent: bool
 
 
 def minimal_fraction(fit: RegressionFit) -> float:
@@ -117,10 +116,11 @@ def warn_if_inexact(label: str, exact: bool) -> None:
 def build_transform(cs: ConstraintSystem, fit: RegressionFit) -> TransformedSystem:
     """Rotate one hypothesis into ``xi = T beta`` for ``fit``.
 
-    Only ``xi_hat = T beta_hat`` is computed here; the rest, ``mu0``
-    included, comes from the system's cached reduction (see the module
-    notes).  A :class:`ConstraintCenterWarning` is emitted when ``mu0`` is
-    only a least-squares point (``consistent`` is False).
+    ``T`` is stacked from ``R_E`` and the null-space basis ``D`` of the
+    system's cached reduction (see the module notes); only ``xi_hat = T
+    beta_hat`` is computed here.  A :class:`ConstraintCenterWarning` is
+    emitted when the reduction's prior center is only a least-squares
+    point.
     """
     if cs.k != fit.k:
         raise InvalidInputError(
@@ -129,20 +129,7 @@ def build_transform(cs: ConstraintSystem, fit: RegressionFit) -> TransformedSyst
     red = cs.reduction
     warn_if_inexact(cs.label, red.center_exact)
     T = np.vstack([cs.R_E, red.D])
-    return TransformedSystem(
-        T=T,
-        D=red.D,
-        T_inv_E=red.T_inv_E,
-        T_inv_I=red.T_inv_I,
-        Rtilde_I=red.Rtilde_I,
-        rtilde_I=red.rtilde_I,
-        xi_hat=T @ fit.beta_hat,
-        mu0=np.concatenate([cs.r_E, red.center]),
-        q_E=cs.q_E,
-        q_I=cs.q_I,
-        k=cs.k,
-        consistent=red.center_exact,
-    )
+    return TransformedSystem(T=T, xi_hat=T @ fit.beta_hat, q_E=cs.q_E)
 
 
 def _joint_xi(fit: RegressionFit, ts: TransformedSystem, b: float) -> MultivariateT:
@@ -177,7 +164,7 @@ def conditional_xiI(
     """
     if ts.q_E == 0:
         raise InvalidInputError("hypothesis has no equality constraints")
-    if ts.k - ts.q_E == 0:
+    if ts.T.shape[0] == ts.q_E:
         raise InvalidInputError("no free directions remain after the equalities")
     x = np.atleast_1d(np.asarray(xi_E_value, dtype=float))
     if x.shape != (ts.q_E,):

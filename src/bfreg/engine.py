@@ -58,6 +58,9 @@ _Z90 = float(ndtri(0.95))
 # space and no complement is added.
 _EXHAUSTION_TOL = 1e-3
 
+# An inequality factor with no region left to estimate.
+_CERTAIN = ProbEstimate(1.0, 0.0, True, 0)
+
 
 @dataclass(frozen=True)
 class BFComponents:
@@ -219,7 +222,9 @@ def bf_unconstrained(
     Dispatches on the constraint structure: equality-only hypotheses are a
     ratio of analytic densities, inequality-only hypotheses a ratio of
     region probabilities, and mixed hypotheses the product of both with
-    the probabilities conditioned on the equality slice.  Monte Carlo
+    the probabilities conditioned on the equality slice.  The inequality
+    rows are the live rows of the system's reduction; when the equalities
+    leave none, both probability factors are exactly 1.  Monte Carlo
     draws for numerator and denominator use independent streams derived
     from ``seed``.
     """
@@ -240,7 +245,12 @@ def bf_unconstrained(
         c_e = _exp(log_c)
         log_bf += log_f - log_c
 
+    red = cs.reduction
+    R, r = red.Rtilde_I, red.rtilde_I
     if cs.q_I:
+        # certain when the equalities leave no live row (see the reduction)
+        f_ie = c_ie = _CERTAIN
+    if R.shape[0]:
         if cs.q_E:
             post = conditional_xiI(fit, ts, 1.0, cs.r_E, df_as_printed=df_as_printed)
             prior = conditional_xiI(
@@ -249,8 +259,7 @@ def bf_unconstrained(
         else:
             post = fractional_posterior_beta(fit, 1.0)
             prior = fractional_posterior_beta(fit, b_min)
-        prior = prior.relocate(ts.mu0[cs.q_E :])
-        R, r = ts.Rtilde_I, ts.rtilde_I
+        prior = prior.relocate(red.center)
         f_ie = mvt_constraint_prob(post, R, r, mcrep, derived_seed(seed, 1))
         c_ie = mvt_constraint_prob(prior, R, r, mcrep, derived_seed(seed, 2))
         _check_prior_prob(c_ie, label, "constraint probability")
@@ -293,8 +302,7 @@ def bf_complement(
         if cs.q_E == 0 and cs.q_I > 0
     ]
     if not ineq:
-        one = ProbEstimate(1.0, 0.0, True, 0)
-        return BFComponents("Hc", None, None, one, one, 0.0, 1.0, None)
+        return BFComponents("Hc", None, None, _CERTAIN, _CERTAIN, 0.0, 1.0, None)
     if len(ineq) == 1:
         u_f, u_c = ineq[0][1].f_ie, ineq[0][1].c_ie
     else:

@@ -62,17 +62,16 @@ class EqualityReduction(NamedTuple):
     """The inequalities restated over the free directions ``xi_I = D beta``.
 
     ``D`` is an orthonormal basis of the null space of ``R_E`` (one row
-    per direction), ``T_inv_E = R_E^+`` and ``T_inv_I = D^+`` the blocks
-    of ``T^{-1}`` for ``T = [R_E; D]``, and ``Rtilde_I xi_I > rtilde_I``
-    the inequality part with the equalities substituted: ``Rtilde_I =
-    R_I D^+`` and ``rtilde_I = r_I - R_I R_E^+ r_E``.  Without equalities
-    ``D`` is the identity and the inequalities are unchanged.  ``center``
-    and ``center_exact`` are :func:`prior_center` of the reduced rows.
+    per direction), so ``T = [R_E; D]`` has ``T^{-1} = [R_E^+  D^+]`` by
+    blocks, and ``Rtilde_I xi_I > rtilde_I`` is the inequality part with
+    the equalities substituted: ``Rtilde_I = R_I D^+`` and ``rtilde_I =
+    r_I - R_I R_E^+ r_E``, keeping only the live rows, those with
+    coefficient content left.  Without equalities ``D`` is the identity.
+    ``center`` and ``center_exact`` are :func:`prior_center` of the live
+    rows.
     """
 
     D: np.ndarray
-    T_inv_E: np.ndarray
-    T_inv_I: np.ndarray
     Rtilde_I: np.ndarray
     rtilde_I: np.ndarray
     center: np.ndarray
@@ -128,12 +127,18 @@ class ConstraintSystem:
     @cached_property
     def reduction(self) -> EqualityReduction:
         """The equality reduction and prior center, computed once and read
-        by :func:`validate` and :func:`bfreg.constraints.build_transform`.
+        by :func:`validate`, :func:`bfreg.constraints.build_transform` and
+        :func:`bfreg.engine.bf_unconstrained`.
 
-        Raises :class:`InconsistentEqualityError` for linearly dependent
-        equality rows and :class:`NumericError` for a singular ``T``.
+        A reduced row with no coefficient content left (a norm at most
+        1e-9 of the largest row norm, or of 1) decides itself: ``0 > c``
+        raises :class:`InfeasibleHypothesisError` for ``c >= 0`` and is
+        dropped as vacuously true otherwise.  Raises
+        :class:`InconsistentEqualityError` for linearly dependent equality
+        rows and :class:`NumericError` for a singular ``T``.
         """
         k = self.k
+        D, Rt, rt = np.eye(k), self.R_I, self.r_I
         if self.q_E:
             D = null_space_basis(self.R_E)
             if D.shape[0] != k - self.q_E:
@@ -149,18 +154,25 @@ class ConstraintSystem:
                 raise NumericError(f"{self.label}: transform is numerically singular")
             Rt = self.R_I @ T_inv_I
             rt = self.r_I - self.R_I @ T_inv_E @ self.r_E
-        else:
-            D, T_inv_E, T_inv_I = np.eye(k), np.zeros((k, 0)), np.eye(k)
-            Rt, rt = self.R_I, self.r_I
-        return EqualityReduction(D, T_inv_E, T_inv_I, Rt, rt, *prior_center(Rt, rt))
+        norms = np.linalg.norm(Rt, axis=1)
+        live = norms > 1e-9 * max(1.0, float(norms.max(initial=0.0)))
+        tol = 1e-9 * (1.0 + float(np.abs(rt).max(initial=0.0)))
+        for c in rt[~live]:
+            if c >= -tol:
+                raise InfeasibleHypothesisError(
+                    f"{self.label}: after substituting the equalities, an "
+                    f"inequality reduces to 0 > {c:g}"
+                )
+        Rt, rt = Rt[live], rt[live]
+        return EqualityReduction(D, Rt, rt, *prior_center(Rt, rt))
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Diagnostics from :func:`validate`: ranks and reduction notes."""
+    """Diagnostics from :func:`validate`: the rank of the live reduced
+    inequalities and the number of rows the equalities made vacuous."""
 
     label: str
-    rank_equalities: int
     rank_inequalities_reduced: int
     n_trivial_rows: int
     q_E: int
@@ -346,47 +358,32 @@ def parse_hypotheses(text: str, coef_names) -> list:
 def validate(cs: ConstraintSystem) -> ValidationReport:
     """Check a constraint system for feasibility and report its structure.
 
-    Equalities are substituted into the inequalities; a row that reduces
-    to ``0 > c`` with ``c >= 0`` or an inequality system with an empty
-    interior raises :class:`InfeasibleHypothesisError`.  Rows that reduce
-    to a vacuously true statement are counted in ``n_trivial_rows``.
-    Dependent equality rows raise :class:`InconsistentEqualityError` from
-    :attr:`ConstraintSystem.reduction`.
+    :attr:`ConstraintSystem.reduction` substitutes the equalities into the
+    inequalities; it raises :class:`InconsistentEqualityError` for
+    dependent equality rows and :class:`InfeasibleHypothesisError` for a
+    row that reduces to ``0 > c`` with ``c >= 0``, and drops the rows that
+    reduce to a vacuously true statement, counted here in
+    ``n_trivial_rows``.  A live inequality system with an empty interior
+    raises :class:`InfeasibleHypothesisError`.
     """
-    reduction = cs.reduction  # checks that the equality rows are independent
-    if cs.q_I == 0:
-        return ValidationReport(cs.label, cs.q_E, 0, 0, cs.q_E, cs.q_I)
-
-    Rt, rt = reduction.Rtilde_I, reduction.rtilde_I
-    norms = np.linalg.norm(Rt, axis=1) if Rt.shape[1] else np.zeros(cs.q_I)
-    live = norms > 1e-9 * max(1.0, float(norms.max(initial=0.0)))
-    tol = 1e-9 * (1.0 + float(np.abs(rt).max(initial=0.0)))
-    for i in np.flatnonzero(~live):
-        if rt[i] >= -tol:
-            raise InfeasibleHypothesisError(
-                f"{cs.label}: after substituting the equalities, an "
-                f"inequality reduces to 0 > {rt[i]:g}"
-            )
-    n_trivial = int(np.sum(~live))
-    active_R = Rt[live]
-    active_r = rt[live]
-    rank_ineq = int(np.linalg.matrix_rank(active_R)) if active_R.size else 0
-
-    if active_R.shape[0]:
+    Rt, rt = cs.reduction.Rtilde_I, cs.reduction.rtilde_I
+    q, d = Rt.shape
+    rank = 0
+    if q:
+        rank = int(np.linalg.matrix_rank(Rt))
         # Strict feasibility: maximize the slack t subject to
         # Rt xi >= rt + t; an optimum at or below zero means the open
         # region is empty.
-        q, d = active_R.shape
         res = linprog(
             c=np.append(np.zeros(d), -1.0),
-            A_ub=np.hstack([-active_R, np.ones((q, 1))]),
-            b_ub=-active_r,
+            A_ub=np.hstack([-Rt, np.ones((q, 1))]),
+            b_ub=-rt,
             bounds=[(None, None)] * d + [(None, 1.0)],
             method="highs",
         )
         slack = -res.fun if res.status == 0 else -np.inf
-        if slack <= 1e-9 * (1.0 + float(np.abs(active_r).max(initial=0.0))):
+        if slack <= 1e-9 * (1.0 + float(np.abs(rt).max(initial=0.0))):
             raise InfeasibleHypothesisError(
                 f"{cs.label}: the inequality system has an empty interior"
             )
-    return ValidationReport(cs.label, cs.q_E, rank_ineq, n_trivial, cs.q_E, cs.q_I)
+    return ValidationReport(cs.label, rank, cs.q_I - q, cs.q_E, cs.q_I)

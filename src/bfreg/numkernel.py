@@ -148,8 +148,8 @@ class MultivariateT:
             )
         if not (np.all(np.isfinite(loc)) and np.all(np.isfinite(S))):
             raise InvalidInputError("non-finite distribution parameters")
-        smax = float(np.abs(S).max()) if S.size else 0.0
-        if not np.allclose(S, S.T, atol=1e-8 * max(smax, 1.0), rtol=0.0):
+        atol = 1e-8 * max(float(np.abs(S).max(initial=0.0)), 1.0)
+        if not np.abs(S - S.T).max(initial=0.0) <= atol:
             raise InvalidInputError("scale matrix must be symmetric")
         df = float(self.df)
         if not (df > 0 and math.isfinite(df)):
@@ -313,22 +313,6 @@ def _sample_chunks(dist: MultivariateT, n_draws: int, seed, centred=False):
         # chunks are never alive at once
         del y
         done += m
-
-
-def _draw_count(n_draws) -> int:
-    n_draws = int(n_draws)
-    if n_draws < 1:
-        raise InvalidInputError("n_draws must be at least 1")
-    return n_draws
-
-
-def mvt_sample(dist: MultivariateT, n_draws, seed):
-    """Draw ``n_draws`` samples from ``dist``; deterministic in ``seed``.
-
-    Returns an array of shape ``(n_draws, d)``.
-    """
-    n_draws = _draw_count(n_draws)
-    return np.concatenate(list(_sample_chunks(dist, n_draws, seed)), axis=0)
 
 
 def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimate:
@@ -511,7 +495,9 @@ def mc_union_prob(dist: MultivariateT, systems, n_draws, seed) -> ProbEstimate:
     and a hit is ``R y > 0``.  The estimate carries the binomial standard
     error.
     """
-    n_draws = _draw_count(n_draws)
+    n_draws = int(n_draws)
+    if n_draws < 1:
+        raise InvalidInputError("n_draws must be at least 1")
     centred = _apex_at_location(dist, systems)
     hits = 0
     for chunk in _sample_chunks(dist, n_draws, seed, centred):

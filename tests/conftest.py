@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bfreg import Dataset, RegressionFit, fit_ols
+from bfreg.numkernel import _sample_chunks
 
 # the demo script owns the raw two-effect data; make_two_effect_fit is its fit
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -43,6 +44,12 @@ def make_random_fit(seed, n: int = 50, k: int = 3, beta=None, sigma=1.0):
     names = ("y",) + tuple(f"x{j}" for j in range(1, k))
     data = Dataset(column_names=names, columns=np.column_stack([y, x]))
     return fit_ols(data, "y ~ " + " + ".join(names[1:]))
+
+
+def mvt_sample(dist, n_draws, seed):
+    """``n_draws`` t draws from ``dist``, shape ``(n_draws, d)``: the
+    stream the package's Monte Carlo estimates count hits on."""
+    return np.concatenate(list(_sample_chunks(dist, n_draws, seed)), axis=0)
 
 
 @pytest.fixture

@@ -25,8 +25,8 @@ from bfreg import (
     RegressionFit,
     build_transform,
     conditional_xiI,
-    minimal_fraction,
 )
+from bfreg.constraints import minimal_fraction
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -200,15 +200,12 @@ def oracle_bf(
     c_e = oracle_marginal_density(fit, b_min, cs.R_E, cs.R_E @ fit.beta_hat)
     cond_post = conditional_xiI(fit, ts, 1.0, cs.r_E)
     cond_prior = conditional_xiI(fit, ts, b_min, ts.xi_hat[: cs.q_E])
-    f_ie = oracle_inequality_prob(
-        cond_post, ts.Rtilde_I, ts.rtilde_I, n_draws, seed + 3, rel_se
-    )
+    Rt, rt = cs.reduction.Rtilde_I, cs.reduction.rtilde_I
+    f_ie = oracle_inequality_prob(cond_post, Rt, rt, n_draws, seed + 3, rel_se)
     # the prior region is the cone with its apex at the conditional prior's
     # own location, whatever center rule the engine uses
-    apex = ts.Rtilde_I @ ts.xi_hat[cs.q_E :]
-    c_ie = oracle_inequality_prob(
-        cond_prior, ts.Rtilde_I, apex, n_draws, seed + 4, rel_se
-    )
+    apex = Rt @ ts.xi_hat[cs.q_E :]
+    c_ie = oracle_inequality_prob(cond_prior, Rt, apex, n_draws, seed + 4, rel_se)
     value = (f_e.value / c_e.value) * (f_ie.value / c_ie.value)
     rel = float(
         f_e.rel_error_bound

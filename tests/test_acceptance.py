@@ -20,7 +20,6 @@ from bfreg import (
     Dataset,
     MultivariateT,
     RegressionFit,
-    bf_unconstrained,
     build_transform,
     conditional_xiI,
     exploratory_test,
@@ -33,6 +32,7 @@ from bfreg.constraints import (
     marginal_xiE,
     minimal_fraction,
 )
+from bfreg.engine import bf_unconstrained
 from bfreg.numkernel import mvt_logpdf
 
 from conftest import make_random_fit, make_two_effect_dataset, make_two_effect_fit

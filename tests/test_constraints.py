@@ -13,10 +13,10 @@ from bfreg import (
     conditional_xiI,
     fractional_posterior_beta,
     marginal_xiE,
-    minimal_fraction,
-    mvt_logpdf,
     parse_hypotheses,
 )
+from bfreg.constraints import minimal_fraction
+from bfreg.numkernel import mvt_logpdf
 from conftest import make_random_fit, make_two_effect_fit
 from oracle import projector_null_rows
 
@@ -34,39 +34,42 @@ class TestBuildTransform:
         cs = parse_one("x1 > 0", two_effect_fit.coef_names)
         ts = build_transform(cs, two_effect_fit)
         assert np.array_equal(ts.T, np.eye(3))
-        assert np.array_equal(ts.D, np.eye(3))
-        assert np.allclose(ts.mu0, np.zeros(3), atol=1e-14)
+        assert np.array_equal(cs.reduction.D, np.eye(3))
+        assert np.allclose(cs.reduction.center, np.zeros(3), atol=1e-14)
         assert ts.q_E == 0
 
     def test_null_basis_annihilates_equality_rows(self):
         fit = make_random_fit(2, n=50, k=4)
         cs = parse_one("x1 = x2 = x3 > 0", fit.coef_names)
         ts = build_transform(cs, fit)
-        assert np.linalg.norm(cs.R_E @ ts.D.T) < 1e-12
+        assert np.array_equal(ts.T[cs.q_E :], cs.reduction.D)
+        assert np.linalg.norm(cs.R_E @ cs.reduction.D.T) < 1e-12
 
     def test_inverse_block_identities(self):
         fit = make_random_fit(3, n=50, k=4)
         cs = parse_one("(x1, x2) > x3 = 0", fit.coef_names)
         ts = build_transform(cs, fit)
-        assert np.allclose(cs.R_E @ ts.T_inv_E, np.eye(1), atol=1e-9)
-        assert np.allclose(ts.D @ ts.T_inv_I, np.eye(3), atol=1e-9)
-        t_inv = np.hstack([ts.T_inv_E, ts.T_inv_I])
-        assert np.allclose(ts.T @ t_inv, np.eye(4), atol=1e-9)
+        # T^{-1} = [R_E^+  D^+] by blocks, so R~_I and r~_I are read off it
+        t_inv = np.linalg.inv(ts.T)
+        red = cs.reduction
+        assert np.allclose(t_inv[:, :1], np.linalg.pinv(cs.R_E), atol=1e-9)
+        assert np.allclose(red.Rtilde_I, cs.R_I @ t_inv[:, 1:], atol=1e-9)
+        assert np.allclose(
+            red.rtilde_I, cs.r_I - cs.R_I @ t_inv[:, :1] @ cs.r_E, atol=1e-9
+        )
 
     def test_mixed_hypothesis_zero_center_block(self, two_effect_fit):
         """Homogeneous constraints put the prior center at the origin."""
         cs = parse_one("x1 > x2 = 0", two_effect_fit.coef_names)
-        ts = build_transform(cs, two_effect_fit)
-        assert np.allclose(ts.mu0, np.zeros(3), atol=1e-12)
+        assert np.array_equal(cs.r_E, [0.0])
+        assert np.allclose(cs.reduction.center, np.zeros(2), atol=1e-12)
 
     def test_boundary_property_consistent_system(self):
         fit = make_random_fit(4, n=50, k=4)
         cs = parse_one("x1 > x2 = 0.3", fit.coef_names)
-        ts = build_transform(cs, fit)
-        assert ts.consistent
-        assert np.allclose(
-            ts.Rtilde_I @ ts.mu0[ts.q_E :], ts.rtilde_I, atol=1e-9
-        )
+        red = cs.reduction
+        assert red.center_exact
+        assert np.allclose(red.Rtilde_I @ red.center, red.rtilde_I, atol=1e-9)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -85,31 +88,31 @@ class TestBuildTransform:
             R_I,
             R_I @ beta_star,
         )
-        ts = build_transform(cs, fit)
-        assert ts.consistent
-        scale = max(1.0, np.linalg.norm(ts.rtilde_I))
+        red = cs.reduction
+        assert red.center_exact
+        scale = max(1.0, np.linalg.norm(red.rtilde_I))
         assert np.allclose(
-            ts.Rtilde_I @ ts.mu0[ts.q_E :], ts.rtilde_I, atol=1e-9 * scale
+            red.Rtilde_I @ red.center, red.rtilde_I, atol=1e-9 * scale
         )
 
     def test_inconsistent_center_warns(self, two_effect_fit):
         """A bounded band has no exact stacked solution, so a warning fires."""
         cs = parse_one("1 > x1 > 0", two_effect_fit.coef_names)
         with pytest.warns(ConstraintCenterWarning):
-            ts = build_transform(cs, two_effect_fit)
-        assert not ts.consistent
+            build_transform(cs, two_effect_fit)
+        assert not cs.reduction.center_exact
 
     def test_equivalence_chain_on_feasible_points(self):
         """R_I beta > r_I iff R~_I (D beta) > r~_I on the equality slice."""
         fit = make_random_fit(5, n=50, k=4)
         cs = parse_one("(x1, x2) > x3 = 0.2", fit.coef_names)
-        ts = build_transform(cs, fit)
+        red = cs.reduction
         rng = np.random.default_rng(99)
         particular = np.linalg.lstsq(cs.R_E, cs.r_E, rcond=None)[0]
         for _ in range(100):
-            beta = particular + ts.D.T @ rng.standard_normal(3) * 2.0
+            beta = particular + red.D.T @ rng.standard_normal(3) * 2.0
             raw = bool(np.all(cs.R_I @ beta > cs.r_I))
-            reduced = bool(np.all(ts.Rtilde_I @ (ts.D @ beta) > ts.rtilde_I))
+            reduced = bool(np.all(red.Rtilde_I @ (red.D @ beta) > red.rtilde_I))
             assert raw == reduced
 
     def test_projector_cross_check_spans_same_bayes_relevant_space(self):
@@ -122,7 +125,7 @@ class TestBuildTransform:
         cs = parse_one("x1 = x2 = x3 > 0", fit.coef_names)
         ts = build_transform(cs, fit)
         # same row space as the orthonormal basis used by the transform
-        combined = np.vstack([rows, ts.D])
+        combined = np.vstack([rows, ts.T[cs.q_E :]])
         assert np.linalg.matrix_rank(combined, tol=1e-10) == 2
 
 
@@ -194,11 +197,10 @@ class TestConditionalXiI:
         b = minimal_fraction(fit)
         cond = conditional_xiI(fit, ts, b, ts.xi_hat[: ts.q_E])
         A = fit.xtx_inv
-        DA = ts.D @ A
+        D = cs.reduction.D
+        DA = D @ A
         RA = cs.R_E @ A
-        schur = DA @ ts.D.T - DA @ cs.R_E.T @ np.linalg.solve(
-            RA @ cs.R_E.T, RA @ ts.D.T
-        )
+        schur = DA @ D.T - DA @ cs.R_E.T @ np.linalg.solve(RA @ cs.R_E.T, RA @ D.T)
         expected = fit.s2 / (1.0 + ts.q_E) * schur
         assert np.allclose(cond.scale, expected, atol=1e-10)
         assert cond.df == 1.0 + ts.q_E
@@ -211,7 +213,8 @@ class TestConditionalXiI:
         at_zero = conditional_xiI(two_effect_fit, ts, 1.0, np.array([0.0]))
         far = conditional_xiI(two_effect_fit, ts, 1.0, np.array([5.0]))
         assert np.allclose(at_zero.location, far.location, atol=1e-12)
-        assert np.allclose(at_zero.location, ts.D @ two_effect_fit.beta_hat)
+        free = cs.reduction.D @ two_effect_fit.beta_hat
+        assert np.allclose(at_zero.location, free)
 
     def test_factorization_of_the_joint_density(self):
         """Joint log density = marginal at the split + conditional there.

@@ -1,5 +1,7 @@
 """Bayes factors, complement handling, posterior probabilities, tables."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,19 +17,18 @@ from bfreg import (
     NumericError,
     RegressionFit,
     bf_matrix,
-    bf_unconstrained,
     build_transform,
     conditional_xiI,
     exploratory_test,
     fit_ols,
-    minimal_fraction,
-    mvt_sample,
     parse_hypotheses,
     posterior_probabilities,
-    validate,
 )
+from bfreg.constraints import minimal_fraction
+from bfreg.engine import bf_unconstrained
+from bfreg.hyparse import validate
 from bfreg.numkernel import derived_seed
-from conftest import make_random_fit, make_two_effect_dataset
+from conftest import make_random_fit, make_two_effect_dataset, mvt_sample
 from oracle import oracle_inequality_prob
 
 # pytest would otherwise try to collect the package entry point as a test
@@ -206,11 +207,12 @@ class TestBfUnconstrainedTwoEffect:
         with pytest.warns(ConstraintCenterWarning, match="^H1:"):
             comp = bf_unconstrained(two_effect_fit, cs, 50_000, seed=6)
             ts = build_transform(cs, two_effect_fit)
+        red = cs.reduction
         prior = conditional_xiI(
             two_effect_fit, ts, minimal_fraction(two_effect_fit), ts.xi_hat[:1]
-        ).relocate(ts.mu0[1:])
+        ).relocate(red.center)
         draws = mvt_sample(prior, 50_000, derived_seed(6, 2))
-        hits = np.all(draws @ ts.Rtilde_I.T > ts.rtilde_I, axis=1).sum()
+        hits = np.all(draws @ red.Rtilde_I.T > red.rtilde_I, axis=1).sum()
         assert not comp.c_ie.exact
         assert comp.c_ie.value == hits / 50_000
 
@@ -226,8 +228,9 @@ class TestBfUnconstrainedTwoEffect:
         assert comp.c_ie.exact and not comp.f_ie.exact
         ts = build_transform(cs, fit)
         prior = conditional_xiI(fit, ts, minimal_fraction(fit), ts.xi_hat[:1])
-        apex = ts.Rtilde_I @ ts.xi_hat[1:]
-        ref = oracle_inequality_prob(prior, ts.Rtilde_I, apex, 400_000, seed=93)
+        Rt = cs.reduction.Rtilde_I
+        apex = Rt @ ts.xi_hat[1:]
+        ref = oracle_inequality_prob(prior, Rt, apex, 400_000, seed=93)
         assert abs(comp.c_ie.value - ref.value) < 4 * ref.value * ref.rel_error_bound
 
     def test_dependent_equality_rows_are_inconsistent(self, two_effect_fit):
@@ -259,6 +262,44 @@ class TestBfUnconstrainedTwoEffect:
         assert np.all(np.isfinite(res.post_probs))
         assert res.post_probs.sum() == pytest.approx(1.0, abs=1e-15)
         assert res.post_probs[0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "text, equalities", [("0 < x1 = 1", "x1 = 1"), ("1 > x1 = 0", "x1 = 0")]
+    )
+    def test_vacuous_row_does_not_move_the_prior_center(
+        self, two_effect_fit, text, equalities
+    ):
+        """A row the equalities make vacuous is dropped, not centered on.
+
+        Its probability factors stay exactly 1, so the Bayes factor is the
+        equality part's alone.
+        """
+        names = two_effect_fit.coef_names
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConstraintCenterWarning)
+            comp = bf_unconstrained(two_effect_fit, parse_one(text, names), 10_000, 9)
+            res = run_hypotheses(two_effect_fit, text, mcrep=10_000, seed=9)
+        ref = bf_unconstrained(two_effect_fit, parse_one(equalities, names), 10_000, 9)
+        for est in (comp.c_ie, comp.f_ie):
+            assert est.exact and est.value == 1.0
+        assert comp.log_bf == ref.log_bf
+        assert res.components[0].log_bf == ref.log_bf
+
+    def test_every_coefficient_pinned_leaves_the_equality_factor(self):
+        """1 > x1 = (Intercept) = 0 on y ~ x1: no free direction is left,
+        and the vacuous row leaves the Bayes factor of the equalities."""
+        fit = make_random_fit(seed=94, n=40, k=2)
+        names = fit.coef_names
+        cs = parse_one("1 > x1 = (Intercept) = 0", names)
+        comp = bf_unconstrained(fit, cs, 10_000, seed=95)
+        pinned = parse_one("x1 = (Intercept) = 0", names)
+        ref = bf_unconstrained(fit, pinned, 10_000, seed=95)
+        for est in (comp.c_ie, comp.f_ie):
+            assert est.exact and est.value == 1.0
+        assert comp.log_bf == ref.log_bf
+        res = run_hypotheses(fit, "1 > x1 = (Intercept) = 0", mcrep=10_000, seed=95)
+        assert res.components[0].log_bf == ref.log_bf
+        assert validate(cs).n_trivial_rows == 1
 
 
 class TestTestHypotheses:

@@ -11,10 +11,9 @@ from bfreg import (
     InconsistentEqualityError,
     InfeasibleHypothesisError,
     InvalidInputError,
-    is_exploratory,
     parse_hypotheses,
-    validate,
 )
+from bfreg.hyparse import is_exploratory, validate
 
 COEFS4 = ("(Intercept)", "x1", "x2", "x3")
 
@@ -214,9 +213,10 @@ class TestParseErrors:
 
 class TestValidate:
     def test_single_equality_rank(self):
-        report = validate(parse_one("x1 = 0"))
-        assert report.rank_equalities == 1
+        cs = parse_one("x1 = 0")
+        report = validate(cs)
         assert report.q_E == 1
+        assert cs.reduction.D.shape == (3, 4)
 
     def test_empty_interior_rejected(self):
         with pytest.raises(InfeasibleHypothesisError):

@@ -11,13 +11,17 @@ from bfreg import (
     InvalidInputError,
     MultivariateT,
     ProbEstimate,
+)
+from bfreg.numkernel import (
+    mc_union_prob,
     mvt_constraint_prob,
     mvt_logpdf,
-    mvt_sample,
+    null_space_basis,
     pseudo_inverse,
+    rng_from_seed,
     t_cdf,
 )
-from bfreg.numkernel import mc_union_prob, null_space_basis, rng_from_seed
+from conftest import mvt_sample
 from oracle import oracle_inequality_prob
 
 
@@ -503,6 +507,13 @@ class TestDomainTypes:
     def test_mvt_requires_symmetric_scale(self):
         with pytest.raises(InvalidInputError):
             MultivariateT(np.zeros(2), np.array([[1.0, 0.9], [0.0, 1.0]]), 2.0)
+        # the bound on |S - S'| is 1e-8 of the largest entry, or of 1
+        for big in (1.0, 1e4):
+            just_below = big * np.array([[1.0, 0.5], [0.5 + 0.5e-8, 1.0]])
+            MultivariateT(np.zeros(2), just_below, 2.0)
+            just_above = big * np.array([[1.0, 0.5], [0.5 + 2e-8, 1.0]])
+            with pytest.raises(InvalidInputError, match="symmetric"):
+                MultivariateT(np.zeros(2), just_above, 2.0)
 
     def test_mvt_requires_positive_df(self):
         with pytest.raises(InvalidInputError):

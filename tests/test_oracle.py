@@ -9,8 +9,9 @@ against closed forms, then demand agreement with the package paths.
 import numpy as np
 import pytest
 
-from bfreg import MultivariateT, bf_unconstrained, build_transform, parse_hypotheses
+from bfreg import MultivariateT, build_transform, parse_hypotheses
 from bfreg.constraints import marginal_xiE
+from bfreg.engine import bf_unconstrained
 from bfreg.numkernel import mvt_constraint_prob, mvt_logpdf
 
 from conftest import make_random_fit
