@@ -7,9 +7,11 @@ seed 5, mixed hypotheses with zero and nonzero bounds, a band whose
 prior center is inexact, inequalities that the equalities make vacuous
 (with free directions left and with every coefficient pinned),
 raw-coordinate systems, two- and three-system complements,
-``df_as_printed``, a five-row chain off and through the location of a
-fixed t law (the lattice rule) and the README demo.  A case that raises
-records its error instead.
+``df_as_printed``, the exploratory screen of the k5 fit and of a fit
+whose ``Pr(x1 < 0)`` underflows (every factor of every coefficient), a
+five-row chain off and through the location of a fixed t law (the
+lattice rule) and the README demo.  A case that raises records its
+error instead.
 
 Usage:
     python scripts/dump_outputs.py OUT [--root CHECKOUT]
@@ -109,6 +111,39 @@ def _chain_prob(numkernel, seed, centred):
     )
 
 
+def _screen_json(res):
+    """An exploratory result with every factor of every coefficient."""
+
+    def prob(est):
+        if est is None:
+            return None
+        return [est.value, est.std_error, est.exact, est.n_draws]
+
+    return json.dumps(
+        {
+            "coefficients": list(res.coef_names),
+            "posterior_probs": res.post_probs.tolist(),
+            "components": [
+                [
+                    {
+                        "label": c.label,
+                        "log_bf": c.log_bf,
+                        "bf": c.bf,
+                        "c_e": c.c_e,
+                        "f_e": c.f_e,
+                        "c_ie": prob(c.c_ie),
+                        "f_ie": prob(c.f_ie),
+                        "ci90": c.ci90,
+                    }
+                    for c in triple
+                ]
+                for triple in res.components
+            ],
+            "bf_matrices": {k: m.tolist() for k, m in res.bf_matrices.items()},
+        }
+    )
+
+
 def cases(tmp):
     """Yield ``(name, thunk)`` pairs; each thunk returns the case's text.
 
@@ -157,6 +192,19 @@ def cases(tmp):
                     cfg,
                 )
             )
+
+    yield "k5 exploratory", lambda: _screen_json(engine.exploratory_test(fit, seed=1))
+    underflow_fit = model.RegressionFit(
+        coef_names=("(Intercept)", "x1"),
+        beta_hat=np.array([1.0, 60.0]),
+        s2=25.0,
+        xtx_inv=np.diag([1 / 30, 1 / 1000]),
+        n=2000,
+        k=2,
+    )
+    yield "exploratory underflow", lambda: _screen_json(
+        engine.exploratory_test(underflow_fit, seed=1)
+    )
 
     for seed in CHAIN_SEEDS:
         for name, centred in (("off-apex", False), ("centred", True)):

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
+from scipy.special import gammaln, logsumexp, ndtri
 
 from .constraints import (
     build_transform,
@@ -49,6 +49,7 @@ from .numkernel import (
     mc_union_prob,
     mvt_constraint_prob,
     mvt_logpdf,
+    t_cdf,
 )
 
 _Z90 = float(ndtri(0.95))
@@ -140,21 +141,21 @@ def _log_posteriors(log_bf, prior_probs=None) -> np.ndarray:
     ``Pr(H_t | y) = exp(log B_tu + log w_t - logsumexp_s(log B_su + log
     w_s))``, so a Bayes factor past the float range still gets its share.
     Each ``log_bf`` is finite or -inf (a zero Bayes factor); weights as in
-    :func:`posterior_probabilities`.
+    :func:`posterior_probabilities`.  A matrix of ``log_bf`` is normalised
+    row by row, each row with the same weights.
     """
     lb = np.atleast_1d(np.asarray(log_bf, dtype=float))
-    if lb.ndim != 1 or lb.size == 0:
+    if lb.ndim > 2 or lb.shape[-1] == 0:
         raise InvalidInputError("need a nonempty vector of Bayes factors")
     if np.any(np.isnan(lb) | (lb == np.inf)):
         raise InvalidInputError("log Bayes factors must be finite or -inf")
+    n = lb.shape[-1]
     if _equal_weights(prior_probs):
-        w = np.ones_like(lb)
+        w = np.ones(n)
     else:
         w = np.atleast_1d(np.asarray(prior_probs, dtype=float))
-        if w.shape != lb.shape:
-            raise InvalidInputError(
-                f"got {w.size} prior weights, expected {lb.size}"
-            )
+        if w.shape != (n,):
+            raise InvalidInputError(f"got {w.size} prior weights, expected {n}")
         if np.any(w < 0) or not np.all(np.isfinite(w)) or w.sum() <= 0:
             raise InvalidInputError(
                 "prior weights must be nonnegative and not all zero"
@@ -162,10 +163,10 @@ def _log_posteriors(log_bf, prior_probs=None) -> np.ndarray:
         w = w / w.sum()
     with np.errstate(divide="ignore"):
         score = lb + np.log(w)
-    if np.all(np.isneginf(score)):
+    if np.any(np.all(np.isneginf(score), axis=-1)):
         raise NumericError("all hypotheses have zero weighted Bayes factor")
-    p = np.exp(score - logsumexp(score))
-    return p / p.sum()
+    p = np.exp(score - logsumexp(score, axis=-1, keepdims=True))
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def bf_matrix(components) -> np.ndarray:
@@ -198,6 +199,17 @@ def _exp(log_x: float) -> float:
         return math.exp(log_x)
     except OverflowError:
         return math.inf
+
+
+def _t_logpdf(z, sd, df):
+    """``mvt_logpdf`` in 1-d, elementwise, at ``z`` scales ``sd`` from the mean."""
+    return (
+        gammaln(0.5 * (df + 1))
+        - gammaln(0.5 * df)
+        - 0.5 * math.log(df * math.pi)
+        - np.log(sd)
+        - 0.5 * (df + 1) * np.log1p(np.square(z) / df)
+    )
 
 
 def _check_prior_prob(est: ProbEstimate, label: str, what: str):
@@ -413,37 +425,48 @@ def exploratory_test(
 ) -> ExploratoryResult:
     """For every coefficient, test {< 0, = 0, > 0} with equal priors.
 
-    All three Bayes factors take exact paths (1-d densities and CDFs), so
-    the probability rows carry no Monte Carlo error, each row sums to 1,
+    With ``z_j = beta_j / sqrt(v_j)``, ``v`` and ``v0`` the scale diagonals
+    of the posterior and the minimal-fraction prior, the Bayes factors are
+    ``T_nu(-z_j) / (1/2)``, ``t_nu(0; beta_j, v_j) / t_nu0(0; 0, v0_j)`` and
+    ``T_nu(z_j) / (1/2)``: those of :func:`bf_unconstrained` on ``x<0``,
+    ``x=0`` and ``x>0``, evaluated for all coefficients at once.  All are
+    exact (``seed`` and ``mcrep`` are only recorded), each row sums to 1,
     and no complement applies (the three hypotheses exhaust the line).
     """
-    k = fit.k
-    rows = []
-    comps_all = []
-    matrices = {}
-    for j, name in enumerate(fit.coef_names):
-        e = np.zeros((1, k))
-        e[0, j] = 1.0
-        zero1 = np.zeros(1)
-        empty_R = np.zeros((0, k))
-        empty_r = np.zeros(0)
-        triple = (
-            ConstraintSystem("H1", f"{name}<0", empty_R, empty_r, -e, zero1),
-            ConstraintSystem("H2", f"{name}=0", e, zero1, empty_R, empty_r),
-            ConstraintSystem("H3", f"{name}>0", empty_R, empty_r, e, zero1),
+    post = fractional_posterior_beta(fit, 1.0)
+    prior = fractional_posterior_beta(fit, minimal_fraction(fit))
+    v, v0 = np.diag(post.scale), np.diag(prior.scale)
+    if not np.all(np.minimum(v, v0) > 0):
+        raise NumericError("H1: prior constraint probability is numerically zero")
+    sd = np.sqrt(v)
+    z = post.location / sd
+    f_lt, f_gt = t_cdf(-z, post.df), t_cdf(z, post.df)
+    log_f = _t_logpdf(z, sd, post.df)
+    log_c = _t_logpdf(0.0, np.sqrt(v0), prior.df)
+    log_half = math.log(0.5)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_bf = np.column_stack(
+            [np.log(f_lt) - log_half, log_f - log_c, np.log(f_gt) - log_half]
         )
-        comps = tuple(
-            bf_unconstrained(fit, cs, mcrep, derived_seed(seed, 30, j, i))
-            for i, cs in enumerate(triple)
+        bf = np.exp(log_bf)
+        f_e, c_e = np.exp(log_f), np.exp(log_c)
+        matrices = bf[:, :, None] / bf[:, None, :]
+    half = ProbEstimate(0.5, 0.0, True, 0)
+    lt, gt = ([ProbEstimate(p, 0.0, True, 0) for p in a.tolist()] for a in (f_lt, f_gt))
+    columns = (a.tolist() for a in (f_e, c_e, log_bf, bf))
+    components = tuple(
+        (
+            BFComponents("H1", None, None, half, p_lt, lb[0], b[0]),
+            BFComponents("H2", c, f, None, None, lb[1], b[1]),
+            BFComponents("H3", None, None, half, p_gt, lb[2], b[2]),
         )
-        rows.append(_log_posteriors([c.log_bf for c in comps]))
-        comps_all.append(comps)
-        matrices[name] = bf_matrix(comps)
+        for p_lt, p_gt, f, c, lb, b in zip(lt, gt, *columns)
+    )
     return ExploratoryResult(
         coef_names=fit.coef_names,
-        post_probs=np.array(rows),
-        components=tuple(comps_all),
-        bf_matrices=matrices,
+        post_probs=_log_posteriors(log_bf),
+        components=components,
+        bf_matrices=dict(zip(fit.coef_names, matrices)),
         seed=seed,
         mcrep=int(mcrep),
     )

@@ -364,24 +364,25 @@ def validate(cs: ConstraintSystem) -> ValidationReport:
     row that reduces to ``0 > c`` with ``c >= 0``, and drops the rows that
     reduce to a vacuously true statement, counted here in
     ``n_trivial_rows``.  A live inequality system with an empty interior
-    raises :class:`InfeasibleHypothesisError`.
+    raises :class:`InfeasibleHypothesisError`: the largest slack ``t <= 1``
+    with ``Rt xi >= rt + t`` must exceed ``1e-9 (1 + max |rt|)``.  It is
+    the cap 1 for full row rank; only rank-deficient rows solve the LP.
     """
     Rt, rt = cs.reduction.Rtilde_I, cs.reduction.rtilde_I
     q, d = Rt.shape
     rank = 0
     if q:
         rank = int(np.linalg.matrix_rank(Rt))
-        # Strict feasibility: maximize the slack t subject to
-        # Rt xi >= rt + t; an optimum at or below zero means the open
-        # region is empty.
-        res = linprog(
-            c=np.append(np.zeros(d), -1.0),
-            A_ub=np.hstack([-Rt, np.ones((q, 1))]),
-            b_ub=-rt,
-            bounds=[(None, None)] * d + [(None, 1.0)],
-            method="highs",
-        )
-        slack = -res.fun if res.status == 0 else -np.inf
+        slack = 1.0
+        if rank < q:
+            res = linprog(
+                c=np.append(np.zeros(d), -1.0),
+                A_ub=np.hstack([-Rt, np.ones((q, 1))]),
+                b_ub=-rt,
+                bounds=[(None, None)] * d + [(None, 1.0)],
+                method="highs",
+            )
+            slack = -res.fun if res.status == 0 else -np.inf
         if slack <= 1e-9 * (1.0 + float(np.abs(rt).max(initial=0.0))):
             raise InfeasibleHypothesisError(
                 f"{cs.label}: the inequality system has an empty interior"

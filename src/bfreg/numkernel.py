@@ -268,8 +268,9 @@ def mvt_logpdf(x, dist: MultivariateT) -> float:
     )
 
 
-def t_cdf(x, df) -> float:
-    """CDF of the standard univariate Student-t.
+def t_cdf(x, df):
+    """CDF of the standard univariate Student-t: a float for a scalar ``x``,
+    else an array of its shape.
 
     Evaluated through the regularized incomplete beta function; absolute
     error is far below 1e-12 over the usable range.  Saturates at 0/1 for
@@ -279,16 +280,11 @@ def t_cdf(x, df) -> float:
     df = float(df)
     if not (df > 0 and math.isfinite(df)):
         raise InvalidInputError("df must be a positive finite number")
-    x = float(x)
-    if math.isnan(x):
+    x = np.asarray(x, dtype=float)
+    if np.any(np.isnan(x)):
         raise InvalidInputError("t_cdf argument is NaN")
-    if x == math.inf:
-        return 1.0
-    if x == -math.inf:
-        return 0.0
-    if x >= 0.0:
-        return 1.0 - float(stdtr(df, -x))
-    return float(stdtr(df, x))
+    p = np.where(x >= 0.0, 1.0 - stdtr(df, -x), stdtr(df, x))
+    return float(p) if p.ndim == 0 else p
 
 
 def _sample_chunks(dist: MultivariateT, n_draws: int, seed, centred=False):

@@ -28,7 +28,12 @@ from bfreg.constraints import minimal_fraction
 from bfreg.engine import bf_unconstrained
 from bfreg.hyparse import validate
 from bfreg.numkernel import derived_seed
-from conftest import make_random_fit, make_two_effect_dataset, mvt_sample
+from conftest import (
+    make_random_fit,
+    make_two_effect_dataset,
+    make_two_effect_fit,
+    mvt_sample,
+)
 from oracle import oracle_inequality_prob
 
 # pytest would otherwise try to collect the package entry point as a test
@@ -566,6 +571,27 @@ class TestInvariance:
         assert nested.bf > loose.bf
 
 
+def make_scaled_fit(k=12, seed=2018):
+    """OLS fit whose k - 1 predictors have scales from 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    scales = np.logspace(-3, 3, k - 1)
+    x = rng.standard_normal((60, k - 1)) * scales
+    beta = rng.normal(0.0, 0.3, k - 1) / scales
+    y = 0.4 + x @ beta + rng.standard_normal(60)
+    names = ("y",) + tuple(f"x{j}" for j in range(1, k))
+    data = Dataset(names, np.column_stack([y, x]))
+    return fit_ols(data, "y ~ " + " + ".join(names[1:]))
+
+
+def make_screen_data(seed, n=30, k=5):
+    """Data for ``y ~ x1 + ... + x{k-1}`` with standard normal predictors."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, k - 1))
+    y = x @ rng.normal(0.0, 0.5, k - 1) + rng.standard_normal(n)
+    names = ("y",) + tuple(f"x{j}" for j in range(1, k))
+    return Dataset(names, np.column_stack([y, x]))
+
+
 class TestExploratory:
     def test_rows_sum_to_one(self, two_effect_fit):
         res = exploratory_test(two_effect_fit, seed=1)
@@ -613,6 +639,96 @@ class TestExploratory:
             row = res.post_probs[j]
             m = res.bf_matrices[name]
             assert row[1] / row[2] == pytest.approx(m[1, 2], rel=1e-12)
+
+    @pytest.mark.parametrize("make_fit", [make_two_effect_fit, make_scaled_fit])
+    def test_matches_generic_path(self, make_fit):
+        fit = make_fit()
+        res = exploratory_test(fit, seed=1)
+        assert len(res.components) == fit.k
+        for name, triple in zip(fit.coef_names, res.components):
+            assert [c.label for c in triple] == ["H1", "H2", "H3"]
+            for comp, op in zip(triple, "<=>"):
+                ref = bf_unconstrained(fit, parse_one(f"{name}{op}0", fit.coef_names))
+                assert comp.log_bf == pytest.approx(ref.log_bf, rel=1e-12)
+                assert comp.bf == pytest.approx(ref.bf, rel=1e-12)
+                assert comp.ci90 is None and ref.ci90 is None
+                for field in ("c_e", "f_e"):
+                    got, want = getattr(comp, field), getattr(ref, field)
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        assert got == pytest.approx(want, rel=1e-12)
+                for field in ("c_ie", "f_ie"):
+                    got, want = getattr(comp, field), getattr(ref, field)
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        assert got.value == pytest.approx(want.value, rel=1e-12)
+                        assert got.exact and want.exact
+                        assert got.std_error == 0.0 and got.n_draws == 0
+
+    def test_zero_scale_diagonal_is_numeric_error(self):
+        fit = RegressionFit(
+            coef_names=("(Intercept)", "x1", "x2"),
+            beta_hat=np.array([1.0, 0.7, 0.03]),
+            s2=19.0,
+            xtx_inv=np.diag([1 / 20, 0.0, 1 / 19]),
+            n=20,
+            k=3,
+        )
+        with pytest.raises(NumericError, match="numerically zero"):
+            exploratory_test(fit)
+
+    def test_underflowing_coefficient(self):
+        """z = 16962 underflows Pr(x1 < 0) to 0; the row and the
+        non-finite pairwise ratios are those of the per-system path."""
+        fit = RegressionFit(
+            coef_names=("(Intercept)", "x1"),
+            beta_hat=np.array([1.0, 60.0]),
+            s2=25.0,
+            xtx_inv=np.diag([1 / 30, 1 / 1000]),
+            n=2000,
+            k=2,
+        )
+        res = exploratory_test(fit)
+        assert res.post_probs[1].tolist() == [0.0, 0.0, 1.0]
+        lt, eq, gt = (c.log_bf for c in res.components[1])
+        assert lt == -np.inf
+        assert eq == pytest.approx(-11867.611118009852, rel=1e-12)
+        assert gt == pytest.approx(np.log(2.0), rel=1e-15)
+        m = res.bf_matrices["x1"]
+        assert np.array_equal(
+            np.isnan(m), [[True, True, False], [True, True, False], [False] * 3]
+        )
+        assert m[:2, 2].tolist() == [0.0, 0.0]
+        assert m[2].tolist() == [np.inf, np.inf, 1.0]
+
+    @given(st.integers(0, 10**6), st.permutations(["x1", "x2", "x3", "x4"]))
+    @settings(max_examples=30, deadline=None)
+    def test_permuting_predictors_permutes_rows(self, seed, order):
+        data = make_screen_data(seed)
+        base = exploratory_test(fit_ols(data, "y ~ x1 + x2 + x3 + x4"))
+        perm = exploratory_test(fit_ols(data, "y ~ " + " + ".join(order)))
+        rows = [0] + [int(name[1:]) for name in order]
+        assert perm.coef_names == tuple(base.coef_names[i] for i in rows)
+        np.testing.assert_allclose(
+            perm.post_probs, base.post_probs[rows], rtol=0, atol=1e-12
+        )
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 4),
+        st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_rescaling_a_predictor_changes_no_row(self, seed, j, c):
+        data = make_screen_data(seed)
+        cols = data.columns.copy()
+        cols[:, j] *= c
+        formula = "y ~ x1 + x2 + x3 + x4"
+        base = exploratory_test(fit_ols(data, formula))
+        scaled = exploratory_test(fit_ols(Dataset(data.column_names, cols), formula))
+        np.testing.assert_allclose(
+            scaled.post_probs, base.post_probs, rtol=0, atol=1e-12
+        )
 
 
 class TestAgainstSimulatedTruth:

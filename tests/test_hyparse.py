@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from bfreg import (
     ConstraintSystem,
@@ -244,6 +245,28 @@ class TestValidate:
     def test_feasible_band_passes(self):
         report = validate(parse_one("0 < x1 < 1"))
         assert report.q_I == 2
+
+    def test_only_rank_deficient_rows_solve_the_lp(self, monkeypatch):
+        """Full row rank is strictly feasible without a linear program."""
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr("bfreg.hyparse.linprog", no_lp)
+        assert validate(parse_one("(x1,x2)>0")).rank_inequalities_reduced == 2
+        assert validate(parse_one("x1>x2>x3>0")).rank_inequalities_reduced == 3
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr("bfreg.hyparse.linprog", counting)
+        with pytest.raises(InfeasibleHypothesisError):
+            validate(parse_one("0 > x1 > 0"))
+        assert validate(parse_one("0 < x1 < 1")).rank_inequalities_reduced == 1
+        assert len(calls) == 2
 
 
 class TestRoundTrip:
