@@ -10,8 +10,10 @@ raw-coordinate systems, two- and three-system complements,
 ``df_as_printed``, the exploratory screen of the k5 fit and of a fit
 whose ``Pr(x1 < 0)`` underflows (every factor of every coefficient), a
 five-row chain off and through the location of a fixed t law (the
-lattice rule) and the README demo.  A case that raises records its
-error instead.
+lattice rule) and the README demo.  Two cases are the text reports
+instead: the README demo with every ``--show`` table, and the k5 screen
+with its Bayes factor matrices.  A case that raises records its error
+instead.
 
 Usage:
     python scripts/dump_outputs.py OUT [--root CHECKOUT]
@@ -54,6 +56,7 @@ K5_HYPOTHESES = (
     "1 > x1 = x2 = x3 = x4 = (Intercept) = 0",
 )
 README_HYPOTHESES = "x1=x2=0; (x1,x2)>0; x1>x2=0"
+ALL_TABLES = ("computation", "ci", "bf-matrix")
 CHAIN_SEEDS = (1, 12345)
 CHAIN_MCREP = 1_000_000
 
@@ -202,6 +205,9 @@ def cases(tmp):
         n=2000,
         k=2,
     )
+    yield "k5 exploratory text", lambda: cli.render_exploratory_text(
+        engine.exploratory_test(fit, seed=1), ("bf-matrix",)
+    )
     yield "exploratory underflow", lambda: _screen_json(
         engine.exploratory_test(underflow_fit, seed=1)
     )
@@ -223,6 +229,9 @@ def cases(tmp):
     yield "readme-demo", lambda: cli.render_json(
         engine.test_hypotheses(demo_fit, README_HYPOTHESES, seed=42),
         _config(cli, "y ~ x1 + x2"),
+    )
+    yield "readme-demo text", lambda: cli.render_test_text(
+        engine.test_hypotheses(demo_fit, README_HYPOTHESES, seed=42), ALL_TABLES
     )
 
 

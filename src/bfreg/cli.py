@@ -275,40 +275,21 @@ def render_test_text(res: TestResult, show) -> str:
 
 
 def render_exploratory_text(res: ExploratoryResult, show) -> str:
+    hypotheses = ("H1", "H2", "H3")
+    regions = ["X < 0", "X = 0", "X > 0"]
+    rows = [[f"{p:.3f}" for p in row] for row in res.post_probs]
     parts = [
-        _hypotheses_block(
-            ("H1", "H2", "H3"), ("X < 0", "X = 0", "X > 0")
-        )
+        _hypotheses_block(hypotheses, regions),
+        "Posterior probabilities for each variable (rounded),\n"
+        "assuming equal prior probabilities:\n\n"
+        + _table(hypotheses, [regions, *rows], ["", *res.coef_names]),
     ]
-    headers_top = ["H1", "H2", "H3"]
-    headers_bot = ["X < 0", "X = 0", "X > 0"]
-    label_w = max(len(n) for n in res.coef_names)
-    widths = [max(len(headers_bot[j]), 5) for j in range(3)]
-    lines = [
-        "Posterior probabilities for each variable (rounded),",
-        "assuming equal prior probabilities:",
-        "",
-        " " * label_w
-        + " "
-        + " ".join(headers_top[j].rjust(widths[j]) for j in range(3)),
-        " " * label_w
-        + " "
-        + " ".join(headers_bot[j].rjust(widths[j]) for j in range(3)),
-    ]
-    for name, row in zip(res.coef_names, res.post_probs):
-        lines.append(
-            name.ljust(label_w)
-            + " "
-            + " ".join(f"{p:.3f}".rjust(widths[j]) for j, p in enumerate(row))
-        )
-    parts.append("\n".join(lines))
     if "bf-matrix" in show:
         for name in res.coef_names:
             M = res.bf_matrices[name]
-            rows = [[_fmt(M[i, j]) for j in range(3)] for i in range(3)]
+            cells = [[_fmt(M[i, j]) for j in range(3)] for i in range(3)]
             parts.append(
-                f"BF matrix for {name}:\n\n"
-                + _table(["H1", "H2", "H3"], rows, ["H1", "H2", "H3"])
+                f"BF matrix for {name}:\n\n" + _table(hypotheses, cells, hypotheses)
             )
     return "\n\n".join(parts) + "\n"
 

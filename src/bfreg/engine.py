@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtri
+from scipy.special import gammaln, ndtri
 
 from .constraints import (
     build_transform,
@@ -138,8 +138,9 @@ def posterior_probabilities(bayes_factors, prior_probs=None) -> np.ndarray:
 def _log_posteriors(log_bf, prior_probs=None) -> np.ndarray:
     """Posterior probabilities from log Bayes factors, normalised in log space.
 
-    ``Pr(H_t | y) = exp(log B_tu + log w_t - logsumexp_s(log B_su + log
-    w_s))``, so a Bayes factor past the float range still gets its share.
+    With ``score_t = log B_tu + log w_t``, ``Pr(H_t | y) = exp(score_t -
+    max_s score_s)`` divided by its sum over ``t``, so a Bayes factor past
+    the float range still gets its share.
     Each ``log_bf`` is finite or -inf (a zero Bayes factor); weights as in
     :func:`posterior_probabilities`.  A matrix of ``log_bf`` is normalised
     row by row, each row with the same weights.
@@ -165,7 +166,7 @@ def _log_posteriors(log_bf, prior_probs=None) -> np.ndarray:
         score = lb + np.log(w)
     if np.any(np.all(np.isneginf(score), axis=-1)):
         raise NumericError("all hypotheses have zero weighted Bayes factor")
-    p = np.exp(score - logsumexp(score, axis=-1, keepdims=True))
+    p = np.exp(score - score.max(axis=-1, keepdims=True))
     return p / p.sum(axis=-1, keepdims=True)
 
 
@@ -371,8 +372,6 @@ def test_hypotheses(
     if is_exploratory(hypothesis_text):
         return exploratory_test(fit, mcrep=mcrep, seed=seed)
     systems = parse_hypotheses(hypothesis_text, fit.coef_names)
-    if not systems:
-        raise InvalidInputError("no hypotheses given")
     for cs in systems:
         validate(cs)
     components = []

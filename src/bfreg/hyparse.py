@@ -28,7 +28,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     HypothesisSyntaxError,
@@ -36,7 +35,6 @@ from .errors import (
     InfeasibleHypothesisError,
     NumericError,
 )
-from .numkernel import null_space_basis, pseudo_inverse
 
 EXPLORATORY = "exploratory"
 
@@ -48,6 +46,17 @@ _NUM_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 def is_exploratory(text: str) -> bool:
     """True when the hypothesis text requests the exploratory mode."""
     return text.strip().lower() == EXPLORATORY
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call.
+
+    Only rank-deficient systems solve an LP, and importing scipy.optimize
+    costs a cold process about a quarter of its start-up time.
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 def prior_center(R, r):
@@ -62,9 +71,9 @@ class EqualityReduction(NamedTuple):
     """The inequalities restated over the free directions ``xi_I = D beta``.
 
     ``D`` is an orthonormal basis of the null space of ``R_E`` (one row
-    per direction), so ``T = [R_E; D]`` has ``T^{-1} = [R_E^+  D^+]`` by
+    per direction), so ``T = [R_E; D]`` has ``T^{-1} = [R_E^+  D']`` by
     blocks, and ``Rtilde_I xi_I > rtilde_I`` is the inequality part with
-    the equalities substituted: ``Rtilde_I = R_I D^+`` and ``rtilde_I =
+    the equalities substituted: ``Rtilde_I = R_I D'`` and ``rtilde_I =
     r_I - R_I R_E^+ r_E``, keeping only the live rows, those with
     coefficient content left.  Without equalities ``D`` is the identity.
     ``center`` and ``center_exact`` are :func:`prior_center` of the live
@@ -104,6 +113,8 @@ class ConstraintSystem:
             raise HypothesisSyntaxError("constraint bounds have the wrong length")
         if RE.shape[0] + RI.shape[0] < 1:
             raise HypothesisSyntaxError("a hypothesis needs at least one constraint")
+        if not (np.all(np.isfinite(RE)) and np.all(np.isfinite(RI))):
+            raise HypothesisSyntaxError("constraint matrices must be finite")
         for row in list(RE) + list(RI):
             if not np.any(row):
                 raise HypothesisSyntaxError("all constraint rows must be nonzero")
@@ -133,26 +144,28 @@ class ConstraintSystem:
         A reduced row with no coefficient content left (a norm at most
         1e-9 of the largest row norm, or of 1) decides itself: ``0 > c``
         raises :class:`InfeasibleHypothesisError` for ``c >= 0`` and is
-        dropped as vacuously true otherwise.  Raises
-        :class:`InconsistentEqualityError` for linearly dependent equality
-        rows and :class:`NumericError` for a singular ``T``.
+        dropped as vacuously true otherwise.
+
+        One SVD ``R_E = U diag(s) V'`` gives the rest: the equality rows
+        are independent when every singular value exceeds ``max(q_E, k)
+        eps s_0``, else :class:`InconsistentEqualityError` is raised; ``D``
+        is the last ``k - q_E`` rows of ``V'`` and ``R_E^+ = V_E diag(1/s)
+        U'``.  A ``R_E R_E^+`` that is not the identity raises
+        :class:`NumericError`.
         """
-        k = self.k
+        q_E, k = self.q_E, self.k
         D, Rt, rt = np.eye(k), self.R_I, self.r_I
-        if self.q_E:
-            D = null_space_basis(self.R_E)
-            if D.shape[0] != k - self.q_E:
+        if q_E:
+            U, s, Vt = np.linalg.svd(self.R_E)
+            if q_E > k or s[-1] <= max(q_E, k) * np.finfo(float).eps * s[0]:
                 raise InconsistentEqualityError(
                     f"{self.label}: equality rows are linearly dependent"
                 )
-            T_inv_E = pseudo_inverse(self.R_E)
-            T_inv_I = pseudo_inverse(D)
-            if not (
-                np.allclose(self.R_E @ T_inv_E, np.eye(self.q_E), atol=1e-9)
-                and np.allclose(D @ T_inv_I, np.eye(k - self.q_E), atol=1e-9)
-            ):
+            D = Vt[q_E:]
+            T_inv_E = (Vt[:q_E].T * (1.0 / s)) @ U.T
+            if not np.allclose(self.R_E @ T_inv_E, np.eye(q_E), atol=1e-9):
                 raise NumericError(f"{self.label}: transform is numerically singular")
-            Rt = self.R_I @ T_inv_I
+            Rt = self.R_I @ D.T
             rt = self.r_I - self.R_I @ T_inv_E @ self.r_E
         norms = np.linalg.norm(Rt, axis=1)
         live = norms > 1e-9 * max(1.0, float(norms.max(initial=0.0)))

@@ -1,4 +1,4 @@
-"""Dense linear algebra and multivariate Student-t primitives.
+"""Multivariate Student-t primitives: density, CDF and region probabilities.
 
 Math notes
 ----------
@@ -32,6 +32,11 @@ probability is chosen:
 - MC: a rank-deficient ``R`` (or a budget of fewer draws than shifts)
   counts hits of draws of ``xi`` itself in :func:`mc_union_prob`, the
   kernel that also estimates the engine's union for the complement.
+
+Every path takes the rows it is given as they are.  Deciding rows the
+equalities leave without coefficient content is the job of the cached
+equality reduction (:attr:`bfreg.hyparse.ConstraintSystem.reduction`),
+whose live rows are what the engine passes.
 
 A cone whose apex is the location of the law (every row has ``R mu = r``
 to within ``_APEX_TOL`` of its standard deviation, as for every prior
@@ -105,15 +110,6 @@ def derived_seed(seed, *path):
     own reproducible stream.
     """
     return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
-
-
-def _as_matrix(a, name):
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise InvalidInputError(f"{name} must be a 2-d array, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -190,38 +186,6 @@ class ProbEstimate:
             raise InvalidInputError("exact estimates must have zero std_error")
         if self.std_error < 0.0:
             raise InvalidInputError("std_error must be nonnegative")
-
-
-def pseudo_inverse(M):
-    """Moore-Penrose pseudoinverse via SVD.
-
-    Singular values below ``max(m, n) * eps * sigma_max`` are treated as
-    zero.  Any (m, n) shape is accepted, including empty matrices.
-    """
-    M = _as_matrix(M, "matrix")
-    m, n = M.shape
-    if m == 0 or n == 0:
-        return np.zeros((n, m))
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    cutoff = max(m, n) * _EPS * (s[0] if s.size else 0.0)
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return (Vt.T * inv) @ U.T
-
-
-def null_space_basis(M):
-    """Orthonormal basis for the null space of ``M``, one row per direction.
-
-    Returns an array of shape ``(n - rank, n)`` whose rows are orthonormal
-    and satisfy ``M @ row == 0``.
-    """
-    M = _as_matrix(M, "matrix")
-    m, n = M.shape
-    if m == 0:
-        return np.eye(n)
-    U, s, Vt = np.linalg.svd(M, full_matrices=True)
-    cutoff = max(m, n) * _EPS * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return Vt[rank:]
 
 
 def _cholesky(S):
@@ -322,14 +286,12 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
     once its standard error is at most the binomial one of ``n_draws``
     draws and never uses more than ``n_draws`` points.  Otherwise ``xi``
     itself is sampled ``n_draws`` times and the rows are checked
-    directly.  Rows with no coefficient content decide the event
-    outright: ``0 > r_i`` is false for ``r_i >= 0`` and vacuously true
-    otherwise.
+    directly.  The rows are taken as given (see the module notes).
     """
-    R = np.atleast_2d(_as_matrix(np.atleast_2d(R), "constraint matrix"))
+    R = np.atleast_2d(np.asarray(R, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if R.shape[0] == 0:
-        return ProbEstimate(1.0, 0.0, True, 0)
+    if R.ndim != 2 or not np.all(np.isfinite(R)):
+        raise InvalidInputError("constraint matrix must be a finite 2-d array")
     if R.shape[1] != dist.dim:
         raise InvalidInputError(
             f"constraint matrix has {R.shape[1]} columns, expected {dist.dim}"
@@ -338,15 +300,6 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
         raise InvalidInputError("constraint bound has the wrong length")
     if not np.all(np.isfinite(r)):
         raise InvalidInputError("constraint bound contains non-finite entries")
-
-    norms = np.linalg.norm(R, axis=1)
-    live = norms > 1e-12 * max(1.0, float(norms.max(initial=0.0)))
-    if not np.all(live):
-        if np.any(r[~live] >= 0.0):
-            return ProbEstimate(0.0, 0.0, True, 0)
-        R, r = R[live], r[live]
-        if R.shape[0] == 0:
-            return ProbEstimate(1.0, 0.0, True, 0)
 
     q = R.shape[0]
     if q == 1:
@@ -358,13 +311,12 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
         return ProbEstimate(t_cdf(z, dist.df), 0.0, True, 0)
 
     if q <= dist.dim and np.linalg.matrix_rank(R) == q:
-        dist = MultivariateT(R @ dist.location, R @ dist.scale @ R.T, dist.df)
-        centred = _apex_at_location(dist, [(None, r)])
+        law = MultivariateT(R @ dist.location, R @ dist.scale @ R.T, dist.df)
+        centred = _apex_at_location(law, [(np.eye(q), r)])
         if q <= 3 and centred:
-            return ProbEstimate(_centred_orthant_prob(dist.scale), 0.0, True, 0)
+            return ProbEstimate(_centred_orthant_prob(law.scale), 0.0, True, 0)
         if n_draws >= _SHIFTS:
-            return _lattice_prob(dist, r, n_draws, seed, centred)
-        R = None
+            return _lattice_prob(law, r, n_draws, seed, centred)
     return mc_union_prob(dist, [(R, r)], n_draws, seed)
 
 
@@ -468,15 +420,12 @@ def _centred_orthant_prob(S) -> float:
 def _apex_at_location(dist: MultivariateT, systems) -> bool:
     """Whether every row of every ``(R, r)`` passes through ``dist.location``.
 
-    ``R`` None stands for the identity.  Each offset ``R mu - r`` is
-    measured in standard deviations of its row, ``sqrt((R S R')_ii)``.
+    Each offset ``R mu - r`` is measured in standard deviations of its
+    row, ``sqrt((R S R')_ii)``.
     """
     for R, r in systems:
-        if R is None:
-            offset, var = dist.location - r, np.diag(dist.scale)
-        else:
-            offset = R @ dist.location - r
-            var = np.einsum("ij,jk,ik->i", R, dist.scale, R)
+        offset = R @ dist.location - r
+        var = np.einsum("ij,jk,ik->i", R, dist.scale, R)
         if np.any(np.abs(offset) > _APEX_TOL * np.sqrt(var)):
             return False
     return True
@@ -486,10 +435,9 @@ def mc_union_prob(dist: MultivariateT, systems, n_draws, seed) -> ProbEstimate:
     """Monte Carlo estimate of ``Pr(R xi > r for some (R, r) in systems)``.
 
     Every system is checked on the same ``n_draws`` draws of ``xi ~
-    dist``; ``R`` None stands for the identity.  When every system's apex
-    sits at the location, the draws are the Gaussian parts ``z L'`` alone
-    and a hit is ``R y > 0``.  The estimate carries the binomial standard
-    error.
+    dist``.  When every system's apex sits at the location, the draws are
+    the Gaussian parts ``z L'`` alone and a hit is ``R y > 0``.  The
+    estimate carries the binomial standard error.
     """
     n_draws = int(n_draws)
     if n_draws < 1:
@@ -499,7 +447,7 @@ def mc_union_prob(dist: MultivariateT, systems, n_draws, seed) -> ProbEstimate:
     for chunk in _sample_chunks(dist, n_draws, seed, centred):
         sat = np.zeros(chunk.shape[0], dtype=bool)
         for R, r in systems:
-            y = chunk if R is None else chunk @ R.T
+            y = chunk @ R.T
             sat |= np.all(y > (0.0 if centred else r), axis=1)
         hits += int(sat.sum())
         del chunk, y

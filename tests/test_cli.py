@@ -1,7 +1,11 @@
 """Command line behavior: exit codes, text layout, JSON schema, seeds."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +368,16 @@ class TestOptions:
         assert doc["posterior_probs"] == pytest.approx(
             list(weighted / weighted.sum())
         )
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        """Only rank-deficient systems solve an LP, so a cold process does
+        not pay for importing scipy.optimize up front."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import bfreg.cli, sys; assert 'scipy.optimize' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestFailures:

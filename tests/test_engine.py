@@ -239,15 +239,18 @@ class TestBfUnconstrainedTwoEffect:
         assert abs(comp.c_ie.value - ref.value) < 4 * ref.value * ref.rel_error_bound
 
     def test_dependent_equality_rows_are_inconsistent(self, two_effect_fit):
-        """A hand-built system bypassing the parser fails as validate does."""
+        """Hand-built systems bypassing the parser fail as validate does:
+        a repeated row, and more equality rows (4) than coefficients (3)."""
         row = np.array([[0.0, 1.0, 0.0]])
-        cs = ConstraintSystem(
-            "H1", "x1=0", np.vstack([row, row]), np.zeros(2), np.zeros((0, 3)), []
-        )
-        with pytest.raises(InconsistentEqualityError, match="dependent"):
-            validate(cs)
-        with pytest.raises(InconsistentEqualityError, match="dependent"):
-            bf_unconstrained(two_effect_fit, cs, 10_000, seed=7)
+        for R_E in (np.vstack([row, row]), np.vstack([np.eye(3), np.ones(3)])):
+            q_E = R_E.shape[0]
+            cs = ConstraintSystem(
+                "H1", "x1=0", R_E, np.zeros(q_E), np.zeros((0, 3)), []
+            )
+            with pytest.raises(InconsistentEqualityError, match="dependent"):
+                validate(cs)
+            with pytest.raises(InconsistentEqualityError, match="dependent"):
+                bf_unconstrained(two_effect_fit, cs, 10_000, seed=7)
 
     def test_overflowing_bayes_factor_saturates(self):
         """A log BF past the float range gives bf = inf, not OverflowError.
@@ -357,18 +360,15 @@ class TestTestHypotheses:
     def test_equality_reduction_runs_once_per_mixed_hypothesis(
         self, two_effect_fit, monkeypatch
     ):
-        """validate and build_transform share one null-space basis."""
+        """validate, build_transform and bf_unconstrained share one reduction."""
         calls = []
+        reduction = bfreg.hyparse.EqualityReduction
 
-        def counted(orig):
-            return lambda M: calls.append(1) or orig(M)
+        def counted(*args):
+            calls.append(1)
+            return reduction(*args)
 
-        # wrap the basis wherever a bfreg module looks it up
-        for mod in (bfreg.hyparse, bfreg.constraints, bfreg.engine):
-            if hasattr(mod, "null_space_basis"):
-                monkeypatch.setattr(
-                    mod, "null_space_basis", counted(mod.null_space_basis)
-                )
+        monkeypatch.setattr(bfreg.hyparse, "EqualityReduction", counted)
         run_hypotheses(two_effect_fit, "x1>x2=0", mcrep=10_000, seed=1)
         assert len(calls) == 1
 

@@ -317,6 +317,13 @@ class TestConstraintSystemType:
                 np.zeros(0),
             )
 
+    def test_rejects_nonfinite_rows(self):
+        empty = np.zeros((0, 3))
+        with pytest.raises(InvalidInputError, match="finite"):
+            ConstraintSystem("H1", "bad", [[0, np.nan, 1]], [0.0], empty, [])
+        with pytest.raises(InvalidInputError, match="finite"):
+            ConstraintSystem("H1", "bad", empty, [], [[0, -np.inf, 1]], [0.0])
+
     def test_width_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             ConstraintSystem(

@@ -16,8 +16,6 @@ from bfreg.numkernel import (
     mc_union_prob,
     mvt_constraint_prob,
     mvt_logpdf,
-    null_space_basis,
-    pseudo_inverse,
     rng_from_seed,
     t_cdf,
 )
@@ -26,59 +24,6 @@ from oracle import oracle_inequality_prob
 
 
 _trapz = getattr(np, "trapezoid", getattr(np, "trapz", None))
-
-
-def _random_matrix_of_rank(rng, m, n, rank):
-    a = rng.standard_normal((m, rank))
-    b = rng.standard_normal((rank, n))
-    return a @ b
-
-
-class TestPseudoInverse:
-    def test_identity(self):
-        assert np.allclose(pseudo_inverse(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_row_vector_closed_form(self):
-        """For a row vector v the pseudoinverse is v' / (v v')."""
-        got = pseudo_inverse(np.array([[1.0, -1.0, 0.0]]))
-        assert np.allclose(got, np.array([[0.5], [-0.5], [0.0]]), atol=1e-14)
-
-    def test_random_rectangular(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((3, 5))
-        p = pseudo_inverse(m)
-        assert np.linalg.norm(m @ p @ m - m) < 1e-9
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            pseudo_inverse(np.array([[1.0, np.nan]]))
-
-    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
-    def test_penrose_conditions(self, m, n, seed):
-        """All four Moore-Penrose conditions hold on random low-rank input."""
-        rng = np.random.default_rng(seed)
-        rank = int(rng.integers(1, min(m, n) + 1))
-        a = _random_matrix_of_rank(rng, m, n, rank)
-        p = pseudo_inverse(a)
-        norm = max(np.linalg.norm(a), 1.0)
-        assert np.linalg.norm(a @ p @ a - a) < 1e-9 * norm
-        assert np.linalg.norm(p @ a @ p - p) < 1e-9 * max(np.linalg.norm(p), 1.0)
-        assert np.linalg.norm((a @ p).T - a @ p) < 1e-9
-        assert np.linalg.norm((p @ a).T - p @ a) < 1e-9
-
-
-class TestNullSpaceBasis:
-    def test_orthonormal_and_annihilating(self):
-        rng = np.random.default_rng(11)
-        r = rng.standard_normal((2, 5))
-        d = null_space_basis(r)
-        assert d.shape == (3, 5)
-        assert np.allclose(d @ d.T, np.eye(3), atol=1e-12)
-        assert np.linalg.norm(r @ d.T) < 1e-12 * np.linalg.norm(r)
-
-    def test_zero_rows_give_identity(self):
-        assert np.array_equal(null_space_basis(np.zeros((0, 4))), np.eye(4))
 
 
 class TestMvtLogpdf:
