@@ -6,8 +6,11 @@ The cases cover every estimation path: the benchmark's workload inputs at
 seed 5, mixed hypotheses with zero and nonzero bounds, a band whose
 prior center is inexact, inequalities that the equalities make vacuous
 (with free directions left and with every coefficient pinned),
-raw-coordinate systems, two- and three-system complements,
-``df_as_printed``, the exploratory screen of the k5 fit and of a fit
+raw-coordinate systems, two- and three-system complements (one whose
+inclusion-exclusion does not resolve its small value and falls back to
+disjoint pieces, one whose terms pass the budget of ``K5_MCREP`` and
+take Monte Carlo), ``df_as_printed``, the exploratory screen of the k5
+fit and of a fit
 whose ``Pr(x1 < 0)`` underflows (every factor of every coefficient), a
 five-row chain off and through the location of a fixed t law (the
 lattice rule) and the README demo.  Two cases are the text reports
@@ -17,19 +20,26 @@ instead.
 
 Usage:
     python scripts/dump_outputs.py OUT [--root CHECKOUT]
+    python scripts/dump_outputs.py --compare OLD NEW
 
 ``--root`` imports bfreg and the benchmark inputs from another checkout
 (default: the one holding this script), so a change is checked with
 
     python scripts/dump_outputs.py new.json
     python scripts/dump_outputs.py old.json --root path/to/parent
-    cmp old.json new.json
+    python scripts/dump_outputs.py --compare old.json new.json
+
+``--compare`` prints, per case, whether it is byte-identical, and for
+each probability estimate that differs its old and new value and
+``|new - old| / sqrt(se_old^2 + se_new^2)``.  It exits 1 when the two
+files hold different cases or different errors.
 """
 
 import argparse
 import contextlib
 import io
 import json
+import math
 import sys
 import tempfile
 import warnings
@@ -54,6 +64,8 @@ K5_HYPOTHESES = (
     "1 > x1 > x2 = 0",
     "0 < x1 = 1",
     "1 > x1 = x2 = x3 = x4 = (Intercept) = 0",
+    "x1>x2>0; x2>x1>0",
+    "x1>x2>x3>x4; x3>x1>x4>x2; (x1,x2,x3,x4)>0",
 )
 README_HYPOTHESES = "x1=x2=0; (x1,x2)>0; x1>x2=0"
 ALL_TABLES = ("computation", "ci", "bf-matrix")
@@ -235,15 +247,90 @@ def cases(tmp):
     )
 
 
+_ESTIMATE_KEYS = {"value", "std_error", "exact", "n_draws"}
+
+
+def _estimates(node, path=""):
+    """``(path, (value, std_error, exact, n_draws))`` of every probability
+    estimate in a case's JSON: the documents' objects and the screen's lists."""
+    if isinstance(node, dict):
+        if _ESTIMATE_KEYS <= node.keys():
+            yield path, tuple(node[k] for k in ("value", "std_error", "exact", "n_draws"))
+            return
+        prefix = f"{path}{node['label']}." if "label" in node else path
+        for key, child in node.items():
+            if key in ("c_ie", "f_ie") and isinstance(child, list):
+                yield f"{prefix}{key}", tuple(child)
+            else:
+                yield from _estimates(child, f"{prefix}{key}" if key != "label" else prefix)
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _estimates(child, f"{path}[{i}].")
+
+
+def _document(text):
+    """A case's JSON document (the CLI case behind its exit line), or None."""
+    if text.startswith("exit "):
+        text = text.split("\n", 1)[1]
+    try:
+        return json.loads(text)
+    except ValueError:
+        return None
+
+
+def compare(old_path, new_path) -> int:
+    """Print how two dump files differ, case by case; 1 when cases or errors do."""
+    with open(old_path, encoding="utf-8") as fh:
+        old = json.load(fh)
+    with open(new_path, encoding="utf-8") as fh:
+        new = json.load(fh)
+    status = 0
+    for name in sorted(old.keys() ^ new.keys()):
+        print(f"only in {'old' if name in old else 'new'}: {name}")
+        status = 1
+    for name in [n for n in old if n in new]:
+        a, b = old[name], new[name]
+        if a == b:
+            print(f"same    {name}")
+            continue
+        print(f"differs {name}")
+        if a.startswith("error:") or b.startswith("error:"):
+            print(f"    {a.splitlines()[0]!r} -> {b.splitlines()[0]!r}")
+            status = 1
+            continue
+        doc_a, doc_b = _document(a), _document(b)
+        if doc_a is None or doc_b is None:
+            continue
+        est_a, est_b = dict(_estimates(doc_a)), dict(_estimates(doc_b))
+        for path in est_a.keys() | est_b.keys():
+            if est_a.get(path) == est_b.get(path):
+                continue
+            if path not in est_a or path not in est_b:
+                print(f"    {path}: only in {'old' if path in est_a else 'new'}")
+                continue
+            (va, sa, *_), (vb, sb, *_) = est_a[path], est_b[path]
+            se = math.hypot(sa, sb)
+            z = abs(vb - va) / se if se > 0 else (0.0 if va == vb else math.inf)
+            print(f"    {path}: {est_a[path]} -> {est_b[path]}  |dv|/se = {z:.3g}")
+    return status
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", help="file to write the JSON map of outputs to")
+    parser.add_argument("out", nargs="?", help="file to write the JSON map of outputs to")
     parser.add_argument(
         "--root",
         default=str(Path(__file__).resolve().parents[1]),
         help="checkout to import bfreg and perfbench from",
     )
+    parser.add_argument(
+        "--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two dump files"
+    )
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        parser.error("OUT is required unless --compare is given")
     root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
 

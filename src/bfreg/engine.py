@@ -45,6 +45,7 @@ from .model import RegressionFit
 from .numkernel import (
     MultivariateT,
     ProbEstimate,
+    complement_prob,
     derived_seed,
     mc_union_prob,
     mvt_constraint_prob,
@@ -291,6 +292,18 @@ def _union_prob(dist: MultivariateT, systems, n_draws: int, seed) -> ProbEstimat
     return mc_union_prob(dist, [(cs.R_I, cs.r_I) for cs in systems], n_draws, seed)
 
 
+def _complement_prob(dist: MultivariateT, systems, known, mcrep: int, seed) -> ProbEstimate:
+    """Pr(no system's inequalities hold): :func:`~bfreg.numkernel.complement_prob`
+    on the live rows of each reduction, or one minus the Monte Carlo union
+    of :func:`_union_prob` when its terms do not fit the budget."""
+    rows = [(cs.reduction.Rtilde_I, cs.reduction.rtilde_I) for cs in systems]
+    est = complement_prob(dist, rows, known, mcrep, seed)
+    if est is None:
+        u = _union_prob(dist, systems, mcrep, seed)
+        est = replace(u, value=1.0 - u.value)
+    return est
+
+
 def bf_complement(
     fit: RegressionFit,
     systems,
@@ -303,11 +316,18 @@ def bf_complement(
     Equality-constrained hypotheses occupy measure-zero slices and are
     ignored; the complement divides what the inequality-only hypotheses
     leave over: ``B_cu = (1 - U_f) / (1 - U_c)`` with U the posterior or
-    prior probability of the union of their regions (shared draws), the
-    prior centered by :func:`~bfreg.hyparse.prior_center` on all their rows
-    (warning as Hc when inexact).  With no inequality-only hypothesis at
-    all the complement is the unconstrained model itself (B = 1).  Returns
-    None when the stated hypotheses exhaust the space.
+    prior probability of the union of their regions, the prior centered
+    by :func:`~bfreg.hyparse.prior_center` on all their rows (warning as
+    Hc when inexact).  ``1 - U`` is a sum of region probabilities by
+    inclusion-exclusion or by disjoint pieces
+    (:func:`~bfreg.numkernel.complement_prob`), exact when every term is;
+    a hypothesis' own ``f_ie`` (and its ``c_ie`` when its prior center is
+    the union's) stands for its term when precise enough.  Terms share
+    the ``mcrep`` budget; past it the union is counted on ``mcrep``
+    shared draws.  With a single inequality-only hypothesis its factors
+    are reused (``1 - p``); with none the complement is the unconstrained
+    model itself (B = 1).  Returns None when the stated hypotheses
+    exhaust the space.
     """
     ineq = [
         (cs, comp)
@@ -317,21 +337,25 @@ def bf_complement(
     if not ineq:
         return BFComponents("Hc", None, None, _CERTAIN, _CERTAIN, 0.0, 1.0, None)
     if len(ineq) == 1:
-        u_f, u_c = ineq[0][1].f_ie, ineq[0][1].c_ie
+        comp = ineq[0][1]
+        f_ie, c_ie = (replace(p, value=1.0 - p.value) for p in (comp.f_ie, comp.c_ie))
     else:
         systems = [cs for cs, _ in ineq]
         post = fractional_posterior_beta(fit, 1.0)
-        u_f = _union_prob(post, systems, mcrep, derived_seed(seed, 1))
+        known = [comp.f_ie for _, comp in ineq]
+        f_ie = _complement_prob(post, systems, known, mcrep, derived_seed(seed, 1))
         center, exact = prior_center(
             np.vstack([cs.R_I for cs in systems]),
             np.concatenate([cs.r_I for cs in systems]),
         )
         warn_if_inexact("Hc", exact)
         prior = fractional_posterior_beta(fit, minimal_fraction(fit)).relocate(center)
-        u_c = _union_prob(prior, systems, mcrep, derived_seed(seed, 2))
+        known = [
+            comp.c_ie if np.array_equal(cs.reduction.center, center) else None
+            for cs, comp in ineq
+        ]
+        c_ie = _complement_prob(prior, systems, known, mcrep, derived_seed(seed, 2))
 
-    f_ie = replace(u_f, value=1.0 - u_f.value)
-    c_ie = replace(u_c, value=1.0 - u_c.value)
     if c_ie.value < _EXHAUSTION_TOL + 3.0 * c_ie.std_error:
         return None
     with np.errstate(divide="ignore"):

@@ -30,8 +30,16 @@ probability is chosen:
   on randomly shifted lattice points (:func:`_lattice_prob`), with the
   standard error taken from the spread of independent shifts;
 - MC: a rank-deficient ``R`` (or a budget of fewer draws than shifts)
-  counts hits of draws of ``xi`` itself in :func:`mc_union_prob`, the
-  kernel that also estimates the engine's union for the complement.
+  counts hits of draws of ``xi`` itself in :func:`mc_union_prob`.
+
+:func:`complement_prob` estimates the probability that none of several
+systems holds, the engine's complement, as a sum of region probabilities
+by inclusion-exclusion or by disjoint pieces.  Its terms take the same
+paths, except that rank-deficient rows take the lattice rule too: a row
+that depends on the rows before it shares their column of the factor
+and bounds it from above or below (Genz and Kwong 2000), and rank 1 is
+an exact interval.  Past its budget the engine counts the union on
+shared draws of :func:`mc_union_prob` instead.
 
 Every path takes the rows it is given as they are.  Deciding rows the
 equalities leave without coefficient content is the job of the cached
@@ -87,6 +95,23 @@ _APEX_TOL = 1e-13
 _SHIFTS = 64
 _LATTICE_BLOCK = 16
 _TINY = float(np.finfo(float).tiny)
+_BELOW_ONE = 1.0 - _EPS / 2.0
+
+# In a rank-deficient system a row of the correlation whose residual
+# variance, given the rows before it, is at most _DEPENDENT gets no
+# column of its own (a residual standard deviation of 1e-5).  Roundoff
+# leaves its coefficients on later columns near eps / 1e-5 = 2e-11, so
+# the last coefficient above _NONZERO is the column it bounds.
+_DEPENDENT = 1e-10
+_NONZERO = 1e-8
+
+# Rows R_b = -c R_a (c > 0) with c r_a + r_b >= 0 cannot both hold: the
+# closed-form test for an empty union term, to this relative tolerance.
+_PARALLEL_TOL = 1e-12
+
+# A complement is a sum of at most this many lattice terms in the worst
+# case (at mcrep 1e6 the budget allows 976); past it the union is sampled.
+_MAX_TERMS = 4096
 
 
 def _seed_sequence(seed, path=()):
@@ -169,9 +194,12 @@ class ProbEstimate:
 
     ``exact`` estimates carry ``std_error == 0`` and ``n_draws == 0``.
     Monte Carlo estimates count hits over ``n_draws`` draws and carry the
-    binomial standard error ``sqrt(p(1-p)/n_draws)``; lattice (QMC)
-    estimates average the integrand over ``n_draws`` points and carry
-    the standard error of their independent random shifts.
+    binomial standard error ``sqrt(p(1-p)/n_draws)``, or that of one hit,
+    ``sqrt((1/n)(1-1/n)/n)``, when no draw or every draw hits; lattice
+    (QMC) estimates average the integrand over ``n_draws`` points and
+    carry the standard error of their independent random shifts.  A
+    complement sums lattice terms: ``n_draws`` counts every point it
+    evaluated and its standard error combines those of its terms.
     """
 
     value: float
@@ -301,23 +329,45 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
     if not np.all(np.isfinite(r)):
         raise InvalidInputError("constraint bound contains non-finite entries")
 
+    if _full_row_rank(R):
+        est = None
+        for est in _estimates(dist, R, r, True, seed, n_draws):
+            if est.exact or est.std_error <= math.sqrt(est.value * (1.0 - est.value) / n_draws):
+                break
+        if est is not None:
+            return est
+    return mc_union_prob(dist, [(R, r)], n_draws, seed)
+
+
+def _full_row_rank(R) -> bool:
+    """Whether the rows of ``R`` are independent (one row always counts)."""
+    q, d = R.shape
+    return q == 1 or (q <= d and np.linalg.matrix_rank(R) == q)
+
+
+def _estimates(dist: MultivariateT, R, r, full, seed, cap):
+    """Successive estimates of ``Pr(R xi > r)``, each finer than the last.
+
+    One exact estimate for a single row (the univariate t CDF) or for
+    two or three full-rank rows through the location (closed form);
+    otherwise the blocks of :func:`_lattice_prob` on the law of ``R xi``.
+    ``full`` says whether ``R`` has full row rank.
+    """
     q = R.shape[0]
     if q == 1:
         m = float(R[0] @ dist.location)
         s2 = float(R[0] @ dist.scale @ R[0])
         if s2 <= 0.0:
-            return ProbEstimate(1.0 if m > r[0] else 0.0, 0.0, True, 0)
-        z = (m - r[0]) / math.sqrt(s2)
-        return ProbEstimate(t_cdf(z, dist.df), 0.0, True, 0)
-
-    if q <= dist.dim and np.linalg.matrix_rank(R) == q:
-        law = MultivariateT(R @ dist.location, R @ dist.scale @ R.T, dist.df)
-        centred = _apex_at_location(law, [(np.eye(q), r)])
-        if q <= 3 and centred:
-            return ProbEstimate(_centred_orthant_prob(law.scale), 0.0, True, 0)
-        if n_draws >= _SHIFTS:
-            return _lattice_prob(law, r, n_draws, seed, centred)
-    return mc_union_prob(dist, [(R, r)], n_draws, seed)
+            yield ProbEstimate(1.0 if m > r[0] else 0.0, 0.0, True, 0)
+        else:
+            yield ProbEstimate(t_cdf((m - r[0]) / math.sqrt(s2), dist.df), 0.0, True, 0)
+        return
+    law = MultivariateT(R @ dist.location, R @ dist.scale @ R.T, dist.df)
+    centred = _apex_at_location(law, [(np.eye(q), r)])
+    if full and q <= 3 and centred:
+        yield ProbEstimate(_centred_orthant_prob(law.scale), 0.0, True, 0)
+        return
+    yield from _lattice_prob(law, r, centred, full, seed, cap)
 
 
 def _first_primes(n):
@@ -330,40 +380,89 @@ def _first_primes(n):
     return np.array(primes, dtype=float)
 
 
-def _lattice_prob(dist: MultivariateT, r, n_draws, seed, centred) -> ProbEstimate:
-    """Quasi-Monte Carlo estimate of ``Pr(Y > r)`` for ``Y ~ dist``, q >= 2.
+def _singular_factor(C):
+    """Lower factor of a semidefinite correlation ``C`` over its independent rows.
+
+    Rows are taken in order (Genz and Kwong 2000, JSCS 68; Genz and
+    Bretz 2009, LNS 195, section 4.1).  A row whose residual variance
+    given the rows before it exceeds ``_DEPENDENT`` opens a column; any
+    other row gets no column and bounds the last one on which its
+    coefficient is nonzero.  Returns the ``(q, rank)`` factor ``L`` with
+    ``L L' = C`` and, for each row, the column it bounds.
+    """
+    q = C.shape[0]
+    L = np.zeros((q, q))
+    col = np.empty(q, dtype=int)
+    pivots = []
+    for i in range(q):
+        m = len(pivots)
+        for c, p in enumerate(pivots):
+            L[i, c] = (C[i, p] - L[i, :c] @ L[p, :c]) / L[p, c]
+        v = C[i, i] - L[i, :m] @ L[i, :m]
+        if v > _DEPENDENT:
+            L[i, m] = math.sqrt(v)
+            col[i] = m
+            pivots.append(i)
+        else:
+            col[i] = np.flatnonzero(np.abs(L[i, :m]) > _NONZERO)[-1]
+            L[i, col[i] + 1 :] = 0.0
+    return L[:, : len(pivots)], col
+
+
+def _lattice_prob(law: MultivariateT, r, centred, full, seed, cap):
+    """Quasi-Monte Carlo estimates of ``Pr(Y > r)`` for ``Y ~ law``, q >= 2.
 
     Genz-Bretz separation of variables (Genz 1992, JCGS 1; Genz and Bretz
     2009, LNS 195).  The rows are sorted by standardised bound
-    ``a = (r - mu) / sd``, largest (least likely) first, and ``L`` is the
-    Cholesky factor of their correlation.  Then ``Y > r`` reads
-    ``L z > s a`` for standard normals ``z`` and the radial factor
-    ``s = sqrt(w / df)``, ``w ~ chi-square(df)``, drawn as
-    ``sqrt(2 gammaincinv(df/2, u) / df)``.  Given ``s`` and the earlier
-    ``z``, row ``i`` holds with probability ``e_i = Phi(-c_i)`` and ``z_i``
-    is drawn above ``c_i`` as ``-Phi^-1(e_i (1 - u_i))``, so the integrand
-    is ``prod e_i`` over the unit cube of ``s, z_1, ..., z_{q-1}``.  A
-    ``centred`` cone has ``a = 0`` and drops ``s``: its estimate does not
-    depend on df.
+    ``a = (r - mu) / sd``, largest (least likely) first, and ``L`` is a
+    lower factor of their correlation: the Cholesky factor when ``full``
+    (full row rank), else :func:`_singular_factor`, whose dependent rows
+    share the column they bound.  Then ``Y > r`` reads ``L z > s a`` for
+    standard normals ``z`` and the radial factor ``s = sqrt(w / df)``,
+    ``w ~ chi-square(df)``, drawn as ``sqrt(2 gammaincinv(df/2, u) / df)``.
+    Given ``s`` and the earlier ``z``, the rows of column ``j`` bound
+    ``z_j`` from below (a positive coefficient) or above (a negative
+    one), to ``(lo_j, hi_j)``; the column holds with probability ``e_j =
+    max(Phi(-lo_j) - Phi(-hi_j), 0)`` and ``z_j`` is drawn in it as
+    ``-Phi^-1(Phi(-hi_j) + (1 - u_j) e_j)``, so the integrand is ``prod
+    e_j`` over the unit cube of ``s, z_1, ..., z_{rank-1}``.  Without an
+    upper bound this is ``e_j = Phi(-lo_j)``, ``z_j = -Phi^-1(e_j (1 -
+    u_j))``.  A ``centred`` cone has ``a = 0`` and drops ``s``: its
+    estimate does not depend on df.  Rank 1 needs no integral: the rows
+    bound one t variable, and the single estimate is the exact interval
+    probability.  Bounds that cross at every point give an estimate of
+    0, which is not exact: a far-tail region can underflow to 0 too.
 
     The points of shift ``k`` are ``|2 frac(i sqrt(p_j) + shift_kj) - 1|``
     (Richtmyer's generator, one prime ``p_j`` per coordinate, folded by
     the baker's transform) for ``i = 1, 2, ...``, with ``_SHIFTS`` uniform
     shifts drawn from ``seed``; the standard error is the spread of the
-    shift means.  Points per shift double from ``_LATTICE_BLOCK`` until
-    that error is at most the binomial one of ``n_draws`` draws,
-    ``sqrt(p(1-p)/n_draws)``, or until the next block would pass
-    ``n_draws`` points in all.  ``n_draws`` of the estimate counts the
-    points used.
+    shift means.  Points per shift double from ``_LATTICE_BLOCK``, and an
+    estimate is yielded after each block (``n_draws`` counts the points
+    so far) until the next block would pass ``cap`` points in all.  A
+    ``cap`` below one point per shift yields nothing.
     """
-    n_draws = int(n_draws)
-    q = dist.dim
-    sd = np.sqrt(np.diag(dist.scale))
-    a = np.zeros(q) if centred else (r - dist.location) / sd
+    cap = int(cap)
+    if cap < _SHIFTS:
+        return
+    q = law.dim
+    sd = np.sqrt(np.diag(law.scale))
+    a = np.zeros(q) if centred else (r - law.location) / sd
     order = np.argsort(-a, kind="stable")
     a, sd = a[order], sd[order]
-    L = _cholesky(dist.scale[np.ix_(order, order)] / np.outer(sd, sd))
-    dims = q - 1 if centred else q
+    C = law.scale[np.ix_(order, order)] / np.outer(sd, sd)
+    L, col = (_cholesky(C), np.arange(q)) if full else _singular_factor(C)
+    rank = L.shape[1]
+    # per column: (row, whether the row bounds it from below)
+    bounds = [[(i, L[i, j] > 0.0) for i in np.flatnonzero(col == j)] for j in range(rank)]
+    if rank == 1:
+        cuts = [(a[i] / L[i, 0], low) for i, low in bounds[0]]
+        lo = max(b for b, low in cuts if low)
+        hi = min((b for b, low in cuts if not low), default=math.inf)
+        p = t_cdf(-lo, law.df) - t_cdf(-hi, law.df)
+        yield ProbEstimate(max(p, 0.0), 0.0, True, 0)
+        return
+    dims = rank - 1 if centred else rank
     alpha = np.sqrt(_first_primes(dims))
     shifts = rng_from_seed(seed).random((dims, _SHIFTS, 1))
 
@@ -372,29 +471,42 @@ def _lattice_prob(dist: MultivariateT, r, n_draws, seed, centred) -> ProbEstimat
         u = np.abs(2.0 * ((i * alpha[:, None, None] + shifts) % 1.0) - 1.0)
         s = 0.0
         if not centred:
-            w = 2.0 * gammaincinv(0.5 * dist.df, np.minimum(u[-1], 1.0 - _EPS))
-            s = np.sqrt(w / dist.df)
-        z = np.empty((q - 1, _SHIFTS, i.size))
+            w = 2.0 * gammaincinv(0.5 * law.df, np.minimum(u[-1], 1.0 - _EPS))
+            s = np.sqrt(w / law.df)
+        z = np.empty((rank - 1, _SHIFTS, i.size))
         prob = np.ones((_SHIFTS, i.size))
-        for row in range(q):
-            c = (s * a[row] - np.tensordot(L[row, :row], z[:row], axes=1)) / L[row, row]
-            e = ndtr(-c)
-            prob *= e
-            if row < q - 1:
-                z[row] = -ndtri(np.maximum(e * (1.0 - u[row]), _TINY))
+        for j in range(rank):
+            lo = hi = None
+            for row, low in bounds[j]:
+                b = (s * a[row] - np.tensordot(L[row, :j], z[:j], axes=1)) / L[row, j]
+                if low:
+                    lo = b if lo is None else np.maximum(lo, b)
+                else:
+                    hi = b if hi is None else np.minimum(hi, b)
+            if hi is None:
+                e = ndtr(-lo)
+                prob *= e
+                if j < rank - 1:
+                    z[j] = -ndtri(np.maximum(e * (1.0 - u[j]), _TINY))
+            else:
+                top = ndtr(-hi)
+                e = np.maximum(ndtr(-lo) - top, 0.0)
+                prob *= e
+                if j < rank - 1:
+                    z[j] = -ndtri(np.clip(top + (1.0 - u[j]) * e, _TINY, _BELOW_ONE))
         return prob
 
     sums = np.zeros(_SHIFTS)
     step = _CHUNK // _SHIFTS
-    done, n = 0, min(_LATTICE_BLOCK, n_draws // _SHIFTS)
+    done, n = 0, min(_LATTICE_BLOCK, cap // _SHIFTS)
     while True:
         for start in range(done, n, step):
             sums += integrand(np.arange(start + 1, min(n, start + step) + 1.0)).sum(axis=1)
         means = sums / n
-        p = float(means.mean())
         se = float(means.std(ddof=1)) / math.sqrt(_SHIFTS)
-        if se <= math.sqrt(p * (1.0 - p) / n_draws) or 2 * n * _SHIFTS > n_draws:
-            return ProbEstimate(p, se, False, n * _SHIFTS)
+        yield ProbEstimate(float(means.mean()), se, False, n * _SHIFTS)
+        if 2 * n * _SHIFTS > cap:
+            return
         done, n = n, 2 * n
 
 
@@ -437,7 +549,9 @@ def mc_union_prob(dist: MultivariateT, systems, n_draws, seed) -> ProbEstimate:
     Every system is checked on the same ``n_draws`` draws of ``xi ~
     dist``.  When every system's apex sits at the location, the draws are
     the Gaussian parts ``z L'`` alone and a hit is ``R y > 0``.  The
-    estimate carries the binomial standard error.
+    estimate carries the binomial standard error, and with no hit or
+    nothing but hits that of one hit: ``0 +- 0`` would claim a certainty
+    no finite sample has.
     """
     n_draws = int(n_draws)
     if n_draws < 1:
@@ -452,4 +566,233 @@ def mc_union_prob(dist: MultivariateT, systems, n_draws, seed) -> ProbEstimate:
         hits += int(sat.sum())
         del chunk, y
     p = hits / n_draws
-    return ProbEstimate(p, math.sqrt(p * (1.0 - p) / n_draws), False, n_draws)
+    se = math.sqrt(p * (1.0 - p) / n_draws) if 0 < hits < n_draws else _one_hit_se(n_draws)
+    return ProbEstimate(p, se, False, n_draws)
+
+
+def _one_hit_se(n) -> float:
+    """Binomial standard error of one hit in ``n`` draws."""
+    return math.sqrt((1.0 / n) * (1.0 - 1.0 / n) / n)
+
+
+def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
+    """Estimate ``Pr(no (R, r) in systems has R xi > r)`` for ``xi ~ dist``.
+
+    The union ``U`` of the systems is never sampled: ``1 - U`` is a sum of
+    region probabilities ("terms"), each estimated as in
+    :func:`_estimates`, on the rank-deficient rows too.  Two routes:
+
+    - inclusion-exclusion, ``1 - sum over subsets S of (-1)^(|S|+1)
+      Pr(all of S hold)``;
+    - direct, ``sum over (j_1, ..., j_m) of Pr(row j_i of system i fails and
+      its rows before j_i hold, for every i)``: disjoint positive pieces,
+      walked depth first.
+
+    ``known`` holds, per system, an estimate of its own probability under
+    ``dist`` (a component's factor) or None.  They bound ``1 - U <= 1 -
+    max p_i``: the direct route is taken when ``mcrep (1 - max p_i) < 1``,
+    where a sample of ``mcrep`` would see no miss; otherwise
+    inclusion-exclusion is, and the direct route follows when its
+    standard error exceeds the binomial one of its value at ``mcrep``.
+
+    A term whose rows contain a pair ``R_b = -c R_a`` (``c > 0``) with ``c
+    r_a + r_b >= 0`` is empty in closed form, an exact 0; a term whose
+    estimate is 0 is empty too.  Supersets (longer prefixes) of an empty
+    term are not estimated.  Every term first takes one lattice block;
+    the value of the sum then sets each term's standard error target,
+    the binomial one of ``1 - U`` at ``mcrep`` over the square root of the
+    number of inexact terms, and terms refine to it.  A ``known``
+    estimate stands for its single-system term when it is exact or meets
+    that target.  Each term is capped at ``mcrep`` over the worst-case
+    number of terms (both routes when inclusion-exclusion comes first),
+    so ``n_draws``, which counts every lattice point evaluated, probes
+    included, never passes ``mcrep``.  Returns None when that worst case
+    leaves less than one block per term or passes ``_MAX_TERMS``.  The
+    value is clamped to [0, 1], its standard error combines those of the
+    terms, and it is exact when every term is.  An inexact sum whose
+    terms show no spread (its only inexact terms are zeros) carries the
+    standard error of one hit in ``mcrep``.
+    """
+    m = len(systems)
+    limit = min(mcrep // (_LATTICE_BLOCK * _SHIFTS), _MAX_TERMS)
+    pieces = [
+        [(j, P, p) for j, (P, p) in enumerate(_pieces(R, r)) if not _empty_pair(P, p, P, p)]
+        for R, r in systems
+    ]
+    p_max = max((est.value for est in known if est is not None), default=0.0)
+    direct = mcrep * (1.0 - p_max) < 1.0
+    disjoint = [
+        [i != j and _empty_pair(*systems[i], *systems[j]) for j in range(m)]
+        for i in range(m)
+    ]
+    n_ie = 0 if direct else _count_subsets(m, disjoint, limit)
+    nodes = None if n_ie > limit else _direct_nodes(pieces, dist.dim, limit - n_ie)
+    if nodes is None:
+        return None
+    cap = mcrep // max(n_ie + len(nodes), 1)
+    spent = 0
+    if not direct:
+        est = _inclusion_exclusion(dist, systems, known, disjoint, mcrep, seed, cap)
+        v = est.value
+        if est.std_error <= math.sqrt(v * (1.0 - v) / mcrep):
+            return est
+        spent = est.n_draws
+    est = _direct(dist, nodes, m, mcrep, seed, cap)
+    return est if est.exact else replace(est, n_draws=est.n_draws + spent)
+
+
+def _pieces(R, r):
+    """The disjoint pieces of ``not (R x > r)``: row ``j`` fails, rows before it hold."""
+    return [
+        (np.vstack([R[:j], -R[j : j + 1]]), np.concatenate([r[:j], -r[j : j + 1]]))
+        for j in range(R.shape[0])
+    ]
+
+
+def _empty_pair(A, a, B, b) -> bool:
+    """Whether ``A x > a`` and ``B x > b`` share no point by the closed form:
+    some ``B_j = -c A_i`` with ``c > 0`` and ``c a_i + b_j >= 0``."""
+    c = -(A @ B.T) / np.einsum("ij,ij->i", A, A)[:, None]
+    resid = np.linalg.norm(B[None, :, :] + c[:, :, None] * A[:, None, :], axis=2)
+    parallel = (c > 0.0) & (resid <= _PARALLEL_TOL * np.linalg.norm(B, axis=1))
+    gap = c * a[:, None] + b[None, :]
+    slack = _PARALLEL_TOL * (np.abs(c * a[:, None]) + np.abs(b[None, :]))
+    return bool(np.any(parallel & (gap >= -slack)))
+
+
+def _next_level(level, m, disjoint):
+    """Subsets one larger than those of ``level`` whose every subset one
+    smaller is in ``level`` and which hold no disjoint pair."""
+    have = set(level)
+    out = []
+    for S in level:
+        for j in range(S[-1] + 1, m):
+            T = S + (j,)
+            if not any(disjoint[i][j] for i in S) and all(
+                T[:k] + T[k + 1 :] in have for k in range(len(S))
+            ):
+                out.append(T)
+    return out
+
+
+def _count_subsets(m, disjoint, limit):
+    """The inclusion-exclusion terms no disjoint pair empties, or a number
+    past ``limit`` once they pass it."""
+    level, count = [(i,) for i in range(m)], 0
+    while level and count <= limit:
+        count += len(level)
+        level = _next_level(level, m, disjoint)
+    return count
+
+
+def _direct_nodes(pieces, k, limit):
+    """The direct route's prefixes ``(node, R, r)``, depth first, that no
+    row pair empties; None when there are more than ``limit``."""
+    nodes = []
+
+    def walk(node, R, r):
+        for j, P, p in pieces[len(node)]:
+            if node and _empty_pair(R, r, P, p):
+                continue
+            child = (node + (j,), np.vstack([R, P]), np.concatenate([r, p]))
+            nodes.append(child)
+            if len(nodes) > limit:
+                return False
+            if len(child[0]) < len(pieces) and not walk(*child):
+                return False
+        return True
+
+    return nodes if walk((), np.zeros((0, k)), np.zeros(0)) else None
+
+
+def _start(dist, R, r, seed, cap):
+    """The first estimate of a term and the iterator of finer ones."""
+    blocks = _estimates(dist, R, r, _full_row_rank(R), seed, cap)
+    return next(blocks), blocks
+
+
+def _refine(est, blocks, target):
+    """Take finer estimates until the standard error meets ``target``."""
+    while est.std_error > target:
+        finer = next(blocks, None)
+        if finer is None:
+            break
+        est = finer
+    return est
+
+
+def _term_target(v, terms, mcrep) -> float:
+    """Binomial standard error of ``v`` at ``mcrep`` (at least one hit
+    or miss), over the square root of the number of inexact terms."""
+    v = min(max(v, 1.0 / mcrep), 1.0 - 1.0 / mcrep)
+    n = max(sum(not est.exact for est in terms), 1)
+    return math.sqrt(v * (1.0 - v) / mcrep / n)
+
+
+def _sum_estimate(value, terms, points, mcrep) -> ProbEstimate:
+    """The clamped value of a sum of ``terms``, with their combined error."""
+    value = min(max(value, 0.0), 1.0)
+    if all(est.exact for est in terms):
+        return ProbEstimate(value, 0.0, True, 0)
+    se = math.sqrt(sum(est.std_error**2 for est in terms))
+    return ProbEstimate(value, se or _one_hit_se(mcrep), False, points)
+
+
+def _inclusion_exclusion(dist, systems, known, disjoint, mcrep, seed, cap):
+    """``1 - U`` as ``1`` minus the signed intersections, level by level."""
+    m = len(systems)
+    terms = []  # [subset, estimate, finer estimates or None for a known one]
+    level = [(i,) for i in range(m)]
+    while level:
+        live = []
+        for S in level:
+            if len(S) == 1 and known[S[0]] is not None:
+                est, blocks = known[S[0]], None
+            else:
+                R = np.vstack([systems[i][0] for i in S])
+                r = np.concatenate([systems[i][1] for i in S])
+                est, blocks = _start(dist, R, r, derived_seed(seed, 1, *S), cap)
+            terms.append([S, est, blocks])
+            if est.value > 0.0:
+                live.append(S)
+        level = _next_level(live, m, disjoint)
+
+    def value():
+        return 1.0 - sum((-1) ** (len(S) + 1) * est.value for S, est, _ in terms)
+
+    target = _term_target(value(), [est for _, est, _ in terms], mcrep)
+    for term in terms:
+        S, est, blocks = term
+        if blocks is None:
+            if est.exact or est.std_error <= target:
+                continue
+            est, blocks = _start(dist, *systems[S[0]], derived_seed(seed, 1, *S), cap)
+        term[1:] = _refine(est, blocks, target), blocks
+    points = sum(est.n_draws for _, est, blocks in terms if blocks is not None)
+    return _sum_estimate(value(), [est for _, est, _ in terms], points, mcrep)
+
+
+def _direct(dist, nodes, m, mcrep, seed, cap):
+    """``1 - U`` as the sum of the direct route's pieces, depth first."""
+    leaves = []  # [estimate, finer estimates]
+    empty = []  # estimates of 0 that cut a prefix
+    points = 0
+    dead = set()
+    for node, R, r in nodes:
+        if node[:-1] in dead:
+            dead.add(node)
+            continue
+        est, blocks = _start(dist, R, r, derived_seed(seed, 2, *node), cap)
+        if len(node) == m:
+            leaves.append([est, blocks])
+        else:
+            points += est.n_draws
+            if est.value == 0.0:
+                dead.add(node)
+                empty.append(est)
+    target = _term_target(sum(est.value for est, _ in leaves), [est for est, _ in leaves], mcrep)
+    for leaf in leaves:
+        leaf[0] = _refine(*leaf, target)
+    points += sum(est.n_draws for est, _ in leaves)
+    terms = empty + [est for est, _ in leaves]
+    return _sum_estimate(sum(est.value for est, _ in leaves), terms, points, mcrep)

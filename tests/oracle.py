@@ -83,6 +83,27 @@ def oracle_inequality_prob(
             return OracleEstimate(p, rel, "sampling_proportion")
 
 
+def oracle_complement_prob(
+    dist: MultivariateT, systems, n_draws: int, seed: int, rel_se: float = np.inf
+) -> OracleEstimate:
+    """Proportion of raw draws from ``dist`` where no ``R x > r`` of
+    ``systems`` holds, drawn in chunks as :func:`oracle_inequality_prob`."""
+    rng = np.random.default_rng(seed)
+    misses = draws = 0
+    while True:
+        x = _draw_t(rng, dist.location, dist.scale, dist.df, n_draws)
+        hit = np.zeros(n_draws, dtype=bool)
+        for R, r in systems:
+            hit |= np.all(x @ np.atleast_2d(R).T > r, axis=1)
+        misses += int(n_draws - hit.sum())
+        draws += n_draws
+        p = misses / draws
+        se = float(np.sqrt(max(p * (1.0 - p), 0.0) / draws))
+        rel = se / p if p > 0 else float("inf")
+        if rel <= rel_se or draws >= _MAX_CHUNKS * n_draws:
+            return OracleEstimate(p, rel, "sampling_proportion")
+
+
 def _sigma2_grid(fit: RegressionFit, n_nodes: int):
     # wide span: the minimal-fraction mixing law has a very heavy right
     # tail (inverse gamma with shape 1/2), and truncating it biases far

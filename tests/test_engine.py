@@ -14,6 +14,7 @@ from bfreg import (
     Dataset,
     InconsistentEqualityError,
     InvalidInputError,
+    MultivariateT,
     NumericError,
     RegressionFit,
     bf_matrix,
@@ -34,7 +35,7 @@ from conftest import (
     make_two_effect_fit,
     mvt_sample,
 )
-from oracle import oracle_inequality_prob
+from oracle import oracle_complement_prob, oracle_inequality_prob
 
 # pytest would otherwise try to collect the package entry point as a test
 run_hypotheses = bfreg.test_hypotheses
@@ -419,6 +420,10 @@ class TestComplement:
         Cauchy of scale 1 there, so the complement keeps 2 atan(1/2) / pi
         of it.  The pinned Bayes factors come from centering the union on
         the pseudoinverse solution of the stacked rows, the same point.
+        The two regions are disjoint in closed form, so the complement is
+        exact by inclusion-exclusion: Hc's factor is ``(1 - f1 - f2) / (2
+        atan(1/2) / pi)`` with ``f`` the posterior t tails (scipy.stats,
+        df 17, scale 1/17 on x1 around 0.7).
         """
         with pytest.warns(ConstraintCenterWarning, match="^Hc:") as record:
             res = run_hypotheses(
@@ -426,12 +431,13 @@ class TestComplement:
             )
         assert len(record) == 1
         assert [c.bf for c in res.components] == pytest.approx(
-            [0.2329279230312939, 0.010258668651996086, 2.9347498745189897],
+            [0.2329279230312939, 0.010258668651996086, 2.97596277331726],
             rel=1e-12,
         )
         hc = res.components[2]
         want = 2 * np.arctan(0.5) / np.pi
-        assert abs(hc.c_ie.value - want) < 4 * hc.c_ie.std_error
+        assert hc.c_ie.exact and hc.f_ie.exact
+        assert abs(hc.c_ie.value - want) <= 1e-12
 
     def test_exhaustive_pair_omits_complement(self, two_effect_fit):
         """x1 > 0 and x1 < 0 cover everything but a null set."""
@@ -447,16 +453,11 @@ class TestComplement:
         )
         assert res.labels == ("H1", "H2", "Hc")
         h1, h2, hc = res.components
-        # prior side: both hypotheses and the shared-draw union center on
-        # the same origin, so 1 - U_c should match 1 - c1 - c2
-        lhs = hc.c_ie.value
-        rhs = 1.0 - h1.c_ie.value - h2.c_ie.value
-        se = np.sqrt(
-            hc.c_ie.std_error**2
-            + h1.c_ie.std_error**2
-            + h2.c_ie.std_error**2
-        )
-        assert abs(lhs - rhs) < 3 * se
+        # prior side: both hypotheses and the union center on the same
+        # origin, so the exact orthant factors are the union's terms and
+        # their intersection is empty in closed form: 1 - U_c = 1 - c1 - c2
+        assert hc.c_ie.exact and h1.c_ie.exact and h2.c_ie.exact
+        assert abs(hc.c_ie.value - (1.0 - h1.c_ie.value - h2.c_ie.value)) <= 1e-15
         lhs_f = hc.f_ie.value
         rhs_f = 1.0 - h1.f_ie.value - h2.f_ie.value
         se_f = np.sqrt(
@@ -467,19 +468,20 @@ class TestComplement:
         assert abs(lhs_f - rhs_f) < 3 * se_f
 
     def test_overlapping_union_bounded_by_sum(self, two_effect_fit):
+        """x1 > 0 or x1 > x2 under a prior centred on both apexes.
+
+        The prior is elliptical about the origin with x1, x2 uncorrelated
+        and of equal scale, so both halves hold with probability 1/2 and
+        both together with 1/4 + asin(1/sqrt 2) / (2 pi) = 3/8 (Sheppard):
+        the union is 5/8 and its complement 3/8, exactly.
+        """
         res = run_hypotheses(
             two_effect_fit, "x1>0; x1>x2", mcrep=400_000, seed=15
         )
         h1, h2, hc = res.components
-        union_c = 1.0 - hc.c_ie.value
-        sum_c = h1.c_ie.value + h2.c_ie.value
-        se = np.sqrt(
-            hc.c_ie.std_error**2
-            + h1.c_ie.std_error**2
-            + h2.c_ie.std_error**2
-        )
-        assert union_c <= sum_c + 3 * se
-        assert union_c >= max(h1.c_ie.value, h2.c_ie.value) - 3 * se
+        assert h1.c_ie.value == h2.c_ie.value == 0.5
+        assert hc.c_ie.exact
+        assert abs(hc.c_ie.value - 3.0 / 8.0) <= 1e-15
 
     def test_equality_hypotheses_do_not_shrink_the_complement(
         self, two_effect_fit
@@ -504,6 +506,133 @@ class TestComplement:
             )
         )
         assert abs(np.log(a.bf) - np.log(b.bf)) < 3 * rel_se
+
+
+def _k5_fit():
+    """The k = 5 fit of scripts/dump_outputs.py: n = 200, slopes .5, .3, .1, -.1."""
+    rng = np.random.default_rng(2018)
+    x = rng.standard_normal((200, 4))
+    y = 0.2 + x @ np.array([0.5, 0.3, 0.1, -0.1]) + rng.standard_normal(200)
+    data = Dataset(("y", "x1", "x2", "x3", "x4"), np.column_stack([y, x]))
+    return fit_ols(data, "y ~ x1 + x2 + x3 + x4")
+
+
+def _posterior_t(fit, b):
+    """Location, scale and df of the fraction-b posterior of beta."""
+    nu = fit.n * b - fit.k
+    return MultivariateT(fit.beta_hat, fit.s2 / nu * fit.xtx_inv, nu)
+
+
+class TestComplementRoutes:
+    """How the complement's ``1 - U`` is estimated, end to end."""
+
+    def _routes(self, monkeypatch):
+        taken = []
+        for name in ("_inclusion_exclusion", "_direct"):
+            route = getattr(bfreg.numkernel, name)
+
+            def spy(*args, route=route, name=name):
+                taken.append(name)
+                return route(*args)
+
+            monkeypatch.setattr(bfreg.numkernel, name, spy)
+        return taken
+
+    def test_unresolved_inclusion_exclusion_falls_back_to_direct(self, monkeypatch):
+        """x1>x2>0; x2>x1>0 leaves only x1 <= 0 or x2 <= 0, about 4e-8.
+
+        Inclusion-exclusion cannot resolve it at mcrep 40000 and the
+        disjoint pieces take over; the reference brackets it between
+        ``max`` and the sum of the two t tails (scipy.stats).
+        """
+        from scipy import stats
+
+        fit = _k5_fit()
+        taken = self._routes(monkeypatch)
+        res = run_hypotheses(fit, "x1>x2>0; x2>x1>0", mcrep=40_000, seed=1)
+        assert taken == ["_inclusion_exclusion", "_direct", "_inclusion_exclusion"]
+        h1, h2, hc = res.components
+        post = _posterior_t(fit, 1.0)
+        sd = np.sqrt(np.diag(post.scale))
+        tails = stats.t.cdf(-post.location[1:3] / sd[1:3], post.df)
+        f = hc.f_ie
+        assert not f.exact and 0 < f.n_draws <= 40_000 and f.std_error > 0
+        assert tails.max() - 4 * f.std_error <= f.value <= tails.sum() + 4 * f.std_error
+        assert f.std_error < 0.1 * f.value
+        # the prior terms are exact orthants and their pair is empty
+        assert hc.c_ie.exact
+        assert abs(hc.c_ie.value - (1.0 - h1.c_ie.value - h2.c_ie.value)) <= 1e-15
+        assert np.all(np.isfinite(res.bf_matrix))
+
+    def test_terms_past_the_budget_take_monte_carlo(self, monkeypatch):
+        """55 worst-case terms do not fit 40000 points: the shared-draw
+        union of ``engine._union_prob``, against raw t draws."""
+        fit = _k5_fit()
+        text = "x1>x2>x3>x4; x3>x1>x4>x2; (x1,x2,x3,x4)>0"
+        calls = []
+        union = bfreg.engine._union_prob
+
+        def spy(dist, systems, n_draws, seed):
+            calls.append(n_draws)
+            return union(dist, systems, n_draws, seed)
+
+        monkeypatch.setattr(bfreg.engine, "_union_prob", spy)
+        hc = run_hypotheses(fit, text, mcrep=40_000, seed=2).components[-1]
+        assert calls == [40_000, 40_000]
+        assert hc.f_ie.n_draws == hc.c_ie.n_draws == 40_000
+        systems = [(cs.R_I, cs.r_I) for cs in parse_hypotheses(text, fit.coef_names)]
+        prior = _posterior_t(fit, minimal_fraction(fit)).relocate(np.zeros(fit.k))
+        for est, dist, seed in ((hc.f_ie, _posterior_t(fit, 1.0), 21), (hc.c_ie, prior, 22)):
+            ref = oracle_complement_prob(dist, systems, 400_000, seed)
+            se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
+            assert abs(est.value - ref.value) < 4 * se
+
+    def test_same_seed_same_bits(self):
+        fit = _k5_fit()
+        text = "x1>x2>0; (x3,x4)<0; (x1,x2)>(x3,x4)"
+        a = run_hypotheses(fit, text, mcrep=40_000, seed=4).components[-1]
+        b = run_hypotheses(fit, text, mcrep=40_000, seed=4).components[-1]
+        for x, y in ((a.f_ie, b.f_ie), (a.c_ie, b.c_ie)):
+            assert x == y and x.value.hex() == y.value.hex()
+            assert x.std_error.hex() == y.std_error.hex()
+        c = run_hypotheses(fit, text, mcrep=40_000, seed=5).components[-1]
+        assert c.f_ie != a.f_ie and c.c_ie != a.c_ie
+
+    @pytest.mark.parametrize("mcrep", [10_000, 100_000, 1_000_000])
+    def test_points_within_mcrep(self, mcrep):
+        fit = _k5_fit()
+        for text in (
+            "x1>x2>0; (x3,x4)<0",
+            "x1>x2>0; x2>x1>0",
+            "x1>0.1; x2<-0.2; (x1,x2)>0.05",
+            "x1>x2>0; (x3,x4)<0; (x1,x2)>(x3,x4)",
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConstraintCenterWarning)
+                hc = run_hypotheses(fit, text, mcrep=mcrep, seed=6).components[-1]
+            for est in (hc.f_ie, hc.c_ie):
+                assert 0 <= est.n_draws <= mcrep
+                assert est.exact or est.std_error > 0
+
+    def test_prior_reuse_needs_the_union_center(self, two_effect_fit, monkeypatch):
+        """A component's c_ie stands for its term only when its prior
+        center is the union's; f_ie always may."""
+        seen = []
+        complement = bfreg.engine.complement_prob
+
+        def spy(dist, systems, known, mcrep, seed):
+            seen.append(list(known))
+            return complement(dist, systems, known, mcrep, seed)
+
+        monkeypatch.setattr(bfreg.engine, "complement_prob", spy)
+        with pytest.warns(ConstraintCenterWarning):
+            res = run_hypotheses(two_effect_fit, "x1 > 1; x1 < 0", mcrep=20_000, seed=3)
+        # centers 1, 0 and 1/2
+        assert seen[0] == [c.f_ie for c in res.components[:2]]
+        assert seen[1] == [None, None]
+        seen.clear()
+        res = run_hypotheses(two_effect_fit, "(x1,x2)>0; (x1,x2)<0", mcrep=20_000, seed=3)
+        assert all(a is c.c_ie for a, c in zip(seen[1], res.components[:2]))
 
 
 class TestInvariance:

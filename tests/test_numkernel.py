@@ -12,7 +12,10 @@ from bfreg import (
     MultivariateT,
     ProbEstimate,
 )
+from bfreg import numkernel
 from bfreg.numkernel import (
+    _estimates,
+    complement_prob,
     mc_union_prob,
     mvt_constraint_prob,
     mvt_logpdf,
@@ -20,7 +23,7 @@ from bfreg.numkernel import (
     t_cdf,
 )
 from conftest import mvt_sample
-from oracle import oracle_inequality_prob
+from oracle import oracle_complement_prob, oracle_inequality_prob
 
 
 _trapz = getattr(np, "trapezoid", getattr(np, "trapz", None))
@@ -470,3 +473,254 @@ class TestDomainTypes:
         assert np.array_equal(moved.location, [1.0, 2.0])
         assert np.array_equal(moved.scale, d.scale)
         assert moved.df == d.df
+
+
+def _refined(blocks, mcrep):
+    """The last of ``blocks`` before its SE meets the binomial one at mcrep,
+    the stop rule of ``mvt_constraint_prob``."""
+    est = None
+    for est in blocks:
+        if est.std_error <= np.sqrt(est.value * (1.0 - est.value) / mcrep):
+            break
+    return est
+
+
+def _random_law(rng, d, df):
+    s = rng.standard_normal((d, d))
+    return MultivariateT(rng.standard_normal(d), s @ s.T + 0.5 * np.eye(d), df)
+
+
+class TestSingularLattice:
+    """Rank-deficient rows on the lattice, against raw t draws."""
+
+    @pytest.mark.parametrize("df", [3.0, 60.0])
+    @pytest.mark.parametrize("centred", [False, True])
+    def test_grouped_comparison(self, df, centred):
+        """``(x1,x2) > (x3,x4)``: four rows of rank 3."""
+        rng = np.random.default_rng(200 + int(df) + centred)
+        d = _random_law(rng, 4, df)
+        R = np.array(
+            [[1, 0, -1, 0], [1, 0, 0, -1], [0, 1, -1, 0], [0, 1, 0, -1]], dtype=float
+        )
+        r = R @ d.location if centred else 0.3 * rng.standard_normal(4)
+        assert np.linalg.matrix_rank(R) == 3
+        est = _refined(_estimates(d, R, r, False, 201, 1_000_000), 1_000_000)
+        assert not est.exact and 0 < est.n_draws <= 1_000_000
+        ref = oracle_inequality_prob(d, R, r, 400_000, seed=202)
+        se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
+        assert abs(est.value - ref.value) < 4 * se
+
+    @pytest.mark.parametrize("df", [3.0, 60.0])
+    def test_chain_and_orthant(self, df):
+        """``x1 > ... > x6`` with ``(x1, x2, x3) > 0``: eight rows of rank 6."""
+        rng = np.random.default_rng(210 + int(df))
+        d = _random_law(rng, 6, df)
+        chain = np.eye(6)[:-1] - np.eye(6)[1:]
+        R = np.vstack([chain, np.eye(6)[:3]])
+        r = np.zeros(8)
+        est = _refined(_estimates(d, R, r, False, 211, 1_000_000), 1_000_000)
+        assert not est.exact and est.value > 0
+        ref = oracle_inequality_prob(d, R, r, 400_000, seed=212, rel_se=0.05)
+        se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
+        assert abs(est.value - ref.value) < 4 * se
+        # exchangeable and centred: one order of six, with at least three
+        # of the six signs positive, (42 / 64) / 720
+        iid = MultivariateT(np.zeros(6), np.eye(6), df)
+        est = _refined(_estimates(iid, R, r, False, 213, 1_000_000), 1_000_000)
+        assert abs(est.value - 42 / 64 / 720) < 4 * est.std_error
+
+    @pytest.mark.parametrize("df", [3.0, 60.0])
+    def test_triangle(self, df):
+        """``x1 > 0, x2 > 0, x1 + x2 < 0.3``: a bounded region, not a cone."""
+        d = MultivariateT(np.array([0.1, 0.05]), np.array([[0.04, 0.01], [0.01, 0.02]]), df)
+        R = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+        r = np.array([0.0, 0.0, -0.3])
+        est = _refined(_estimates(d, R, r, False, 221, 1_000_000), 1_000_000)
+        assert not est.exact and est.value > 0
+        ref = oracle_inequality_prob(d, R, r, 400_000, seed=222)
+        se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
+        assert abs(est.value - ref.value) < 4 * se
+
+    @pytest.mark.parametrize("df", [3.0, 60.0])
+    def test_band_is_an_exact_t_difference(self, df):
+        """``0.6 > x1 + x2 > 0.1``: rank 1, a difference of two t CDFs."""
+        from scipy import stats
+
+        rng = np.random.default_rng(230 + int(df))
+        d = _random_law(rng, 3, df)
+        row = np.array([1.0, 1.0, 0.0])
+        R = np.vstack([row, -row])
+        r = np.array([0.1, -0.6])
+        est = next(_estimates(d, R, r, False, 231, 1_000_000))
+        m, sd = row @ d.location, np.sqrt(row @ d.scale @ row)
+        want = stats.t.cdf((0.6 - m) / sd, df) - stats.t.cdf((0.1 - m) / sd, df)
+        assert est.exact and est.n_draws == 0
+        assert abs(est.value - want) <= 1e-12
+
+    def test_chain_against_its_reverse_is_an_inexact_zero(self):
+        """Crossed bounds on every point: 0, a prune signal, never exact."""
+        rng = np.random.default_rng(240)
+        d = _random_law(rng, 6, 5.0)
+        chain = np.eye(6)[:-1] - np.eye(6)[1:]
+        R = np.vstack([chain, -chain])
+        for r in (np.zeros(10), R @ d.location):
+            est = next(_estimates(d, R, r, False, 241, 1_000_000))
+            assert est.value == 0.0 and not est.exact and est.n_draws == 1024
+
+    def test_full_rank_rows_keep_the_cholesky_path(self):
+        """The same full-rank system through either factor: equal values."""
+        rng = np.random.default_rng(250)
+        d = _random_law(rng, 5, 4.0)
+        R, r = np.eye(5)[:4], 0.3 * rng.standard_normal(4)
+        full = next(_estimates(d, R, r, True, 251, 100_000))
+        singular = next(_estimates(d, R, r, False, 251, 100_000))
+        assert full.n_draws == singular.n_draws
+        assert abs(full.value - singular.value) <= 1e-12
+
+
+class TestMcUnionProb:
+    def test_no_hit_and_every_hit_carry_the_error_of_one_hit(self):
+        d = MultivariateT(np.zeros(2), np.eye(2), 5.0)
+        n = 5000
+        one_hit = np.sqrt((1 / n) * (1 - 1 / n) / n)
+        never = mc_union_prob(d, [(np.eye(2), np.array([1e6, 1e6]))], n, seed=1)
+        always = mc_union_prob(d, [(np.eye(2), np.array([-1e6, -1e6]))], n, seed=1)
+        assert (never.value, never.std_error) == (0.0, one_hit)
+        assert (always.value, always.std_error) == (1.0, one_hit)
+        assert not never.exact and never.n_draws == always.n_draws == n
+
+
+def _routes(monkeypatch):
+    """Record which routes ``complement_prob`` takes, in order."""
+    taken = []
+    for name in ("_inclusion_exclusion", "_direct"):
+        route = getattr(numkernel, name)
+
+        def spy(*args, route=route, name=name):
+            taken.append(name)
+            return route(*args)
+
+        monkeypatch.setattr(numkernel, name, spy)
+    return taken
+
+
+def _own_estimates(d, systems, mcrep, seed):
+    """Each system's own probability, as the engine's components give it."""
+    return [mvt_constraint_prob(d, R, r, mcrep, seed + i) for i, (R, r) in enumerate(systems)]
+
+
+class TestComplementProb:
+    """``Pr(no system holds)`` from lattice terms, against raw t draws."""
+
+    def test_inclusion_exclusion_against_sampling(self, monkeypatch):
+        """Three systems, one of them rank-deficient, none known."""
+        rng = np.random.default_rng(300)
+        d = _random_law(rng, 4, 5.0)
+        systems = [
+            (np.array([[1.0, -1.0, 0, 0], [0, 1.0, 0, 0]]), np.zeros(2)),
+            (np.array([[0, 0, -1.0, 0], [0, 0, 0, -1.0]]), np.zeros(2)),
+            (np.array([[1.0, 0, -1, 0], [1, 0, 0, -1], [0, 1, -1, 0], [0, 1, 0, -1]]), np.zeros(4)),
+        ]
+        taken = _routes(monkeypatch)
+        est = complement_prob(d, systems, [None] * 3, 1_000_000, seed=301)
+        assert taken == ["_inclusion_exclusion"]
+        assert not est.exact and 0 < est.n_draws <= 1_000_000
+        ref = oracle_complement_prob(d, systems, 400_000, seed=302)
+        se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
+        assert abs(est.value - ref.value) < 4 * se
+
+    def test_opposite_rows_prune_only_when_disjoint(self):
+        """``x1 > 0.1, x2 > 0`` or ``x1 < 0.6``: the pair's opposite rows
+        overlap on a band, so their intersection is a term.  ``x1 > 0.6``
+        or ``x1 < 0.1`` is empty in closed form, and its complement is the
+        exact band ``0.1 <= x1 <= 0.6``."""
+        rng = np.random.default_rng(305)
+        d = _random_law(rng, 3, 4.0)
+        band = [
+            (np.array([[1.0, 0, 0], [0, 1.0, 0]]), np.array([0.1, 0.0])),
+            (np.array([[-1.0, 0, 0]]), np.array([-0.6])),
+        ]
+        est = complement_prob(d, band, [None] * 2, 1_000_000, seed=306)
+        ref = oracle_complement_prob(d, band, 400_000, seed=307)
+        se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
+        assert abs(est.value - ref.value) < 4 * se
+        apart = [
+            (np.array([[1.0, 0, 0]]), np.array([0.6])),
+            (np.array([[-1.0, 0, 0]]), np.array([-0.1])),
+        ]
+        est = complement_prob(d, apart, [None] * 2, 1_000_000, seed=308)
+        assert est.exact
+        m, sd = d.location[0], np.sqrt(d.scale[0, 0])
+        assert abs(est.value - (t_cdf((0.6 - m) / sd, 4.0) - t_cdf((0.1 - m) / sd, 4.0))) <= 1e-12
+
+    def test_known_terms_make_an_exact_union_exact(self):
+        """Exact singles and a pair empty in closed form: 1 - c1 - c2."""
+        d = MultivariateT(np.zeros(2), np.array([[1.0, 0.3], [0.3, 2.0]]), 1.0)
+        systems = [(np.eye(2), np.zeros(2)), (-np.eye(2), np.zeros(2))]
+        known = _own_estimates(d, systems, 10_000, 310)
+        assert all(k.exact for k in known)
+        est = complement_prob(d, systems, known, 10_000, seed=311)
+        assert est.exact and est.n_draws == 0
+        assert est.value == 1.0 - (known[0].value + known[1].value)
+
+    def test_direct_route_is_chosen_when_no_miss_would_show(self, monkeypatch):
+        """``mcrep (1 - max p_i) < 1``: the disjoint pieces, never
+        inclusion-exclusion.  Far from the boundary, 1 - U is ~6e-5."""
+        d = MultivariateT(np.array([4.1, 4.1]), np.array([[1.0, 0.2], [0.2, 1.0]]), 60.0)
+        systems = [(np.eye(2), np.zeros(2)), (np.array([[1.0, -1.0]]), np.zeros(1))]
+        mcrep = 5000
+        known = _own_estimates(d, systems, mcrep, 320)
+        assert mcrep * (1.0 - max(k.value for k in known)) < 1.0
+        taken = _routes(monkeypatch)
+        est = complement_prob(d, systems, known, mcrep, seed=321)
+        assert taken == ["_direct"]
+        assert not est.exact and 0 < est.n_draws <= mcrep
+        ref = oracle_complement_prob(d, systems, 1_000_000, seed=322, rel_se=0.05)
+        se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
+        assert abs(est.value - ref.value) < 4 * se
+
+    def test_terms_past_the_budget_return_none(self):
+        """Fewer than one lattice block per worst-case term: no estimate."""
+        d = MultivariateT(np.zeros(4), np.eye(4), 5.0)
+        chain = np.eye(4)[:-1] - np.eye(4)[1:]
+        systems = [(chain, np.zeros(3)), (chain[:, [2, 0, 3, 1]], np.zeros(3)), (np.eye(4), np.zeros(4))]
+        assert complement_prob(d, systems, [None] * 3, 40_000, seed=330) is None
+        assert complement_prob(d, systems, [None] * 3, 1_000_000, seed=330) is not None
+
+    @pytest.mark.parametrize("mcrep", [10_000, 100_000, 1_000_000])
+    def test_points_within_mcrep(self, mcrep):
+        rng = np.random.default_rng(340)
+        for k in range(6):
+            d = _random_law(rng, 4, (1.0, 5.0, 60.0)[k % 3])
+            qs = (1, 2) if k < 3 else (2, 2)
+            systems = [(rng.standard_normal((q, 4)), rng.standard_normal(q)) for q in qs]
+            known = _own_estimates(d, systems, mcrep, 341) if k % 2 else [None] * 2
+            est = complement_prob(d, systems, known, mcrep, seed=342 + k)
+            assert est is not None and 0 <= est.n_draws <= mcrep
+            assert est.exact == (est.n_draws == 0 and est.std_error == 0.0)
+
+    def test_complement_standard_error_coverage(self):
+        """At most 8% of 300 errors exceed two reported standard errors.
+
+        Fifteen random unions of two or three systems (a rank-deficient
+        one among them, df 1, 5 or 60, off the apex or centred) at twenty
+        seeds each, against the same estimate at a budget 100 times
+        larger.  Exact unions have no error to cover.
+        """
+        rng = np.random.default_rng(350)
+        z = []
+        for k in range(15):
+            d = _random_law(rng, 3, (1.0, 5.0, 60.0)[k % 3])
+            qs = (2, 3) if k % 2 else (1, 2, 4)
+            systems = [(rng.standard_normal((q, 3)), None) for q in qs]
+            systems = [
+                (R, R @ d.location if k % 5 == 0 else R @ d.location + 0.5 * rng.standard_normal(len(R)))
+                for R, _ in systems
+            ]
+            hp = complement_prob(d, systems, [None] * len(qs), 10**7, seed=3500 + k)
+            for seed in range(20):
+                est = complement_prob(d, systems, [None] * len(qs), 100_000, seed=seed)
+                if not est.exact:
+                    z.append((est.value - hp.value) / np.hypot(est.std_error, hp.std_error))
+        assert len(z) >= 200
+        assert np.mean(np.abs(z) > 2.0) <= 0.08
