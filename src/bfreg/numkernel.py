@@ -594,6 +594,10 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
     where a sample of ``mcrep`` would see no miss; otherwise
     inclusion-exclusion is, and the direct route follows when its
     standard error exceeds the binomial one of its value at ``mcrep``.
+    When no two systems overlap and all are known, the direct route is
+    first tried on the likeliest system alone: ``1 - U = Pr(not H_i) -
+    sum of the other p_i``, its pieces less the others' known estimates,
+    taken when its standard error is within that binomial one.
 
     A term whose rows contain a pair ``R_b = -c R_a`` (``c > 0``) with ``c
     r_a + r_b >= 0`` is empty in closed form, an exact 0; a term whose
@@ -629,16 +633,30 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
     nodes = None if n_ie > limit else _direct_nodes(pieces, dist.dim, limit - n_ie)
     if nodes is None:
         return None
-    cap = mcrep // max(n_ie + len(nodes), 1)
+    head = None  # the likeliest system's own pieces, when no two systems overlap
+    apart = all(disjoint[i][j] for i in range(m) for j in range(m) if i != j)
+    if direct and apart and all(est is not None for est in known):
+        first = max(range(m), key=lambda i: known[i].value)
+        head = _direct_nodes([pieces[first]], dist.dim, limit - len(nodes))
+    cap = mcrep // max(n_ie + len(nodes) + len(head or ()), 1)
     spent = 0
+    if head is not None:
+        est = _direct_less_known(dist, head, first, known, mcrep, derived_seed(seed, 3), cap)
+        if _resolved(est, mcrep):
+            return est
+        spent = est.n_draws
     if not direct:
         est = _inclusion_exclusion(dist, systems, known, disjoint, mcrep, seed, cap)
-        v = est.value
-        if est.std_error <= math.sqrt(v * (1.0 - v) / mcrep):
+        if _resolved(est, mcrep):
             return est
         spent = est.n_draws
     est = _direct(dist, nodes, m, mcrep, seed, cap)
     return est if est.exact else replace(est, n_draws=est.n_draws + spent)
+
+
+def _resolved(est, mcrep) -> bool:
+    """Whether a standard error is within the binomial one of the value at ``mcrep``."""
+    return est.std_error <= math.sqrt(est.value * (1.0 - est.value) / mcrep)
 
 
 def _pieces(R, r):
@@ -770,6 +788,16 @@ def _inclusion_exclusion(dist, systems, known, disjoint, mcrep, seed, cap):
         term[1:] = _refine(est, blocks, target), blocks
     points = sum(est.n_draws for _, est, blocks in terms if blocks is not None)
     return _sum_estimate(value(), [est for _, est, _ in terms], points, mcrep)
+
+
+def _direct_less_known(dist, nodes, i, known, mcrep, seed, cap):
+    """``1 - U`` of systems no two of which overlap: ``Pr(not H_i)`` as the
+    sum of system ``i``'s pieces (``nodes``), less the ``known``
+    probabilities of the others."""
+    head = _direct(dist, nodes, 1, mcrep, seed, cap)
+    rest = [est for k, est in enumerate(known) if k != i]
+    value = head.value - sum(est.value for est in rest)
+    return _sum_estimate(value, [head, *rest], head.n_draws, mcrep)
 
 
 def _direct(dist, nodes, m, mcrep, seed, cap):

@@ -679,6 +679,48 @@ class TestComplementProb:
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
         assert abs(est.value - ref.value) < 4 * se
 
+    def _apart_near_one(self):
+        """An orthant and its opposite, which share no point, far inside
+        the first: ``mcrep (1 - p_1) < 1`` at mcrep 20000, 1 - U ~3e-5."""
+        d = MultivariateT(np.full(3, 4.6), 0.8 * np.eye(3) + 0.2, 60.0)
+        systems = [(np.eye(3), np.zeros(3)), (-np.eye(3), np.zeros(3))]
+        known = _own_estimates(d, systems, 20_000, 325)
+        assert 20_000 * (1.0 - known[0].value) < 1.0
+        return d, systems, known
+
+    def test_likeliest_system_alone_when_no_two_overlap(self, monkeypatch):
+        """``Pr(not H_1)`` by its own pieces, less the known ``p_2``: one
+        direct walk over system 1's three pieces, no inclusion-exclusion."""
+        d, systems, known = self._apart_near_one()
+        taken = _routes(monkeypatch)
+        est = complement_prob(d, systems, known, 20_000, seed=326)
+        assert taken == ["_direct"]
+        assert not est.exact and 0 < est.n_draws <= 20_000
+        ref = oracle_complement_prob(d, systems, 1_000_000, seed=327, rel_se=0.1)
+        se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
+        assert abs(est.value - ref.value) < 4 * se
+        assert complement_prob(d, systems, known, 20_000, seed=326) == est
+        # x1 > 0 or x1 < -0.5, five scales from the first: the band between
+        # them is Pr(not H_1) - p_2, exact
+        d = MultivariateT(np.array([5.0, 0.0]), np.eye(2), 60.0)
+        band = [(np.array([[1.0, 0.0]]), np.zeros(1)), (np.array([[-1.0, 0.0]]), np.array([0.5]))]
+        known = _own_estimates(d, band, 20_000, 329)
+        est = complement_prob(d, band, known, 20_000, seed=329)
+        assert est.exact and est.n_draws == 0
+        assert est.value == pytest.approx(t_cdf(-5.0, 60.0) - t_cdf(-5.5, 60.0), rel=1e-12)
+
+    def test_unresolved_likeliest_system_falls_back_to_all_pieces(self, monkeypatch):
+        """A known ``p_2`` too coarse for ``1 - U``: the walk over every
+        system's pieces follows, and the points of both walks count."""
+        d, systems, known = self._apart_near_one()
+        coarse = ProbEstimate(known[1].value, 1e-3, False, 64)
+        taken = _routes(monkeypatch)
+        est = complement_prob(d, systems, [known[0], coarse], 20_000, seed=328)
+        assert taken == ["_direct", "_direct"]
+        assert est.std_error < 1e-3 and est.n_draws <= 20_000
+        alone = complement_prob(d, systems, [known[0], None], 20_000, seed=328)
+        assert est.value == alone.value and est.n_draws > alone.n_draws
+
     def test_terms_past_the_budget_return_none(self):
         """Fewer than one lattice block per worst-case term: no estimate."""
         d = MultivariateT(np.zeros(4), np.eye(4), 5.0)
