@@ -13,9 +13,10 @@ take Monte Carlo), ``df_as_printed``, the exploratory screen of the k5
 fit and of a fit
 whose ``Pr(x1 < 0)`` underflows (every factor of every coefficient), a
 five-row chain off and through the location of a fixed t law (the
-lattice rule) and the README demo.  Two cases are the text reports
-instead: the README demo with every ``--show`` table, and the k5 screen
-with its Bayes factor matrices.  A case that raises records its error
+lattice rule; off the location at 7 and at 1 degree of freedom) and the
+README demo.  Two cases are the text reports instead: the README demo
+with every ``--show`` table, and the k5 screen with its Bayes factor
+matrices.  A case that raises records its error
 instead.
 
 Usage:
@@ -31,8 +32,10 @@ Usage:
 
 ``--compare`` prints, per case, whether it is byte-identical, and for
 each probability estimate that differs its old and new value and
-``|new - old| / sqrt(se_old^2 + se_new^2)``.  It exits 1 when the two
-files hold different cases or different errors.
+``|new - old| / sqrt(se_old^2 + se_new^2)``, or for two exact values
+their relative change ``|new - old| / |old|``.  Its last line counts the
+cases that differ and gives the largest ``|dv|/se``.  It exits 1 when
+the two files hold different cases or different errors.
 """
 
 import argparse
@@ -108,11 +111,12 @@ def _k5_fit(model):
     return model.fit_ols(data, "y ~ x1 + x2 + x3 + x4")
 
 
-def _chain_prob(numkernel, seed, centred):
-    """``Pr(x1 > ... > x6)`` under a fixed 6-d t, as the estimate's JSON."""
+def _chain_prob(numkernel, seed, centred, df=7.0):
+    """``Pr(x1 > ... > x6)`` under a fixed 6-d t with ``df`` degrees of
+    freedom, as the estimate's JSON."""
     rng = np.random.default_rng(2018)
     s = rng.standard_normal((6, 6))
-    dist = numkernel.MultivariateT(rng.standard_normal(6), s @ s.T + np.eye(6), 7.0)
+    dist = numkernel.MultivariateT(rng.standard_normal(6), s @ s.T + np.eye(6), df)
     chain = np.eye(6)[:-1] - np.eye(6)[1:]
     r = chain @ dist.location if centred else np.zeros(5)
     est = numkernel.mvt_constraint_prob(dist, chain, r, CHAIN_MCREP, seed)
@@ -229,6 +233,9 @@ def cases(tmp):
             yield f"q5 chain {name} seed={seed}", (
                 lambda seed=seed, centred=centred: _chain_prob(numkernel, seed, centred)
             )
+        yield f"q5 chain off-apex df=1 seed={seed}", (
+            lambda seed=seed: _chain_prob(numkernel, seed, False, df=1.0)
+        )
 
     demo_fit = model.RegressionFit(
         coef_names=("(Intercept)", "x1", "x2"),
@@ -284,7 +291,7 @@ def compare(old_path, new_path) -> int:
         old = json.load(fh)
     with open(new_path, encoding="utf-8") as fh:
         new = json.load(fh)
-    status = 0
+    status, differing, z_max = 0, 0, 0.0
     for name in sorted(old.keys() ^ new.keys()):
         print(f"only in {'old' if name in old else 'new'}: {name}")
         status = 1
@@ -294,6 +301,7 @@ def compare(old_path, new_path) -> int:
             print(f"same    {name}")
             continue
         print(f"differs {name}")
+        differing += 1
         if a.startswith("error:") or b.startswith("error:"):
             print(f"    {a.splitlines()[0]!r} -> {b.splitlines()[0]!r}")
             status = 1
@@ -310,8 +318,14 @@ def compare(old_path, new_path) -> int:
                 continue
             (va, sa, *_), (vb, sb, *_) = est_a[path], est_b[path]
             se = math.hypot(sa, sb)
-            z = abs(vb - va) / se if se > 0 else (0.0 if va == vb else math.inf)
-            print(f"    {path}: {est_a[path]} -> {est_b[path]}  |dv|/se = {z:.3g}")
+            if se == 0.0 and va != vb:  # exact to exact
+                change = f"|dv|/|v| = {abs(vb - va) / abs(va) if va else math.inf:.3g}"
+            else:
+                z = abs(vb - va) / se if se > 0 else 0.0
+                z_max = max(z_max, z)
+                change = f"|dv|/se = {z:.3g}"
+            print(f"    {path}: {est_a[path]} -> {est_b[path]}  {change}")
+    print(f"{differing} of {len(old.keys() & new.keys())} cases differ; largest |dv|/se = {z_max:.3g}")
     return status
 
 

@@ -324,10 +324,9 @@ def bf_complement(
     a hypothesis' own ``f_ie`` (and its ``c_ie`` when its prior center is
     the union's) stands for its term when precise enough.  Terms share
     the ``mcrep`` budget; past it the union is counted on ``mcrep``
-    shared draws.  With a single inequality-only hypothesis its factors
-    are reused (``1 - p``); with none the complement is the unconstrained
-    model itself (B = 1).  Returns None when the stated hypotheses
-    exhaust the space.
+    shared draws.  A single inequality-only hypothesis takes the same
+    path; with none the complement is the unconstrained model itself (B
+    = 1).  Returns None when the stated hypotheses exhaust the space.
     """
     ineq = [
         (cs, comp)
@@ -336,26 +335,21 @@ def bf_complement(
     ]
     if not ineq:
         return BFComponents("Hc", None, None, _CERTAIN, _CERTAIN, 0.0, 1.0, None)
-    if len(ineq) == 1:
-        comp = ineq[0][1]
-        f_ie, c_ie = (replace(p, value=1.0 - p.value) for p in (comp.f_ie, comp.c_ie))
-    else:
-        systems = [cs for cs, _ in ineq]
-        post = fractional_posterior_beta(fit, 1.0)
-        known = [comp.f_ie for _, comp in ineq]
-        f_ie = _complement_prob(post, systems, known, mcrep, derived_seed(seed, 1))
-        center, exact = prior_center(
-            np.vstack([cs.R_I for cs in systems]),
-            np.concatenate([cs.r_I for cs in systems]),
-        )
-        warn_if_inexact("Hc", exact)
-        prior = fractional_posterior_beta(fit, minimal_fraction(fit)).relocate(center)
-        known = [
-            comp.c_ie if np.array_equal(cs.reduction.center, center) else None
-            for cs, comp in ineq
-        ]
-        c_ie = _complement_prob(prior, systems, known, mcrep, derived_seed(seed, 2))
-
+    systems = [cs for cs, _ in ineq]
+    post = fractional_posterior_beta(fit, 1.0)
+    known = [comp.f_ie for _, comp in ineq]
+    f_ie = _complement_prob(post, systems, known, mcrep, derived_seed(seed, 1))
+    center, exact = prior_center(
+        np.vstack([cs.R_I for cs in systems]),
+        np.concatenate([cs.r_I for cs in systems]),
+    )
+    warn_if_inexact("Hc", exact)
+    prior = fractional_posterior_beta(fit, minimal_fraction(fit)).relocate(center)
+    known = [
+        comp.c_ie if np.array_equal(cs.reduction.center, center) else None
+        for cs, comp in ineq
+    ]
+    c_ie = _complement_prob(prior, systems, known, mcrep, derived_seed(seed, 2))
     if c_ie.value < _EXHAUSTION_TOL + 3.0 * c_ie.std_error:
         return None
     with np.errstate(divide="ignore"):

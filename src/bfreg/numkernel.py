@@ -28,7 +28,11 @@ probability is chosen:
 - QMC: any other system whose ``R`` has full row rank is estimated on
   the transformed law of ``R xi`` by Genz-Bretz separation of variables
   on randomly shifted lattice points (:func:`_lattice_prob`), with the
-  standard error taken from the spread of independent shifts;
+  standard error taken from the spread of independent shifts.  The
+  radial chi coordinate of a cone off the location is the
+  Wilson-Hilferty cube of a normal quantile, and each point is weighted
+  by the ratio of the exact law to that map's (:func:`_radial`); a
+  shift's estimate is its weighted mean;
 - MC: a rank-deficient ``R`` (or a budget of fewer draws than shifts)
   counts hits of draws of ``xi`` itself in :func:`mc_union_prob`.
 
@@ -66,7 +70,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import gammaincinv, gammaln, ndtr, ndtri, stdtr
+from scipy.special import gammaln, ndtr, ndtri, stdtr
 
 from .errors import DecompositionError, InvalidInputError
 
@@ -196,8 +200,9 @@ class ProbEstimate:
     Monte Carlo estimates count hits over ``n_draws`` draws and carry the
     binomial standard error ``sqrt(p(1-p)/n_draws)``, or that of one hit,
     ``sqrt((1/n)(1-1/n)/n)``, when no draw or every draw hits; lattice
-    (QMC) estimates average the integrand over ``n_draws`` points and
-    carry the standard error of their independent random shifts.  A
+    (QMC) estimates take, per independent random shift, the weighted
+    mean of the integrand over its points (``n_draws`` points in all),
+    and carry the standard error of the shift means.  A
     complement sums lattice terms: ``n_draws`` counts every point it
     evaluated and its standard error combines those of its terms.
     """
@@ -413,31 +418,39 @@ def _lattice_prob(law: MultivariateT, r, centred, full, seed, cap):
     """Quasi-Monte Carlo estimates of ``Pr(Y > r)`` for ``Y ~ law``, q >= 2.
 
     Genz-Bretz separation of variables (Genz 1992, JCGS 1; Genz and Bretz
-    2009, LNS 195).  The rows are sorted by standardised bound
-    ``a = (r - mu) / sd``, largest (least likely) first, and ``L`` is a
-    lower factor of their correlation: the Cholesky factor when ``full``
-    (full row rank), else :func:`_singular_factor`, whose dependent rows
-    share the column they bound.  Then ``Y > r`` reads ``L z > s a`` for
-    standard normals ``z`` and the radial factor ``s = sqrt(w / df)``,
-    ``w ~ chi-square(df)``, drawn as ``sqrt(2 gammaincinv(df/2, u) / df)``.
-    Given ``s`` and the earlier ``z``, the rows of column ``j`` bound
-    ``z_j`` from below (a positive coefficient) or above (a negative
-    one), to ``(lo_j, hi_j)``; the column holds with probability ``e_j =
-    max(Phi(-lo_j) - Phi(-hi_j), 0)`` and ``z_j`` is drawn in it as
+    2009, LNS 195).  The rows are sorted by standardised bound ``a = (r - mu)
+    / sd``, largest (least likely) first, and ``L`` is a lower factor of
+    their correlation: the Cholesky factor when ``full`` (full row rank),
+    else :func:`_singular_factor`, whose dependent rows share the column
+    they bound.  Then ``Y > r`` reads ``L z > s a`` for standard normals
+    ``z`` and the radial factor ``s = sqrt(w / df)``, ``w ~
+    chi-square(df)``.  ``s`` is not drawn by the inverse chi-square CDF,
+    which would cost more than the rest of the integrand: the last uniform
+    ``u`` maps to ``s`` by the Wilson-Hilferty cube of :func:`_radial`, and
+    each point carries the weight ``omega`` of the exact law of ``s``
+    against that map's.  Given ``s`` and the earlier ``z``, the rows of
+    column ``j`` bound ``z_j`` from below (a positive coefficient) or above
+    (a negative one), to ``(lo_j, hi_j)``; the column holds with probability
+    ``e_j = max(Phi(-lo_j) - Phi(-hi_j), 0)`` and ``z_j`` is drawn in it as
     ``-Phi^-1(Phi(-hi_j) + (1 - u_j) e_j)``, so the integrand is ``prod
-    e_j`` over the unit cube of ``s, z_1, ..., z_{rank-1}``.  Without an
+    e_j`` over the unit cube of ``z_1, ..., z_{rank-1}, s``.  Without an
     upper bound this is ``e_j = Phi(-lo_j)``, ``z_j = -Phi^-1(e_j (1 -
-    u_j))``.  A ``centred`` cone has ``a = 0`` and drops ``s``: its
-    estimate does not depend on df.  Rank 1 needs no integral: the rows
-    bound one t variable, and the single estimate is the exact interval
-    probability.  Bounds that cross at every point give an estimate of
-    0, which is not exact: a far-tail region can underflow to 0 too.
+    u_j))``.  A ``centred`` cone has ``a = 0`` and drops ``s``: its estimate
+    does not depend on df, and every weight is 1.  Rank 1 needs no integral:
+    the rows bound one t variable, and the single estimate is the exact
+    interval probability.  Bounds that cross at every point give an estimate
+    of 0, which is not exact: a far-tail region can underflow to 0 too.
 
     The points of shift ``k`` are ``|2 frac(i sqrt(p_j) + shift_kj) - 1|``
     (Richtmyer's generator, one prime ``p_j`` per coordinate, folded by
     the baker's transform) for ``i = 1, 2, ...``, with ``_SHIFTS`` uniform
-    shifts drawn from ``seed``; the standard error is the spread of the
-    shift means.  Points per shift double from ``_LATTICE_BLOCK``, and an
+    shifts drawn from ``seed``.  Each shift estimates the probability by
+    the self-normalised ratio ``sum omega prod e_j / sum omega`` over its
+    points, which returns a constant integrand exactly and stays in [0,
+    1]; the unnormalised mean ``sum omega prod e_j / n`` would add the
+    lattice error of ``omega`` itself, which swamps a probability near 1.
+    The estimate is the mean of the shift ratios and its standard error
+    their spread.  Points per shift double from ``_LATTICE_BLOCK``, and an
     estimate is yielded after each block (``n_draws`` counts the points
     so far) until the next block would pass ``cap`` points in all.  A
     ``cap`` below one point per shift yields nothing.
@@ -467,12 +480,12 @@ def _lattice_prob(law: MultivariateT, r, centred, full, seed, cap):
     shifts = rng_from_seed(seed).random((dims, _SHIFTS, 1))
 
     def integrand(i):
-        """Values at points ``i`` of every shift, shape (_SHIFTS, len(i))."""
+        """Sums over points ``i`` of the weighted values and of the weights,
+        one per shift."""
         u = np.abs(2.0 * ((i * alpha[:, None, None] + shifts) % 1.0) - 1.0)
-        s = 0.0
+        s, weight = 0.0, np.ones((_SHIFTS, i.size))
         if not centred:
-            w = 2.0 * gammaincinv(0.5 * law.df, np.minimum(u[-1], 1.0 - _EPS))
-            s = np.sqrt(w / law.df)
+            s, weight = _radial(u[-1], law.df)
         z = np.empty((rank - 1, _SHIFTS, i.size))
         prob = np.ones((_SHIFTS, i.size))
         for j in range(rank):
@@ -494,20 +507,54 @@ def _lattice_prob(law: MultivariateT, r, centred, full, seed, cap):
                 prob *= e
                 if j < rank - 1:
                     z[j] = -ndtri(np.clip(top + (1.0 - u[j]) * e, _TINY, _BELOW_ONE))
-        return prob
+        return (prob * weight).sum(axis=1), weight.sum(axis=1)
 
-    sums = np.zeros(_SHIFTS)
+    sums, weights = np.zeros(_SHIFTS), np.zeros(_SHIFTS)
     step = _CHUNK // _SHIFTS
     done, n = 0, min(_LATTICE_BLOCK, cap // _SHIFTS)
     while True:
         for start in range(done, n, step):
-            sums += integrand(np.arange(start + 1, min(n, start + step) + 1.0)).sum(axis=1)
-        means = sums / n
+            total, weight = integrand(np.arange(start + 1, min(n, start + step) + 1.0))
+            sums += total
+            weights += weight
+        means = sums / weights
         se = float(means.std(ddof=1)) / math.sqrt(_SHIFTS)
         yield ProbEstimate(float(means.mean()), se, False, n * _SHIFTS)
         if 2 * n * _SHIFTS > cap:
             return
         done, n = n, 2 * n
+
+
+def _radial(u, df):
+    """The radial factor ``s`` at uniforms ``u`` and its weight, for df ``df``.
+
+    ``s^2 = b^3`` with ``b = 1 - c + z sqrt(c)``, ``z = Phi^-1(u)`` and ``c =
+    2 / (9 df)``: the Wilson-Hilferty cube (Wilson and Hilferty 1931,
+    PNAS 17), which makes ``s^2`` nearly ``chi-square(df) / df``.  The
+    weight is the exact density of ``s^2`` times ``ds^2/dz`` over the
+    normal density of ``z``, ``exp((3 df / 2 - 1) log b - df b^3 / 2 + z^2
+    / 2)``, taken relative to its value at ``b = 1`` through ``log1p(b -
+    1)`` so that its terms do not cancel at large df (``b`` at ``z = 0`` is
+    not positive below df 2/9); it is 0 where ``b <= 0``.  ``u`` is
+    clipped to ``1 - eps``; ``u = 0`` has weight 0.  Over its mean, the
+    weight has variance 0.065 at df 1, 4e-5 at df 17 and 2e-7 at df 193.
+    It is bounded for df >= 2/3; below that it grows without bound as
+    ``b`` falls to 0, and its variance is infinite for df <= 1/3.  Every
+    law bfreg builds has df >= 1.
+    """
+    z = ndtri(np.minimum(u, 1.0 - _EPS))
+    c = 2.0 / (9.0 * df)
+    x = z * math.sqrt(c) - c  # b - 1
+    live = x > -1.0
+    x = np.where(live, x, 0.0)
+    z = np.where(live, z, 0.0)
+    log_weight = (
+        (1.5 * df - 1.0) * np.log1p(x)
+        - 0.5 * df * (x * (3.0 + x * (3.0 + x)))
+        + 0.5 * z * z
+    )
+    b = 1.0 + x
+    return np.where(live, b * np.sqrt(b), 0.0), np.where(live, np.exp(log_weight), 0.0)
 
 
 def _centred_orthant_prob(S) -> float:
@@ -594,10 +641,11 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
     where a sample of ``mcrep`` would see no miss; otherwise
     inclusion-exclusion is, and the direct route follows when its
     standard error exceeds the binomial one of its value at ``mcrep``.
-    When no two systems overlap and all are known, the direct route is
-    first tried on the likeliest system alone: ``1 - U = Pr(not H_i) -
-    sum of the other p_i``, its pieces less the others' known estimates,
-    taken when its standard error is within that binomial one.
+    When two or more systems, no two of which overlap, are all known,
+    the direct route is first tried on the likeliest system alone: ``1 -
+    U = Pr(not H_i) - sum of the other p_i``, its pieces less the others'
+    known estimates, taken when its standard error is within that
+    binomial one.
 
     A term whose rows contain a pair ``R_b = -c R_a`` (``c > 0``) with ``c
     r_a + r_b >= 0`` is empty in closed form, an exact 0; a term whose
@@ -619,25 +667,33 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
     """
     m = len(systems)
     limit = min(mcrep // (_LATTICE_BLOCK * _SHIFTS), _MAX_TERMS)
+    # Every row of a piece or a node is row k of a system or its negation,
+    # row n + k: one table of conflicts between them serves every check.
+    A = np.vstack([R for R, _ in systems])
+    a = np.concatenate([r for _, r in systems])
+    rows, bounds, n = np.vstack([A, -A]), np.concatenate([a, -a]), len(a)
+    conflict = _conflicts(rows, bounds)
+    own = np.split(np.arange(n), np.cumsum([len(r) for _, r in systems])[:-1])
     pieces = [
-        [(j, P, p) for j, (P, p) in enumerate(_pieces(R, r)) if not _empty_pair(P, p, P, p)]
-        for R, r in systems
+        [(j, P) for j, P in _pieces(ix, n) if not conflict[np.ix_(P, P)].any()]
+        for ix in own
     ]
     p_max = max((est.value for est in known if est is not None), default=0.0)
     direct = mcrep * (1.0 - p_max) < 1.0
     disjoint = [
-        [i != j and _empty_pair(*systems[i], *systems[j]) for j in range(m)]
+        [i != j and bool(conflict[np.ix_(own[i], own[j])].any()) for j in range(m)]
         for i in range(m)
     ]
     n_ie = 0 if direct else _count_subsets(m, disjoint, limit)
-    nodes = None if n_ie > limit else _direct_nodes(pieces, dist.dim, limit - n_ie)
+    table = (rows, bounds, conflict)
+    nodes = None if n_ie > limit else _direct_nodes(pieces, table, limit - n_ie)
     if nodes is None:
         return None
     head = None  # the likeliest system's own pieces, when no two systems overlap
     apart = all(disjoint[i][j] for i in range(m) for j in range(m) if i != j)
-    if direct and apart and all(est is not None for est in known):
+    if m >= 2 and direct and apart and all(est is not None for est in known):
         first = max(range(m), key=lambda i: known[i].value)
-        head = _direct_nodes([pieces[first]], dist.dim, limit - len(nodes))
+        head = _direct_nodes([pieces[first]], table, limit - len(nodes))
     cap = mcrep // max(n_ie + len(nodes) + len(head or ()), 1)
     spent = 0
     if head is not None:
@@ -659,23 +715,23 @@ def _resolved(est, mcrep) -> bool:
     return est.std_error <= math.sqrt(est.value * (1.0 - est.value) / mcrep)
 
 
-def _pieces(R, r):
-    """The disjoint pieces of ``not (R x > r)``: row ``j`` fails, rows before it hold."""
-    return [
-        (np.vstack([R[:j], -R[j : j + 1]]), np.concatenate([r[:j], -r[j : j + 1]]))
-        for j in range(R.shape[0])
-    ]
+def _pieces(own, n):
+    """The disjoint pieces of ``not (R x > r)`` for a system's rows ``own``
+    of the signed table: row ``j`` fails (row ``n + own[j]``), rows before
+    it hold."""
+    return [(j, np.append(own[:j], n + own[j])) for j in range(len(own))]
 
 
-def _empty_pair(A, a, B, b) -> bool:
-    """Whether ``A x > a`` and ``B x > b`` share no point by the closed form:
-    some ``B_j = -c A_i`` with ``c > 0`` and ``c a_i + b_j >= 0``."""
-    c = -(A @ B.T) / np.einsum("ij,ij->i", A, A)[:, None]
-    resid = np.linalg.norm(B[None, :, :] + c[:, :, None] * A[:, None, :], axis=2)
-    parallel = (c > 0.0) & (resid <= _PARALLEL_TOL * np.linalg.norm(B, axis=1))
-    gap = c * a[:, None] + b[None, :]
-    slack = _PARALLEL_TOL * (np.abs(c * a[:, None]) + np.abs(b[None, :]))
-    return bool(np.any(parallel & (gap >= -slack)))
+def _conflicts(A, a):
+    """Whether rows ``i`` and ``j`` of ``A x > a`` share no point by the closed
+    form, for every pair ``(i, j)``: ``A_j = -c A_i`` with ``c > 0`` and ``c
+    a_i + a_j >= 0``."""
+    c = -(A @ A.T) / np.einsum("ij,ij->i", A, A)[:, None]
+    resid = np.linalg.norm(A[None, :, :] + c[:, :, None] * A[:, None, :], axis=2)
+    parallel = (c > 0.0) & (resid <= _PARALLEL_TOL * np.linalg.norm(A, axis=1))
+    gap = c * a[:, None] + a[None, :]
+    slack = _PARALLEL_TOL * (np.abs(c * a[:, None]) + np.abs(a[None, :]))
+    return parallel & (gap >= -slack)
 
 
 def _next_level(level, m, disjoint):
@@ -703,16 +759,19 @@ def _count_subsets(m, disjoint, limit):
     return count
 
 
-def _direct_nodes(pieces, k, limit):
+def _direct_nodes(pieces, table, limit):
     """The direct route's prefixes ``(node, R, r)``, depth first, that no
-    row pair empties; None when there are more than ``limit``."""
+    row pair empties; None when there are more than ``limit``.  ``table``
+    is ``(rows, bounds, conflict)``, and each piece holds indices of its
+    rows."""
+    rows, bounds, conflict = table
     nodes = []
 
-    def walk(node, R, r):
-        for j, P, p in pieces[len(node)]:
-            if node and _empty_pair(R, r, P, p):
+    def walk(node, ix):
+        for j, piece in pieces[len(node)]:
+            if conflict[np.ix_(ix, piece)].any():
                 continue
-            child = (node + (j,), np.vstack([R, P]), np.concatenate([r, p]))
+            child = (node + (j,), np.concatenate([ix, piece]))
             nodes.append(child)
             if len(nodes) > limit:
                 return False
@@ -720,7 +779,9 @@ def _direct_nodes(pieces, k, limit):
                 return False
         return True
 
-    return nodes if walk((), np.zeros((0, k)), np.zeros(0)) else None
+    if not walk((), np.zeros(0, dtype=int)):
+        return None
+    return [(node, rows[ix], bounds[ix]) for node, ix in nodes]
 
 
 def _start(dist, R, r, seed, cap):

@@ -403,6 +403,19 @@ class TestComplement:
             (1.0 - h.f_ie.value) / (1.0 - h.c_ie.value), rel=1e-12
         )
 
+    def test_single_row_complement_is_the_t_tail(self):
+        """x1 > 0 on the k = 5 fit, where Pr(x1 <= 0) is about 5e-13: Hc's
+        f_ie is the t CDF of the negated row (scipy ``stdtr``), not ``1 -
+        p``, which cancels to a few digits."""
+        from scipy.special import stdtr
+
+        fit = _k5_fit()
+        hc = run_hypotheses(fit, "x1>0", mcrep=40_000, seed=1).components[1]
+        post = bfreg.fractional_posterior_beta(fit, 1.0)
+        want = stdtr(post.df, -post.location[1] / np.sqrt(post.scale[1, 1]))
+        assert hc.f_ie.exact and want < 1e-12
+        assert hc.f_ie.value == pytest.approx(want, rel=1e-15)
+
     def test_no_inequality_hypotheses_complement_is_unconstrained(
         self, two_effect_fit
     ):
@@ -563,6 +576,25 @@ class TestComplementRoutes:
         assert hc.c_ie.exact
         assert abs(hc.c_ie.value - (1.0 - h1.c_ie.value - h2.c_ie.value)) <= 1e-15
         assert np.all(np.isfinite(res.bf_matrix))
+
+    def test_single_hypothesis_near_one_takes_the_pieces(self, monkeypatch):
+        """(x1,x2) > 0.12 on the k = 5 fit misses with posterior
+        probability about 6e-5, so ``mcrep (1 - p) < 1`` at mcrep 10000:
+        Hc's f_ie is the sum of the hypothesis's disjoint pieces, against
+        raw t draws, not ``1 - p`` with the SE of p."""
+        fit = _k5_fit()
+        text = "(x1,x2)>0.12"
+        taken = self._routes(monkeypatch)
+        h, hc = run_hypotheses(fit, text, mcrep=10_000, seed=7).components
+        assert 10_000 * (1.0 - h.f_ie.value) < 1.0
+        assert taken == ["_direct", "_inclusion_exclusion"]
+        f = hc.f_ie
+        assert not f.exact and 0 < f.n_draws <= 10_000
+        systems = [(cs.R_I, cs.r_I) for cs in parse_hypotheses(text, fit.coef_names)]
+        ref = oracle_complement_prob(_posterior_t(fit, 1.0), systems, 400_000, seed=71, rel_se=0.05)
+        se = np.hypot(f.std_error, ref.value * ref.rel_error_bound)
+        assert abs(f.value - ref.value) < 4 * se
+        assert f.std_error < 0.1 * f.value
 
     def test_terms_past_the_budget_take_monte_carlo(self, monkeypatch):
         """55 worst-case terms do not fit 40000 points: the shared-draw
