@@ -38,11 +38,14 @@ probability is chosen:
 
 :func:`complement_prob` estimates the probability that none of several
 systems holds, the engine's complement, as a sum of region probabilities
-by inclusion-exclusion or by disjoint pieces.  Its terms take the same
-paths, except that rank-deficient rows take the lattice rule too: a row
-that depends on the rows before it shares their column of the factor
-and bounds it from above or below (Genz and Kwong 2000), and rank 1 is
-an exact interval.  Past its budget the engine counts the union on
+by one of three routes: inclusion-exclusion, disjoint pieces of every
+system, or, when one system is nearly certain, inclusion-exclusion over
+the others inside the disjoint pieces of the likeliest one, taken only
+when its subtracted terms add no more variance than its added ones.  Its
+terms take the same paths, except that rank-deficient rows take the
+lattice rule too: a row that depends on the rows before it shares their
+column of the factor and bounds it from above or below (Genz and Kwong
+2000), and rank 1 is an exact interval.  Past its budget the engine counts the union on
 shared draws of :func:`mc_union_prob` instead.
 
 Every path takes the rows it is given as they are.  Deciding rows the
@@ -65,6 +68,7 @@ chi-square draws and the location.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -375,14 +379,19 @@ def _estimates(dist: MultivariateT, R, r, full, seed, cap):
     yield from _lattice_prob(law, r, centred, full, seed, cap)
 
 
-def _first_primes(n):
+@functools.lru_cache(maxsize=None)
+def _root_primes(n):
+    """Square roots of the first ``n`` primes, the lattice's generator
+    (read-only: one array serves every call)."""
     primes = []
     k = 2
     while len(primes) < n:
         if all(k % p for p in primes if p * p <= k):
             primes.append(k)
         k += 1
-    return np.array(primes, dtype=float)
+    alpha = np.sqrt(np.array(primes, dtype=float))
+    alpha.flags.writeable = False
+    return alpha
 
 
 def _singular_factor(C):
@@ -476,13 +485,15 @@ def _lattice_prob(law: MultivariateT, r, centred, full, seed, cap):
         yield ProbEstimate(max(p, 0.0), 0.0, True, 0)
         return
     dims = rank - 1 if centred else rank
-    alpha = np.sqrt(_first_primes(dims))
+    alpha = _root_primes(dims)
     shifts = rng_from_seed(seed).random((dims, _SHIFTS, 1))
 
     def integrand(i):
         """Sums over points ``i`` of the weighted values and of the weights,
         one per shift."""
-        u = np.abs(2.0 * ((i * alpha[:, None, None] + shifts) % 1.0) - 1.0)
+        x = i * alpha[:, None, None] + shifts
+        # x >= 0, so x - floor(x) is the exact fractional part, as x % 1.0
+        u = np.abs(2.0 * (x - np.floor(x)) - 1.0)
         s, weight = 0.0, np.ones((_SHIFTS, i.size))
         if not centred:
             s, weight = _radial(u[-1], law.df)
@@ -627,25 +638,31 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
 
     The union ``U`` of the systems is never sampled: ``1 - U`` is a sum of
     region probabilities ("terms"), each estimated as in
-    :func:`_estimates`, on the rank-deficient rows too.  Two routes:
+    :func:`_estimates`, on the rank-deficient rows too.  Three routes:
 
     - inclusion-exclusion, ``1 - sum over subsets S of (-1)^(|S|+1)
       Pr(all of S hold)``;
     - direct, ``sum over (j_1, ..., j_m) of Pr(row j_i of system i fails and
       its rows before j_i hold, for every i)``: disjoint positive pieces,
-      walked depth first.
+      walked depth first;
+    - under the likeliest system ``i``, ``sum over the pieces P of H_i and
+      the subsets S of the other systems of (-1)^|S| Pr(P and all of S
+      hold)`` (:func:`_likeliest_terms`): at most ``|pieces(H_i)| 2^(m-1)``
+      terms instead of the product of every system's pieces.
 
     ``known`` holds, per system, an estimate of its own probability under
     ``dist`` (a component's factor) or None.  They bound ``1 - U <= 1 -
-    max p_i``: the direct route is taken when ``mcrep (1 - max p_i) < 1``,
+    max p_i``: the direct route is chosen when ``mcrep (1 - max p_i) < 1``,
     where a sample of ``mcrep`` would see no miss; otherwise
     inclusion-exclusion is, and the direct route follows when its
     standard error exceeds the binomial one of its value at ``mcrep``.
-    When two or more systems, no two of which overlap, are all known,
-    the direct route is first tried on the likeliest system alone: ``1 -
-    U = Pr(not H_i) - sum of the other p_i``, its pieces less the others'
-    known estimates, taken when its standard error is within that
-    binomial one.
+    With two or more systems the direct route is first tried under the
+    likeliest system, the one with the largest known estimate; its result
+    is taken when its standard error is within that binomial one and the
+    variance of its subtracted terms is at most that of its added ones.
+    The second rule keeps a noisy term from being subtracted from a nearly
+    equal one.  When no two systems overlap, its terms are the likeliest
+    system's pieces less the others' probabilities.
 
     A term whose rows contain a pair ``R_b = -c R_a`` (``c > 0``) with ``c
     r_a + r_b >= 0`` is empty in closed form, an exact 0; a term whose
@@ -656,12 +673,14 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
     number of inexact terms, and terms refine to it.  A ``known``
     estimate stands for its single-system term when it is exact or meets
     that target.  Each term is capped at ``mcrep`` over the worst-case
-    number of terms (both routes when inclusion-exclusion comes first),
-    so ``n_draws``, which counts every lattice point evaluated, probes
-    included, never passes ``mcrep``.  Returns None when that worst case
-    leaves less than one block per term or passes ``_MAX_TERMS``.  The
-    value is clamped to [0, 1], its standard error combines those of the
-    terms, and it is exact when every term is.  An inexact sum whose
+    number of terms of both routes that may run, so ``n_draws``, which
+    counts every lattice point evaluated, probes and a route not taken
+    included, never passes ``mcrep``; the route under the likeliest
+    system is skipped when its terms do not fit beside the walk's.
+    Returns None when that worst case leaves less than one block per term
+    or passes ``_MAX_TERMS``.  The value is clamped to [0, 1], its
+    standard error combines those of the terms, and it is exact when
+    every term is.  An inexact sum whose
     terms show no spread (its only inexact terms are zeros) carries the
     standard error of one hit in ``mcrep``.
     """
@@ -689,16 +708,15 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
     nodes = None if n_ie > limit else _direct_nodes(pieces, table, limit - n_ie)
     if nodes is None:
         return None
-    head = None  # the likeliest system's own pieces, when no two systems overlap
-    apart = all(disjoint[i][j] for i in range(m) for j in range(m) if i != j)
-    if m >= 2 and direct and apart and all(est is not None for est in known):
-        first = max(range(m), key=lambda i: known[i].value)
-        head = _direct_nodes([pieces[first]], table, limit - len(nodes))
+    head = None  # the terms under the likeliest system's pieces
+    if m >= 2 and direct:
+        first = max((i for i in range(m) if known[i] is not None), key=lambda i: known[i].value)
+        head = _likeliest_terms(first, pieces[first], own, disjoint, table, limit - len(nodes))
     cap = mcrep // max(n_ie + len(nodes) + len(head or ()), 1)
     spent = 0
     if head is not None:
-        est = _direct_less_known(dist, head, first, known, mcrep, derived_seed(seed, 3), cap)
-        if _resolved(est, mcrep):
+        est, balanced = _under_likeliest(dist, head, known, mcrep, derived_seed(seed, 3), cap)
+        if balanced and _resolved(est, mcrep):
             return est
         spent = est.n_draws
     if not direct:
@@ -740,7 +758,7 @@ def _next_level(level, m, disjoint):
     have = set(level)
     out = []
     for S in level:
-        for j in range(S[-1] + 1, m):
+        for j in range(S[-1] + 1 if S else 0, m):
             T = S + (j,)
             if not any(disjoint[i][j] for i in S) and all(
                 T[:k] + T[k + 1 :] in have for k in range(len(S))
@@ -851,14 +869,71 @@ def _inclusion_exclusion(dist, systems, known, disjoint, mcrep, seed, cap):
     return _sum_estimate(value(), [est for _, est, _ in terms], points, mcrep)
 
 
-def _direct_less_known(dist, nodes, i, known, mcrep, seed, cap):
-    """``1 - U`` of systems no two of which overlap: ``Pr(not H_i)`` as the
-    sum of system ``i``'s pieces (``nodes``), less the ``known``
-    probabilities of the others."""
-    head = _direct(dist, nodes, 1, mcrep, seed, cap)
-    rest = [est for k, est in enumerate(known) if k != i]
-    value = head.value - sum(est.value for est in rest)
-    return _sum_estimate(value, [head, *rest], head.n_draws, mcrep)
+def _likeliest_terms(i, pieces, own, disjoint, table, limit):
+    """The terms of ``1 - U`` under the ``pieces`` of system ``i``, level by
+    level over the subsets ``S`` of the other systems that hold no disjoint
+    pair: ``(S, j, R, r)`` for ``Pr(piece j holds and every system of S
+    does)``, left out when its rows conflict; or, when a system of ``S`` is
+    disjoint from system ``i``, so that ``H_S`` lies outside ``H_i`` and
+    the pieces sum to ``Pr(H_S)``, the one term ``(S, None, R, r)``.  None
+    when there are more than ``limit`` terms."""
+    rows, bounds, conflict = table
+    others = [k for k in range(len(own)) if k != i]
+    apart = [[disjoint[a][b] for b in others] for a in others]
+    terms = []
+    level = [()]
+    while level and len(terms) <= limit:
+        for T in level:
+            S = tuple(others[t] for t in T)
+            ix = np.concatenate([np.zeros(0, dtype=int), *(own[k] for k in S)])
+            if any(disjoint[i][k] for k in S):
+                terms.append((S, None, rows[ix], bounds[ix]))
+                continue
+            for j, piece in pieces:
+                if not conflict[np.ix_(piece, ix)].any():
+                    both = np.concatenate([piece, ix])
+                    terms.append((S, j, rows[both], bounds[both]))
+        level = _next_level(level, len(others), apart)
+    return terms if len(terms) <= limit else None
+
+
+def _under_likeliest(dist, terms, known, mcrep, seed, cap):
+    """``1 - U`` as the sum of :func:`_likeliest_terms`, each signed
+    ``(-1)^|S|``, and whether the subtracted terms' variance is at most
+    the added terms'.  A subset none of whose terms is positive is not
+    extended; a ``known`` estimate stands for ``(S, None)`` of one system
+    as in :func:`_inclusion_exclusion`."""
+    items = []  # [subset, rows, estimate, finer estimates or None for a known one]
+    live = {()}
+    for S, j, R, r in terms:
+        if any(S[:k] + S[k + 1 :] not in live for k in range(len(S))):
+            continue
+        if j is None and len(S) == 1 and known[S[0]] is not None:
+            est, blocks = known[S[0]], None
+        else:
+            key = (1, *S) if j is None else (2, j, *S)
+            est, blocks = _start(dist, R, r, derived_seed(seed, *key), cap)
+        items.append([S, (R, r), est, blocks])
+        if est.value > 0.0:
+            live.add(S)
+
+    def value():
+        return sum((-1) ** len(S) * est.value for S, _, est, _ in items)
+
+    target = _term_target(value(), [est for _, _, est, _ in items], mcrep)
+    for item in items:
+        S, rows, est, blocks = item
+        if blocks is None:
+            if est.exact or est.std_error <= target:
+                continue
+            est, blocks = _start(dist, *rows, derived_seed(seed, 1, *S), cap)
+        item[2:] = _refine(est, blocks, target), blocks
+    points = sum(est.n_draws for _, _, est, blocks in items if blocks is not None)
+    var = [0.0, 0.0]  # of the added terms, of the subtracted ones
+    for S, _, est, _ in items:
+        var[len(S) % 2] += est.std_error**2
+    est = _sum_estimate(value(), [est for _, _, est, _ in items], points, mcrep)
+    return est, var[1] <= var[0]
 
 
 def _direct(dist, nodes, m, mcrep, seed, cap):

@@ -539,14 +539,17 @@ def _posterior_t(fit, b):
 class TestComplementRoutes:
     """How the complement's ``1 - U`` is estimated, end to end."""
 
-    def _routes(self, monkeypatch):
+    def _routes(self, monkeypatch, returned=None):
         taken = []
-        for name in ("_inclusion_exclusion", "_direct"):
+        for name in ("_inclusion_exclusion", "_under_likeliest", "_direct"):
             route = getattr(bfreg.numkernel, name)
 
             def spy(*args, route=route, name=name):
                 taken.append(name)
-                return route(*args)
+                out = route(*args)
+                if returned is not None:
+                    returned.append(out)
+                return out
 
             monkeypatch.setattr(bfreg.numkernel, name, spy)
         return taken
@@ -595,6 +598,26 @@ class TestComplementRoutes:
         se = np.hypot(f.std_error, ref.value * ref.rel_error_bound)
         assert abs(f.value - ref.value) < 4 * se
         assert f.std_error < 0.1 * f.value
+
+    def test_cancelling_terms_fall_back_to_the_walk(self, monkeypatch):
+        """x1>0.1; x2<-0.2; (x1,x2)>0.05 leaves about 3e-11 (x3>x4=0.5 has
+        an equality and no part in the union).  Under the pieces of x1>0.1
+        it is the exact Pr(x1 <= 0.1) less a lattice overlap nearly as
+        large, whose standard error outweighs the difference: the walk over
+        every hypothesis's pieces follows, its estimate stands, and the
+        points of both routes count."""
+        fit = _k5_fit()
+        text = "x1>0.1; x2<-0.2; x3>x4=0.5; (x1,x2)>0.05"
+        returned = []
+        taken = self._routes(monkeypatch, returned)
+        with pytest.warns(ConstraintCenterWarning):
+            f = run_hypotheses(fit, text, mcrep=40_000, seed=1).components[-1].f_ie
+        assert taken[:2] == ["_under_likeliest", "_direct"]
+        (route, balanced), walk = returned[:2]
+        assert not balanced
+        assert (f.value, f.std_error) == (walk.value, walk.std_error)
+        assert f.n_draws == route.n_draws + walk.n_draws <= 40_000
+        assert f.std_error < 0.2 * f.value
 
     def test_terms_past_the_budget_take_monte_carlo(self, monkeypatch):
         """55 worst-case terms do not fit 40000 points: the shared-draw

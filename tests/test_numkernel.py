@@ -20,6 +20,7 @@ from bfreg.numkernel import (
     _estimates,
     _radial,
     complement_prob,
+    derived_seed,
     mc_union_prob,
     mvt_constraint_prob,
     mvt_logpdf,
@@ -686,15 +687,19 @@ class TestMcUnionProb:
         assert not never.exact and never.n_draws == always.n_draws == n
 
 
-def _routes(monkeypatch):
-    """Record which routes ``complement_prob`` takes, in order."""
+def _routes(monkeypatch, returned=None):
+    """Record which routes ``complement_prob`` takes, in order, and what
+    they return in ``returned`` when it is a list."""
     taken = []
-    for name in ("_inclusion_exclusion", "_direct"):
+    for name in ("_inclusion_exclusion", "_under_likeliest", "_direct"):
         route = getattr(numkernel, name)
 
         def spy(*args, route=route, name=name):
             taken.append(name)
-            return route(*args)
+            out = route(*args)
+            if returned is not None:
+                returned.append(out)
+            return out
 
         monkeypatch.setattr(numkernel, name, spy)
     return taken
@@ -785,12 +790,12 @@ class TestComplementProb:
         return d, systems, known
 
     def test_likeliest_system_alone_when_no_two_overlap(self, monkeypatch):
-        """``Pr(not H_1)`` by its own pieces, less the known ``p_2``: one
-        direct walk over system 1's three pieces, no inclusion-exclusion."""
+        """``Pr(not H_1)`` by its own pieces, less the known ``p_2``: the
+        terms under system 1's three pieces, no walk, no inclusion-exclusion."""
         d, systems, known = self._apart_near_one()
         taken = _routes(monkeypatch)
         est = complement_prob(d, systems, known, 20_000, seed=326)
-        assert taken == ["_direct"]
+        assert taken == ["_under_likeliest"]
         assert not est.exact and 0 < est.n_draws <= 20_000
         ref = oracle_complement_prob(d, systems, 1_000_000, seed=327, rel_se=0.1)
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
@@ -805,17 +810,65 @@ class TestComplementProb:
         assert est.exact and est.n_draws == 0
         assert est.value == pytest.approx(t_cdf(-5.0, 60.0) - t_cdf(-5.5, 60.0), rel=1e-12)
 
+    def test_no_overlap_takes_the_likeliest_pieces_less_the_known(self):
+        """An orthant and ``x1 < -0.5``, which share no point: ``1 - U`` is
+        the walk over the orthant's pieces, on the same streams, less the
+        exact ``p_2``, to the bit."""
+        d = MultivariateT(np.full(2, 4.6), 0.8 * np.eye(2) + 0.2, 60.0)
+        systems = [(np.eye(2), np.zeros(2)), (np.array([[-1.0, 0.0]]), np.array([0.5]))]
+        known = _own_estimates(d, systems, 20_000, 330)
+        assert 20_000 * (1.0 - known[0].value) < 1.0 and known[1].exact
+        est = complement_prob(d, systems, known, 20_000, seed=331)
+        walk = complement_prob(d, systems[:1], known[:1], 20_000, seed=derived_seed(331, 3))
+        assert not est.exact and est.n_draws == walk.n_draws > 0
+        assert est.value == walk.value - known[1].value
+        assert est.std_error == walk.std_error
+
     def test_unresolved_likeliest_system_falls_back_to_all_pieces(self, monkeypatch):
-        """A known ``p_2`` too coarse for ``1 - U``: the walk over every
-        system's pieces follows, and the points of both walks count."""
+        """A known ``p_2`` that meets its term's target but whose standard
+        error outweighs the pieces' it is subtracted from: the walk over
+        every system's pieces follows, its estimate stands, and the points
+        of both routes count."""
+        d, systems, known = self._apart_near_one()
+        noisy = ProbEstimate(known[1].value, 1e-5, False, 64)
+        returned = []
+        taken = _routes(monkeypatch, returned)
+        est = complement_prob(d, systems, [known[0], noisy], 20_000, seed=328)
+        assert taken == ["_under_likeliest", "_direct"]
+        (route, balanced), walk = returned
+        assert not balanced and route.std_error >= 1e-5
+        assert (est.value, est.std_error) == (walk.value, walk.std_error)
+        assert est.n_draws == route.n_draws + walk.n_draws <= 20_000
+
+    def test_known_estimate_short_of_its_target_is_refined(self, monkeypatch):
+        """A known ``p_2`` too coarse for ``1 - U`` is estimated afresh: the
+        terms under system 1's pieces still stand alone, at the cost of
+        its points."""
         d, systems, known = self._apart_near_one()
         coarse = ProbEstimate(known[1].value, 1e-3, False, 64)
         taken = _routes(monkeypatch)
         est = complement_prob(d, systems, [known[0], coarse], 20_000, seed=328)
-        assert taken == ["_direct", "_direct"]
-        assert est.std_error < 1e-3 and est.n_draws <= 20_000
-        alone = complement_prob(d, systems, [known[0], None], 20_000, seed=328)
-        assert est.value == alone.value and est.n_draws > alone.n_draws
+        assert taken == ["_under_likeliest"]
+        assert est.std_error < 1e-5 and est.n_draws <= 20_000
+        assert est.n_draws > complement_prob(d, systems, known, 20_000, seed=328).n_draws
+
+    def test_overlapping_systems_near_one_take_the_likeliest_pieces(self, monkeypatch):
+        """x1 > x2 > x3, x3 > x2 > x1 and (x1, x2, x3) > 0, deep in the
+        orthant: ``mcrep (1 - p_3) < 1`` at mcrep 20000 and ``1 - U`` is
+        about 2e-5.  The orthant's pieces, less their overlaps with each
+        chain, stand alone, against raw t draws."""
+        d = MultivariateT(np.array([5.5, 5.0, 4.2]), 0.8 * np.eye(3) + 0.2, 60.0)
+        chain = np.eye(3)[:-1] - np.eye(3)[1:]
+        systems = [(chain, np.zeros(2)), (-chain[::-1], np.zeros(2)), (np.eye(3), np.zeros(3))]
+        known = _own_estimates(d, systems, 20_000, 400)
+        assert 20_000 * (1.0 - known[2].value) < 1.0
+        taken = _routes(monkeypatch)
+        est = complement_prob(d, systems, known, 20_000, seed=401)
+        assert taken == ["_under_likeliest"]
+        assert not est.exact and 0 < est.n_draws <= 20_000
+        ref = oracle_complement_prob(d, systems, 1_000_000, seed=402, rel_se=0.1)
+        se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
+        assert abs(est.value - ref.value) < 4 * se
 
     def test_terms_past_the_budget_return_none(self):
         """Fewer than one lattice block per worst-case term: no estimate."""
