@@ -5,7 +5,9 @@ does (seed 5, mcrep 1e6) and runs its analysis at ``N`` operation seeds.
 For the automatic complement's posterior probability ``1 - U_f`` (Hc's
 ``f_ie``) it prints:
 
-- the routes ``complement_prob`` took, with how many seeds took each;
+- the routes ``complement_prob`` summed, named by their pivot systems
+  (inclusion-exclusion, the likeliest system's pieces or the walk over
+  every system's pieces), with how many seeds took each;
 - the mean against a reference, in standard errors of the mean (the
   reference's own error included);
 - the median relative standard error;
@@ -22,7 +24,8 @@ Usage:
 
 ``--root`` imports bfreg and the benchmark inputs from another checkout
 (default: the one holding this script), so the parent of a change is
-measured with the same script.
+measured with the same script.  The checkout must have the term builder
+and sum of ``bfreg.numkernel`` (``_table``, ``_terms`` and ``_term_sum``).
 """
 
 import argparse
@@ -36,25 +39,23 @@ from pathlib import Path
 import numpy as np
 
 SEED = 5
-# route names of this checkout and of older ones; a name a checkout lacks is skipped
-ROUTES = ("_inclusion_exclusion", "_under_likeliest", "_direct_less_known", "_direct")
+
+
+def route_name(pivots, m):
+    """The route of ``complement_prob`` that sums the terms under ``pivots``."""
+    if not pivots:
+        return "inclusion-exclusion"
+    return "walk" if len(pivots) == m else f"likeliest {pivots[0]}"
 
 
 def reference(numkernel, dist, rows, points):
     """``1 - U`` by the walk over every system's pieces, each at ``points``
     lattice points."""
-    A = np.vstack([R for R, _ in rows])
-    a = np.concatenate([r for _, r in rows])
-    signed, bounds, n = np.vstack([A, -A]), np.concatenate([a, -a]), len(a)
-    conflict = numkernel._conflicts(signed, bounds)
-    own = np.split(np.arange(n), np.cumsum([len(r) for _, r in rows])[:-1])
-    pieces = [
-        [(j, P) for j, P in numkernel._pieces(ix, n) if not conflict[np.ix_(P, P)].any()]
-        for ix in own
-    ]
-    nodes = numkernel._direct_nodes(pieces, (signed, bounds, conflict), math.inf)
+    every, table = tuple(range(len(rows))), numkernel._table(rows)
+    terms = numkernel._terms(every, table, math.inf)
     # an unreachable binomial target makes every piece refine to its cap
-    return numkernel._direct(dist, nodes, len(rows), 1 << 62, 1, points)
+    est, _ = numkernel._term_sum(dist, every, terms, table, [None] * len(rows), 1 << 62, 1, points)
+    return est
 
 
 def run(n_seeds, ref_points):
@@ -73,19 +74,17 @@ def run(n_seeds, ref_points):
         est = complement(dist, systems, known, mcrep, seed)
         seconds = time.perf_counter() - t0
         rows = [(cs.reduction.Rtilde_I, cs.reduction.rtilde_I) for cs in systems]
-        calls.append((tuple(taken[start:]), seconds, est, dist, rows))
+        routes = tuple(route_name(pivots, len(rows)) for pivots in taken[start:])
+        calls.append((routes, seconds, est, dist, rows))
         return est
 
-    for name in ROUTES:
-        route = getattr(numkernel, name, None)
-        if route is None:
-            continue
+    term_sum = numkernel._term_sum
 
-        def spy(*args, route=route, name=name):
-            taken.append(name)
-            return route(*args)
+    def spy(dist, pivots, *args):
+        taken.append(pivots)
+        return term_sum(dist, pivots, *args)
 
-        setattr(numkernel, name, spy)
+    numkernel._term_sum = spy
     engine._complement_prob = timed
 
     results = []

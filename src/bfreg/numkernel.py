@@ -25,28 +25,29 @@ probability is chosen:
 
 - exact 1-d: the univariate t CDF for a single row;
 - closed form: two or three rows through the location (below);
-- QMC: any other system whose ``R`` has full row rank is estimated on
-  the transformed law of ``R xi`` by Genz-Bretz separation of variables
-  on randomly shifted lattice points (:func:`_lattice_prob`), with the
-  standard error taken from the spread of independent shifts.  The
-  radial chi coordinate of a cone off the location is the
-  Wilson-Hilferty cube of a normal quantile, and each point is weighted
-  by the ratio of the exact law to that map's (:func:`_radial`); a
-  shift's estimate is its weighted mean;
-- MC: a rank-deficient ``R`` (or a budget of fewer draws than shifts)
-  counts hits of draws of ``xi`` itself in :func:`mc_union_prob`.
+- QMC: any other system is estimated on the transformed law of ``R xi``
+  by Genz-Bretz separation of variables on randomly shifted lattice
+  points (:func:`_lattice_prob`), with the standard error taken from the
+  spread of independent shifts.  The radial chi coordinate of a cone off
+  the location is the Wilson-Hilferty cube of a normal quantile, and
+  each point is weighted by the ratio of the exact law to that map's
+  (:func:`_radial`); a shift's estimate is its weighted mean.  In a
+  rank-deficient ``R`` a row that depends on the rows before it shares
+  their column of the factor and bounds it from above or below (Genz and
+  Kwong 2000), and rank 1 is an exact interval;
+- MC: a budget of fewer draws than shifts counts hits of draws of ``xi``
+  itself in :func:`mc_union_prob`.
 
 :func:`complement_prob` estimates the probability that none of several
 systems holds, the engine's complement, as a sum of region probabilities
-by one of three routes: inclusion-exclusion, disjoint pieces of every
-system, or, when one system is nearly certain, inclusion-exclusion over
-the others inside the disjoint pieces of the likeliest one, taken only
-when its subtracted terms add no more variance than its added ones.  Its
-terms take the same paths, except that rank-deficient rows take the
-lattice rule too: a row that depends on the rows before it shares their
-column of the factor and bounds it from above or below (Genz and Kwong
-2000), and rank 1 is an exact interval.  Past its budget the engine counts the union on
-shared draws of :func:`mc_union_prob` instead.
+that take the same paths.  It is one identity: split the complement of
+each *pivot* system into its disjoint pieces and take inclusion-exclusion
+over the other systems inside them.  No pivot is inclusion-exclusion,
+every system the walk over disjoint pieces, and, when one system is
+nearly certain, the likeliest system alone, taken only when its
+subtracted terms add no more variance than its added ones.  Past its
+budget the engine counts the union on shared draws of
+:func:`mc_union_prob` instead.
 
 Every path takes the rows it is given as they are.  Deciding rows the
 equalities leave without coefficient content is the job of the cached
@@ -316,14 +317,15 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
     """Estimate ``Pr(R xi > r)`` for ``xi ~ dist``.
 
     A single constraint row is evaluated exactly through the univariate t
-    CDF.  With several rows and a full row rank ``R`` the probability is
-    taken under the lower-dimensional transformed t of ``R xi``: two or
-    three rows through the location have a closed form, and every other
-    system takes the lattice rule of :func:`_lattice_prob`, which stops
-    once its standard error is at most the binomial one of ``n_draws``
-    draws and never uses more than ``n_draws`` points.  Otherwise ``xi``
-    itself is sampled ``n_draws`` times and the rows are checked
-    directly.  The rows are taken as given (see the module notes).
+    CDF.  With several rows the probability is taken under the
+    lower-dimensional transformed t of ``R xi``: two or three full-rank
+    rows through the location have a closed form, rows of rank 1 an exact
+    interval, and every other system takes the lattice rule of
+    :func:`_lattice_prob`, which stops once its standard error is at most
+    the binomial one of ``n_draws`` draws and never uses more than
+    ``n_draws`` points.  Below one point per lattice shift ``xi`` itself
+    is sampled ``n_draws`` times and the rows are checked directly.  The
+    rows are taken as given (see the module notes).
     """
     R = np.atleast_2d(np.asarray(R, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -338,13 +340,12 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
     if not np.all(np.isfinite(r)):
         raise InvalidInputError("constraint bound contains non-finite entries")
 
-    if _full_row_rank(R):
-        est = None
-        for est in _estimates(dist, R, r, True, seed, n_draws):
-            if est.exact or est.std_error <= math.sqrt(est.value * (1.0 - est.value) / n_draws):
-                break
-        if est is not None:
-            return est
+    est = None
+    for est in _estimates(dist, R, r, _full_row_rank(R), seed, n_draws):
+        if est.exact or _resolved(est, n_draws):
+            break
+    if est is not None:
+        return est
     return mc_union_prob(dist, [(R, r)], n_draws, seed)
 
 
@@ -638,56 +639,95 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
 
     The union ``U`` of the systems is never sampled: ``1 - U`` is a sum of
     region probabilities ("terms"), each estimated as in
-    :func:`_estimates`, on the rank-deficient rows too.  Three routes:
+    :func:`_estimates`.  The complement of a system ``H_t`` is the union
+    of its disjoint pieces, row ``j`` fails and the rows before it hold.
+    For any set ``T`` of *pivot* systems,
 
-    - inclusion-exclusion, ``1 - sum over subsets S of (-1)^(|S|+1)
-      Pr(all of S hold)``;
-    - direct, ``sum over (j_1, ..., j_m) of Pr(row j_i of system i fails and
-      its rows before j_i hold, for every i)``: disjoint positive pieces,
-      walked depth first;
-    - under the likeliest system ``i``, ``sum over the pieces P of H_i and
-      the subsets S of the other systems of (-1)^|S| Pr(P and all of S
-      hold)`` (:func:`_likeliest_terms`): at most ``|pieces(H_i)| 2^(m-1)``
-      terms instead of the product of every system's pieces.
+        1 - U = sum over the nodes N (one piece of each pivot) and the
+                subsets S of the other systems of (-1)^|S| Pr(N and H_S)
+
+    (:func:`_terms`, summed by :func:`_term_sum`).  Three pivot sets give
+    the three routes:
+
+    - ``T`` empty is inclusion-exclusion, ``1 - sum over subsets S of
+      (-1)^(|S|+1) Pr(H_S)``: its empty term is the whole space, the base 1;
+    - ``T = {i}``, the likeliest system ``i`` (the largest known estimate),
+      takes inclusion-exclusion over the others inside its pieces: at most
+      ``|pieces(H_i)| 2^(m-1)`` terms;
+    - ``T`` every system is the walk over disjoint positive pieces, with
+      ``S`` empty only: the product of every system's pieces.
 
     ``known`` holds, per system, an estimate of its own probability under
     ``dist`` (a component's factor) or None.  They bound ``1 - U <= 1 -
-    max p_i``: the direct route is chosen when ``mcrep (1 - max p_i) < 1``,
-    where a sample of ``mcrep`` would see no miss; otherwise
-    inclusion-exclusion is, and the direct route follows when its
-    standard error exceeds the binomial one of its value at ``mcrep``.
-    With two or more systems the direct route is first tried under the
-    likeliest system, the one with the largest known estimate; its result
-    is taken when its standard error is within that binomial one and the
-    variance of its subtracted terms is at most that of its added ones.
-    The second rule keeps a noisy term from being subtracted from a nearly
-    equal one.  When no two systems overlap, its terms are the likeliest
-    system's pieces less the others' probabilities.
+    max p_i``.  When ``mcrep (1 - max p_i) < 1``, where a sample of
+    ``mcrep`` would see no miss, the route under the likeliest system is
+    tried first (with two or more systems); otherwise inclusion-exclusion
+    is.  The route tried stands when its standard error is within the
+    binomial one of its value at ``mcrep``, and the likeliest system's
+    only when also the variance of its subtracted terms is at most that of
+    its added ones: this keeps a noisy term from being subtracted from a
+    nearly equal one.  Otherwise the walk follows.  When no two systems
+    overlap, the likeliest system's terms are its pieces less the others'
+    probabilities.
 
     A term whose rows contain a pair ``R_b = -c R_a`` (``c > 0``) with ``c
-    r_a + r_b >= 0`` is empty in closed form, an exact 0; a term whose
-    estimate is 0 is empty too.  Supersets (longer prefixes) of an empty
-    term are not estimated.  Every term first takes one lattice block;
-    the value of the sum then sets each term's standard error target,
-    the binomial one of ``1 - U`` at ``mcrep`` over the square root of the
-    number of inexact terms, and terms refine to it.  A ``known``
-    estimate stands for its single-system term when it is exact or meets
-    that target.  Each term is capped at ``mcrep`` over the worst-case
-    number of terms of both routes that may run, so ``n_draws``, which
-    counts every lattice point evaluated, probes and a route not taken
-    included, never passes ``mcrep``; the route under the likeliest
-    system is skipped when its terms do not fit beside the walk's.
-    Returns None when that worst case leaves less than one block per term
-    or passes ``_MAX_TERMS``.  The value is clamped to [0, 1], its
-    standard error combines those of the terms, and it is exact when
-    every term is.  An inexact sum whose
-    terms show no spread (its only inexact terms are zeros) carries the
-    standard error of one hit in ``mcrep``.
+    r_a + r_b >= 0`` is empty in closed form and left out, and a pivot
+    that a system of ``S`` is disjoint from drops out of that term, as its
+    pieces sum to 1 inside ``H_S``.  A subset none of whose terms is
+    positive is not extended.  Every term first takes one lattice block;
+    the value of the sum then sets each term's standard error target, the
+    binomial one of ``1 - U`` at ``mcrep`` over the square root of the
+    number of inexact terms, and terms refine to it.  A ``known`` estimate
+    stands for the term of its system alone when it is exact or meets that
+    target.  Each term is capped at ``mcrep`` over the number of terms of
+    the routes that may run, the walk's included, so ``n_draws``, which
+    counts every lattice point evaluated, a route not taken included,
+    never passes ``mcrep``; the route under the likeliest system is
+    skipped when its terms do not fit beside the walk's.  Returns None
+    when that worst case leaves less than one block per term or passes
+    ``_MAX_TERMS``.  The value is clamped to [0, 1], its standard error
+    combines those of the terms, and it is exact when every term is.  An
+    inexact sum whose terms show no spread (its only inexact terms are
+    zeros) carries the standard error of one hit in ``mcrep``.
     """
     m = len(systems)
     limit = min(mcrep // (_LATTICE_BLOCK * _SHIFTS), _MAX_TERMS)
-    # Every row of a piece or a node is row k of a system or its negation,
-    # row n + k: one table of conflicts between them serves every check.
+    table = _table(systems)
+    p_max = max((est.value for est in known if est is not None), default=0.0)
+    near_one = mcrep * (1.0 - p_max) < 1.0  # a sample of mcrep would see no miss
+    every = tuple(range(m))
+    ie = [] if near_one else _terms((), table, limit)
+    walk = None if ie is None else _terms(every, table, limit - len(ie))
+    if walk is None:
+        return None
+    routes = [] if near_one else [((), ie, seed)]
+    if m >= 2 and near_one:
+        first = max((i for i in range(m) if known[i] is not None), key=lambda i: known[i].value)
+        head = _terms((first,), table, limit - len(walk))
+        if head is not None:
+            routes.append(((first,), head, derived_seed(seed, 3)))
+    cap = mcrep // max(len(walk) + sum(len(terms) for _, terms, _ in routes), 1)
+    spent = 0
+    for pivots, terms, route_seed in routes:
+        est, balanced = _term_sum(dist, pivots, terms, table, known, mcrep, route_seed, cap)
+        # under a pivot, the subtracted terms must not outweigh the added
+        if (balanced or not pivots) and _resolved(est, mcrep):
+            return est
+        spent = est.n_draws
+    est, _ = _term_sum(dist, every, walk, table, known, mcrep, seed, cap)
+    return est if est.exact else replace(est, n_draws=est.n_draws + spent)
+
+
+def _table(systems):
+    """What :func:`_terms` reads of ``systems``: ``(rows, bounds, conflict,
+    own, pieces, disjoint)``.
+
+    Every row of a piece or a term is row ``k`` of a system or its
+    negation, row ``n + k``, of the signed table ``rows x > bounds``, and
+    one table of conflicts between them (:func:`_conflicts`) serves every
+    check.  ``own`` holds each system's rows, ``pieces`` its pieces that
+    do not conflict in themselves, and ``disjoint[i][j]`` whether systems
+    ``i`` and ``j`` conflict."""
     A = np.vstack([R for R, _ in systems])
     a = np.concatenate([r for _, r in systems])
     rows, bounds, n = np.vstack([A, -A]), np.concatenate([a, -a]), len(a)
@@ -697,35 +737,12 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
         [(j, P) for j, P in _pieces(ix, n) if not conflict[np.ix_(P, P)].any()]
         for ix in own
     ]
-    p_max = max((est.value for est in known if est is not None), default=0.0)
-    direct = mcrep * (1.0 - p_max) < 1.0
+    m = len(own)
     disjoint = [
         [i != j and bool(conflict[np.ix_(own[i], own[j])].any()) for j in range(m)]
         for i in range(m)
     ]
-    n_ie = 0 if direct else _count_subsets(m, disjoint, limit)
-    table = (rows, bounds, conflict)
-    nodes = None if n_ie > limit else _direct_nodes(pieces, table, limit - n_ie)
-    if nodes is None:
-        return None
-    head = None  # the terms under the likeliest system's pieces
-    if m >= 2 and direct:
-        first = max((i for i in range(m) if known[i] is not None), key=lambda i: known[i].value)
-        head = _likeliest_terms(first, pieces[first], own, disjoint, table, limit - len(nodes))
-    cap = mcrep // max(n_ie + len(nodes) + len(head or ()), 1)
-    spent = 0
-    if head is not None:
-        est, balanced = _under_likeliest(dist, head, known, mcrep, derived_seed(seed, 3), cap)
-        if balanced and _resolved(est, mcrep):
-            return est
-        spent = est.n_draws
-    if not direct:
-        est = _inclusion_exclusion(dist, systems, known, disjoint, mcrep, seed, cap)
-        if _resolved(est, mcrep):
-            return est
-        spent = est.n_draws
-    est = _direct(dist, nodes, m, mcrep, seed, cap)
-    return est if est.exact else replace(est, n_draws=est.n_draws + spent)
+    return rows, bounds, conflict, own, pieces, disjoint
 
 
 def _resolved(est, mcrep) -> bool:
@@ -767,39 +784,48 @@ def _next_level(level, m, disjoint):
     return out
 
 
-def _count_subsets(m, disjoint, limit):
-    """The inclusion-exclusion terms no disjoint pair empties, or a number
-    past ``limit`` once they pass it."""
-    level, count = [(i,) for i in range(m)], 0
-    while level and count <= limit:
-        count += len(level)
-        level = _next_level(level, m, disjoint)
-    return count
+def _terms(pivots, table, limit):
+    """The terms of ``1 - U`` under the pieces of ``pivots``, level by level
+    over the subsets ``S`` of the other systems that hold no disjoint pair,
+    then depth first over one piece of each pivot: ``(S, node, ix)`` for
+    ``Pr(piece node_k of the k-th pivot holds, and every system of S
+    does)``, with ``ix`` its rows of the signed table, the pieces' first.
+    A node whose rows conflict is left out, a pivot that a system of ``S``
+    is disjoint from drops out, and ``S`` empty with no pivot left is the
+    whole space, not a term.  ``table`` is that of :func:`_table`.  None
+    when there are more than ``limit``."""
+    _, _, conflict, own, pieces, disjoint = table
+    others = [k for k in range(len(own)) if k not in pivots]
+    apart = [[disjoint[a][b] for b in others] for a in others]
+    terms = []
 
-
-def _direct_nodes(pieces, table, limit):
-    """The direct route's prefixes ``(node, R, r)``, depth first, that no
-    row pair empties; None when there are more than ``limit``.  ``table``
-    is ``(rows, bounds, conflict)``, and each piece holds indices of its
-    rows."""
-    rows, bounds, conflict = table
-    nodes = []
-
-    def walk(node, ix):
-        for j, piece in pieces[len(node)]:
-            if conflict[np.ix_(ix, piece)].any():
-                continue
-            child = (node + (j,), np.concatenate([ix, piece]))
-            nodes.append(child)
-            if len(nodes) > limit:
-                return False
-            if len(child[0]) < len(pieces) and not walk(*child):
-                return False
+    def walk(live, node, at):
+        """Add the terms of the current ``S`` (rows ``ix``) below ``node``,
+        whose pieces hold rows ``at``, depth first; False once there are
+        more than ``limit``."""
+        if not live:
+            terms.append((S, node, np.concatenate([at, ix])))
+            return len(terms) <= limit
+        for j, piece in live[0]:
+            if not conflict[at][:, piece].any():
+                if not walk(live[1:], node + (j,), np.concatenate([at, piece])):
+                    return False
         return True
 
-    if not walk((), np.zeros(0, dtype=int)):
-        return None
-    return [(node, rows[ix], bounds[ix]) for node, ix in nodes]
+    level = [()]
+    while level:
+        for T in level:
+            S = tuple(others[t] for t in T)
+            ix = np.concatenate([np.zeros(0, dtype=int), *(own[k] for k in S)])
+            live = [
+                [(j, P) for j, P in pieces[t] if not (S and conflict[P][:, ix].any())]
+                for t in pivots
+                if not any(disjoint[t][k] for k in S)
+            ]
+            if (S or live) and not walk(live, (), np.zeros(0, dtype=int)):
+                return None
+        level = _next_level(level, len(others), apart)
+    return terms
 
 
 def _start(dist, R, r, seed, cap):
@@ -835,98 +861,42 @@ def _sum_estimate(value, terms, points, mcrep) -> ProbEstimate:
     return ProbEstimate(value, se or _one_hit_se(mcrep), False, points)
 
 
-def _inclusion_exclusion(dist, systems, known, disjoint, mcrep, seed, cap):
-    """``1 - U`` as ``1`` minus the signed intersections, level by level."""
-    m = len(systems)
-    terms = []  # [subset, estimate, finer estimates or None for a known one]
-    level = [(i,) for i in range(m)]
-    while level:
-        live = []
-        for S in level:
-            if len(S) == 1 and known[S[0]] is not None:
-                est, blocks = known[S[0]], None
-            else:
-                R = np.vstack([systems[i][0] for i in S])
-                r = np.concatenate([systems[i][1] for i in S])
-                est, blocks = _start(dist, R, r, derived_seed(seed, 1, *S), cap)
-            terms.append([S, est, blocks])
-            if est.value > 0.0:
-                live.append(S)
-        level = _next_level(live, m, disjoint)
+def _term_sum(dist, pivots, terms, table, known, mcrep, seed, cap):
+    """``1 - U`` as the base (1 with no pivot, the whole space; else 0)
+    plus the :func:`_terms` under ``pivots``, each signed ``(-1)^|S|``, and
+    whether the subtracted terms' variance is at most the added terms'.
 
-    def value():
-        return 1.0 - sum((-1) ** (len(S) + 1) * est.value for S, est, _ in terms)
-
-    target = _term_target(value(), [est for _, est, _ in terms], mcrep)
-    for term in terms:
-        S, est, blocks = term
-        if blocks is None:
-            if est.exact or est.std_error <= target:
-                continue
-            est, blocks = _start(dist, *systems[S[0]], derived_seed(seed, 1, *S), cap)
-        term[1:] = _refine(est, blocks, target), blocks
-    points = sum(est.n_draws for _, est, blocks in terms if blocks is not None)
-    return _sum_estimate(value(), [est for _, est, _ in terms], points, mcrep)
-
-
-def _likeliest_terms(i, pieces, own, disjoint, table, limit):
-    """The terms of ``1 - U`` under the ``pieces`` of system ``i``, level by
-    level over the subsets ``S`` of the other systems that hold no disjoint
-    pair: ``(S, j, R, r)`` for ``Pr(piece j holds and every system of S
-    does)``, left out when its rows conflict; or, when a system of ``S`` is
-    disjoint from system ``i``, so that ``H_S`` lies outside ``H_i`` and
-    the pieces sum to ``Pr(H_S)``, the one term ``(S, None, R, r)``.  None
-    when there are more than ``limit`` terms."""
-    rows, bounds, conflict = table
-    others = [k for k in range(len(own)) if k != i]
-    apart = [[disjoint[a][b] for b in others] for a in others]
-    terms = []
-    level = [()]
-    while level and len(terms) <= limit:
-        for T in level:
-            S = tuple(others[t] for t in T)
-            ix = np.concatenate([np.zeros(0, dtype=int), *(own[k] for k in S)])
-            if any(disjoint[i][k] for k in S):
-                terms.append((S, None, rows[ix], bounds[ix]))
-                continue
-            for j, piece in pieces:
-                if not conflict[np.ix_(piece, ix)].any():
-                    both = np.concatenate([piece, ix])
-                    terms.append((S, j, rows[both], bounds[both]))
-        level = _next_level(level, len(others), apart)
-    return terms if len(terms) <= limit else None
-
-
-def _under_likeliest(dist, terms, known, mcrep, seed, cap):
-    """``1 - U`` as the sum of :func:`_likeliest_terms`, each signed
-    ``(-1)^|S|``, and whether the subtracted terms' variance is at most
-    the added terms'.  A subset none of whose terms is positive is not
-    extended; a ``known`` estimate stands for ``(S, None)`` of one system
-    as in :func:`_inclusion_exclusion`."""
-    items = []  # [subset, rows, estimate, finer estimates or None for a known one]
+    A term's stream is ``derived_seed(seed, 1, *S)`` without a piece and
+    ``(2, *node, *S)`` with one.  A subset none of whose terms is positive
+    is not extended, and a ``known`` estimate stands for the term of its
+    system alone unless it is inexact and misses the target, when that
+    term is estimated afresh.  ``table`` is that of :func:`_table`."""
+    rows, bounds = table[:2]
+    items = []  # [subset, row indices, estimate, finer estimates or None for a known one]
     live = {()}
-    for S, j, R, r in terms:
+    for S, node, ix in terms:
         if any(S[:k] + S[k + 1 :] not in live for k in range(len(S))):
             continue
-        if j is None and len(S) == 1 and known[S[0]] is not None:
+        if not node and len(S) == 1 and known[S[0]] is not None:
             est, blocks = known[S[0]], None
         else:
-            key = (1, *S) if j is None else (2, j, *S)
-            est, blocks = _start(dist, R, r, derived_seed(seed, *key), cap)
-        items.append([S, (R, r), est, blocks])
+            key = (2, *node, *S) if node else (1, *S)
+            est, blocks = _start(dist, rows[ix], bounds[ix], derived_seed(seed, *key), cap)
+        items.append([S, ix, est, blocks])
         if est.value > 0.0:
             live.add(S)
+    base = 0.0 if pivots else 1.0
 
     def value():
-        return sum((-1) ** len(S) * est.value for S, _, est, _ in items)
+        return base - sum((-1) ** (len(S) + 1) * est.value for S, _, est, _ in items)
 
     target = _term_target(value(), [est for _, _, est, _ in items], mcrep)
     for item in items:
-        S, rows, est, blocks = item
+        S, ix, est, blocks = item
         if blocks is None:
             if est.exact or est.std_error <= target:
                 continue
-            est, blocks = _start(dist, *rows, derived_seed(seed, 1, *S), cap)
+            est, blocks = _start(dist, rows[ix], bounds[ix], derived_seed(seed, 1, *S), cap)
         item[2:] = _refine(est, blocks, target), blocks
     points = sum(est.n_draws for _, _, est, blocks in items if blocks is not None)
     var = [0.0, 0.0]  # of the added terms, of the subtracted ones
@@ -934,29 +904,3 @@ def _under_likeliest(dist, terms, known, mcrep, seed, cap):
         var[len(S) % 2] += est.std_error**2
     est = _sum_estimate(value(), [est for _, _, est, _ in items], points, mcrep)
     return est, var[1] <= var[0]
-
-
-def _direct(dist, nodes, m, mcrep, seed, cap):
-    """``1 - U`` as the sum of the direct route's pieces, depth first."""
-    leaves = []  # [estimate, finer estimates]
-    empty = []  # estimates of 0 that cut a prefix
-    points = 0
-    dead = set()
-    for node, R, r in nodes:
-        if node[:-1] in dead:
-            dead.add(node)
-            continue
-        est, blocks = _start(dist, R, r, derived_seed(seed, 2, *node), cap)
-        if len(node) == m:
-            leaves.append([est, blocks])
-        else:
-            points += est.n_draws
-            if est.value == 0.0:
-                dead.add(node)
-                empty.append(est)
-    target = _term_target(sum(est.value for est, _ in leaves), [est for est, _ in leaves], mcrep)
-    for leaf in leaves:
-        leaf[0] = _refine(*leaf, target)
-    points += sum(est.n_draws for est, _ in leaves)
-    terms = empty + [est for est, _ in leaves]
-    return _sum_estimate(sum(est.value for est, _ in leaves), terms, points, mcrep)

@@ -450,10 +450,10 @@ class TestFailures:
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_numeric_failure_exits_two(self, capsys, csv_path):
-        """A feasible band far out in the prior tail defeats the draw
-        budget; that is a numeric failure, not bad input."""
+        """A feasible band so thin that its exact prior probability
+        underflows to zero is a numeric failure, not bad input."""
         code, _, err = run_cli(
-            capsys, *base_test_args(csv_path, "0.0001>x1>0")
+            capsys, *base_test_args(csv_path, "0.00000001>x1>0")
         )
         assert code == 2
         assert "prior" in err

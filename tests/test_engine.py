@@ -28,12 +28,10 @@ from bfreg import (
 from bfreg.constraints import minimal_fraction
 from bfreg.engine import bf_unconstrained
 from bfreg.hyparse import validate
-from bfreg.numkernel import derived_seed
 from conftest import (
     make_random_fit,
     make_two_effect_dataset,
     make_two_effect_fit,
-    mvt_sample,
 )
 from oracle import oracle_complement_prob, oracle_inequality_prob
 
@@ -200,27 +198,14 @@ class TestBfUnconstrainedTwoEffect:
 
         Given x2 = 0 the prior on x1 is t with 2 df and scale 1/2, centered
         at x1 = 1/2, so Pr(0 < x1 < 1) = 2 T_2(1/sqrt 2) - 1 = 1/sqrt 5.
+        The band's two rows have rank 1: an exact interval, not draws.
         """
         cs = parse_one("1 > x1 > x2 = 0", two_effect_fit.coef_names)
         with pytest.warns(ConstraintCenterWarning, match="^H1:"):
-            comp = bf_unconstrained(two_effect_fit, cs, 200_000, seed=6)
-        assert np.isfinite(comp.bf) and comp.bf > 0
-        assert abs(comp.c_ie.value - 1 / np.sqrt(5)) < 4 * comp.c_ie.std_error
-
-    def test_inexact_band_counts_t_draws(self, two_effect_fit):
-        """Without a common apex the prior factor is counted on t draws."""
-        cs = parse_one("1 > x1 > x2 = 0", two_effect_fit.coef_names)
-        with pytest.warns(ConstraintCenterWarning, match="^H1:"):
             comp = bf_unconstrained(two_effect_fit, cs, 50_000, seed=6)
-            ts = build_transform(cs, two_effect_fit)
-        red = cs.reduction
-        prior = conditional_xiI(
-            two_effect_fit, ts, minimal_fraction(two_effect_fit), ts.xi_hat[:1]
-        ).relocate(red.center)
-        draws = mvt_sample(prior, 50_000, derived_seed(6, 2))
-        hits = np.all(draws @ red.Rtilde_I.T > red.rtilde_I, axis=1).sum()
-        assert not comp.c_ie.exact
-        assert comp.c_ie.value == hits / 50_000
+        assert np.isfinite(comp.bf) and comp.bf > 0
+        assert comp.c_ie.exact and comp.c_ie.n_draws == 0
+        assert abs(comp.c_ie.value - 1 / np.sqrt(5)) <= 1e-12
 
     def test_mixed_centred_cone_is_exact(self):
         """(x1,x2)>x3=0: the conditional prior cone has a closed form.
@@ -540,18 +525,20 @@ class TestComplementRoutes:
     """How the complement's ``1 - U`` is estimated, end to end."""
 
     def _routes(self, monkeypatch, returned=None):
+        """The pivot systems of each route summed, in order: ``()`` for
+        inclusion-exclusion, ``(i,)`` under the likeliest system ``i`` and
+        every system for the walk."""
         taken = []
-        for name in ("_inclusion_exclusion", "_under_likeliest", "_direct"):
-            route = getattr(bfreg.numkernel, name)
+        term_sum = bfreg.numkernel._term_sum
 
-            def spy(*args, route=route, name=name):
-                taken.append(name)
-                out = route(*args)
-                if returned is not None:
-                    returned.append(out)
-                return out
+        def spy(dist, pivots, *args):
+            taken.append(pivots)
+            out = term_sum(dist, pivots, *args)
+            if returned is not None:
+                returned.append(out)
+            return out
 
-            monkeypatch.setattr(bfreg.numkernel, name, spy)
+        monkeypatch.setattr(bfreg.numkernel, "_term_sum", spy)
         return taken
 
     def test_unresolved_inclusion_exclusion_falls_back_to_direct(self, monkeypatch):
@@ -566,7 +553,7 @@ class TestComplementRoutes:
         fit = _k5_fit()
         taken = self._routes(monkeypatch)
         res = run_hypotheses(fit, "x1>x2>0; x2>x1>0", mcrep=40_000, seed=1)
-        assert taken == ["_inclusion_exclusion", "_direct", "_inclusion_exclusion"]
+        assert taken == [(), (0, 1), ()]
         h1, h2, hc = res.components
         post = _posterior_t(fit, 1.0)
         sd = np.sqrt(np.diag(post.scale))
@@ -590,7 +577,7 @@ class TestComplementRoutes:
         taken = self._routes(monkeypatch)
         h, hc = run_hypotheses(fit, text, mcrep=10_000, seed=7).components
         assert 10_000 * (1.0 - h.f_ie.value) < 1.0
-        assert taken == ["_direct", "_inclusion_exclusion"]
+        assert taken == [(0,), ()]
         f = hc.f_ie
         assert not f.exact and 0 < f.n_draws <= 10_000
         systems = [(cs.R_I, cs.r_I) for cs in parse_hypotheses(text, fit.coef_names)]
@@ -612,16 +599,17 @@ class TestComplementRoutes:
         taken = self._routes(monkeypatch, returned)
         with pytest.warns(ConstraintCenterWarning):
             f = run_hypotheses(fit, text, mcrep=40_000, seed=1).components[-1].f_ie
-        assert taken[:2] == ["_under_likeliest", "_direct"]
-        (route, balanced), walk = returned[:2]
+        assert taken[:2] == [(0,), (0, 1, 2)]
+        (route, balanced), (walk, _) = returned[:2]
         assert not balanced
         assert (f.value, f.std_error) == (walk.value, walk.std_error)
         assert f.n_draws == route.n_draws + walk.n_draws <= 40_000
         assert f.std_error < 0.2 * f.value
 
     def test_terms_past_the_budget_take_monte_carlo(self, monkeypatch):
-        """55 worst-case terms do not fit 40000 points: the shared-draw
-        union of ``engine._union_prob``, against raw t draws."""
+        """43 worst-case terms (7 of inclusion-exclusion and the walk's 36
+        leaves) do not fit 40000 points: the shared-draw union of
+        ``engine._union_prob``, against raw t draws."""
         fit = _k5_fit()
         text = "x1>x2>x3>x4; x3>x1>x4>x2; (x1,x2,x3,x4)>0"
         calls = []

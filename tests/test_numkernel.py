@@ -1,5 +1,7 @@
 """Linear algebra and Student t primitive behavior."""
 
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -688,20 +690,21 @@ class TestMcUnionProb:
 
 
 def _routes(monkeypatch, returned=None):
-    """Record which routes ``complement_prob`` takes, in order, and what
-    they return in ``returned`` when it is a list."""
+    """Record the pivot systems of each route ``complement_prob`` sums, in
+    order: ``()`` for inclusion-exclusion, ``(i,)`` under the likeliest
+    system ``i`` and every system for the walk; and what each returns in
+    ``returned`` when it is a list."""
     taken = []
-    for name in ("_inclusion_exclusion", "_under_likeliest", "_direct"):
-        route = getattr(numkernel, name)
+    term_sum = numkernel._term_sum
 
-        def spy(*args, route=route, name=name):
-            taken.append(name)
-            out = route(*args)
-            if returned is not None:
-                returned.append(out)
-            return out
+    def spy(dist, pivots, *args):
+        taken.append(pivots)
+        out = term_sum(dist, pivots, *args)
+        if returned is not None:
+            returned.append(out)
+        return out
 
-        monkeypatch.setattr(numkernel, name, spy)
+    monkeypatch.setattr(numkernel, "_term_sum", spy)
     return taken
 
 
@@ -724,7 +727,7 @@ class TestComplementProb:
         ]
         taken = _routes(monkeypatch)
         est = complement_prob(d, systems, [None] * 3, 1_000_000, seed=301)
-        assert taken == ["_inclusion_exclusion"]
+        assert taken == [()]
         assert not est.exact and 0 < est.n_draws <= 1_000_000
         ref = oracle_complement_prob(d, systems, 400_000, seed=302)
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
@@ -774,7 +777,7 @@ class TestComplementProb:
         assert mcrep * (1.0 - max(k.value for k in known)) < 1.0
         taken = _routes(monkeypatch)
         est = complement_prob(d, systems, known, mcrep, seed=321)
-        assert taken == ["_direct"]
+        assert taken == [(0, 1)]
         assert not est.exact and 0 < est.n_draws <= mcrep
         ref = oracle_complement_prob(d, systems, 1_000_000, seed=322, rel_se=0.05)
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
@@ -795,7 +798,7 @@ class TestComplementProb:
         d, systems, known = self._apart_near_one()
         taken = _routes(monkeypatch)
         est = complement_prob(d, systems, known, 20_000, seed=326)
-        assert taken == ["_under_likeliest"]
+        assert taken == [(0,)]
         assert not est.exact and 0 < est.n_draws <= 20_000
         ref = oracle_complement_prob(d, systems, 1_000_000, seed=327, rel_se=0.1)
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
@@ -834,8 +837,8 @@ class TestComplementProb:
         returned = []
         taken = _routes(monkeypatch, returned)
         est = complement_prob(d, systems, [known[0], noisy], 20_000, seed=328)
-        assert taken == ["_under_likeliest", "_direct"]
-        (route, balanced), walk = returned
+        assert taken == [(0,), (0, 1)]
+        (route, balanced), (walk, _) = returned
         assert not balanced and route.std_error >= 1e-5
         assert (est.value, est.std_error) == (walk.value, walk.std_error)
         assert est.n_draws == route.n_draws + walk.n_draws <= 20_000
@@ -848,7 +851,7 @@ class TestComplementProb:
         coarse = ProbEstimate(known[1].value, 1e-3, False, 64)
         taken = _routes(monkeypatch)
         est = complement_prob(d, systems, [known[0], coarse], 20_000, seed=328)
-        assert taken == ["_under_likeliest"]
+        assert taken == [(0,)]
         assert est.std_error < 1e-5 and est.n_draws <= 20_000
         assert est.n_draws > complement_prob(d, systems, known, 20_000, seed=328).n_draws
 
@@ -864,19 +867,55 @@ class TestComplementProb:
         assert 20_000 * (1.0 - known[2].value) < 1.0
         taken = _routes(monkeypatch)
         est = complement_prob(d, systems, known, 20_000, seed=401)
-        assert taken == ["_under_likeliest"]
+        assert taken == [(2,)]
         assert not est.exact and 0 < est.n_draws <= 20_000
         ref = oracle_complement_prob(d, systems, 1_000_000, seed=402, rel_se=0.1)
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
         assert abs(est.value - ref.value) < 4 * se
 
     def test_terms_past_the_budget_return_none(self):
-        """Fewer than one lattice block per worst-case term: no estimate."""
+        """Fewer than one lattice block per worst-case term: no estimate.
+        The walk's budget counts its leaves only: these systems need 7
+        inclusion-exclusion terms and 36 leaves, 43 blocks, which mcrep
+        45000 holds (the walk's 48 nodes needed 55) and 40000 does not."""
         d = MultivariateT(np.zeros(4), np.eye(4), 5.0)
         chain = np.eye(4)[:-1] - np.eye(4)[1:]
         systems = [(chain, np.zeros(3)), (chain[:, [2, 0, 3, 1]], np.zeros(3)), (np.eye(4), np.zeros(4))]
+        table = numkernel._table(systems)
+        assert len(numkernel._terms((), table, math.inf)) == 7
+        assert len(numkernel._terms((0, 1, 2), table, math.inf)) == 36
         assert complement_prob(d, systems, [None] * 3, 40_000, seed=330) is None
         assert complement_prob(d, systems, [None] * 3, 1_000_000, seed=330) is not None
+        est = complement_prob(d, systems, [None] * 3, 45_000, seed=330)
+        assert est is not None and 0 < est.n_draws <= 45_000
+        ref = oracle_complement_prob(d, systems, 400_000, seed=331)
+        se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
+        assert abs(est.value - ref.value) < 4 * se
+
+    def test_pivot_sets_agree(self):
+        """Inclusion-exclusion (no pivot), the pieces of one system and the
+        walk over every system's pieces sum to the same ``1 - U``: on
+        random unions of two or three systems (a rank-deficient one among
+        them, df 1, 5 or 60, off the apex or centred) the three sums agree
+        within 4 combined standard errors."""
+        rng = np.random.default_rng(360)
+        for k in range(12):
+            d = _random_law(rng, 3, (1.0, 5.0, 60.0)[k % 3])
+            systems = []
+            for q in (2, 3) if k % 2 else (1, 2, 4):
+                R = rng.standard_normal((q, 3))
+                off = 0.0 if k % 4 == 0 else 0.5 * rng.standard_normal(q)
+                systems.append((R, R @ d.location + off))
+            m, table = len(systems), numkernel._table(systems)
+            ests = []
+            for pivots in ((), (k % m,), tuple(range(m))):
+                terms = numkernel._terms(pivots, table, math.inf)
+                est, _ = numkernel._term_sum(
+                    d, pivots, terms, table, [None] * m, 100_000, 3600 + k, 100_000
+                )
+                ests.append(est)
+            for a, b in itertools.combinations(ests, 2):
+                assert abs(a.value - b.value) <= 4 * np.hypot(a.std_error, b.std_error) + 1e-12
 
     @pytest.mark.parametrize("mcrep", [10_000, 100_000, 1_000_000])
     def test_points_within_mcrep(self, mcrep):
