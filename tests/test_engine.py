@@ -28,10 +28,12 @@ from bfreg import (
 from bfreg.constraints import minimal_fraction
 from bfreg.engine import bf_unconstrained
 from bfreg.hyparse import validate
+from bfreg.numkernel import _SHIFTS, derived_seed
 from conftest import (
     make_random_fit,
     make_two_effect_dataset,
     make_two_effect_fit,
+    mvt_sample,
 )
 from oracle import oracle_complement_prob, oracle_inequality_prob
 
@@ -206,6 +208,23 @@ class TestBfUnconstrainedTwoEffect:
         assert np.isfinite(comp.bf) and comp.bf > 0
         assert comp.c_ie.exact and comp.c_ie.n_draws == 0
         assert abs(comp.c_ie.value - 1 / np.sqrt(5)) <= 1e-12
+
+    def test_inexact_band_counts_t_draws(self, two_effect_fit):
+        """Below one point per lattice shift the band's prior factor is
+        counted on t draws, not taken as its exact interval."""
+        n = _SHIFTS - 1
+        cs = parse_one("1 > x1 > x2 = 0", two_effect_fit.coef_names)
+        with pytest.warns(ConstraintCenterWarning, match="^H1:"):
+            comp = bf_unconstrained(two_effect_fit, cs, n, seed=6)
+            ts = build_transform(cs, two_effect_fit)
+        red = cs.reduction
+        prior = conditional_xiI(
+            two_effect_fit, ts, minimal_fraction(two_effect_fit), ts.xi_hat[:1]
+        ).relocate(red.center)
+        draws = mvt_sample(prior, n, derived_seed(6, 2))
+        hits = np.all(draws @ red.Rtilde_I.T > red.rtilde_I, axis=1).sum()
+        assert not comp.c_ie.exact and comp.c_ie.n_draws == n
+        assert comp.c_ie.value == hits / n
 
     def test_mixed_centred_cone_is_exact(self):
         """(x1,x2)>x3=0: the conditional prior cone has a closed form.
