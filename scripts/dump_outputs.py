@@ -8,16 +8,15 @@ prior center is inexact, inequalities that the equalities make vacuous
 (with free directions left and with every coefficient pinned),
 raw-coordinate systems, two- and three-system complements (one whose
 inclusion-exclusion does not resolve its small value and falls back to
-disjoint pieces, one whose terms pass the budget of ``K5_MCREP`` and
-take Monte Carlo), ``df_as_printed``, the exploratory screen of the k5
-fit and of a fit
-whose ``Pr(x1 < 0)`` underflows (every factor of every coefficient), a
-five-row chain off and through the location of a fixed t law (the
-lattice rule; off the location at 7 and at 1 degree of freedom) and the
-README demo.  Two cases are the text reports instead: the README demo
-with every ``--show`` table, and the k5 screen with its Bayes factor
-matrices.  A case that raises records its error
-instead.
+disjoint pieces, one whose terms leave less than one lattice block each
+at ``K5_MCREP`` and take fewer points), ``df_as_printed``, the
+exploratory screen of the k5 fit and of a fit whose ``Pr(x1 < 0)``
+underflows (every factor of every coefficient), a five-row chain off and
+through the location of a fixed t law (the lattice rule; off the
+location at 7 and at 1 degree of freedom) and the README demo.  Two
+cases are the text reports instead: the README demo with every
+``--show`` table, and the k5 screen with its Bayes factor matrices.  A
+case that raises records its error instead.
 
 Usage:
     python scripts/dump_outputs.py OUT [--root CHECKOUT]

@@ -85,7 +85,9 @@ def _build_parser() -> _Parser:
             "--mcrep",
             type=int,
             default=1_000_000,
-            help="Monte Carlo draws per estimate (minimum 10000)",
+            help="precision budget per estimate in draw-equivalents: refine "
+            "to the standard error of this many independent draws, with no "
+            "more lattice points (minimum 10000)",
         )
         p.add_argument(
             "--seed",

@@ -12,9 +12,9 @@ constraint boundary, f_IE the posterior probability of the inequality
 region (conditioned on the equalities when both parts are present) and
 c_IE the same probability under the relocated prior.  Densities are
 handled in log space throughout; only the probability factors ever carry
-Monte Carlo error, and single-row inequality systems take an exact CDF
-path.  The automatic complement covers whatever region the stated
-inequality-only hypotheses leave free.
+estimation error, that of a randomly shifted lattice rule, and single-row
+inequality systems take an exact CDF path.  The automatic complement
+covers whatever region the stated inequality-only hypotheses leave free.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .numkernel import (
     ProbEstimate,
     complement_prob,
     derived_seed,
-    mc_union_prob,
     mvt_constraint_prob,
     mvt_logpdf,
     t_cdf,
@@ -56,7 +55,7 @@ from .numkernel import (
 _Z90 = float(ndtri(0.95))
 
 # When the stated inequality-only hypotheses leave less prior mass than
-# this (plus Monte Carlo slack) uncovered, they exhaust the parameter
+# this (plus estimation slack) uncovered, they exhaust the parameter
 # space and no complement is added.
 _EXHAUSTION_TOL = 1e-3
 
@@ -71,7 +70,7 @@ class BFComponents:
     ``c_e``/``f_e`` are prior/posterior densities (None without an
     equality part), ``c_ie``/``f_ie`` prior/posterior constraint
     probabilities (None without an inequality part).  ``ci90`` is a 90%
-    interval for ``bf`` when Monte Carlo error is present, else None.
+    interval for ``bf`` when estimation error is present, else None.
     """
 
     label: str
@@ -181,7 +180,7 @@ def bf_matrix(components) -> np.ndarray:
 
 
 def _ratio_ci90(bf, f_est: ProbEstimate, c_est: ProbEstimate):
-    """Delta-method 90% interval on log B for a ratio of MC proportions."""
+    """Delta-method 90% interval on log B for a ratio of estimated proportions."""
     if not (f_est.std_error > 0 or c_est.std_error > 0):
         return None
     if f_est.value <= 0 or bf <= 0:
@@ -238,9 +237,9 @@ def bf_unconstrained(
     region probabilities, and mixed hypotheses the product of both with
     the probabilities conditioned on the equality slice.  The inequality
     rows are the live rows of the system's reduction; when the equalities
-    leave none, both probability factors are exactly 1.  Monte Carlo
-    draws for numerator and denominator use independent streams derived
-    from ``seed``.
+    leave none, both probability factors are exactly 1.  The lattice
+    estimates of numerator and denominator use independent streams
+    derived from ``seed``.
     """
     ts = build_transform(cs, fit)
     b_min = minimal_fraction(fit)
@@ -288,20 +287,21 @@ def bf_unconstrained(
 
 
 def _union_prob(dist: MultivariateT, systems, n_draws: int, seed) -> ProbEstimate:
-    """Shared-draw Monte Carlo estimate of Pr(any system's inequalities hold)."""
-    return mc_union_prob(dist, [(cs.R_I, cs.r_I) for cs in systems], n_draws, seed)
+    """Pr(any system's inequalities hold), one minus :func:`_complement_prob`.
+
+    Nothing calls it: it stays only as the site where the benchmark's
+    tracer counts ``engine.union_draws``, and goes once that counter reads
+    the complement's returned estimates instead.
+    """
+    est = _complement_prob(dist, systems, [None] * len(systems), n_draws, seed)
+    return replace(est, value=1.0 - est.value)
 
 
 def _complement_prob(dist: MultivariateT, systems, known, mcrep: int, seed) -> ProbEstimate:
     """Pr(no system's inequalities hold): :func:`~bfreg.numkernel.complement_prob`
-    on the live rows of each reduction, or one minus the Monte Carlo union
-    of :func:`_union_prob` when its terms do not fit the budget."""
+    on the live rows of each reduction."""
     rows = [(cs.reduction.Rtilde_I, cs.reduction.rtilde_I) for cs in systems]
-    est = complement_prob(dist, rows, known, mcrep, seed)
-    if est is None:
-        u = _union_prob(dist, systems, mcrep, seed)
-        est = replace(u, value=1.0 - u.value)
-    return est
+    return complement_prob(dist, rows, known, mcrep, seed)
 
 
 def bf_complement(
@@ -323,10 +323,11 @@ def bf_complement(
     (:func:`~bfreg.numkernel.complement_prob`), exact when every term is;
     a hypothesis' own ``f_ie`` (and its ``c_ie`` when its prior center is
     the union's) stands for its term when precise enough.  Terms share
-    the ``mcrep`` budget; past it the union is counted on ``mcrep``
-    shared draws.  A single inequality-only hypothesis takes the same
-    path; with none the complement is the unconstrained model itself (B
-    = 1).  Returns None when the stated hypotheses exhaust the space.
+    the ``mcrep`` budget, one lattice point each at least, and
+    :class:`~bfreg.errors.NumericError` is raised when no route's terms
+    fit it.  A single inequality-only hypothesis takes the same path;
+    with none the complement is the unconstrained model itself (B = 1).
+    Returns None when the stated hypotheses exhaust the space.
     """
     ineq = [
         (cs, comp)

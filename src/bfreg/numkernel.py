@@ -11,12 +11,10 @@ in this kind of code, so every consumer must be explicit about which
 object it passes.  With ``d=1, df=1, scale=1`` the density is the standard
 Cauchy.
 
-Monte Carlo draws are generated as ``location + (z @ L') * sqrt(df/w)``
-with ``z`` standard normal, ``w`` chi-square(df) and ``L`` the Cholesky
-factor of the scale.  The generator is Philox (counter based), keyed by a
-``SeedSequence`` over the user seed, so chunked draws reproduce the serial
-stream and the contract is: same seed + same number of draws -> identical
-estimate, bit for bit.
+Every estimate that is not exact is a lattice rule whose random shifts
+are drawn from a Philox generator (counter based), keyed by a
+``SeedSequence`` over the user seed, so the contract is: same seed + same
+budget -> identical estimate, bit for bit.
 
 Probability estimates
 ---------------------
@@ -34,9 +32,13 @@ probability is chosen:
   (:func:`_radial`); a shift's estimate is its weighted mean.  In a
   rank-deficient ``R`` a row that depends on the rows before it shares
   their column of the factor and bounds it from above or below (Genz and
-  Kwong 2000), and rank 1 is an exact interval;
-- MC: a budget of fewer draws than shifts counts hits of draws of ``xi``
-  itself in :func:`mc_union_prob`.
+  Kwong 2000), and rank 1 is an exact interval.  A budget below one
+  point per shift takes one point on each of fewer shifts.
+
+The budget ``n_draws`` (the engine's ``mcrep``) is a precision budget in
+draw-equivalents: an estimate refines until its standard error is at most
+the binomial one of that many independent draws, and never evaluates more
+lattice points than that.
 
 :func:`complement_prob` estimates the probability that none of several
 systems holds, the engine's complement, as a sum of region probabilities
@@ -45,9 +47,8 @@ each *pivot* system into its disjoint pieces and take inclusion-exclusion
 over the other systems inside them.  No pivot is inclusion-exclusion,
 every system the walk over disjoint pieces, and, when one system is
 nearly certain, the likeliest system alone, taken only when its
-subtracted terms add no more variance than its added ones.  Past its
-budget the engine counts the union on shared draws of
-:func:`mc_union_prob` instead.
+subtracted terms add no more variance than its added ones.  The terms
+share the budget; a route whose terms do not fit it is skipped.
 
 Every path takes the rows it is given as they are.  Deciding rows the
 equalities leave without coefficient content is the job of the cached
@@ -60,11 +61,7 @@ factor with an exact center) has the same probability under every
 elliptical law, whatever the df: the Gaussian orthant probability of the
 correlation of ``R S R'``.  With two or three rows that probability is
 exact (Sheppard's and Plackett's formulas); with more the lattice rule
-drops its radial coordinate, so the estimate does not depend on df.  In
-:func:`mc_union_prob`, when every system's apex is the location, the hit
-test depends only on the direction of a draw from the location, so it
-counts standard normals ``z L'`` against ``R y > 0`` and skips the
-chi-square draws and the location.
+drops its radial coordinate, so the estimate does not depend on df.
 """
 
 from __future__ import annotations
@@ -77,11 +74,11 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln, ndtr, ndtri, stdtr
 
-from .errors import DecompositionError, InvalidInputError
+from .errors import DecompositionError, InvalidInputError, NumericError
 
-# Draws are produced in fixed-size chunks to bound memory; the chunk size
-# is part of no contract but must stay constant for stream reproducibility
-# to be meaningful across call sites.
+# The lattice evaluates its points in chunks of at most this many to bound
+# memory.  The chunks set the order of summation, so the size must stay
+# constant for an estimate to reproduce to the bit.
 _CHUNK = 1 << 18
 
 _EPS = float(np.finfo(float).eps)
@@ -119,7 +116,7 @@ _NONZERO = 1e-8
 _PARALLEL_TOL = 1e-12
 
 # A complement is a sum of at most this many lattice terms in the worst
-# case (at mcrep 1e6 the budget allows 976); past it the union is sampled.
+# case; a route with more is skipped.
 _MAX_TERMS = 4096
 
 
@@ -140,8 +137,8 @@ def rng_from_seed(seed, *path):
 def derived_seed(seed, *path):
     """Deterministically derive an independent child seed from ``seed``.
 
-    Used to give every Monte Carlo estimate in a larger computation its
-    own reproducible stream.
+    Used to give every estimate in a larger computation its own
+    reproducible stream.
     """
     return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
 
@@ -202,14 +199,12 @@ class ProbEstimate:
     """A probability with its estimation pedigree.
 
     ``exact`` estimates carry ``std_error == 0`` and ``n_draws == 0``.
-    Monte Carlo estimates count hits over ``n_draws`` draws and carry the
-    binomial standard error ``sqrt(p(1-p)/n_draws)``, or that of one hit,
-    ``sqrt((1/n)(1-1/n)/n)``, when no draw or every draw hits; lattice
-    (QMC) estimates take, per independent random shift, the weighted
-    mean of the integrand over its points (``n_draws`` points in all),
-    and carry the standard error of the shift means.  A
-    complement sums lattice terms: ``n_draws`` counts every point it
-    evaluated and its standard error combines those of its terms.
+    Every other estimate is a lattice (QMC) rule over ``n_draws`` points
+    in all, and carries the standard error of its independent random
+    shifts, which is positive: where the shifts show no spread it is that
+    of one hit in the budget (:func:`_one_hit_se`).  A complement sums
+    lattice terms: ``n_draws`` counts every point it evaluated and its
+    standard error combines those of its terms.
     """
 
     value: float
@@ -289,30 +284,6 @@ def t_cdf(x, df):
     return float(p) if p.ndim == 0 else p
 
 
-def _sample_chunks(dist: MultivariateT, n_draws: int, seed, centred=False):
-    """Yield draws from ``dist`` in fixed-size chunks (shared RNG stream).
-
-    With ``centred`` only the Gaussian part ``z L'`` of each draw is
-    produced: it points from the location in the same direction as the
-    t draw ``location + z L' sqrt(df / w)`` would.
-    """
-    L = _cholesky(dist.scale)
-    rng = rng_from_seed(seed)
-    loc, df, d = dist.location, dist.df, dist.dim
-    done = 0
-    while done < n_draws:
-        m = int(min(_CHUNK, n_draws - done))
-        y = rng.standard_normal((m, d)) @ L.T
-        if not centred:
-            y *= np.sqrt(df / rng.chisquare(df, m))[:, None]
-            y += loc
-        yield y
-        # release the chunk before the next one is drawn, so that two
-        # chunks are never alive at once
-        del y
-        done += m
-
-
 def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimate:
     """Estimate ``Pr(R xi > r)`` for ``xi ~ dist``.
 
@@ -323,9 +294,10 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
     interval, and every other system takes the lattice rule of
     :func:`_lattice_prob`, which stops once its standard error is at most
     the binomial one of ``n_draws`` draws and never uses more than
-    ``n_draws`` points.  Below one point per lattice shift ``xi`` itself
-    is sampled ``n_draws`` times and the rows are checked directly.  The
-    rows are taken as given (see the module notes).
+    ``n_draws`` points.  A lattice estimate whose shifts show no spread
+    (every point 0, say, in a far tail) carries the standard error of one
+    hit in ``n_draws`` instead of 0.  The rows are taken as given (see the
+    module notes).
     """
     R = np.atleast_2d(np.asarray(R, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -339,14 +311,15 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
         raise InvalidInputError("constraint bound has the wrong length")
     if not np.all(np.isfinite(r)):
         raise InvalidInputError("constraint bound contains non-finite entries")
+    if n_draws < 1:
+        raise InvalidInputError("n_draws must be at least 1")
 
-    est = None
     for est in _estimates(dist, R, r, _full_row_rank(R), seed, n_draws):
         if est.exact or _resolved(est, n_draws):
             break
-    if est is not None:
+    if est.exact or est.std_error > 0.0:
         return est
-    return mc_union_prob(dist, [(R, r)], n_draws, seed)
+    return replace(est, std_error=_one_hit_se(n_draws))
 
 
 def _full_row_rank(R) -> bool:
@@ -463,11 +436,13 @@ def _lattice_prob(law: MultivariateT, r, centred, full, seed, cap):
     their spread.  Points per shift double from ``_LATTICE_BLOCK``, and an
     estimate is yielded after each block (``n_draws`` counts the points
     so far) until the next block would pass ``cap`` points in all.  A
-    ``cap`` below one point per shift yields nothing.
+    ``cap`` below one point per shift takes one point on each of ``cap``
+    shifts and yields once: a shift of one point has a ratio of 0/0 where
+    ``omega`` is 0, so the ratio is pooled over all of them
+    (:func:`_pooled_ratio`).
     """
     cap = int(cap)
-    if cap < _SHIFTS:
-        return
+    n_shifts = min(_SHIFTS, cap)
     q = law.dim
     sd = np.sqrt(np.diag(law.scale))
     a = np.zeros(q) if centred else (r - law.location) / sd
@@ -487,7 +462,7 @@ def _lattice_prob(law: MultivariateT, r, centred, full, seed, cap):
         return
     dims = rank - 1 if centred else rank
     alpha = _root_primes(dims)
-    shifts = rng_from_seed(seed).random((dims, _SHIFTS, 1))
+    shifts = rng_from_seed(seed).random((dims, n_shifts, 1))
 
     def integrand(i):
         """Sums over points ``i`` of the weighted values and of the weights,
@@ -495,11 +470,11 @@ def _lattice_prob(law: MultivariateT, r, centred, full, seed, cap):
         x = i * alpha[:, None, None] + shifts
         # x >= 0, so x - floor(x) is the exact fractional part, as x % 1.0
         u = np.abs(2.0 * (x - np.floor(x)) - 1.0)
-        s, weight = 0.0, np.ones((_SHIFTS, i.size))
+        s, weight = 0.0, np.ones((n_shifts, i.size))
         if not centred:
             s, weight = _radial(u[-1], law.df)
-        z = np.empty((rank - 1, _SHIFTS, i.size))
-        prob = np.ones((_SHIFTS, i.size))
+        z = np.empty((rank - 1, n_shifts, i.size))
+        prob = np.ones((n_shifts, i.size))
         for j in range(rank):
             lo = hi = None
             for row, low in bounds[j]:
@@ -521,20 +496,40 @@ def _lattice_prob(law: MultivariateT, r, centred, full, seed, cap):
                     z[j] = -ndtri(np.clip(top + (1.0 - u[j]) * e, _TINY, _BELOW_ONE))
         return (prob * weight).sum(axis=1), weight.sum(axis=1)
 
-    sums, weights = np.zeros(_SHIFTS), np.zeros(_SHIFTS)
+    sums, weights = np.zeros(n_shifts), np.zeros(n_shifts)
     step = _CHUNK // _SHIFTS
-    done, n = 0, min(_LATTICE_BLOCK, cap // _SHIFTS)
+    done, n = 0, min(_LATTICE_BLOCK, cap // n_shifts)
     while True:
         for start in range(done, n, step):
             total, weight = integrand(np.arange(start + 1, min(n, start + step) + 1.0))
             sums += total
             weights += weight
+        if n_shifts < _SHIFTS:
+            yield _pooled_ratio(sums, weights)
+            return
         means = sums / weights
         se = float(means.std(ddof=1)) / math.sqrt(_SHIFTS)
         yield ProbEstimate(float(means.mean()), se, False, n * _SHIFTS)
         if 2 * n * _SHIFTS > cap:
             return
         done, n = n, 2 * n
+
+
+def _pooled_ratio(sums, weights):
+    """The estimate of ``k < _SHIFTS`` shifts of one point each: the ratio
+    ``sum omega prod e_j / sum omega`` over all their points, with the
+    delta-method standard error of a ratio of means.  A point of weight 0
+    says nothing, so with no point of positive weight the estimate is 1/2.
+    A single point shows no spread: its standard error is 0."""
+    k, total = len(sums), float(weights.sum())
+    if total == 0.0:
+        return ProbEstimate(0.5, 0.0, False, k)
+    p = min(float(sums.sum()) / total, 1.0)
+    se = 0.0
+    if k > 1:
+        resid = sums - p * weights
+        se = math.sqrt(float(resid @ resid) / (k * (k - 1))) * k / total
+    return ProbEstimate(p, se, False, k)
 
 
 def _radial(u, df):
@@ -602,36 +597,11 @@ def _apex_at_location(dist: MultivariateT, systems) -> bool:
     return True
 
 
-def mc_union_prob(dist: MultivariateT, systems, n_draws, seed) -> ProbEstimate:
-    """Monte Carlo estimate of ``Pr(R xi > r for some (R, r) in systems)``.
-
-    Every system is checked on the same ``n_draws`` draws of ``xi ~
-    dist``.  When every system's apex sits at the location, the draws are
-    the Gaussian parts ``z L'`` alone and a hit is ``R y > 0``.  The
-    estimate carries the binomial standard error, and with no hit or
-    nothing but hits that of one hit: ``0 +- 0`` would claim a certainty
-    no finite sample has.
-    """
-    n_draws = int(n_draws)
-    if n_draws < 1:
-        raise InvalidInputError("n_draws must be at least 1")
-    centred = _apex_at_location(dist, systems)
-    hits = 0
-    for chunk in _sample_chunks(dist, n_draws, seed, centred):
-        sat = np.zeros(chunk.shape[0], dtype=bool)
-        for R, r in systems:
-            y = chunk @ R.T
-            sat |= np.all(y > (0.0 if centred else r), axis=1)
-        hits += int(sat.sum())
-        del chunk, y
-    p = hits / n_draws
-    se = math.sqrt(p * (1.0 - p) / n_draws) if 0 < hits < n_draws else _one_hit_se(n_draws)
-    return ProbEstimate(p, se, False, n_draws)
-
-
 def _one_hit_se(n) -> float:
-    """Binomial standard error of one hit in ``n`` draws."""
-    return math.sqrt((1.0 / n) * (1.0 - 1.0 / n) / n)
+    """Binomial standard error of one hit in ``n`` draws, and of a fair
+    coin for ``n = 1``, where one hit would be certainty."""
+    p = 1.0 / max(n, 2)
+    return math.sqrt(p * (1.0 - p) / n)
 
 
 def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
@@ -674,48 +644,56 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
     r_a + r_b >= 0`` is empty in closed form and left out, and a pivot
     that a system of ``S`` is disjoint from drops out of that term, as its
     pieces sum to 1 inside ``H_S``.  A subset none of whose terms is
-    positive is not extended.  Every term first takes one lattice block;
-    the value of the sum then sets each term's standard error target, the
-    binomial one of ``1 - U`` at ``mcrep`` over the square root of the
-    number of inexact terms, and terms refine to it.  A ``known`` estimate
-    stands for the term of its system alone when it is exact or meets that
-    target.  Each term is capped at ``mcrep`` over the number of terms of
-    the routes that may run, the walk's included, so ``n_draws``, which
-    counts every lattice point evaluated, a route not taken included,
-    never passes ``mcrep``; the route under the likeliest system is
-    skipped when its terms do not fit beside the walk's.  Returns None
-    when that worst case leaves less than one block per term or passes
-    ``_MAX_TERMS``.  The value is clamped to [0, 1], its standard error
+    positive is not extended.  Every term first takes one lattice block,
+    or its cap of points when that is smaller; the value of the sum then
+    sets each term's standard error target, the binomial one of ``1 - U``
+    at ``mcrep`` over the square root of the number of inexact terms, and
+    terms refine to it.  A ``known`` estimate stands for the term of its
+    system alone when it is exact or meets that target.
+
+    Each term needs at least one lattice point, so a route fits when its
+    terms fit in ``mcrep`` (and ``_MAX_TERMS``) beside those of the routes
+    that fit before it: inclusion-exclusion, then the walk, then the
+    likeliest system's.  A route that does not fit is skipped, and when
+    none fits :class:`~bfreg.errors.NumericError` is raised.  Each term is
+    capped at ``mcrep`` over the number of terms of the routes that fit,
+    so ``n_draws``, which counts every lattice point evaluated, a route
+    not taken included, never passes ``mcrep``.  The last route that runs
+    stands whether or not it resolves: its standard error says how
+    precise it is.  The value is clamped to [0, 1], its standard error
     combines those of the terms, and it is exact when every term is.  An
     inexact sum whose terms show no spread (its only inexact terms are
     zeros) carries the standard error of one hit in ``mcrep``.
     """
     m = len(systems)
-    limit = min(mcrep // (_LATTICE_BLOCK * _SHIFTS), _MAX_TERMS)
     table = _table(systems)
     p_max = max((est.value for est in known if est is not None), default=0.0)
     near_one = mcrep * (1.0 - p_max) < 1.0  # a sample of mcrep would see no miss
     every = tuple(range(m))
-    ie = [] if near_one else _terms((), table, limit)
-    walk = None if ie is None else _terms(every, table, limit - len(ie))
-    if walk is None:
-        return None
-    routes = [] if near_one else [((), ie, seed)]
+    wanted = [((), seed), (every, seed)] if not near_one else [(every, seed)]
     if m >= 2 and near_one:
         first = max((i for i in range(m) if known[i] is not None), key=lambda i: known[i].value)
-        head = _terms((first,), table, limit - len(walk))
-        if head is not None:
-            routes.append(((first,), head, derived_seed(seed, 3)))
-    cap = mcrep // max(len(walk) + sum(len(terms) for _, terms, _ in routes), 1)
+        wanted.append(((first,), derived_seed(seed, 3)))
+    limit = min(mcrep, _MAX_TERMS)
+    routes = []
+    for pivots, route_seed in wanted:
+        terms = _terms(pivots, table, limit - sum(len(t) for _, t, _ in routes))
+        if terms is not None:
+            routes.append((pivots, terms, route_seed))
+    if not routes:
+        raise NumericError(
+            f"the complement needs more than {limit} lattice terms on every "
+            "route (increase mcrep)"
+        )
+    routes.sort(key=lambda route: route[0] == every)  # the walk runs last
+    cap = mcrep // max(sum(len(terms) for _, terms, _ in routes), 1)
     spent = 0
-    for pivots, terms, route_seed in routes:
+    for k, (pivots, terms, route_seed) in enumerate(routes):
         est, balanced = _term_sum(dist, pivots, terms, table, known, mcrep, route_seed, cap)
         # under a pivot, the subtracted terms must not outweigh the added
-        if (balanced or not pivots) and _resolved(est, mcrep):
-            return est
-        spent = est.n_draws
-    est, _ = _term_sum(dist, every, walk, table, known, mcrep, seed, cap)
-    return est if est.exact else replace(est, n_draws=est.n_draws + spent)
+        if k == len(routes) - 1 or ((balanced or not pivots) and _resolved(est, mcrep)):
+            return est if est.exact else replace(est, n_draws=est.n_draws + spent)
+        spent += est.n_draws
 
 
 def _table(systems):

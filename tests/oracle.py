@@ -55,6 +55,12 @@ def _draw_t(rng, location, scale, df, n_draws):
     return loc + z / np.sqrt(w)[:, None]
 
 
+def mvt_sample(dist: MultivariateT, n_draws: int, seed: int):
+    """``n_draws`` raw t draws from ``dist``, shape ``(n_draws, d)``."""
+    rng = np.random.default_rng(seed)
+    return _draw_t(rng, dist.location, dist.scale, dist.df, n_draws)
+
+
 # Cap on the chunks of draws one proportion may take to reach its target.
 _MAX_CHUNKS = 64
 
