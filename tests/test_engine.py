@@ -210,6 +210,25 @@ class TestBfUnconstrainedTwoEffect:
         assert comp.c_ie.exact and comp.c_ie.n_draws == 0
         assert abs(comp.c_ie.value - 1 / np.sqrt(5)) <= 1e-12
 
+    def test_inexact_band_counts_t_draws(self):
+        """Below one point per lattice shift a band of rank 2, 1 > x1 > x2
+        > x3 = 0, is not an exact interval: its prior factor takes one point
+        on each of that many shifts and agrees with raw t draws."""
+        n = _SHIFTS - 1
+        fit = make_random_fit(seed=91, n=40, k=4)
+        cs = parse_one("1 > x1 > x2 > x3 = 0", fit.coef_names)
+        with pytest.warns(ConstraintCenterWarning, match="^H1:"):
+            comp = bf_unconstrained(fit, cs, n, seed=6)
+            ts = build_transform(cs, fit)
+        red = cs.reduction
+        prior = conditional_xiI(
+            fit, ts, minimal_fraction(fit), ts.xi_hat[:1]
+        ).relocate(red.center)
+        ref = oracle_inequality_prob(prior, red.Rtilde_I, red.rtilde_I, 400_000, seed=7)
+        assert not comp.c_ie.exact and comp.c_ie.n_draws == n
+        se = np.hypot(comp.c_ie.std_error, ref.value * ref.rel_error_bound)
+        assert comp.c_ie.std_error > 0 and abs(comp.c_ie.value - ref.value) < 4 * se
+
     def test_mixed_centred_cone_is_exact(self):
         """(x1,x2)>x3=0: the conditional prior cone has a closed form.
 
