@@ -19,6 +19,7 @@ covers whatever region the stated inequality-only hypotheses leave free.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -361,6 +362,18 @@ def bf_complement(
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _validated(hypothesis_text: str, coef_names: tuple) -> tuple:
+    """The systems of ``hypothesis_text`` over ``coef_names``, parsed and
+    validated once per distinct pair: each system's equality reduction
+    and prior center come with it.  Errors are not kept, so a bad text
+    raises on every call."""
+    systems = tuple(parse_hypotheses(hypothesis_text, coef_names))
+    for cs in systems:
+        validate(cs)
+    return systems
+
+
 def _complement_text(n_hypotheses: int) -> str:
     if n_hypotheses == 1:
         return "Not H1"
@@ -384,15 +397,21 @@ def test_hypotheses(
     posterior probabilities.  The same seed yields a bit-identical
     result.  The text ``"exploratory"`` delegates to
     :func:`exploratory_test`.
+
+    What depends on the hypotheses alone is done once and reused across
+    fits and seeds: the parsed and validated systems (with their
+    equality reductions and prior centers) are kept per ``(text,
+    fit.coef_names)`` for the last 64 distinct pairs, and the
+    complement's term structure per distinct row content
+    (:func:`~bfreg.numkernel.complement_prob`).  Warnings about inexact
+    prior centers are raised on every call.
     """
     mcrep = int(mcrep)
     if mcrep < 1:
         raise InvalidInputError("mcrep must be positive")
     if is_exploratory(hypothesis_text):
         return exploratory_test(fit, mcrep=mcrep, seed=seed)
-    systems = parse_hypotheses(hypothesis_text, fit.coef_names)
-    for cs in systems:
-        validate(cs)
+    systems = _validated(hypothesis_text, tuple(fit.coef_names))
     components = []
     for i, cs in enumerate(systems):
         try:

@@ -67,6 +67,13 @@ def prior_center(R, r):
     return center, exact
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy of ``a``."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 class EqualityReduction(NamedTuple):
     """The inequalities restated over the free directions ``xi_I = D beta``.
 
@@ -92,7 +99,9 @@ class ConstraintSystem:
     """One hypothesis as matrices: ``R_E beta = r_E`` and ``R_I beta > r_I``.
 
     ``source`` is the canonical text (whitespace stripped) the system was
-    parsed from; reparsing it reproduces the matrices.
+    parsed from; reparsing it reproduces the matrices.  The matrices are
+    read-only copies, as is everything in :attr:`reduction`: the engine
+    shares one validated system between calls (and threads).
     """
 
     label: str
@@ -103,10 +112,8 @@ class ConstraintSystem:
     r_I: np.ndarray
 
     def __post_init__(self):
-        RE = np.asarray(self.R_E, dtype=float)
-        RI = np.asarray(self.R_I, dtype=float)
-        rE = np.atleast_1d(np.asarray(self.r_E, dtype=float))
-        rI = np.atleast_1d(np.asarray(self.r_I, dtype=float))
+        RE, RI = _frozen(self.R_E), _frozen(self.R_I)
+        rE, rI = _frozen(np.atleast_1d(self.r_E)), _frozen(np.atleast_1d(self.r_I))
         if RE.ndim != 2 or RI.ndim != 2 or RE.shape[1] != RI.shape[1]:
             raise HypothesisSyntaxError("constraint matrices must share a width")
         if RE.shape[0] != rE.shape[0] or RI.shape[0] != rI.shape[0]:
@@ -177,7 +184,8 @@ class ConstraintSystem:
                     f"inequality reduces to 0 > {c:g}"
                 )
         Rt, rt = Rt[live], rt[live]
-        return EqualityReduction(D, Rt, rt, *prior_center(Rt, rt))
+        center, exact = prior_center(Rt, rt)
+        return EqualityReduction(*map(_frozen, (D, Rt, rt, center)), exact)
 
 
 @dataclass(frozen=True)

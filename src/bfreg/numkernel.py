@@ -119,6 +119,10 @@ _PARALLEL_TOL = 1e-12
 # case; a route with more is skipped.
 _MAX_TERMS = 4096
 
+# Tables of row structure (:func:`_table`) kept, for the most recently used
+# distinct row contents.
+_TABLES = 128
+
 
 def _seed_sequence(seed, path=()):
     entropy = (int(seed) % (1 << 63),) + tuple(int(p) % (1 << 63) for p in path)
@@ -280,7 +284,8 @@ def t_cdf(x, df):
     x = np.asarray(x, dtype=float)
     if np.any(np.isnan(x)):
         raise InvalidInputError("t_cdf argument is NaN")
-    p = np.where(x >= 0.0, 1.0 - stdtr(df, -x), stdtr(df, x))
+    p = stdtr(df, -np.abs(x))
+    p = np.where(x >= 0.0, 1.0 - p, p)
     return float(p) if p.ndim == 0 else p
 
 
@@ -314,7 +319,8 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
     if n_draws < 1:
         raise InvalidInputError("n_draws must be at least 1")
 
-    for est in _estimates(dist, R, r, _full_row_rank(R), seed, n_draws):
+    table = _table([(R, r)])
+    for est in _estimates(dist, R, r, table.full_rank(table.own[0]), seed, n_draws):
         if est.exact or _resolved(est, n_draws):
             break
     if est.exact or est.std_error > 0.0:
@@ -451,12 +457,18 @@ def _lattice_prob(law: MultivariateT, r, centred, full, seed, cap):
     C = law.scale[np.ix_(order, order)] / np.outer(sd, sd)
     L, col = (_cholesky(C), np.arange(q)) if full else _singular_factor(C)
     rank = L.shape[1]
-    # per column: (row, whether the row bounds it from below)
-    bounds = [[(i, L[i, j] > 0.0) for i in np.flatnonzero(col == j)] for j in range(rank)]
+    # per column: its rows, those that bound it from below first, and how
+    # many do
+    columns = []
+    for j in range(rank):
+        rows = np.flatnonzero(col == j)
+        low = L[rows, j] > 0.0
+        columns.append((np.concatenate([rows[low], rows[~low]]), int(low.sum())))
     if rank == 1:
-        cuts = [(a[i] / L[i, 0], low) for i, low in bounds[0]]
-        lo = max(b for b, low in cuts if low)
-        hi = min((b for b, low in cuts if not low), default=math.inf)
+        rows, n_low = columns[0]
+        cuts = a[rows] / L[rows, 0]
+        lo = float(cuts[:n_low].max())
+        hi = float(cuts[n_low:].min(initial=math.inf))
         p = t_cdf(-lo, law.df) - t_cdf(-hi, law.df)
         yield ProbEstimate(max(p, 0.0), 0.0, True, 0)
         return
@@ -475,14 +487,15 @@ def _lattice_prob(law: MultivariateT, r, centred, full, seed, cap):
             s, weight = _radial(u[-1], law.df)
         z = np.empty((rank - 1, n_shifts, i.size))
         prob = np.ones((n_shifts, i.size))
-        for j in range(rank):
-            lo = hi = None
-            for row, low in bounds[j]:
-                b = (s * a[row] - np.tensordot(L[row, :j], z[:j], axes=1)) / L[row, j]
-                if low:
-                    lo = b if lo is None else np.maximum(lo, b)
-                else:
-                    hi = b if hi is None else np.minimum(hi, b)
+        for j, (rows, n_low) in enumerate(columns):
+            # the bound of every row of the column, (rows, shifts, points);
+            # one vector-matrix product per row, which rounds as a matrix
+            # product of several rows would not
+            zj = z[:j].reshape(j, n_shifts * i.size)
+            dot = np.stack([c @ zj for c in L[rows, :j]]).reshape(len(rows), n_shifts, i.size)
+            b = (s * a[rows, None, None] - dot) / L[rows, j, None, None]
+            lo = b[:n_low].max(axis=0)
+            hi = b[n_low:].min(axis=0) if n_low < len(rows) else None
             if hi is None:
                 e = ndtr(-lo)
                 prob *= e
@@ -677,8 +690,8 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
     limit = min(mcrep, _MAX_TERMS)
     routes = []
     for pivots, route_seed in wanted:
-        terms = _terms(pivots, table, limit - sum(len(t) for _, t, _ in routes))
-        if terms is not None:
+        terms = table.terms(pivots)
+        if terms is not None and len(terms) <= limit - sum(len(t) for _, t, _ in routes):
             routes.append((pivots, terms, route_seed))
     if not routes:
         raise NumericError(
@@ -697,30 +710,85 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
 
 
 def _table(systems):
-    """What :func:`_terms` reads of ``systems``: ``(rows, bounds, conflict,
-    own, pieces, disjoint)``.
+    """The :class:`_Table` of ``systems``, a list of ``(R, r)``.
+
+    Kept per distinct row content (shape and bytes of every ``R`` and
+    ``r``) for the last ``_TABLES`` contents, so that what depends on the
+    rows alone is worked out once however many laws, seeds and budgets
+    they are estimated under."""
+    key = []
+    for R, r in systems:
+        R, r = np.asarray(R, dtype=float), np.asarray(r, dtype=float)
+        key.append((R.shape, R.tobytes(), r.tobytes()))
+    return _table_of(tuple(key))
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _table_of(key):
+    return _Table([(np.frombuffer(R).reshape(shape), np.frombuffer(r)) for shape, R, r in key])
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+class _Table:
+    """What :func:`_terms` and :func:`_term_sum` read of ``systems``, a
+    list of ``(R, r)``.  Its arrays are read-only: one table serves every
+    call on the same rows.
 
     Every row of a piece or a term is row ``k`` of a system or its
     negation, row ``n + k``, of the signed table ``rows x > bounds``, and
     one table of conflicts between them (:func:`_conflicts`) serves every
     check.  ``own`` holds each system's rows, ``pieces`` its pieces that
     do not conflict in themselves, and ``disjoint[i][j]`` whether systems
-    ``i`` and ``j`` conflict."""
-    A = np.vstack([R for R, _ in systems])
-    a = np.concatenate([r for _, r in systems])
-    rows, bounds, n = np.vstack([A, -A]), np.concatenate([a, -a]), len(a)
-    conflict = _conflicts(rows, bounds)
-    own = np.split(np.arange(n), np.cumsum([len(r) for _, r in systems])[:-1])
-    pieces = [
-        [(j, P) for j, P in _pieces(ix, n) if not conflict[np.ix_(P, P)].any()]
-        for ix in own
-    ]
-    m = len(own)
-    disjoint = [
-        [i != j and bool(conflict[np.ix_(own[i], own[j])].any()) for j in range(m)]
-        for i in range(m)
-    ]
-    return rows, bounds, conflict, own, pieces, disjoint
+    ``i`` and ``j`` conflict.  The conflicts, pieces, the terms of each
+    pivot set (:meth:`terms`) and the rank of each set of rows
+    (:meth:`full_rank`) are computed on first use and kept."""
+
+    def __init__(self, systems):
+        A = np.vstack([R for R, _ in systems])
+        a = np.concatenate([r for _, r in systems])
+        self.rows = _read_only(np.vstack([A, -A]))
+        self.bounds = _read_only(np.concatenate([a, -a]))
+        ends = np.cumsum([len(r) for _, r in systems])[:-1]
+        self.own = [_read_only(ix) for ix in np.split(np.arange(len(a)), ends)]
+        self._terms = {}
+        self._full = {}
+
+    @functools.cached_property
+    def conflict(self):
+        return _read_only(_conflicts(self.rows, self.bounds))
+
+    @functools.cached_property
+    def pieces(self):
+        n, conflict = len(self.bounds) // 2, self.conflict
+        return [
+            [(j, _read_only(P)) for j, P in _pieces(ix, n) if not conflict[np.ix_(P, P)].any()]
+            for ix in self.own
+        ]
+
+    @functools.cached_property
+    def disjoint(self):
+        own, m = self.own, len(self.own)
+        return [
+            [i != j and bool(self.conflict[np.ix_(own[i], own[j])].any()) for j in range(m)]
+            for i in range(m)
+        ]
+
+    def terms(self, pivots):
+        """:func:`_terms` under ``pivots`` up to ``_MAX_TERMS`` (None past them)."""
+        if pivots not in self._terms:
+            self._terms[pivots] = _terms(pivots, self, _MAX_TERMS)
+        return self._terms[pivots]
+
+    def full_rank(self, ix) -> bool:
+        """:func:`_full_row_rank` of the rows ``ix`` of the signed table."""
+        key = ix.tobytes()
+        if key not in self._full:
+            self._full[key] = _full_row_rank(self.rows[ix])
+        return self._full[key]
 
 
 def _resolved(est, mcrep) -> bool:
@@ -770,9 +838,9 @@ def _terms(pivots, table, limit):
     does)``, with ``ix`` its rows of the signed table, the pieces' first.
     A node whose rows conflict is left out, a pivot that a system of ``S``
     is disjoint from drops out, and ``S`` empty with no pivot left is the
-    whole space, not a term.  ``table`` is that of :func:`_table`.  None
-    when there are more than ``limit``."""
-    _, _, conflict, own, pieces, disjoint = table
+    whole space, not a term.  ``table`` is a :class:`_Table`.  None when
+    there are more than ``limit``."""
+    conflict, own, pieces, disjoint = table.conflict, table.own, table.pieces, table.disjoint
     others = [k for k in range(len(own)) if k not in pivots]
     apart = [[disjoint[a][b] for b in others] for a in others]
     terms = []
@@ -782,7 +850,7 @@ def _terms(pivots, table, limit):
         whose pieces hold rows ``at``, depth first; False once there are
         more than ``limit``."""
         if not live:
-            terms.append((S, node, np.concatenate([at, ix])))
+            terms.append((S, node, _read_only(np.concatenate([at, ix]))))
             return len(terms) <= limit
         for j, piece in live[0]:
             if not conflict[at][:, piece].any():
@@ -803,12 +871,13 @@ def _terms(pivots, table, limit):
             if (S or live) and not walk(live, (), np.zeros(0, dtype=int)):
                 return None
         level = _next_level(level, len(others), apart)
-    return terms
+    return tuple(terms)
 
 
-def _start(dist, R, r, seed, cap):
-    """The first estimate of a term and the iterator of finer ones."""
-    blocks = _estimates(dist, R, r, _full_row_rank(R), seed, cap)
+def _start(dist, table, ix, seed, cap):
+    """The first estimate of the term on rows ``ix`` of ``table`` and the
+    iterator of finer ones."""
+    blocks = _estimates(dist, table.rows[ix], table.bounds[ix], table.full_rank(ix), seed, cap)
     return next(blocks), blocks
 
 
@@ -848,8 +917,7 @@ def _term_sum(dist, pivots, terms, table, known, mcrep, seed, cap):
     ``(2, *node, *S)`` with one.  A subset none of whose terms is positive
     is not extended, and a ``known`` estimate stands for the term of its
     system alone unless it is inexact and misses the target, when that
-    term is estimated afresh.  ``table`` is that of :func:`_table`."""
-    rows, bounds = table[:2]
+    term is estimated afresh.  ``table`` is a :class:`_Table`."""
     items = []  # [subset, row indices, estimate, finer estimates or None for a known one]
     live = {()}
     for S, node, ix in terms:
@@ -859,7 +927,7 @@ def _term_sum(dist, pivots, terms, table, known, mcrep, seed, cap):
             est, blocks = known[S[0]], None
         else:
             key = (2, *node, *S) if node else (1, *S)
-            est, blocks = _start(dist, rows[ix], bounds[ix], derived_seed(seed, *key), cap)
+            est, blocks = _start(dist, table, ix, derived_seed(seed, *key), cap)
         items.append([S, ix, est, blocks])
         if est.value > 0.0:
             live.add(S)
@@ -874,7 +942,7 @@ def _term_sum(dist, pivots, terms, table, known, mcrep, seed, cap):
         if blocks is None:
             if est.exact or est.std_error <= target:
                 continue
-            est, blocks = _start(dist, rows[ix], bounds[ix], derived_seed(seed, 1, *S), cap)
+            est, blocks = _start(dist, table, ix, derived_seed(seed, 1, *S), cap)
         item[2:] = _refine(est, blocks, target), blocks
     points = sum(est.n_draws for _, _, est, blocks in items if blocks is not None)
     var = [0.0, 0.0]  # of the added terms, of the subtracted ones

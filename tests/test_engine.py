@@ -12,6 +12,7 @@ from bfreg import (
     ConstraintCenterWarning,
     ConstraintSystem,
     Dataset,
+    HypothesisSyntaxError,
     InconsistentEqualityError,
     InvalidInputError,
     MultivariateT,
@@ -368,7 +369,9 @@ class TestTestHypotheses:
     def test_equality_reduction_runs_once_per_mixed_hypothesis(
         self, two_effect_fit, monkeypatch
     ):
-        """validate, build_transform and bf_unconstrained share one reduction."""
+        """validate, build_transform and bf_unconstrained share one
+        reduction, and a second test of the same text over the same names
+        reuses the validated system."""
         calls = []
         reduction = bfreg.hyparse.EqualityReduction
 
@@ -377,7 +380,9 @@ class TestTestHypotheses:
             return reduction(*args)
 
         monkeypatch.setattr(bfreg.hyparse, "EqualityReduction", counted)
+        bfreg.engine._validated.cache_clear()
         run_hypotheses(two_effect_fit, "x1>x2=0", mcrep=10_000, seed=1)
+        run_hypotheses(two_effect_fit, "x1>x2=0", mcrep=10_000, seed=2)
         assert len(calls) == 1
 
     def test_prior_weights_reorder_posteriors(self, two_effect_fit):
@@ -392,6 +397,60 @@ class TestTestHypotheses:
         expected = np.array([b[0] * 1.0, b[1] * 3.0])
         expected /= expected.sum()
         assert np.allclose(res.post_probs, expected, atol=1e-12)
+
+
+def _clear_memos():
+    bfreg.engine._validated.cache_clear()
+    bfreg.numkernel._table_of.cache_clear()
+
+
+def _same_result(a, b) -> bool:
+    return (
+        a.components == b.components
+        and np.array_equal(a.post_probs, b.post_probs)
+        and np.array_equal(a.bf_matrix, b.bf_matrix, equal_nan=True)
+    )
+
+
+class TestRepeatedTests:
+    """What depends on the hypotheses alone is worked out once per text
+    and coefficient names, and per row content, and reused."""
+
+    # a mixed hypothesis, a rank-deficient one and a complement of two
+    HYP = "x1>x2=0; x1>x2>0<x1; x1>0; x2<x1"
+
+    def test_memo_changes_no_bit(self):
+        fits = [make_random_fit(seed) for seed in (31, 32)]
+        _clear_memos()
+        warm = [run_hypotheses(fit, self.HYP, mcrep=20_000, seed=s) for fit, s in zip(fits, (1, 2))]
+        assert bfreg.engine._validated.cache_info().hits >= 1
+        assert bfreg.numkernel._table_of.cache_info().hits >= 1
+        for fit, s, res in zip(fits, (1, 2), warm):
+            _clear_memos()
+            assert _same_result(res, run_hypotheses(fit, self.HYP, mcrep=20_000, seed=s))
+
+    def test_memoised_arrays_are_read_only(self, two_effect_fit):
+        run_hypotheses(two_effect_fit, self.HYP, mcrep=20_000, seed=1)
+        systems = bfreg.engine._validated(self.HYP, two_effect_fit.coef_names)
+        with pytest.raises(ValueError, match="read-only"):
+            systems[0].R_I[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            systems[0].reduction.Rtilde_I[0, 0] = 2.0
+        red = systems[2].reduction
+        table = bfreg.numkernel._table([(red.Rtilde_I, red.rtilde_I)])
+        with pytest.raises(ValueError, match="read-only"):
+            table.rows[0, 0] = 2.0
+
+    def test_syntax_error_raises_on_every_call(self, two_effect_fit):
+        for _ in range(2):
+            with pytest.raises(HypothesisSyntaxError):
+                run_hypotheses(two_effect_fit, "x1>>0", mcrep=1_000, seed=1)
+
+    @pytest.mark.parametrize("text, label", [("x1 > 1; x1 < 0", "Hc"), ("1 > x1 > 0", "H1")])
+    def test_center_warning_on_every_call(self, two_effect_fit, text, label):
+        for seed in (1, 2):
+            with pytest.warns(ConstraintCenterWarning, match=label):
+                run_hypotheses(two_effect_fit, text, mcrep=20_000, seed=seed)
 
 
 class TestComplement:
