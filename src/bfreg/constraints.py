@@ -48,7 +48,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConstraintCenterWarning, InvalidInputError, NumericError
 from .hyparse import ConstraintSystem
@@ -178,15 +177,15 @@ def conditional_xiI(
     K_IE = joint.scale[q:, :q]
     K_II = joint.scale[q:, q:]
     try:
-        cf = cho_factor(K_EE)
+        L = np.linalg.cholesky(K_EE)
     except np.linalg.LinAlgError as exc:
         raise NumericError("equality block scale is not positive definite") from exc
-    dev = x - joint.location[:q]
-    w = cho_solve(cf, dev)
-    location = joint.location[q:] + K_IE @ w
-    delta = float(dev @ w)
-    correction = K_IE @ cho_solve(cf, K_IE.T)
-    scale = (nu + delta) / (nu + q) * (K_II - correction)
+    # with K_EE = L L', K_IE K_EE^{-1} = A' L^{-1} for A = L^{-1} K_EI
+    A = np.linalg.solve(L, K_IE.T)
+    v = np.linalg.solve(L, x - joint.location[:q])
+    location = joint.location[q:] + A.T @ v
+    delta = float(v @ v)
+    scale = (nu + delta) / (nu + q) * (K_II - A.T @ A)
     scale = 0.5 * (scale + scale.T)
     df = nu if df_as_printed else nu + q
     return MultivariateT(location, scale, df)

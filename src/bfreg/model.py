@@ -13,7 +13,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DataError, FormulaError
 
@@ -257,7 +256,7 @@ def fit_ols(data: Dataset, formula: str) -> RegressionFit:
     diag = np.abs(np.diag(R))
     if diag.min() <= max(n, k) * np.finfo(float).eps * diag.max():
         raise DataError("design matrix is rank deficient")
-    beta = solve_triangular(R, Q.T @ y, lower=False)
+    beta = np.linalg.solve(R, Q.T @ y)
     resid = y - X @ beta
     s2 = float(resid @ resid)
     tss = float(np.sum((y - y.mean()) ** 2))
@@ -266,6 +265,6 @@ def fit_ols(data: Dataset, formula: str) -> RegressionFit:
             "degenerate fit: residual sum of squares is zero at working "
             "precision (the response is an exact linear function of the design)"
         )
-    r_inv = solve_triangular(R, np.eye(k), lower=False)
+    r_inv = np.linalg.inv(R)
     xtx_inv = r_inv @ r_inv.T
     return RegressionFit(tuple(names), beta, s2, xtx_inv, n, k)

@@ -71,8 +71,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import gammaln, ndtr, ndtri, stdtr
+from scipy.special import ndtr, ndtri, stdtr
 
 from .errors import DecompositionError, InvalidInputError, NumericError
 
@@ -245,7 +244,7 @@ def mvt_logpdf(x, dist: MultivariateT) -> float:
     Returns
     -------
     float
-        ``gammaln((nu+d)/2) - gammaln(nu/2) - (d/2) log(nu pi)
+        ``lgamma((nu+d)/2) - lgamma(nu/2) - (d/2) log(nu pi)
         - (1/2) log|S| - ((nu+d)/2) log(1 + quad/nu)``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -256,13 +255,13 @@ def mvt_logpdf(x, dist: MultivariateT) -> float:
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("evaluation point contains non-finite entries")
     L = _cholesky(dist.scale)
-    z = solve_triangular(L, x - dist.location, lower=True)
+    z = np.linalg.solve(L, x - dist.location)
     quad = float(z @ z)
     d, df = dist.dim, dist.df
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return float(
-        gammaln(0.5 * (df + d))
-        - gammaln(0.5 * df)
+        math.lgamma(0.5 * (df + d))
+        - math.lgamma(0.5 * df)
         - 0.5 * d * math.log(df * math.pi)
         - 0.5 * logdet
         - 0.5 * (df + d) * math.log1p(quad / df)

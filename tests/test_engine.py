@@ -446,7 +446,7 @@ class TestRepeatedTests:
             with pytest.raises(HypothesisSyntaxError):
                 run_hypotheses(two_effect_fit, "x1>>0", mcrep=1_000, seed=1)
 
-    @pytest.mark.parametrize("text, label", [("x1 > 1; x1 < 0", "Hc"), ("1 > x1 > 0", "H1")])
+    @pytest.mark.parametrize("text, label", [("x1 > 1; x1 < 0", "Hc"), ("1 > x1 > x2 = 0", "H1")])
     def test_center_warning_on_every_call(self, two_effect_fit, text, label):
         for seed in (1, 2):
             with pytest.warns(ConstraintCenterWarning, match=label):
