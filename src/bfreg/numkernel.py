@@ -48,7 +48,13 @@ over the other systems inside them.  No pivot is inclusion-exclusion,
 every system the walk over disjoint pieces, and, when one system is
 nearly certain, the likeliest system alone, taken only when its
 subtracted terms add no more variance than its added ones.  The terms
-share the budget; a route whose terms do not fit it is skipped.
+share the budget; a route whose terms do not fit it is skipped.  What
+depends on the rows alone (the signed table of rows, their conflicts and
+pieces, the terms of each pivot set and whether each term's rows have
+full rank) is worked out once per distinct row content and kept, for
+the last ``_TABLES`` contents, in a read-only :class:`_Table`; a single
+system's rank comes from the same table.  Only the estimates depend on
+the law, the seed and the budget.
 
 Every path takes the rows it is given as they are.  Deciding rows the
 equalities leave without coefficient content is the job of the cached
@@ -487,9 +493,9 @@ def _lattice_prob(law: MultivariateT, r, centred, full, seed, cap):
         z = np.empty((rank - 1, n_shifts, i.size))
         prob = np.ones((n_shifts, i.size))
         for j, (rows, n_low) in enumerate(columns):
-            # the bound of every row of the column, (rows, shifts, points);
-            # one vector-matrix product per row, which rounds as a matrix
-            # product of several rows would not
+            # the bounds of the column's rows, (rows, shifts, points), by one
+            # vector-matrix product per row: a product over several rows at
+            # once rounds differently and would move the estimate's bits
             zj = z[:j].reshape(j, n_shifts * i.size)
             dot = np.stack([c @ zj for c in L[rows, :j]]).reshape(len(rows), n_shifts, i.size)
             b = (s * a[rows, None, None] - dot) / L[rows, j, None, None]
