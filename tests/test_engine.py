@@ -416,7 +416,8 @@ class TestRepeatedTests:
     """What depends on the hypotheses alone is worked out once per text
     and coefficient names, and per row content, and reused."""
 
-    # a mixed hypothesis, a rank-deficient one and a complement of two
+    # a mixed hypothesis, then three inequality-only ones (the first
+    # rank-deficient) whose complement takes lattice terms
     HYP = "x1>x2=0; x1>x2>0<x1; x1>0; x2<x1"
 
     def test_memo_changes_no_bit(self):
