@@ -6,7 +6,8 @@ The cases cover every estimation path: the benchmark's workload inputs at
 seed 5, mixed hypotheses with zero and nonzero bounds, a band whose
 prior center is inexact, inequalities that the equalities make vacuous
 (with free directions left and with every coefficient pinned),
-raw-coordinate systems, two- and three-system complements (one whose
+raw-coordinate systems, three rows of rank 2 through the prior's
+location (closed form), two- and three-system complements (one whose
 inclusion-exclusion does not resolve its small value and falls back to
 disjoint pieces, one whose terms leave less than one lattice block each
 at ``K5_MCREP`` and take fewer points), ``df_as_printed``, the
@@ -68,6 +69,8 @@ K5_HYPOTHESES = (
     "1 > x1 = x2 = x3 = x4 = (Intercept) = 0",
     "x1>x2>0; x2>x1>0",
     "x1>x2>x3>x4; x3>x1>x4>x2; (x1,x2,x3,x4)>0",
+    "x1>x2>0<x1",
+    "x1>x2>x3; x3<x1",
 )
 README_HYPOTHESES = "x1=x2=0; (x1,x2)>0; x1>x2=0"
 ALL_TABLES = ("computation", "ci", "bf-matrix")

@@ -18,22 +18,32 @@ budget -> identical estimate, bit for bit.
 
 Probability estimates
 ---------------------
-:func:`mvt_constraint_prob` is where the estimation path of a region
-probability is chosen:
+:func:`_estimates` is where the estimation path of a region probability
+is chosen, for :func:`mvt_constraint_prob` and every term of
+:func:`complement_prob` alike.  Several rows are taken under the
+transformed law of ``R xi``, whose correlation has one lower factor
+(:func:`_factor`): a row whose residual variance given the rows before
+it is at most ``_DEPENDENT`` depends on them, shares their column of the
+factor and bounds it from above or below (Genz and Kwong 2000).  That
+factor is the only rank rule.
 
 - exact 1-d: the univariate t CDF for a single row;
-- closed form: two or three rows through the location (below);
-- QMC: any other system is estimated on the transformed law of ``R xi``
-  by Genz-Bretz separation of variables on randomly shifted lattice
-  points (:func:`_lattice_prob`), with the standard error taken from the
-  spread of independent shifts.  The radial chi coordinate of a cone off
-  the location is the Wilson-Hilferty cube of a normal quantile, and
-  each point is weighted by the ratio of the exact law to that map's
-  (:func:`_radial`); a shift's estimate is its weighted mean.  In a
-  rank-deficient ``R`` a row that depends on the rows before it shares
-  their column of the factor and bounds it from above or below (Genz and
-  Kwong 2000), and rank 1 is an exact interval.  A budget below one
-  point per shift takes one point on each of fewer shifts.
+- exact interval: rows of rank 1, which bound one t variable;
+- closed form: two or three rows through the location, of any rank
+  (below);
+- QMC: any other system is estimated by Genz-Bretz separation of
+  variables on randomly shifted lattice points (:func:`_lattice_prob`),
+  with the standard error taken from the spread of independent shifts.
+  The radial chi coordinate of a cone off the location is the
+  Wilson-Hilferty cube of a normal quantile, and each point is weighted
+  by the ratio of the exact law to that map's (:func:`_radial`); a
+  shift's estimate is its weighted mean.  A budget below one point per
+  shift takes one point on each of fewer shifts.
+
+A region probability needs the scale of the law to be positive
+semidefinite only: a singular scale makes some rows dependent.  A
+residual variance below ``-_DEPENDENT``, or a factor that does not
+return the correlation, raises :class:`~bfreg.errors.DecompositionError`.
 
 The budget ``n_draws`` (the engine's ``mcrep``) is a precision budget in
 draw-equivalents: an estimate refines until its standard error is at most
@@ -50,11 +60,10 @@ nearly certain, the likeliest system alone, taken only when its
 subtracted terms add no more variance than its added ones.  The terms
 share the budget; a route whose terms do not fit it is skipped.  What
 depends on the rows alone (the signed table of rows, their conflicts and
-pieces, the terms of each pivot set and whether each term's rows have
-full rank) is worked out once per distinct row content and kept, for
-the last ``_TABLES`` contents, in a read-only :class:`_Table`; a single
-system's rank comes from the same table.  Only the estimates depend on
-the law, the seed and the budget.
+pieces and the terms of each pivot set) is worked out once per distinct
+row content and kept, for the last ``_TABLES`` contents, in a read-only
+:class:`_Table`.  Only the estimates depend on the law, the seed and the
+budget.
 
 Every path takes the rows it is given as they are.  Deciding rows the
 equalities leave without coefficient content is the job of the cached
@@ -66,8 +75,9 @@ to within ``_APEX_TOL`` of its standard deviation, as for every prior
 factor with an exact center) has the same probability under every
 elliptical law, whatever the df: the Gaussian orthant probability of the
 correlation of ``R S R'``.  With two or three rows that probability is
-exact (Sheppard's and Plackett's formulas); with more the lattice rule
-drops its radial coordinate, so the estimate does not depend on df.
+exact (Sheppard's and Plackett's formulas, which hold for a singular
+correlation too); with more the lattice rule drops its radial
+coordinate, so the estimate does not depend on df.
 """
 
 from __future__ import annotations
@@ -108,11 +118,13 @@ _LATTICE_BLOCK = 16
 _TINY = float(np.finfo(float).tiny)
 _BELOW_ONE = 1.0 - _EPS / 2.0
 
-# In a rank-deficient system a row of the correlation whose residual
-# variance, given the rows before it, is at most _DEPENDENT gets no
-# column of its own (a residual standard deviation of 1e-5).  Roundoff
-# leaves its coefficients on later columns near eps / 1e-5 = 2e-11, so
-# the last coefficient above _NONZERO is the column it bounds.
+# The kernel's one rank rule (:func:`_factor`): a row of the correlation
+# whose residual variance, given the rows before it, is at most
+# _DEPENDENT depends on them and gets no column of its own (a residual
+# standard deviation of 1e-5).  Roundoff leaves its coefficients on later
+# columns near eps / 1e-5 = 2e-11, so the last coefficient above
+# _NONZERO is the column it bounds.  A residual variance below
+# -_DEPENDENT is no roundoff: the scale is not positive semidefinite.
 _DEPENDENT = 1e-10
 _NONZERO = 1e-8
 
@@ -160,8 +172,9 @@ class MultivariateT:
     ----------
     location : ndarray, shape (d,)
     scale : ndarray, shape (d, d)
-        Symmetric positive definite scale matrix (see module notes; this
-        is not the covariance).
+        Symmetric scale matrix (see module notes; this is not the
+        covariance).  Region probabilities need it positive
+        semidefinite; the density needs it positive definite.
     df : float
         Degrees of freedom, > 0.
     """
@@ -278,8 +291,12 @@ def t_cdf(x, df):
     """CDF of the standard univariate Student-t: a float for a scalar ``x``,
     else an array of its shape.
 
-    Evaluated through the regularized incomplete beta function; absolute
-    error is far below 1e-12 over the usable range.  Saturates at 0/1 for
+    Evaluated through the regularized incomplete beta function
+    (``scipy.special.stdtr``).  Against 40-digit references on
+    ``|x| <= 30`` the absolute error was at most 2.3e-16 at df 0.5, 1.5,
+    2, 3, 4.5, 5, 17, 100 and 940, but at df 1, the prior's, it reaches
+    2.4e-9 for ``|x|`` near 1e-8: ``t_cdf(-5e-9, 1)`` returns 0.5, whose
+    true value is 0.5 - 1.59e-9 (ROADMAP item 6).  Saturates at 0/1 for
     infinite arguments.  The complement identity ``t_cdf(z) + t_cdf(-z)
     == 1`` holds exactly in floating point by construction.
     """
@@ -297,16 +314,15 @@ def t_cdf(x, df):
 def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimate:
     """Estimate ``Pr(R xi > r)`` for ``xi ~ dist``.
 
-    A single constraint row is evaluated exactly through the univariate t
-    CDF.  With several rows the probability is taken under the
-    lower-dimensional transformed t of ``R xi``: two or three full-rank
-    rows through the location have a closed form, rows of rank 1 an exact
-    interval, and every other system takes the lattice rule of
-    :func:`_lattice_prob`, which stops once its standard error is at most
-    the binomial one of ``n_draws`` draws and never uses more than
-    ``n_draws`` points.  A lattice estimate whose shifts show no spread
-    (every point 0, say, in a far tail) carries the standard error of one
-    hit in ``n_draws`` instead of 0.  The rows are taken as given (see the
+    The path is chosen by :func:`_estimates`: a single row is exact
+    through the univariate t CDF, rows of rank 1 are an exact interval,
+    two or three rows through the location a closed form, and every other
+    system takes the lattice rule of :func:`_lattice_prob`, which stops
+    once its standard error is at most the binomial one of ``n_draws``
+    draws and never uses more than ``n_draws`` points.  A lattice
+    estimate whose shifts show no spread (every point 0, say, in a far
+    tail) carries the standard error of one hit in ``n_draws`` instead of
+    0.  The rows are taken as given (see the
     module notes).
     """
     R = np.atleast_2d(np.asarray(R, dtype=float))
@@ -324,8 +340,7 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
     if n_draws < 1:
         raise InvalidInputError("n_draws must be at least 1")
 
-    table = _table([(R, r)])
-    for est in _estimates(dist, R, r, table.full_rank(table.own[0]), seed, n_draws):
+    for est in _estimates(dist, R, r, seed, n_draws):
         if est.exact or _resolved(est, n_draws):
             break
     if est.exact or est.std_error > 0.0:
@@ -333,19 +348,20 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
     return replace(est, std_error=_one_hit_se(n_draws))
 
 
-def _full_row_rank(R) -> bool:
-    """Whether the rows of ``R`` are independent (one row always counts)."""
-    q, d = R.shape
-    return q == 1 or (q <= d and np.linalg.matrix_rank(R) == q)
+def _estimates(dist: MultivariateT, R, r, seed, cap):
+    """Successive estimates of ``Pr(R xi > r)``, each finer than the last:
+    the one place where the path of a region probability is chosen.
 
-
-def _estimates(dist: MultivariateT, R, r, full, seed, cap):
-    """Successive estimates of ``Pr(R xi > r)``, each finer than the last.
-
-    One exact estimate for a single row (the univariate t CDF) or for
-    two or three full-rank rows through the location (closed form);
-    otherwise the blocks of :func:`_lattice_prob` on the law of ``R xi``.
-    ``full`` says whether ``R`` has full row rank.
+    A single row is one exact estimate, the univariate t CDF.  Several
+    rows are taken under the law ``Y`` of ``R xi``: its rows are sorted by
+    standardised bound ``a = (r - mu) / sd``, largest (least likely)
+    first, and their correlation is factored by :func:`_factor`, whose
+    rank decides the rest.  Rows of rank 1 bound one t variable and are
+    one exact estimate, the interval between their largest lower and
+    smallest upper cut.  Two or three rows through the location (the
+    apex test of ``_APEX_TOL``), of any rank, are one exact estimate in
+    closed form (:func:`_centred_orthant_prob`).  Any other system yields
+    the blocks of :func:`_lattice_prob`.
     """
     q = R.shape[0]
     if q == 1:
@@ -357,11 +373,24 @@ def _estimates(dist: MultivariateT, R, r, full, seed, cap):
             yield ProbEstimate(t_cdf((m - r[0]) / math.sqrt(s2), dist.df), 0.0, True, 0)
         return
     law = MultivariateT(R @ dist.location, R @ dist.scale @ R.T, dist.df)
-    centred = _apex_at_location(law, [(np.eye(q), r)])
-    if full and q <= 3 and centred:
-        yield ProbEstimate(_centred_orthant_prob(law.scale), 0.0, True, 0)
-        return
-    yield from _lattice_prob(law, r, centred, full, seed, cap)
+    sd = np.sqrt(np.diag(law.scale))
+    centred = bool(np.all(np.abs(law.location - r) <= _APEX_TOL * sd))
+    a = np.zeros(q) if centred else (r - law.location) / sd
+    order = np.argsort(-a, kind="stable")
+    a, sd = a[order], sd[order]
+    C = law.scale[np.ix_(order, order)] / np.outer(sd, sd)
+    L, col = _factor(C)
+    if L.shape[1] == 1:
+        cuts = a / L[:, 0]
+        low = L[:, 0] > 0.0
+        lo = float(cuts[low].max())
+        hi = float(cuts[~low].min(initial=math.inf))
+        p = t_cdf(-lo, law.df) - t_cdf(-hi, law.df)
+        yield ProbEstimate(max(p, 0.0), 0.0, True, 0)
+    elif centred and q <= 3:
+        yield ProbEstimate(_centred_orthant_prob(C), 0.0, True, 0)
+    else:
+        yield from _lattice_prob(a, L, col, law.df, seed, cap)
 
 
 @functools.lru_cache(maxsize=None)
@@ -379,17 +408,32 @@ def _root_primes(n):
     return alpha
 
 
-def _singular_factor(C):
-    """Lower factor of a semidefinite correlation ``C`` over its independent rows.
+def _factor(C):
+    """Lower factor of a positive semidefinite correlation ``C`` over its
+    independent rows.
 
     Rows are taken in order (Genz and Kwong 2000, JSCS 68; Genz and
     Bretz 2009, LNS 195, section 4.1).  A row whose residual variance
     given the rows before it exceeds ``_DEPENDENT`` opens a column; any
     other row gets no column and bounds the last one on which its
     coefficient is nonzero.  Returns the ``(q, rank)`` factor ``L`` with
-    ``L L' = C`` and, for each row, the column it bounds.
+    ``L L' = C`` and, for each row, the column it bounds.  When every row
+    opens a column this is the Cholesky factor, which is taken as such.
+
+    ``C`` is not positive semidefinite, and :class:`DecompositionError`
+    is raised, when a residual variance is below ``-_DEPENDENT`` or when
+    ``L L'`` misses ``C`` by more than a dependent row can: its residual
+    standard deviation, at most ``sqrt(_DEPENDENT)``, plus the
+    coefficients below ``_NONZERO`` that it drops.
     """
     q = C.shape[0]
+    try:
+        L = np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if np.all(np.diag(L) ** 2 > _DEPENDENT):
+            return L, np.arange(q)
     L = np.zeros((q, q))
     col = np.empty(q, dtype=int)
     pivots = []
@@ -398,6 +442,8 @@ def _singular_factor(C):
         for c, p in enumerate(pivots):
             L[i, c] = (C[i, p] - L[i, :c] @ L[p, :c]) / L[p, c]
         v = C[i, i] - L[i, :m] @ L[i, :m]
+        if not v >= -_DEPENDENT:
+            raise DecompositionError("scale matrix is not positive semidefinite")
         if v > _DEPENDENT:
             L[i, m] = math.sqrt(v)
             col[i] = m
@@ -405,35 +451,35 @@ def _singular_factor(C):
         else:
             col[i] = np.flatnonzero(np.abs(L[i, :m]) > _NONZERO)[-1]
             L[i, col[i] + 1 :] = 0.0
-    return L[:, : len(pivots)], col
+    L = L[:, : len(pivots)]
+    if np.abs(L @ L.T - C).max() > math.sqrt(_DEPENDENT) + q * _NONZERO:
+        raise DecompositionError("scale matrix is not positive semidefinite")
+    return L, col
 
 
-def _lattice_prob(law: MultivariateT, r, centred, full, seed, cap):
-    """Quasi-Monte Carlo estimates of ``Pr(Y > r)`` for ``Y ~ law``, q >= 2.
+def _lattice_prob(a, L, col, df, seed, cap):
+    """Quasi-Monte Carlo estimates of ``Pr(L z > s a)``, rank of ``L`` >= 2.
 
     Genz-Bretz separation of variables (Genz 1992, JCGS 1; Genz and Bretz
-    2009, LNS 195).  The rows are sorted by standardised bound ``a = (r - mu)
-    / sd``, largest (least likely) first, and ``L`` is a lower factor of
-    their correlation: the Cholesky factor when ``full`` (full row rank),
-    else :func:`_singular_factor`, whose dependent rows share the column
-    they bound.  Then ``Y > r`` reads ``L z > s a`` for standard normals
-    ``z`` and the radial factor ``s = sqrt(w / df)``, ``w ~
-    chi-square(df)``.  ``s`` is not drawn by the inverse chi-square CDF,
-    which would cost more than the rest of the integrand: the last uniform
-    ``u`` maps to ``s`` by the Wilson-Hilferty cube of :func:`_radial`, and
-    each point carries the weight ``omega`` of the exact law of ``s``
-    against that map's.  Given ``s`` and the earlier ``z``, the rows of
+    2009, LNS 195).  :func:`_estimates` passes the standardised bounds
+    ``a`` of its sorted rows and :func:`_factor`'s lower factor ``L`` of
+    their correlation with ``col``, the column each row bounds, so that
+    ``Y > r`` reads ``L z > s a`` for standard normals ``z`` and the
+    radial factor ``s = sqrt(w / df)``, ``w ~ chi-square(df)``.  ``s`` is
+    not drawn by the inverse chi-square CDF, which would cost more than
+    the rest of the integrand: the last uniform ``u`` maps to ``s`` by the
+    Wilson-Hilferty cube of :func:`_radial`, and each point carries the
+    weight ``omega`` of the exact law of ``s`` against that map's.  Given ``s`` and the earlier ``z``, the rows of
     column ``j`` bound ``z_j`` from below (a positive coefficient) or above
     (a negative one), to ``(lo_j, hi_j)``; the column holds with probability
     ``e_j = max(Phi(-lo_j) - Phi(-hi_j), 0)`` and ``z_j`` is drawn in it as
     ``-Phi^-1(Phi(-hi_j) + (1 - u_j) e_j)``, so the integrand is ``prod
     e_j`` over the unit cube of ``z_1, ..., z_{rank-1}, s``.  Without an
     upper bound this is ``e_j = Phi(-lo_j)``, ``z_j = -Phi^-1(e_j (1 -
-    u_j))``.  A ``centred`` cone has ``a = 0`` and drops ``s``: its estimate
-    does not depend on df, and every weight is 1.  Rank 1 needs no integral:
-    the rows bound one t variable, and the single estimate is the exact
-    interval probability.  Bounds that cross at every point give an estimate
-    of 0, which is not exact: a far-tail region can underflow to 0 too.
+    u_j))``.  A centred cone has ``a = 0`` and drops ``s``: its estimate
+    does not depend on df, and every weight is 1.  Bounds that cross at
+    every point give an estimate of 0, which is not exact: a far-tail
+    region can underflow to 0 too.
 
     The points of shift ``k`` are ``|2 frac(i sqrt(p_j) + shift_kj) - 1|``
     (Richtmyer's generator, one prime ``p_j`` per coordinate, folded by
@@ -454,13 +500,7 @@ def _lattice_prob(law: MultivariateT, r, centred, full, seed, cap):
     """
     cap = int(cap)
     n_shifts = min(_SHIFTS, cap)
-    q = law.dim
-    sd = np.sqrt(np.diag(law.scale))
-    a = np.zeros(q) if centred else (r - law.location) / sd
-    order = np.argsort(-a, kind="stable")
-    a, sd = a[order], sd[order]
-    C = law.scale[np.ix_(order, order)] / np.outer(sd, sd)
-    L, col = (_cholesky(C), np.arange(q)) if full else _singular_factor(C)
+    centred = not a.any()
     rank = L.shape[1]
     # per column: its rows, those that bound it from below first, and how
     # many do
@@ -469,14 +509,6 @@ def _lattice_prob(law: MultivariateT, r, centred, full, seed, cap):
         rows = np.flatnonzero(col == j)
         low = L[rows, j] > 0.0
         columns.append((np.concatenate([rows[low], rows[~low]]), int(low.sum())))
-    if rank == 1:
-        rows, n_low = columns[0]
-        cuts = a[rows] / L[rows, 0]
-        lo = float(cuts[:n_low].max())
-        hi = float(cuts[n_low:].min(initial=math.inf))
-        p = t_cdf(-lo, law.df) - t_cdf(-hi, law.df)
-        yield ProbEstimate(max(p, 0.0), 0.0, True, 0)
-        return
     dims = rank - 1 if centred else rank
     alpha = _root_primes(dims)
     shifts = rng_from_seed(seed).random((dims, n_shifts, 1))
@@ -489,7 +521,7 @@ def _lattice_prob(law: MultivariateT, r, centred, full, seed, cap):
         u = np.abs(2.0 * (x - np.floor(x)) - 1.0)
         s, weight = 0.0, np.ones((n_shifts, i.size))
         if not centred:
-            s, weight = _radial(u[-1], law.df)
+            s, weight = _radial(u[-1], df)
         z = np.empty((rank - 1, n_shifts, i.size))
         prob = np.ones((n_shifts, i.size))
         for j, (rows, n_low) in enumerate(columns):
@@ -582,37 +614,21 @@ def _radial(u, df):
     return np.where(live, b * np.sqrt(b), 0.0), np.where(live, np.exp(log_weight), 0.0)
 
 
-def _centred_orthant_prob(S) -> float:
-    """``Pr(Y > 0)`` for a centred elliptical ``Y`` of dimension 2 or 3.
+def _centred_orthant_prob(rho) -> float:
+    """``Pr(Y > 0)`` for a centred elliptical ``Y`` of dimension 2 or 3
+    whose scale has the correlation ``rho``, singular or not.
 
-    With ``rho`` the correlation of the scale ``S``, this is
-    ``1/4 + asin(rho_12) / (2 pi)`` for two rows (Sheppard) and
+    This is ``1/4 + asin(rho_12) / (2 pi)`` for two rows (Sheppard) and
     ``1/8 + sum_{i<j} asin(rho_ij) / (4 pi)`` for three (Plackett 1954,
     Biometrika 41); it does not depend on df.
     """
-    q = S.shape[0]
-    sd = np.sqrt(np.diag(S))
-    rho = S / np.outer(sd, sd)
+    q = rho.shape[0]
     angles = sum(
         math.asin(min(1.0, max(-1.0, float(rho[i, j]))))
         for i in range(q)
         for j in range(i + 1, q)
     )
     return min(1.0, max(0.0, 0.5**q + angles / (2 ** (q - 1) * math.pi)))
-
-
-def _apex_at_location(dist: MultivariateT, systems) -> bool:
-    """Whether every row of every ``(R, r)`` passes through ``dist.location``.
-
-    Each offset ``R mu - r`` is measured in standard deviations of its
-    row, ``sqrt((R S R')_ii)``.
-    """
-    for R, r in systems:
-        offset = R @ dist.location - r
-        var = np.einsum("ij,jk,ik->i", R, dist.scale, R)
-        if np.any(np.abs(offset) > _APEX_TOL * np.sqrt(var)):
-            return False
-    return True
 
 
 def _one_hit_se(n) -> float:
@@ -748,9 +764,8 @@ class _Table:
     one table of conflicts between them (:func:`_conflicts`) serves every
     check.  ``own`` holds each system's rows, ``pieces`` its pieces that
     do not conflict in themselves, and ``disjoint[i][j]`` whether systems
-    ``i`` and ``j`` conflict.  The conflicts, pieces, the terms of each
-    pivot set (:meth:`terms`) and the rank of each set of rows
-    (:meth:`full_rank`) are computed on first use and kept."""
+    ``i`` and ``j`` conflict.  The conflicts, pieces and the terms of each
+    pivot set (:meth:`terms`) are computed on first use and kept."""
 
     def __init__(self, systems):
         A = np.vstack([R for R, _ in systems])
@@ -760,7 +775,6 @@ class _Table:
         ends = np.cumsum([len(r) for _, r in systems])[:-1]
         self.own = [_read_only(ix) for ix in np.split(np.arange(len(a)), ends)]
         self._terms = {}
-        self._full = {}
 
     @functools.cached_property
     def conflict(self):
@@ -787,13 +801,6 @@ class _Table:
         if pivots not in self._terms:
             self._terms[pivots] = _terms(pivots, self, _MAX_TERMS)
         return self._terms[pivots]
-
-    def full_rank(self, ix) -> bool:
-        """:func:`_full_row_rank` of the rows ``ix`` of the signed table."""
-        key = ix.tobytes()
-        if key not in self._full:
-            self._full[key] = _full_row_rank(self.rows[ix])
-        return self._full[key]
 
 
 def _resolved(est, mcrep) -> bool:
@@ -882,7 +889,7 @@ def _terms(pivots, table, limit):
 def _start(dist, table, ix, seed, cap):
     """The first estimate of the term on rows ``ix`` of ``table`` and the
     iterator of finer ones."""
-    blocks = _estimates(dist, table.rows[ix], table.bounds[ix], table.full_rank(ix), seed, cap)
+    blocks = _estimates(dist, table.rows[ix], table.bounds[ix], seed, cap)
     return next(blocks), blocks
 
 

@@ -162,6 +162,15 @@ class TestBfUnconstrainedTwoEffect:
         assert comp.bf == pytest.approx(H3_BF, rel=1e-10)
         assert comp.ci90 is None
 
+    def test_rank_deficient_centred_cone_is_exact(self, two_effect_fit):
+        """x1>x2>0<x1: three rows of rank 2 through the prior's location
+        take the closed form; under the identity prior scale the cone
+        x1 > x2 > 0 is an eighth of the plane."""
+        cs = parse_one("x1>x2>0<x1", two_effect_fit.coef_names)
+        comp = bf_unconstrained(two_effect_fit, cs, 10_000, seed=8)
+        assert comp.c_ie.exact and comp.c_ie.n_draws == 0
+        assert comp.c_ie.value == pytest.approx(0.125, abs=1e-15)
+
     def test_printed_df_mode_changes_the_conditional(self, two_effect_fit):
         cs = parse_one("x1>x2=0", two_effect_fit.coef_names)
         normal = bf_unconstrained(two_effect_fit, cs, 10_000, seed=3)

@@ -22,6 +22,7 @@ from bfreg import (
 from bfreg import numkernel
 from bfreg.numkernel import (
     _estimates,
+    _factor,
     _radial,
     complement_prob,
     derived_seed,
@@ -568,6 +569,11 @@ def _random_law(rng, d, df):
     return MultivariateT(rng.standard_normal(d), s @ s.T + 0.5 * np.eye(d), df)
 
 
+def _correlation(S):
+    sd = np.sqrt(np.diag(S))
+    return S / np.outer(sd, sd)
+
+
 class TestSingularLattice:
     """Rank-deficient rows on the lattice, against raw t draws."""
 
@@ -582,7 +588,7 @@ class TestSingularLattice:
         )
         r = R @ d.location if centred else 0.3 * rng.standard_normal(4)
         assert np.linalg.matrix_rank(R) == 3
-        est = _refined(_estimates(d, R, r, False, 201, 1_000_000), 1_000_000)
+        est = _refined(_estimates(d, R, r, 201, 1_000_000), 1_000_000)
         assert not est.exact and 0 < est.n_draws <= 1_000_000
         ref = oracle_inequality_prob(d, R, r, 400_000, seed=202)
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
@@ -596,7 +602,7 @@ class TestSingularLattice:
         chain = np.eye(6)[:-1] - np.eye(6)[1:]
         R = np.vstack([chain, np.eye(6)[:3]])
         r = np.zeros(8)
-        est = _refined(_estimates(d, R, r, False, 211, 1_000_000), 1_000_000)
+        est = _refined(_estimates(d, R, r, 211, 1_000_000), 1_000_000)
         assert not est.exact and est.value > 0
         ref = oracle_inequality_prob(d, R, r, 400_000, seed=212, rel_se=0.05)
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
@@ -604,7 +610,7 @@ class TestSingularLattice:
         # exchangeable and centred: one order of six, with at least three
         # of the six signs positive, (42 / 64) / 720
         iid = MultivariateT(np.zeros(6), np.eye(6), df)
-        est = _refined(_estimates(iid, R, r, False, 213, 1_000_000), 1_000_000)
+        est = _refined(_estimates(iid, R, r, 213, 1_000_000), 1_000_000)
         assert abs(est.value - 42 / 64 / 720) < 4 * est.std_error
 
     @pytest.mark.parametrize("df", [3.0, 60.0])
@@ -613,7 +619,7 @@ class TestSingularLattice:
         d = MultivariateT(np.array([0.1, 0.05]), np.array([[0.04, 0.01], [0.01, 0.02]]), df)
         R = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
         r = np.array([0.0, 0.0, -0.3])
-        est = _refined(_estimates(d, R, r, False, 221, 1_000_000), 1_000_000)
+        est = _refined(_estimates(d, R, r, 221, 1_000_000), 1_000_000)
         assert not est.exact and est.value > 0
         ref = oracle_inequality_prob(d, R, r, 400_000, seed=222)
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
@@ -629,7 +635,7 @@ class TestSingularLattice:
         row = np.array([1.0, 1.0, 0.0])
         R = np.vstack([row, -row])
         r = np.array([0.1, -0.6])
-        est = next(_estimates(d, R, r, False, 231, 1_000_000))
+        est = next(_estimates(d, R, r, 231, 1_000_000))
         m, sd = row @ d.location, np.sqrt(row @ d.scale @ row)
         want = stats.t.cdf((0.6 - m) / sd, df) - stats.t.cdf((0.1 - m) / sd, df)
         assert est.exact and est.n_draws == 0
@@ -642,18 +648,92 @@ class TestSingularLattice:
         chain = np.eye(6)[:-1] - np.eye(6)[1:]
         R = np.vstack([chain, -chain])
         for r in (np.zeros(10), R @ d.location):
-            est = next(_estimates(d, R, r, False, 241, 1_000_000))
+            est = next(_estimates(d, R, r, 241, 1_000_000))
             assert est.value == 0.0 and not est.exact and est.n_draws == 1024
 
     def test_full_rank_rows_keep_the_cholesky_path(self):
-        """The same full-rank system through either factor: equal values."""
+        """A dependent row appended to four independent ones sends the
+        factor down its pivoting branch, which gives the Cholesky factor of
+        the four and bounds the last column its coefficients reach."""
         rng = np.random.default_rng(250)
         d = _random_law(rng, 5, 4.0)
-        R, r = np.eye(5)[:4], 0.3 * rng.standard_normal(4)
-        full = next(_estimates(d, R, r, True, 251, 100_000))
-        singular = next(_estimates(d, R, r, False, 251, 100_000))
-        assert full.n_draws == singular.n_draws
-        assert abs(full.value - singular.value) <= 1e-12
+        R = np.vstack([np.eye(5)[:4], [1.0, -2.0, 0.5, 0.0, 0.0]])
+        C = _correlation(R @ d.scale @ R.T)
+        L, col = _factor(C)
+        assert L.shape == (5, 4) and col.tolist() == [0, 1, 2, 3, 2]
+        assert np.abs(L[:4] - np.linalg.cholesky(C[:4, :4])).max() <= 1e-12
+        assert np.abs(L @ L.T - C).max() <= 1e-12
+        full, col = _factor(C[:4, :4])
+        assert np.array_equal(full, np.linalg.cholesky(C[:4, :4]))
+        assert col.tolist() == [0, 1, 2, 3]
+
+
+class TestRankRule:
+    """One factor decides the rank of every multi-row estimate (``_factor``)."""
+
+    @pytest.mark.parametrize("df", [1.0, 7.0])
+    def test_centred_rank_deficient_cones_are_exact(self, df):
+        """``x1 > x2 > 0 < x1``: three rows of rank 2 through the location
+        have the closed form of their two independent rows; a parallel pair
+        is 1/2 and an antiparallel pair 0."""
+        rng = np.random.default_rng(260 + int(df))
+        d = _random_law(rng, 3, df)
+        R = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        est = mvt_constraint_prob(d, R, R @ d.location, 10_000, 261)
+        pair = mvt_constraint_prob(d, R[:2], R[:2] @ d.location, 10_000, 261)
+        assert est.exact and pair.exact and est.n_draws == 0
+        assert abs(est.value - pair.value) <= 1e-12
+        rho = _correlation(R[:2] @ d.scale @ R[:2].T)[0, 1]
+        assert abs(pair.value - (0.25 + np.arcsin(rho) / (2 * np.pi))) <= 1e-15
+        row = rng.standard_normal(3)
+        for R, want in ((np.vstack([row, 2.0 * row]), 0.5), (np.vstack([row, -row]), 0.0)):
+            est = mvt_constraint_prob(d, R, R @ d.location, 10_000, 262)
+            assert est.exact and est.value == want
+
+    @pytest.mark.parametrize("centred", [False, True])
+    def test_near_dependent_rows_against_sampling(self, centred):
+        """A row 1e-7 off the span of two others has full rank by SVD but a
+        residual variance below ``_DEPENDENT``: it shares their column."""
+        rng = np.random.default_rng(270 + centred)
+        d = _random_law(rng, 4, 5.0)
+        R = np.array(
+            [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, -1.0, 0.0], [1.0, 1.0, -1.0, 1e-7]]
+        )
+        assert np.linalg.matrix_rank(R) == 3
+        C = _correlation(R @ d.scale @ R.T)
+        assert C[2, 2] - C[2, :2] @ np.linalg.solve(C[:2, :2], C[:2, 2]) < 1e-10
+        assert _factor(C)[0].shape[1] == 2
+        r = R @ d.location + (0.0 if centred else 0.3 * rng.standard_normal(3))
+        est = mvt_constraint_prob(d, R, r, 1_000_000, 271)
+        assert est.exact == centred
+        ref = oracle_inequality_prob(d, R, r, 400_000, seed=272)
+        se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
+        assert abs(est.value - ref.value) < 4 * se
+
+    @pytest.mark.parametrize("df", [1.0, 4.0])
+    def test_semidefinite_scale_gives_the_exact_interval(self, df):
+        """Scale ``[[1, 1], [1, 1]]``: both coordinates are ``mu + T`` for
+        one t variable ``T``, so ``x1 > 0, x2 > 0`` is ``T > 0.2``."""
+        d = MultivariateT(np.array([0.3, -0.2]), np.ones((2, 2)), df)
+        est = mvt_constraint_prob(d, np.eye(2), np.zeros(2), 10_000, 280)
+        assert est.exact and est.value == t_cdf(-0.2, df)
+
+    @pytest.mark.parametrize(
+        "scale",
+        [
+            [[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]],
+            [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+        ],
+        ids=["negative-residual", "dependent-row-mismatch"],
+    )
+    @pytest.mark.parametrize("rows", ["independent", "dependent"])
+    @pytest.mark.parametrize("centred", [False, True])
+    def test_indefinite_scale_raises(self, scale, rows, centred):
+        d = MultivariateT(np.zeros(3), np.array(scale), 3.0)
+        R = np.eye(3) if rows == "independent" else np.vstack([np.eye(3), [1.0, 1.0, 0.0]])
+        r = np.zeros(len(R)) if centred else -0.1 * np.arange(1, len(R) + 1)
+        with pytest.raises(DecompositionError, match="semidefinite"):
+            mvt_constraint_prob(d, R, r, 10_000, 290)
 
 
 def _routes(monkeypatch, returned=None):
