@@ -2,22 +2,25 @@
 
 Every case is rendered with ``bfreg.cli.render_json`` at a fixed seed, so
 two checkouts that compute the same numbers write byte-identical files.
-The cases cover every estimation path: the benchmark's workload inputs at
-seed 5, mixed hypotheses with zero and nonzero bounds, a band whose
-prior center is inexact, inequalities that the equalities make vacuous
-(with free directions left and with every coefficient pinned),
-raw-coordinate systems, three rows of rank 2 through the prior's
-location (closed form), two- and three-system complements (one whose
-inclusion-exclusion does not resolve its small value and falls back to
-disjoint pieces, one whose terms leave less than one lattice block each
-at ``K5_MCREP`` and take fewer points), ``df_as_printed``, the
-exploratory screen of the k5 fit and of a fit whose ``Pr(x1 < 0)``
-underflows (every factor of every coefficient), a five-row chain off and
-through the location of a fixed t law (the lattice rule; off the
-location at 7 and at 1 degree of freedom) and the README demo.  Two
-cases are the text reports instead: the README demo with every
-``--show`` table, and the k5 screen with its Bayes factor matrices.  A
-case that raises records its error instead.
+The cases cover every estimation path: the benchmark's workload inputs
+(``order-mc`` operations 0-3 and ``sim-study`` operations 0-9 at seeds 1,
+2 and 5, so that comparing two dumps is the whole bit check of a change
+that keeps the arithmetic; ``explore-wide`` at seed 5), mixed hypotheses
+with zero and nonzero bounds, a band whose prior center is inexact,
+inequalities that the equalities make vacuous (with free directions left
+and with every coefficient pinned), raw-coordinate systems, three rows of
+rank 2 through the prior's location (closed form), two- and three-system
+complements (one whose inclusion-exclusion does not resolve its small
+value and falls back to disjoint pieces, one whose terms leave less than
+one lattice block each at ``K5_MCREP`` and take fewer points),
+``df_as_printed``, the exploratory screen of the k5 fit and of a fit
+whose ``Pr(x1 < 0)`` underflows (every factor of every coefficient), a
+five-row chain off and through the location of a fixed t law (the
+lattice rule; off the location at 7 and at 1 degree of freedom), the
+README demo and, on its fit, a complement whose intersection term
+repeats a row.  Two cases are the text reports instead: the README demo
+with every ``--show`` table, and the k5 screen with its Bayes factor
+matrices.  A case that raises records its error instead.
 
 Usage:
     python scripts/dump_outputs.py OUT [--root CHECKOUT]
@@ -51,6 +54,11 @@ from pathlib import Path
 import numpy as np
 
 SEED = 5
+# The Monte Carlo workloads' first operations at three seeds: together they
+# are the bit check of a change that keeps the estimates' arithmetic.
+WORKLOAD_SEEDS = (1, 2, 5)
+ORDER_OPS = 4
+SIM_OPS = 10
 K5_SEEDS = ((1, False), (12345, False), (3, True))
 K5_MCREP = 40_000
 K5_HYPOTHESES = (
@@ -73,6 +81,7 @@ K5_HYPOTHESES = (
     "x1>x2>x3; x3<x1",
 )
 README_HYPOTHESES = "x1=x2=0; (x1,x2)>0; x1>x2=0"
+REPEATED_ROW = "x1>x2>0; x1>x2"
 ALL_TABLES = ("computation", "ci", "bf-matrix")
 CHAIN_SEEDS = (1, 12345)
 CHAIN_MCREP = 1_000_000
@@ -187,15 +196,17 @@ def cases(tmp):
 
     yield "cli-demo", cli_demo
 
-    order = workloads.OrderMC(SEED)
-    yield "order-mc", lambda: cli.render_json(
-        order.operation(0), _config(cli, "order-mc")
-    )
-    sim = workloads.SimStudy(SEED)
-    for i in range(3):
-        yield f"sim-study-{i}", lambda i=i: cli.render_json(
-            sim.operation(i)[2], _config(cli, sim.FORMULA)
-        )
+    for seed in WORKLOAD_SEEDS:
+        order = workloads.OrderMC(seed)
+        for i in range(ORDER_OPS):
+            yield f"order-mc seed={seed} op={i}", lambda order=order, i=i: cli.render_json(
+                order.operation(i), _config(cli, "order-mc")
+            )
+        sim = workloads.SimStudy(seed)
+        for i in range(SIM_OPS):
+            yield f"sim-study seed={seed} op={i}", lambda sim=sim, i=i: cli.render_json(
+                sim.operation(i)[2], _config(cli, sim.FORMULA)
+            )
     wide = workloads.ExploreWide(SEED)
     yield "explore-wide", lambda: cli.render_json(
         wide.operation(0), _config(cli, "explore-wide", mode="exploratory")
@@ -253,6 +264,10 @@ def cases(tmp):
     )
     yield "readme-demo text", lambda: cli.render_test_text(
         engine.test_hypotheses(demo_fit, README_HYPOTHESES, seed=42), ALL_TABLES
+    )
+    yield f"readme-fit seed=3 {REPEATED_ROW}", lambda: cli.render_json(
+        engine.test_hypotheses(demo_fit, REPEATED_ROW, seed=3),
+        _config(cli, "y ~ x1 + x2"),
     )
 
 

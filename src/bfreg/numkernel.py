@@ -38,12 +38,19 @@ factor is the only rank rule.
   Wilson-Hilferty cube of a normal quantile, and each point is weighted
   by the ratio of the exact law to that map's (:func:`_radial`); a
   shift's estimate is its weighted mean.  A budget below one point per
-  shift takes one point on each of fewer shifts.
+  shift takes one point on each of fewer shifts.  The integrand works in
+  place, with signs moved where rounding leaves them exact, and gives
+  the bits of the formula as written: its time goes to ``ndtr`` and
+  ``ndtri``.
 
 A region probability needs the scale of the law to be positive
-semidefinite only: a singular scale makes some rows dependent.  A
-residual variance below ``-_DEPENDENT``, or a factor that does not
-return the correlation, raises :class:`~bfreg.errors.DecompositionError`.
+semidefinite only: a singular scale makes some rows dependent, and a
+single row of variance 0 holds everywhere or nowhere.  A row variance
+below ``-_DEPENDENT`` relative to ``|R| |S| |R|'`` (which bounds its
+roundoff), a residual variance below ``-_DEPENDENT``, or a factor that
+does not return the correlation raises
+:class:`~bfreg.errors.DecompositionError`, and so does a row of variance
+0 among several.
 
 The budget ``n_draws`` (the engine's ``mcrep``) is a precision budget in
 draw-equivalents: an estimate refines until its standard error is at most
@@ -58,10 +65,12 @@ over the other systems inside them.  No pivot is inclusion-exclusion,
 every system the walk over disjoint pieces, and, when one system is
 nearly certain, the likeliest system alone, taken only when its
 subtracted terms add no more variance than its added ones.  The terms
-share the budget; a route whose terms do not fit it is skipped.  What
-depends on the rows alone (the signed table of rows, their conflicts and
-pieces and the terms of each pivot set) is worked out once per distinct
-row content and kept, for the last ``_TABLES`` contents, in a read-only
+share the budget; a route whose terms do not fit it is skipped.  A
+term's row that another of its rows implies (a positive multiple with a
+bound no tighter) is left out of it.  What depends on the rows alone
+(the signed table of rows, their parallel pairs and pieces and the terms
+of each pivot set) is worked out once per distinct row content and
+kept, for the last ``_TABLES`` contents, in a read-only
 :class:`_Table`.  Only the estimates depend on the law, the seed and the
 budget.
 
@@ -184,21 +193,19 @@ class MultivariateT:
     df: float
 
     def __post_init__(self):
-        loc = np.atleast_1d(np.asarray(self.location, dtype=float))
+        loc = _location(self.location)
         S = np.asarray(self.scale, dtype=float)
         if S.ndim == 0:
             S = S.reshape(1, 1)
-        if loc.ndim != 1:
-            raise InvalidInputError("location must be a vector")
         d = loc.shape[0]
         if S.shape != (d, d):
             raise InvalidInputError(
                 f"scale has shape {S.shape}, expected ({d}, {d})"
             )
-        if not (np.all(np.isfinite(loc)) and np.all(np.isfinite(S))):
+        size = float(np.abs(S).max(initial=0.0))  # not finite when S is not
+        if not (np.isfinite(loc).all() and math.isfinite(size)):
             raise InvalidInputError("non-finite distribution parameters")
-        atol = 1e-8 * max(float(np.abs(S).max(initial=0.0)), 1.0)
-        if not np.abs(S - S.T).max(initial=0.0) <= atol:
+        if not np.abs(S - S.T).max(initial=0.0) <= 1e-8 * max(size, 1.0):
             raise InvalidInputError("scale matrix must be symmetric")
         df = float(self.df)
         if not (df > 0 and math.isfinite(df)):
@@ -212,8 +219,30 @@ class MultivariateT:
         return self.location.shape[0]
 
     def relocate(self, new_location) -> "MultivariateT":
-        """Same scale and df, new location."""
-        return replace(self, location=np.asarray(new_location, dtype=float))
+        """Same scale and df, new location.
+
+        Only the location is checked, as the constructor checks it: the
+        scale and df are this law's, which were checked when it was made."""
+        loc = _location(new_location)
+        if loc.shape != self.location.shape:
+            raise InvalidInputError(
+                f"location has shape {loc.shape}, expected {self.location.shape}"
+            )
+        if not np.isfinite(loc).all():
+            raise InvalidInputError("non-finite distribution parameters")
+        law = object.__new__(type(self))
+        law.__dict__.update(location=loc, scale=self.scale, df=self.df)
+        return law
+
+
+def _location(x):
+    """``x`` as a float vector, a scalar as one of length 1."""
+    loc = np.asarray(x, dtype=float)
+    if loc.ndim == 0:
+        return loc.reshape(1)
+    if loc.ndim != 1:
+        raise InvalidInputError("location must be a vector")
+    return loc
 
 
 @dataclass(frozen=True)
@@ -271,7 +300,7 @@ def mvt_logpdf(x, dist: MultivariateT) -> float:
         raise InvalidInputError(
             f"point has shape {x.shape}, expected ({dist.dim},)"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidInputError("evaluation point contains non-finite entries")
     L = _cholesky(dist.scale)
     z = np.linalg.solve(L, x - dist.location)
@@ -304,7 +333,7 @@ def t_cdf(x, df):
     if not (df > 0 and math.isfinite(df)):
         raise InvalidInputError("df must be a positive finite number")
     x = np.asarray(x, dtype=float)
-    if np.any(np.isnan(x)):
+    if np.isnan(x).any():
         raise InvalidInputError("t_cdf argument is NaN")
     p = stdtr(df, -np.abs(x))
     p = np.where(x >= 0.0, 1.0 - p, p)
@@ -327,7 +356,7 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
     """
     R = np.atleast_2d(np.asarray(R, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if R.ndim != 2 or not np.all(np.isfinite(R)):
+    if R.ndim != 2 or not np.isfinite(R).all():
         raise InvalidInputError("constraint matrix must be a finite 2-d array")
     if R.shape[1] != dist.dim:
         raise InvalidInputError(
@@ -335,7 +364,7 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
         )
     if r.shape != (R.shape[0],):
         raise InvalidInputError("constraint bound has the wrong length")
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise InvalidInputError("constraint bound contains non-finite entries")
     if n_draws < 1:
         raise InvalidInputError("n_draws must be at least 1")
@@ -368,17 +397,22 @@ def _estimates(dist: MultivariateT, R, r, seed, cap):
         m = float(R[0] @ dist.location)
         s2 = float(R[0] @ dist.scale @ R[0])
         if s2 <= 0.0:
+            _check_variances(R, dist.scale, s2)
             yield ProbEstimate(1.0 if m > r[0] else 0.0, 0.0, True, 0)
         else:
             yield ProbEstimate(t_cdf((m - r[0]) / math.sqrt(s2), dist.df), 0.0, True, 0)
         return
     law = MultivariateT(R @ dist.location, R @ dist.scale @ R.T, dist.df)
-    sd = np.sqrt(np.diag(law.scale))
-    centred = bool(np.all(np.abs(law.location - r) <= _APEX_TOL * sd))
+    var = np.diagonal(law.scale)
+    if not (var > 0.0).all():
+        _check_variances(R, dist.scale, var)
+        raise DecompositionError("a constraint row has zero variance under the scale matrix")
+    sd = np.sqrt(var)
+    centred = bool((np.abs(law.location - r) <= _APEX_TOL * sd).all())
     a = np.zeros(q) if centred else (r - law.location) / sd
     order = np.argsort(-a, kind="stable")
     a, sd = a[order], sd[order]
-    C = law.scale[np.ix_(order, order)] / np.outer(sd, sd)
+    C = law.scale[order][:, order] / (sd[:, None] * sd)
     L, col = _factor(C)
     if L.shape[1] == 1:
         cuts = a / L[:, 0]
@@ -391,6 +425,16 @@ def _estimates(dist: MultivariateT, R, r, seed, cap):
         yield ProbEstimate(_centred_orthant_prob(C), 0.0, True, 0)
     else:
         yield from _lattice_prob(a, L, col, law.df, seed, cap)
+
+
+def _check_variances(R, S, var):
+    """Raise :class:`DecompositionError` when the variance ``var`` of a row
+    of ``R`` under the scale ``S`` is below ``-_DEPENDENT`` relative to
+    ``|R| |S| |R|'``, which bounds its roundoff: ``S`` is then not positive
+    semidefinite.  A row whose variance roundoff can explain is singular."""
+    A = np.abs(R)
+    if (var < -_DEPENDENT * ((A @ np.abs(S)) * A).sum(axis=1)).any():
+        raise DecompositionError("scale matrix is not positive semidefinite")
 
 
 @functools.lru_cache(maxsize=None)
@@ -432,7 +476,7 @@ def _factor(C):
     except np.linalg.LinAlgError:
         pass
     else:
-        if np.all(np.diag(L) ** 2 > _DEPENDENT):
+        if (np.diagonal(L) ** 2 > _DEPENDENT).all():
             return L, np.arange(q)
     L = np.zeros((q, q))
     col = np.empty(q, dtype=int)
@@ -497,54 +541,102 @@ def _lattice_prob(a, L, col, df, seed, cap):
     shifts and yields once: a shift of one point has a ratio of 0/0 where
     ``omega`` is 0, so the ratio is pooled over all of them
     (:func:`_pooled_ratio`).
+
+    The integrand works in place on each chunk, so that its time goes to
+    ``ndtr`` and ``ndtri``, and moves signs where rounding to nearest
+    leaves them exact: it keeps ``w_j = -z_j = Phi^-1(top + (1 - u_j)
+    e_j)``, takes the rows' coefficients on earlier columns negated, so
+    that their products with ``w`` are ``L z``, and hands ``ndtr`` the
+    negated bounds ``(L z - s a) / L_jj`` as they are.  Each row takes its
+    own vector-matrix product: one product over a column's rows rounds
+    differently.  The estimates are bit for bit those of the formula as
+    written above (``reference_lattice_prob`` in the tests' oracle).
     """
     cap = int(cap)
     n_shifts = min(_SHIFTS, cap)
     centred = not a.any()
-    rank = L.shape[1]
-    # per column: its rows, those that bound it from below first, and how
-    # many do
+    q, rank = L.shape
+    # the rows grouped by the column they bound, those that bound it from
+    # below first; per column a slice of them, with their negated
+    # coefficients on the earlier columns and their coefficient on it
+    if rank == q:  # the Cholesky factor: row j alone bounds column j
+        starts, n_low = range(q + 1), [1] * q
+    else:
+        order, starts, n_low = [], [0], []
+        for j in range(rank):
+            rows = np.flatnonzero(col == j)
+            low = L[rows, j] > 0.0
+            order += [*rows[low], *rows[~low]]
+            starts.append(len(order))
+            n_low.append(int(low.sum()))
+        L, a = L[order], a[order]
+    neg_L, neg_a = -L, -a[:, None, None]
     columns = []
     for j in range(rank):
-        rows = np.flatnonzero(col == j)
-        low = L[rows, j] > 0.0
-        columns.append((np.concatenate([rows[low], rows[~low]]), int(low.sum())))
+        rows = slice(starts[j], starts[j + 1])
+        columns.append((rows, n_low[j], neg_L[rows, :j], L[rows, j, None, None]))
     dims = rank - 1 if centred else rank
-    alpha = _root_primes(dims)
+    alpha = _root_primes(dims)[:, None, None]
     shifts = rng_from_seed(seed).random((dims, n_shifts, 1))
 
     def integrand(i):
         """Sums over points ``i`` of the weighted values and of the weights,
         one per shift."""
-        x = i * alpha[:, None, None] + shifts
-        # x >= 0, so x - floor(x) is the exact fractional part, as x % 1.0
-        u = np.abs(2.0 * (x - np.floor(x)) - 1.0)
-        s, weight = 0.0, np.ones((n_shifts, i.size))
+        shape = (n_shifts, i.size)
+        u = i * alpha + shifts
+        # u >= 0, so u - floor(u) is the exact fractional part, as u % 1.0
+        u -= np.floor(u)
+        u *= 2.0
+        u -= 1.0
+        np.abs(u, out=u)
+        s = 0.0
         if not centred:
             s, weight = _radial(u[-1], df)
-        z = np.empty((rank - 1, n_shifts, i.size))
-        prob = np.ones((n_shifts, i.size))
-        for j, (rows, n_low) in enumerate(columns):
-            # the bounds of the column's rows, (rows, shifts, points), by one
-            # vector-matrix product per row: a product over several rows at
-            # once rounds differently and would move the estimate's bits
-            zj = z[:j].reshape(j, n_shifts * i.size)
-            dot = np.stack([c @ zj for c in L[rows, :j]]).reshape(len(rows), n_shifts, i.size)
-            b = (s * a[rows, None, None] - dot) / L[rows, j, None, None]
-            lo = b[:n_low].max(axis=0)
-            hi = b[n_low:].min(axis=0) if n_low < len(rows) else None
-            if hi is None:
-                e = ndtr(-lo)
-                prob *= e
-                if j < rank - 1:
-                    z[j] = -ndtri(np.maximum(e * (1.0 - u[j]), _TINY))
+        neg_sa = s * neg_a
+        v = np.subtract(1.0, u[: rank - 1], out=u[: rank - 1])  # 1 - u_j
+        # w_j = -z_j; -b = (L z - s a) / L_jj, by the signs of the docstring
+        w = np.empty((rank - 1, *shape))
+        for j, (rows, n_low, coef, pivot) in enumerate(columns):
+            if j == 0:  # no earlier column: L z is 0
+                nb = neg_sa[rows]
             else:
-                top = ndtr(-hi)
-                e = np.maximum(ndtr(-lo) - top, 0.0)
+                # one vector-matrix product per row: a product over several
+                # rows at once rounds differently and would move the bits
+                k = len(coef)
+                wj = w[:j].reshape(j, -1)
+                nb = np.empty((k, n_shifts * i.size))
+                for row, c in enumerate(coef):
+                    np.matmul(c, wj, out=nb[row])
+                nb = nb.reshape(k, *shape)
+                if not centred:
+                    nb += neg_sa[rows]
+            nb /= pivot
+            lo = nb[0] if n_low == 1 else nb[:n_low].min(axis=0)
+            e = ndtr(lo, out=lo)
+            upper = n_low < len(nb)
+            if upper:
+                hi = nb[n_low] if n_low == len(nb) - 1 else nb[n_low:].max(axis=0)
+                top = ndtr(hi, out=hi)
+                e -= top
+                np.maximum(e, 0.0, out=e)
+            if j == 0:
+                prob = e
+            elif j == 1:  # a centred cone's column 0 is one constant
+                prob = prob * e
+            else:
                 prob *= e
-                if j < rank - 1:
-                    z[j] = -ndtri(np.clip(top + (1.0 - u[j]) * e, _TINY, _BELOW_ONE))
-        return (prob * weight).sum(axis=1), weight.sum(axis=1)
+            if j < rank - 1:  # w_j = Phi^-1(top + (1 - u_j) e_j)
+                t = v[j]
+                t *= e
+                if upper:
+                    t += top
+                    np.minimum(t, _BELOW_ONE, out=t)
+                np.maximum(t, _TINY, out=t)
+                ndtri(t, out=w[j])
+        if centred:  # every weight is 1
+            return prob.sum(axis=1), np.full(n_shifts, float(i.size))
+        prob *= weight
+        return prob.sum(axis=1), weight.sum(axis=1)
 
     sums, weights = np.zeros(n_shifts), np.zeros(n_shifts)
     step = _CHUNK // _SHIFTS
@@ -557,9 +649,14 @@ def _lattice_prob(a, L, col, df, seed, cap):
         if n_shifts < _SHIFTS:
             yield _pooled_ratio(sums, weights)
             return
+        # the mean and standard deviation of the shift ratios, summed as
+        # np.mean and np.std sum them
         means = sums / weights
-        se = float(means.std(ddof=1)) / math.sqrt(_SHIFTS)
-        yield ProbEstimate(float(means.mean()), se, False, n * _SHIFTS)
+        mean = float(means.sum()) / _SHIFTS
+        dev = means - mean
+        dev *= dev
+        se = math.sqrt(float(dev.sum()) / (_SHIFTS - 1)) / math.sqrt(_SHIFTS)
+        yield ProbEstimate(mean, se, False, n * _SHIFTS)
         if 2 * n * _SHIFTS > cap:
             return
         done, n = n, 2 * n
@@ -597,21 +694,27 @@ def _radial(u, df):
     weight has variance 0.065 at df 1, 4e-5 at df 17 and 2e-7 at df 193.
     It is bounded for df >= 2/3; below that it grows without bound as
     ``b`` falls to 0, and its variance is infinite for df <= 1/3.  Every
-    law bfreg builds has df >= 1.
+    law bfreg builds has df >= 1.  The points with ``b <= 0`` are masked
+    only when there are some.
     """
     z = ndtri(np.minimum(u, 1.0 - _EPS))
     c = 2.0 / (9.0 * df)
     x = z * math.sqrt(c) - c  # b - 1
-    live = x > -1.0
-    x = np.where(live, x, 0.0)
-    z = np.where(live, z, 0.0)
+    dead = x <= -1.0 if x.min() <= -1.0 else None
+    if dead is not None:
+        x[dead] = 0.0
+        z[dead] = 0.0
     log_weight = (
         (1.5 * df - 1.0) * np.log1p(x)
         - 0.5 * df * (x * (3.0 + x * (3.0 + x)))
         + 0.5 * z * z
     )
     b = 1.0 + x
-    return np.where(live, b * np.sqrt(b), 0.0), np.where(live, np.exp(log_weight), 0.0)
+    s, weight = b * np.sqrt(b), np.exp(log_weight)
+    if dead is not None:
+        s[dead] = 0.0
+        weight[dead] = 0.0
+    return s, weight
 
 
 def _centred_orthant_prob(rho) -> float:
@@ -761,11 +864,12 @@ class _Table:
 
     Every row of a piece or a term is row ``k`` of a system or its
     negation, row ``n + k``, of the signed table ``rows x > bounds``, and
-    one table of conflicts between them (:func:`_conflicts`) serves every
-    check.  ``own`` holds each system's rows, ``pieces`` its pieces that
-    do not conflict in themselves, and ``disjoint[i][j]`` whether systems
-    ``i`` and ``j`` conflict.  The conflicts, pieces and the terms of each
-    pivot set (:meth:`terms`) are computed on first use and kept."""
+    one table of the pairs of parallel rows that conflict or imply one
+    another (:func:`_parallel_pairs`) serves every check.  ``own`` holds
+    each system's rows, ``pieces`` its pieces that do not conflict in
+    themselves, and ``disjoint[i][j]`` whether systems ``i`` and ``j``
+    conflict.  The pairs, pieces and the terms of each pivot set
+    (:meth:`terms`) are computed on first use and kept."""
 
     def __init__(self, systems):
         A = np.vstack([R for R, _ in systems])
@@ -777,12 +881,13 @@ class _Table:
         self._terms = {}
 
     @functools.cached_property
-    def conflict(self):
-        return _read_only(_conflicts(self.rows, self.bounds))
+    def pairs(self):
+        """``(conflict, implied)`` of the signed rows (:func:`_parallel_pairs`)."""
+        return tuple(_read_only(m) for m in _parallel_pairs(self.rows, self.bounds))
 
     @functools.cached_property
     def pieces(self):
-        n, conflict = len(self.bounds) // 2, self.conflict
+        n, (conflict, _) = len(self.bounds) // 2, self.pairs
         return [
             [(j, _read_only(P)) for j, P in _pieces(ix, n) if not conflict[np.ix_(P, P)].any()]
             for ix in self.own
@@ -792,7 +897,7 @@ class _Table:
     def disjoint(self):
         own, m = self.own, len(self.own)
         return [
-            [i != j and bool(self.conflict[np.ix_(own[i], own[j])].any()) for j in range(m)]
+            [i != j and bool(self.pairs[0][np.ix_(own[i], own[j])].any()) for j in range(m)]
             for i in range(m)
         ]
 
@@ -815,16 +920,25 @@ def _pieces(own, n):
     return [(j, np.append(own[:j], n + own[j])) for j in range(len(own))]
 
 
-def _conflicts(A, a):
-    """Whether rows ``i`` and ``j`` of ``A x > a`` share no point by the closed
-    form, for every pair ``(i, j)``: ``A_j = -c A_i`` with ``c > 0`` and ``c
-    a_i + a_j >= 0``."""
+def _parallel_pairs(A, a):
+    """For every pair ``(i, j)`` of rows of ``A x > a`` with ``A_j = -c A_i``,
+    in closed form: whether they share no point (``c > 0`` and ``c a_i +
+    a_j >= 0``), and whether row ``i`` implies row ``j`` (``c < 0`` and
+    ``c a_i + a_j <= 0``: the same direction, a bound no tighter)."""
     c = -(A @ A.T) / np.einsum("ij,ij->i", A, A)[:, None]
     resid = np.linalg.norm(A[None, :, :] + c[:, :, None] * A[:, None, :], axis=2)
-    parallel = (c > 0.0) & (resid <= _PARALLEL_TOL * np.linalg.norm(A, axis=1))
+    parallel = resid <= _PARALLEL_TOL * np.linalg.norm(A, axis=1)
     gap = c * a[:, None] + a[None, :]
     slack = _PARALLEL_TOL * (np.abs(c * a[:, None]) + np.abs(a[None, :]))
-    return parallel & (gap >= -slack)
+    return parallel & (c > 0.0) & (gap >= -slack), parallel & (c < 0.0) & (gap <= slack)
+
+
+def _unimplied(ix, implied):
+    """Rows ``ix`` less those another of them implies; of rows that imply
+    each other, the first stays."""
+    among = implied[np.ix_(ix, ix)]
+    drop = (among & (~among.T | ~np.tri(len(ix), dtype=bool))).any(axis=0)
+    return ix[~drop]
 
 
 def _next_level(level, m, disjoint):
@@ -847,12 +961,14 @@ def _terms(pivots, table, limit):
     over the subsets ``S`` of the other systems that hold no disjoint pair,
     then depth first over one piece of each pivot: ``(S, node, ix)`` for
     ``Pr(piece node_k of the k-th pivot holds, and every system of S
-    does)``, with ``ix`` its rows of the signed table, the pieces' first.
-    A node whose rows conflict is left out, a pivot that a system of ``S``
-    is disjoint from drops out, and ``S`` empty with no pivot left is the
+    does)``, with ``ix`` its rows of the signed table, the pieces' first,
+    less the rows another of them implies (:func:`_unimplied`).  A node
+    whose rows conflict is left out, a pivot that a system of ``S`` is
+    disjoint from drops out, and ``S`` empty with no pivot left is the
     whole space, not a term.  ``table`` is a :class:`_Table`.  None when
     there are more than ``limit``."""
-    conflict, own, pieces, disjoint = table.conflict, table.own, table.pieces, table.disjoint
+    (conflict, implied), own = table.pairs, table.own
+    pieces, disjoint = table.pieces, table.disjoint
     others = [k for k in range(len(own)) if k not in pivots]
     apart = [[disjoint[a][b] for b in others] for a in others]
     terms = []
@@ -862,7 +978,7 @@ def _terms(pivots, table, limit):
         whose pieces hold rows ``at``, depth first; False once there are
         more than ``limit``."""
         if not live:
-            terms.append((S, node, _read_only(np.concatenate([at, ix]))))
+            terms.append((S, node, _read_only(_unimplied(np.concatenate([at, ix]), implied))))
             return len(terms) <= limit
         for j, piece in live[0]:
             if not conflict[at][:, piece].any():

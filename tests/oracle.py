@@ -14,10 +14,12 @@ laws, which a separate factorization invariant pins down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from bfreg import (
     ConstraintSystem,
@@ -26,6 +28,7 @@ from bfreg import (
     build_transform,
     conditional_xiI,
 )
+from bfreg import numkernel
 from bfreg.constraints import minimal_fraction
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -240,3 +243,100 @@ def oracle_bf(
         + np.hypot(f_ie.rel_error_bound, c_ie.rel_error_bound)
     )
     return OracleEstimate(value, rel, "sampling_proportion")
+
+
+# The lattice rule of bfreg.numkernel written as the formula reads, one
+# array expression per step: the reference that its in-place integrand
+# must match bit for bit (``tests/test_numkernel.py::TestLatticeReference``).
+# It takes the kernel's constants, lattice generator, seed stream and
+# pooled ratio; its integrand, radial map and block statistics are its own.
+_CHUNK, _SHIFTS, _LATTICE_BLOCK = numkernel._CHUNK, numkernel._SHIFTS, numkernel._LATTICE_BLOCK
+_TINY, _BELOW_ONE, _EPS = numkernel._TINY, numkernel._BELOW_ONE, numkernel._EPS
+_root_primes, rng_from_seed = numkernel._root_primes, numkernel.rng_from_seed
+_pooled_ratio, ProbEstimate = numkernel._pooled_ratio, numkernel.ProbEstimate
+
+
+def reference_lattice_prob(a, L, col, df, seed, cap):
+    """The estimates of ``numkernel._lattice_prob(a, L, col, df, seed, cap)``."""
+    cap = int(cap)
+    n_shifts = min(_SHIFTS, cap)
+    centred = not a.any()
+    rank = L.shape[1]
+    # per column: its rows, those that bound it from below first, and how
+    # many do
+    columns = []
+    for j in range(rank):
+        rows = np.flatnonzero(col == j)
+        low = L[rows, j] > 0.0
+        columns.append((np.concatenate([rows[low], rows[~low]]), int(low.sum())))
+    dims = rank - 1 if centred else rank
+    alpha = _root_primes(dims)
+    shifts = rng_from_seed(seed).random((dims, n_shifts, 1))
+
+    def integrand(i):
+        """Sums over points ``i`` of the weighted values and of the weights,
+        one per shift."""
+        x = i * alpha[:, None, None] + shifts
+        # x >= 0, so x - floor(x) is the exact fractional part, as x % 1.0
+        u = np.abs(2.0 * (x - np.floor(x)) - 1.0)
+        s, weight = 0.0, np.ones((n_shifts, i.size))
+        if not centred:
+            s, weight = reference_radial(u[-1], df)
+        z = np.empty((rank - 1, n_shifts, i.size))
+        prob = np.ones((n_shifts, i.size))
+        for j, (rows, n_low) in enumerate(columns):
+            # the bounds of the column's rows, (rows, shifts, points), by one
+            # vector-matrix product per row: a product over several rows at
+            # once rounds differently and would move the estimate's bits
+            zj = z[:j].reshape(j, n_shifts * i.size)
+            dot = np.stack([c @ zj for c in L[rows, :j]]).reshape(len(rows), n_shifts, i.size)
+            b = (s * a[rows, None, None] - dot) / L[rows, j, None, None]
+            lo = b[:n_low].max(axis=0)
+            hi = b[n_low:].min(axis=0) if n_low < len(rows) else None
+            if hi is None:
+                e = ndtr(-lo)
+                prob *= e
+                if j < rank - 1:
+                    z[j] = -ndtri(np.maximum(e * (1.0 - u[j]), _TINY))
+            else:
+                top = ndtr(-hi)
+                e = np.maximum(ndtr(-lo) - top, 0.0)
+                prob *= e
+                if j < rank - 1:
+                    z[j] = -ndtri(np.clip(top + (1.0 - u[j]) * e, _TINY, _BELOW_ONE))
+        return (prob * weight).sum(axis=1), weight.sum(axis=1)
+
+    sums, weights = np.zeros(n_shifts), np.zeros(n_shifts)
+    step = _CHUNK // _SHIFTS
+    done, n = 0, min(_LATTICE_BLOCK, cap // n_shifts)
+    while True:
+        for start in range(done, n, step):
+            total, weight = integrand(np.arange(start + 1, min(n, start + step) + 1.0))
+            sums += total
+            weights += weight
+        if n_shifts < _SHIFTS:
+            yield _pooled_ratio(sums, weights)
+            return
+        means = sums / weights
+        se = float(means.std(ddof=1)) / math.sqrt(_SHIFTS)
+        yield ProbEstimate(float(means.mean()), se, False, n * _SHIFTS)
+        if 2 * n * _SHIFTS > cap:
+            return
+        done, n = n, 2 * n
+
+
+def reference_radial(u, df):
+    """``numkernel._radial(u, df)``."""
+    z = ndtri(np.minimum(u, 1.0 - _EPS))
+    c = 2.0 / (9.0 * df)
+    x = z * math.sqrt(c) - c  # b - 1
+    live = x > -1.0
+    x = np.where(live, x, 0.0)
+    z = np.where(live, z, 0.0)
+    log_weight = (
+        (1.5 * df - 1.0) * np.log1p(x)
+        - 0.5 * df * (x * (3.0 + x * (3.0 + x)))
+        + 0.5 * z * z
+    )
+    b = 1.0 + x
+    return np.where(live, b * np.sqrt(b), 0.0), np.where(live, np.exp(log_weight), 0.0)

@@ -572,6 +572,16 @@ class TestComplement:
         assert hc.c_ie.exact
         assert abs(hc.c_ie.value - 3.0 / 8.0) <= 1e-15
 
+    def test_implied_hypothesis_leaves_an_exact_half(self, two_effect_fit):
+        """x1 > x2 > 0 or x1 > x2: H1 lies inside H2, so the union is H2 and
+        under the prior, centred on the apex, the complement keeps exactly
+        1/2.  Their intersection repeats the row x1 - x2 > 0; with it the
+        closed form of three rows read 0.4999999983230302."""
+        res = run_hypotheses(two_effect_fit, "x1>x2>0; x1>x2", mcrep=20_000, seed=3)
+        _, h2, hc = res.components
+        assert hc.c_ie.exact and hc.c_ie.value == 0.5
+        assert abs(hc.f_ie.value - (1.0 - h2.f_ie.value)) < 4 * hc.f_ie.std_error
+
     def test_equality_hypotheses_do_not_shrink_the_complement(
         self, two_effect_fit
     ):

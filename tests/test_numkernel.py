@@ -30,7 +30,13 @@ from bfreg.numkernel import (
     mvt_logpdf,
     t_cdf,
 )
-from oracle import mvt_sample, oracle_complement_prob, oracle_inequality_prob
+from oracle import (
+    mvt_sample,
+    oracle_complement_prob,
+    oracle_inequality_prob,
+    reference_lattice_prob,
+    reference_radial,
+)
 
 
 _trapz = getattr(np, "trapezoid", getattr(np, "trapz", None))
@@ -552,6 +558,18 @@ class TestDomainTypes:
         assert np.array_equal(moved.location, [1.0, 2.0])
         assert np.array_equal(moved.scale, d.scale)
         assert moved.df == d.df
+        assert np.array_equal(MultivariateT(2.0, 1.0, 3.0).relocate(5).location, [5.0])
+
+    @pytest.mark.parametrize(
+        "location", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [np.nan, 0.0], [0.0, -np.inf]]
+    )
+    def test_relocate_checks_the_new_location(self, location):
+        """A location the constructor rejects, relocate rejects too."""
+        d = MultivariateT(np.zeros(2), np.eye(2), 3.0)
+        with pytest.raises(InvalidInputError):
+            MultivariateT(location, d.scale, d.df)
+        with pytest.raises(InvalidInputError):
+            d.relocate(location)
 
 
 def _refined(blocks, mcrep):
@@ -668,6 +686,92 @@ class TestSingularLattice:
         assert col.tolist() == [0, 1, 2, 3]
 
 
+def _lattice_args(dist, R, r):
+    """The standardised bounds, factor and columns of ``R xi > r`` that
+    ``_estimates`` passes to the lattice: rows sorted by bound, largest
+    first."""
+    S = R @ dist.scale @ R.T
+    sd = np.sqrt(np.diag(S))
+    a = (r - R @ dist.location) / sd
+    order = np.argsort(-a, kind="stable")
+    L, col = _factor(S[np.ix_(order, order)] / np.outer(sd[order], sd[order]))
+    return a[order], L, col
+
+
+def _bits(blocks):
+    return [(e.value.hex(), e.std_error.hex(), e.exact, e.n_draws) for e in blocks]
+
+
+class TestLatticeReference:
+    """The in-place lattice integrand gives the bits of the reference that
+    reads as the formula (``oracle.reference_lattice_prob``): every block's
+    value, standard error and point count."""
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("centred", [False, True])
+    def test_chains(self, rank, centred):
+        rng = np.random.default_rng(400 + rank)
+        d = _random_law(rng, rank + 1, 4.0)
+        R = np.eye(rank + 1)[:-1] - np.eye(rank + 1)[1:]
+        r = R @ d.location + (0.0 if centred else 0.4 * rng.standard_normal(rank))
+        a, L, col = _lattice_args(d, R, r)
+        assert L.shape[1] == rank and (not a.any()) == centred
+        args = (a, L, col, d.df, 401, 1 << 15)
+        assert _bits(numkernel._lattice_prob(*args)) == _bits(reference_lattice_prob(*args))
+
+    @pytest.mark.parametrize("centred", [False, True])
+    @pytest.mark.parametrize("df", [1.0, 7.0])
+    def test_columns_bounded_from_both_sides(self, centred, df):
+        """Dependent rows bound columns from below and above, several of
+        each on one column."""
+        rng = np.random.default_rng(410 + int(df))
+        d = _random_law(rng, 3, df)
+        e = np.eye(3)
+        R = np.array(
+            [e[0], e[1], e[2], e[0] + e[1], -e[0] - e[1], 2 * e[0] + 2 * e[1], -e[0], e[1] - e[2]]
+        )
+        r = R @ d.location + (0.0 if centred else -0.3 - 0.5 * rng.random(len(R)))
+        a, L, col = _lattice_args(d, R, r)
+        low = L[np.arange(len(R)), col] > 0
+        assert L.shape[1] == 3 and (~low).sum() >= 2
+        assert any((col == j).sum() >= 3 and 0 < j for j in range(3))
+        args = (a, L, col, d.df, 411, 1 << 14)
+        assert _bits(numkernel._lattice_prob(*args)) == _bits(reference_lattice_prob(*args))
+
+    @pytest.mark.parametrize("cap", [1, 8, 63])
+    @pytest.mark.parametrize("centred", [False, True])
+    def test_caps_below_one_point_per_shift(self, cap, centred):
+        rng = np.random.default_rng(420 + cap)
+        d = _random_law(rng, 4, 3.0)
+        R = np.eye(4)[:-1] - np.eye(4)[1:]
+        r = R @ d.location + (0.0 if centred else 0.4 * rng.standard_normal(3))
+        args = (*_lattice_args(d, R, r), d.df, 421, cap)
+        blocks = _bits(numkernel._lattice_prob(*args))
+        assert len(blocks) == 1 and blocks == _bits(reference_lattice_prob(*args))
+
+    @pytest.mark.parametrize("df", [0.2, 1.0, 5.0, 940.0])
+    def test_radial_map(self, df):
+        """The radial factor and weight, with points of ``b <= 0`` (weight
+        0) at df 0.2 and 1, and the input left as it was."""
+        u = np.random.default_rng(440).random((64, 64))
+        u[0, :2] = [0.0, 1.0]
+        before = u.copy()
+        got, want = _radial(u, df), reference_radial(u, df)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(u, before)
+
+    def test_blocks_of_two_chunks(self):
+        """Past ``_CHUNK // _SHIFTS`` points per shift a block is summed in
+        chunks."""
+        rng = np.random.default_rng(430)
+        d = _random_law(rng, 3, 5.0)
+        R = np.eye(3)[:-1] - np.eye(3)[1:]
+        args = (*_lattice_args(d, R, R @ d.location + 0.3), d.df, 431, 1 << 20)
+        blocks = _bits(numkernel._lattice_prob(*args))
+        assert blocks[-1][3] // numkernel._SHIFTS == 4 * (numkernel._CHUNK // numkernel._SHIFTS)
+        assert blocks == _bits(reference_lattice_prob(*args))
+
+
 class TestRankRule:
     """One factor decides the rank of every multi-row estimate (``_factor``)."""
 
@@ -734,6 +838,29 @@ class TestRankRule:
         r = np.zeros(len(R)) if centred else -0.1 * np.arange(1, len(R) + 1)
         with pytest.raises(DecompositionError, match="semidefinite"):
             mvt_constraint_prob(d, R, r, 10_000, 290)
+
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_negative_row_variance_raises(self, extra):
+        """A row along the eigenvector of eigenvalue -0.8 has variance -0.8:
+        alone, and with ``x1 > 0``, it raises, before any square root of a
+        negative variance warns."""
+        scale = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+        d = MultivariateT(np.zeros(3), scale, 3.0)
+        row = np.array([1.0, -1.0, -1.0]) / np.sqrt(3.0)
+        assert row @ d.scale @ row == pytest.approx(-0.8)
+        R = np.vstack([row, [1.0, 0.0, 0.0]]) if extra else row[None, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DecompositionError, match="semidefinite"):
+                mvt_constraint_prob(d, R, -0.1 * np.ones(len(R)), 10_000, 291)
+
+    @pytest.mark.parametrize("bound, want", [(-0.1, 1.0), (0.1, 0.0)])
+    def test_singular_row_is_a_step(self, bound, want):
+        """Scale ``[[1, 1], [1, 1]]`` leaves ``x1 - x2`` constant at its
+        location, 0: one row along it holds everywhere or nowhere."""
+        d = MultivariateT(np.zeros(2), np.ones((2, 2)), 3.0)
+        est = mvt_constraint_prob(d, np.array([[1.0, -1.0]]), np.array([bound]), 10_000, 292)
+        assert est == ProbEstimate(want, 0.0, True, 0)
 
 
 def _routes(monkeypatch, returned=None):
@@ -803,6 +930,25 @@ class TestComplementProb:
         assert est.exact
         m, sd = d.location[0], np.sqrt(d.scale[0, 0])
         assert abs(est.value - (t_cdf((0.6 - m) / sd, 4.0) - t_cdf((0.1 - m) / sd, 4.0))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "bound, rows",
+        [(0.0, [0, 1]), (-0.5, [0, 1]), (0.5, [1, 2])],
+        ids=["equal", "looser", "tighter"],
+    )
+    def test_implied_rows_leave_a_term(self, bound, rows):
+        """``x1 > x2 > 0`` and ``2 (x1 - x2) > bound``: in their intersection
+        term a row that another row implies (a positive multiple of it with
+        a bound no tighter) is dropped, and of two that imply each other
+        the first stays."""
+        x12 = np.array([1.0, -1.0, 0.0])
+        systems = [
+            (np.array([x12, [0.0, 1.0, 0.0]]), np.zeros(2)),
+            (2.0 * x12[None, :], np.array([bound])),
+        ]
+        table = numkernel._table(systems)
+        (ix,) = [ix for S, _, ix in table.terms(()) if S == (0, 1)]
+        assert ix.tolist() == rows
 
     def test_known_terms_make_an_exact_union_exact(self):
         """Exact singles and a pair empty in closed form: 1 - c1 - c2."""
