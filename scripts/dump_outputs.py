@@ -18,9 +18,11 @@ whose ``Pr(x1 < 0)`` underflows (every factor of every coefficient), a
 five-row chain off and through the location of a fixed t law (the
 lattice rule; off the location at 7 and at 1 degree of freedom), the
 README demo and, on its fit, a complement whose intersection term
-repeats a row.  Two cases are the text reports instead: the README demo
-with every ``--show`` table, and the k5 screen with its Bayes factor
-matrices.  A case that raises records its error instead.
+repeats a row and a hypothesis that repeats one of its own rows.  Four
+k5 texts at one seed use every operand form of the grammar, so the bit
+check covers the parser too.  Two cases are the text reports instead:
+the README demo with every ``--show`` table, and the k5 screen with its
+Bayes factor matrices.  A case that raises records its error instead.
 
 Usage:
     python scripts/dump_outputs.py OUT [--root CHECKOUT]
@@ -80,8 +82,18 @@ K5_HYPOTHESES = (
     "x1>x2>0<x1",
     "x1>x2>x3; x3<x1",
 )
+# Texts that exercise every operand form of the grammar (signed numbers in
+# each form, groups, the intercept, spacing), at one seed.
+PARSE_SEED = 1
+PARSE_HYPOTHESES = (
+    " ( x1 , x2 ) > -.5e-1 ; x3 < +2 ",
+    "(Intercept) > (x1,x2) = x3 < 1E-1",
+    "0 = x4 < (x1, x2, x3)",
+    "((Intercept),x1)>0",
+)
 README_HYPOTHESES = "x1=x2=0; (x1,x2)>0; x1>x2=0"
 REPEATED_ROW = "x1>x2>0; x1>x2"
+REPEATED_OWN_ROW = "(x1,x1)>x2>0"
 ALL_TABLES = ("computation", "ci", "bf-matrix")
 CHAIN_SEEDS = (1, 12345)
 CHAIN_MCREP = 1_000_000
@@ -225,6 +237,11 @@ def cases(tmp):
                 )
             )
 
+    for text in PARSE_HYPOTHESES:
+        yield f"k5 seed={PARSE_SEED} parse {text!r}", lambda text=text: cli.render_json(
+            engine.test_hypotheses(fit, text, mcrep=K5_MCREP, seed=PARSE_SEED), cfg
+        )
+
     yield "k5 exploratory", lambda: _screen_json(engine.exploratory_test(fit, seed=1))
     underflow_fit = model.RegressionFit(
         coef_names=("(Intercept)", "x1"),
@@ -267,6 +284,10 @@ def cases(tmp):
     )
     yield f"readme-fit seed=3 {REPEATED_ROW}", lambda: cli.render_json(
         engine.test_hypotheses(demo_fit, REPEATED_ROW, seed=3),
+        _config(cli, "y ~ x1 + x2"),
+    )
+    yield f"readme-fit seed=3 {REPEATED_OWN_ROW}", lambda: cli.render_json(
+        engine.test_hypotheses(demo_fit, REPEATED_OWN_ROW, seed=3),
         _config(cli, "y ~ x1 + x2"),
     )
 

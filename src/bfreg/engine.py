@@ -131,39 +131,58 @@ def posterior_probabilities(bayes_factors, prior_probs=None) -> np.ndarray:
     b = np.atleast_1d(np.asarray(bayes_factors, dtype=float))
     if np.any(b < 0) or not np.all(np.isfinite(b)):
         raise InvalidInputError("Bayes factors must be finite and nonnegative")
+    w = None
+    if not _equal_weights(prior_probs):
+        w = _prior_weights(prior_probs, b.shape[-1])
     with np.errstate(divide="ignore"):
-        return _log_posteriors(np.log(b), prior_probs)
+        return _log_posteriors(np.log(b), w)
 
 
-def _log_posteriors(log_bf, prior_probs=None) -> np.ndarray:
+def _prior_weights(prior_probs, n: int, detail: str = "") -> np.ndarray:
+    """The prior weights of ``n`` hypotheses, normalised to sum to 1.
+
+    ``prior_probs`` is None or "equal" for uniform weights, else ``n``
+    nonnegative finite numbers, not all zero.  Anything else raises
+    :class:`~bfreg.errors.InvalidInputError`; ``detail`` says in its
+    message what the ``n`` hypotheses are.
+    """
+    if _equal_weights(prior_probs):
+        w = np.ones(n)
+    else:
+        try:
+            w = np.atleast_1d(np.asarray(prior_probs, dtype=float))
+        except (TypeError, ValueError):
+            raise InvalidInputError(
+                f"prior weights must be 'equal' or numbers, got {prior_probs!r}"
+            ) from None
+        if w.shape != (n,):
+            got = f"{w.size}" if w.ndim == 1 else f"an array of shape {w.shape} of"
+            raise InvalidInputError(f"got {got} prior weights, expected {n}{detail}")
+        if np.any(w < 0) or not np.all(np.isfinite(w)) or w.sum() <= 0:
+            raise InvalidInputError(
+                "prior weights must be nonnegative and not all zero"
+            )
+    return w / w.sum()
+
+
+def _log_posteriors(log_bf, w=None) -> np.ndarray:
     """Posterior probabilities from log Bayes factors, normalised in log space.
 
     With ``score_t = log B_tu + log w_t``, ``Pr(H_t | y) = exp(score_t -
     max_s score_s)`` divided by its sum over ``t``, so a Bayes factor past
     the float range still gets its share.
-    Each ``log_bf`` is finite or -inf (a zero Bayes factor); weights as in
-    :func:`posterior_probabilities`.  A matrix of ``log_bf`` is normalised
-    row by row, each row with the same weights.
+    Each ``log_bf`` is finite or -inf (a zero Bayes factor); ``w`` holds
+    weights from :func:`_prior_weights`, or None for equal ones.  A
+    matrix of ``log_bf`` is normalised row by row, each row with the same
+    weights.
     """
     lb = np.atleast_1d(np.asarray(log_bf, dtype=float))
     if lb.ndim > 2 or lb.shape[-1] == 0:
         raise InvalidInputError("need a nonempty vector of Bayes factors")
     if np.any(np.isnan(lb) | (lb == np.inf)):
         raise InvalidInputError("log Bayes factors must be finite or -inf")
-    n = lb.shape[-1]
-    if _equal_weights(prior_probs):
-        w = np.ones(n)
-    else:
-        w = np.atleast_1d(np.asarray(prior_probs, dtype=float))
-        if w.shape != (n,):
-            raise InvalidInputError(f"got {w.size} prior weights, expected {n}")
-        if np.any(w < 0) or not np.all(np.isfinite(w)) or w.sum() <= 0:
-            raise InvalidInputError(
-                "prior weights must be nonnegative and not all zero"
-            )
-        w = w / w.sum()
     with np.errstate(divide="ignore"):
-        score = lb + np.log(w)
+        score = lb if w is None else lb + np.log(w)
     if np.any(np.all(np.isneginf(score), axis=-1)):
         raise NumericError("all hypotheses have zero weighted Bayes factor")
     p = np.exp(score - score.max(axis=-1, keepdims=True))
@@ -317,8 +336,9 @@ def bf_complement(
     ignored; the complement divides what the inequality-only hypotheses
     leave over: ``B_cu = (1 - U_f) / (1 - U_c)`` with U the posterior or
     prior probability of the union of their regions, the prior centered
-    by :func:`~bfreg.hyparse.prior_center` on all their rows (warning as
-    Hc when inexact).  ``1 - U`` is a sum of region probabilities by
+    by :func:`~bfreg.hyparse.prior_center` on all their reduced rows
+    (those a system's own rows imply are gone; warning as Hc when
+    inexact).  ``1 - U`` is a sum of region probabilities by
     inclusion-exclusion or by disjoint pieces
     (:func:`~bfreg.numkernel.complement_prob`), exact when every term is;
     a hypothesis' own ``f_ie`` (and its ``c_ie`` when its prior center is
@@ -341,8 +361,8 @@ def bf_complement(
     known = [comp.f_ie for _, comp in ineq]
     f_ie = _complement_prob(post, systems, known, mcrep, derived_seed(seed, 1))
     center, exact = prior_center(
-        np.vstack([cs.R_I for cs in systems]),
-        np.concatenate([cs.r_I for cs in systems]),
+        np.vstack([cs.reduction.Rtilde_I for cs in systems]),
+        np.concatenate([cs.reduction.rtilde_I for cs in systems]),
     )
     warn_if_inexact("Hc", exact)
     prior = fractional_posterior_beta(fit, minimal_fraction(fit)).relocate(center)
@@ -434,21 +454,15 @@ def test_hypotheses(
     if complement is not None:
         components.append(complement)
         texts.append(_complement_text(len(systems)))
-    n = len(components)
-    w = np.ones(n) if _equal_weights(prior_probs) else np.asarray(prior_probs, float)
-    if w.shape != (n,):
-        detail = (
-            f"{len(systems)} stated hypotheses plus the automatic complement"
-            if complement is not None
-            else f"{len(systems)} stated hypotheses"
-        )
-        raise InvalidInputError(f"got {w.size} prior weights, expected {n} ({detail})")
+    plus = " plus the automatic complement" if complement is not None else ""
+    detail = f" ({len(systems)} stated hypotheses{plus})"
+    w = _prior_weights(prior_probs, len(components), detail)
     post = _log_posteriors([c.log_bf for c in components], w)
     return TestResult(
         labels=tuple(c.label for c in components),
         hypothesis_texts=tuple(texts),
         components=tuple(components),
-        prior_probs=w / w.sum(),
+        prior_probs=w,
         post_probs=post,
         bf_matrix=bf_matrix(components),
         seed=seed,

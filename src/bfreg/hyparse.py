@@ -18,10 +18,17 @@ group members expanding left operand outermost.
 The intercept is addressed by the literal name ``(Intercept)``.  The
 special text ``exploratory`` is not a hypothesis; callers check
 :func:`is_exploratory` before parsing.
+
+A hypothesis is split on its comparisons, and one rule classifies each
+operand between them (:func:`_operand`): parentheses make a group of
+names, else it is a number or a name.  Text that does not follow the
+grammar raises :class:`~bfreg.errors.HypothesisSyntaxError`, naming the
+hypothesis and the operand.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -120,8 +127,8 @@ class ConstraintSystem:
             raise HypothesisSyntaxError("constraint bounds have the wrong length")
         if RE.shape[0] + RI.shape[0] < 1:
             raise HypothesisSyntaxError("a hypothesis needs at least one constraint")
-        if not (np.all(np.isfinite(RE)) and np.all(np.isfinite(RI))):
-            raise HypothesisSyntaxError("constraint matrices must be finite")
+        if not all(np.isfinite(a).all() for a in (RE, RI, rE, rI)):
+            raise HypothesisSyntaxError("constraint matrices and bounds must be finite")
         for row in list(RE) + list(RI):
             if not np.any(row):
                 raise HypothesisSyntaxError("all constraint rows must be nonzero")
@@ -151,7 +158,10 @@ class ConstraintSystem:
         A reduced row with no coefficient content left (a norm at most
         1e-9 of the largest row norm, or of 1) decides itself: ``0 > c``
         raises :class:`InfeasibleHypothesisError` for ``c >= 0`` and is
-        dropped as vacuously true otherwise.
+        dropped as vacuously true otherwise.  A live row that another
+        implies (a positive multiple with a bound no tighter, by
+        :func:`bfreg.numkernel._parallel_pairs`) is dropped too, before
+        the prior center is taken; of equal rows the first stays.
 
         One SVD ``R_E = U diag(s) V'`` gives the rest: the equality rows
         are independent when every singular value exceeds ``max(q_E, k)
@@ -184,6 +194,13 @@ class ConstraintSystem:
                     f"inequality reduces to 0 > {c:g}"
                 )
         Rt, rt = Rt[live], rt[live]
+        # Imported here, not at the top: importing numkernel from this
+        # module's body made a cold `bfreg` process 3.5% slower (cli-demo
+        # analysis_s over 10 alternating benchmark pairs, 2-vCPU Xeon).
+        from .numkernel import _parallel_pairs, _unimplied
+
+        keep = _unimplied(np.arange(len(rt)), _parallel_pairs(Rt, rt)[1])
+        Rt, rt = Rt[keep], rt[keep]
         center, exact = prior_center(Rt, rt)
         return EqualityReduction(*map(_frozen, (D, Rt, rt, center)), exact)
 
@@ -191,7 +208,9 @@ class ConstraintSystem:
 @dataclass(frozen=True)
 class ValidationReport:
     """Diagnostics from :func:`validate`: the rank of the live reduced
-    inequalities and the number of rows the equalities made vacuous."""
+    inequalities and, in ``n_trivial_rows``, the number of inequality
+    rows the reduction dropped, those the equalities made vacuous and
+    those another row implies."""
 
     label: str
     rank_inequalities_reduced: int
@@ -200,118 +219,54 @@ class ValidationReport:
     q_I: int
 
 
-# --- lexing -----------------------------------------------------------
+# --- parsing ----------------------------------------------------------
 
-def _lex(text: str, label: str):
-    """Tokenize a whitespace-free hypothesis segment."""
-    toks = []
-    i = 0
-    while i < len(text):
-        if text.startswith(_INTERCEPT, i):
-            toks.append(("name", _INTERCEPT))
-            i += len(_INTERCEPT)
-            continue
-        c = text[i]
-        if c in "<>=":
-            toks.append(("cmp", c))
-            i += 1
-        elif c == "(":
-            toks.append(("lparen", c))
-            i += 1
-        elif c == ")":
-            toks.append(("rparen", c))
-            i += 1
-        elif c == ",":
-            toks.append(("comma", c))
-            i += 1
-        elif c.isalpha() or c == "_":
-            m = _NAME_RE.match(text, i)
-            toks.append(("name", m.group(0)))
-            i = m.end()
-        elif c.isdigit() or c in "+-.":
-            m = _NUM_RE.match(text, i)
-            if not m:
-                raise HypothesisSyntaxError(
-                    f"{label}: malformed token at {text[i:]!r}"
-                )
-            toks.append(("num", m.group(0)))
-            i = m.end()
-        else:
-            raise HypothesisSyntaxError(f"{label}: malformed token at {text[i:]!r}")
-    return toks
+def _operand(text: str, coef_names, label: str):
+    """One operand of a chain: a list of coefficient names, or a float.
 
-
-# --- segment parsing --------------------------------------------------
-
-def _parse_operand(toks, pos, coef_names, label):
-    """Return ((names, const), next_pos); one of names/const is None."""
-    kind, val = toks[pos] if pos < len(toks) else ("end", "")
-    if kind == "name":
-        _check_name(val, coef_names, label)
-        return ([val], None), pos + 1
-    if kind == "num":
-        return (None, float(val)), pos + 1
-    if kind == "lparen":
-        names = []
-        pos += 1
-        while True:
-            kind, val = toks[pos] if pos < len(toks) else ("end", "")
-            if kind != "name":
-                raise HypothesisSyntaxError(
-                    f"{label}: groups may contain coefficient names only"
-                )
-            _check_name(val, coef_names, label)
-            names.append(val)
-            pos += 1
-            kind, val = toks[pos] if pos < len(toks) else ("end", "")
-            if kind == "comma":
-                pos += 1
-                continue
-            if kind == "rparen":
-                return (names, None), pos + 1
-            raise HypothesisSyntaxError(f"{label}: expected ',' or ')' in group")
-    raise HypothesisSyntaxError(f"{label}: expected a coefficient name or number")
-
-
-def _check_name(name, coef_names, label):
-    if name not in coef_names:
-        known = ", ".join(coef_names)
-        raise HypothesisSyntaxError(
-            f"{label}: unknown coefficient name {name!r}; model has: {known}"
-        )
+    An operand wrapped in parentheses, other than ``(Intercept)`` itself,
+    is a group of comma-separated names; any other operand is a number
+    when ``_NUM_RE`` matches all of it and its value is finite, else a
+    single name.  Every name is ``(Intercept)`` or matches ``_NAME_RE``,
+    and is in the model.
+    """
+    group = text[:1] == "(" and text[-1:] == ")" and text != _INTERCEPT
+    if not group and _NUM_RE.fullmatch(text) and math.isfinite(float(text)):
+        return float(text)
+    names = text[1:-1].split(",") if group else [text]
+    for name in names:
+        if name != _INTERCEPT and not _NAME_RE.fullmatch(name):
+            raise HypothesisSyntaxError(
+                f"{label}: {text!r} is not a coefficient name, a finite number "
+                "or a group of names"
+            )
+        if name not in coef_names:
+            known = ", ".join(coef_names)
+            raise HypothesisSyntaxError(
+                f"{label}: unknown coefficient name {name!r}; model has: {known}"
+            )
+    return names
 
 
 def _parse_segment(segment: str, coef_names, label: str) -> ConstraintSystem:
     text = "".join(segment.split())
     if not text:
         raise HypothesisSyntaxError(f"{label}: empty hypothesis segment")
-    toks = _lex(text, label)
-    operands, cmps = [], []
-    operand, pos = _parse_operand(toks, 0, coef_names, label)
-    operands.append(operand)
-    while pos < len(toks):
-        kind, val = toks[pos]
-        if kind != "cmp":
-            raise HypothesisSyntaxError(f"{label}: expected '=', '<' or '>'")
-        cmps.append(val)
-        operand, pos = _parse_operand(toks, pos + 1, coef_names, label)
-        operands.append(operand)
-    if len(operands) < 2:
+    parts = re.split(r"([<>=])", text)
+    if len(parts) < 3:
         raise HypothesisSyntaxError(
             f"{label}: a hypothesis must contain at least one comparison"
         )
+    operands = [_operand(part, coef_names, label) for part in parts[::2]]
 
     k = len(coef_names)
     index = {name: j for j, name in enumerate(coef_names)}
-    eq_rows, eq_rhs, ineq_rows, ineq_rhs = [], [], [], []
-    for left, op, right in zip(operands, cmps, operands[1:]):
+    rows = {">": ([], []), "=": ([], [])}
+    for left, op, right in zip(operands, parts[1::2], operands[1:]):
         if op == "<":
-            left, right = right, left
-            op = ">"
-        l_items = left[0] if left[0] is not None else [left[1]]
-        r_items = right[0] if right[0] is not None else [right[1]]
-        for li in l_items:
-            for ri in r_items:
+            left, op, right = right, ">", left
+        for li in left if isinstance(left, list) else [left]:
+            for ri in right if isinstance(right, list) else [right]:
                 row = np.zeros(k)
                 rhs = 0.0
                 if isinstance(li, str):
@@ -326,12 +281,9 @@ def _parse_segment(segment: str, coef_names, label: str) -> ConstraintSystem:
                     raise HypothesisSyntaxError(
                         f"{label}: comparison has no coefficient content"
                     )
-                if op == ">":
-                    ineq_rows.append(row)
-                    ineq_rhs.append(rhs)
-                else:
-                    eq_rows.append(row)
-                    eq_rhs.append(rhs)
+                rows[op][0].append(row)
+                rows[op][1].append(rhs)
+    (eq_rows, eq_rhs), (ineq_rows, ineq_rhs) = rows["="], rows[">"]
 
     # A dependent equality row must agree with the rows it depends on and
     # is then dropped, keeping the first independent rows in text order.
@@ -350,11 +302,14 @@ def _parse_segment(segment: str, coef_names, label: str) -> ConstraintSystem:
                 ind_rhs.append(rhs)
         eq_rows, eq_rhs = ind_rows, ind_rhs
 
-    RE = np.array(eq_rows) if eq_rows else np.zeros((0, k))
-    rE = np.array(eq_rhs) if eq_rhs else np.zeros(0)
-    RI = np.array(ineq_rows) if ineq_rows else np.zeros((0, k))
-    rI = np.array(ineq_rhs) if ineq_rhs else np.zeros(0)
-    return ConstraintSystem(label, text, RE, rE, RI, rI)
+    return ConstraintSystem(
+        label,
+        text,
+        np.array(eq_rows).reshape(-1, k),
+        np.array(eq_rhs, dtype=float),
+        np.array(ineq_rows).reshape(-1, k),
+        np.array(ineq_rhs, dtype=float),
+    )
 
 
 def parse_hypotheses(text: str, coef_names) -> list:
@@ -383,11 +338,12 @@ def validate(cs: ConstraintSystem) -> ValidationReport:
     inequalities; it raises :class:`InconsistentEqualityError` for
     dependent equality rows and :class:`InfeasibleHypothesisError` for a
     row that reduces to ``0 > c`` with ``c >= 0``, and drops the rows that
-    reduce to a vacuously true statement, counted here in
-    ``n_trivial_rows``.  A live inequality system with an empty interior
-    raises :class:`InfeasibleHypothesisError`: the largest slack ``t <= 1``
-    with ``Rt xi >= rt + t`` must exceed ``1e-9 (1 + max |rt|)``.  It is
-    the cap 1 for full row rank; only rank-deficient rows solve the LP.
+    reduce to a vacuously true statement or that another row implies,
+    counted here in ``n_trivial_rows``.  A live inequality system with an
+    empty interior raises :class:`InfeasibleHypothesisError`: the largest
+    slack ``t <= 1`` with ``Rt xi >= rt + t`` must exceed ``1e-9 (1 + max
+    |rt|)``.  It is the cap 1 for full row rank; only rank-deficient rows
+    solve the LP.
     """
     Rt, rt = cs.reduction.Rtilde_I, cs.reduction.rtilde_I
     q, d = Rt.shape

@@ -45,12 +45,13 @@ factor is the only rank rule.
 
 A region probability needs the scale of the law to be positive
 semidefinite only: a singular scale makes some rows dependent, and a
-single row of variance 0 holds everywhere or nowhere.  A row variance
-below ``-_DEPENDENT`` relative to ``|R| |S| |R|'`` (which bounds its
+row of variance 0 holds everywhere or nowhere.  Among several rows, one
+such row that fails makes the estimate an exact 0, and rows that all
+hold leave the others to be estimated.  A row variance below
+``-_DEPENDENT`` relative to ``|R| |S| |R|'`` (which bounds its
 roundoff), a residual variance below ``-_DEPENDENT``, or a factor that
 does not return the correlation raises
-:class:`~bfreg.errors.DecompositionError`, and so does a row of variance
-0 among several.
+:class:`~bfreg.errors.DecompositionError`.
 
 The budget ``n_draws`` (the engine's ``mcrep``) is a precision budget in
 draw-equivalents: an estimate refines until its standard error is at most
@@ -75,9 +76,10 @@ kept, for the last ``_TABLES`` contents, in a read-only
 budget.
 
 Every path takes the rows it is given as they are.  Deciding rows the
-equalities leave without coefficient content is the job of the cached
-equality reduction (:attr:`bfreg.hyparse.ConstraintSystem.reduction`),
-whose live rows are what the engine passes.
+equalities leave without coefficient content, and dropping rows another
+implies, is the job of the cached equality reduction
+(:attr:`bfreg.hyparse.ConstraintSystem.reduction`), whose live rows are
+what the engine passes.
 
 A cone whose apex is the location of the law (every row has ``R mu = r``
 to within ``_APEX_TOL`` of its standard deviation, as for every prior
@@ -381,7 +383,9 @@ def _estimates(dist: MultivariateT, R, r, seed, cap):
     """Successive estimates of ``Pr(R xi > r)``, each finer than the last:
     the one place where the path of a region probability is chosen.
 
-    A single row is one exact estimate, the univariate t CDF.  Several
+    A single row is one exact estimate, the univariate t CDF.  Rows of
+    variance 0 under the scale are constants: one that fails gives an
+    exact 0, and if all hold the other rows are estimated.  Several
     rows are taken under the law ``Y`` of ``R xi``: its rows are sorted by
     standardised bound ``a = (r - mu) / sd``, largest (least likely)
     first, and their correlation is factored by :func:`_factor`, whose
@@ -406,7 +410,12 @@ def _estimates(dist: MultivariateT, R, r, seed, cap):
     var = np.diagonal(law.scale)
     if not (var > 0.0).all():
         _check_variances(R, dist.scale, var)
-        raise DecompositionError("a constraint row has zero variance under the scale matrix")
+        const, hold = var <= 0.0, law.location > r
+        if const.all() or not hold[const].all():
+            yield ProbEstimate(float(hold[const].all()), 0.0, True, 0)
+        else:
+            yield from _estimates(dist, R[~const], r[~const], seed, cap)
+        return
     sd = np.sqrt(var)
     centred = bool((np.abs(law.location - r) <= _APEX_TOL * sd).all())
     a = np.zeros(q) if centred else (r - law.location) / sd

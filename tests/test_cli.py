@@ -418,6 +418,12 @@ class TestFailures:
         assert code == 1
         assert "H2" in err
 
+    def test_non_ascii_operand_is_a_syntax_error(self, capsys, csv_path):
+        code, _, err = run_cli(capsys, *base_test_args(csv_path, "é>0"))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: H1:") and "Traceback" not in err
+
     def test_wrong_weight_count_mentions_complement(self, capsys, csv_path):
         code, _, err = run_cli(
             capsys,

@@ -17,6 +17,7 @@ from bfreg import (
     InvalidInputError,
     MultivariateT,
     NumericError,
+    ProbEstimate,
     RegressionFit,
     bf_matrix,
     build_transform,
@@ -375,6 +376,23 @@ class TestTestHypotheses:
                 two_effect_fit, "x1>0", prior_probs=[1.0, 2.0, 3.0], seed=1
             )
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ("Equal", "'equal' or numbers"),
+            ([1.0, "a", 1.0], "'equal' or numbers"),
+            ([[1.0, 1.0, 1.0]], r"shape \(1, 3\)"),
+            ([1.0, -1.0, 1.0], "nonnegative"),
+        ],
+    )
+    def test_malformed_prior_weights_are_invalid_input(
+        self, two_effect_fit, weights, message
+    ):
+        with pytest.raises(InvalidInputError, match=message):
+            run_hypotheses(
+                two_effect_fit, "x1>0; x2>0", prior_probs=weights, mcrep=10_000, seed=1
+            )
+
     def test_equality_reduction_runs_once_per_mixed_hypothesis(
         self, two_effect_fit, monkeypatch
     ):
@@ -581,6 +599,24 @@ class TestComplement:
         _, h2, hc = res.components
         assert hc.c_ie.exact and hc.c_ie.value == 0.5
         assert abs(hc.f_ie.value - (1.0 - h2.f_ie.value)) < 4 * hc.f_ie.std_error
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_repeated_own_row_leaves_an_exact_eighth(self, two_effect_fit, seed):
+        """(x1,x1) > x2 > 0 states x1 - x2 > 0 twice; the reduction keeps one
+        copy, so the prior, centred on the apex, holds the cone with the
+        closed form of two rows, 1/8 exactly (three rows read
+        0.12499999832303021)."""
+        res = run_hypotheses(two_effect_fit, "(x1,x1)>x2>0", mcrep=20_000, seed=seed)
+        assert res.components[0].c_ie == ProbEstimate(0.125, 0.0, True, 0)
+
+    def test_implied_row_leaves_the_prior_center_exact(self, two_effect_fit):
+        """x1 > 1 implies x1 > 0: both H1 and the complement centre the
+        prior on x1 = 1 exactly, with no warning, so each keeps 1/2."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConstraintCenterWarning)
+            res = run_hypotheses(two_effect_fit, "0<x1>1", mcrep=20_000, seed=1)
+        h1, hc = res.components
+        assert h1.c_ie == hc.c_ie == ProbEstimate(0.5, 0.0, True, 0)
 
     def test_equality_hypotheses_do_not_shrink_the_complement(
         self, two_effect_fit

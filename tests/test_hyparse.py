@@ -1,8 +1,10 @@
 """Hypothesis DSL parsing, matrix construction, and validation."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -17,6 +19,7 @@ from bfreg import (
 from bfreg.hyparse import is_exploratory, validate
 
 COEFS4 = ("(Intercept)", "x1", "x2", "x3")
+LABEL_RE = re.compile(r"H\d+: ")
 
 
 def parse_one(text, coefs=COEFS4):
@@ -202,6 +205,19 @@ class TestParseErrors:
         with pytest.raises(HypothesisSyntaxError):
             parse_one("x1 > x1")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["é>0", "x1>2x2", "x1>-x2", "x1>1.5.3", "x1>(x2,)", "x1>((x2))", "x1>(1)",
+         "x1>", ">0", "x1>()", "(x1,x2)(x3)>0", "x1>(Intercept", "x1>((Intercept)",
+         "x1>1e999", "x1<-1E400"],
+    )
+    def test_malformed_operand_names_label_and_operand(self, text):
+        with pytest.raises(HypothesisSyntaxError) as info:
+            parse_one(text)
+        assert LABEL_RE.match(str(info.value))
+        operand = next(part for part in re.split(r"[<>=]", text) if part != "x1")
+        assert repr(operand) in str(info.value)
+
     def test_contradictory_equalities_dependent_rows(self):
         """x1 = 0 and x1 = x2 force x2 = 0, clashing with x2 = 1."""
         with pytest.raises(InconsistentEqualityError):
@@ -241,6 +257,19 @@ class TestValidate:
     def test_trivially_true_reduced_row_counted(self):
         report = validate(parse_one("0 < x1 = 1"))
         assert report.n_trivial_rows == 1
+
+    def test_implied_rows_dropped_and_counted(self):
+        """(x1,x1) > x2 states x1 - x2 > 0 twice and x1 > 1 implies x1 > 0:
+        the reduction keeps one row of each, centres the prior on it and
+        the report counts the other as trivial."""
+        cs = parse_one("(x1,x1)>x2")
+        assert cs.q_I == 2
+        assert np.array_equal(cs.reduction.Rtilde_I, cs.R_I[:1])
+        assert validate(cs).n_trivial_rows == 1
+        cs = parse_one("0<x1>1")
+        assert np.array_equal(cs.reduction.Rtilde_I, cs.R_I[1:])
+        assert cs.reduction.center_exact and cs.reduction.center[1] == 1.0
+        assert validate(cs).n_trivial_rows == 1
 
     def test_feasible_band_passes(self):
         report = validate(parse_one("0 < x1 < 1"))
@@ -300,6 +329,110 @@ class TestRoundTrip:
         assert cs.source == "x1>x2=0"
 
 
+_SPACE = st.text(alphabet=" \t\n", max_size=2)
+# Enough names that adjacent operands seldom share one.
+_COEFS = ("(Intercept)",) + tuple(f"x{j}" for j in range(1, 12))
+
+
+@st.composite
+def _number(draw):
+    """A number in one of the forms of the grammar, as text and value."""
+    digits = st.text(alphabet="0123456789", min_size=1, max_size=2)
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    whole, frac = draw(digits), draw(digits)
+    mantissa = draw(st.sampled_from([whole, whole + ".", f"{whole}.{frac}", "." + frac]))
+    exponent = draw(st.sampled_from(["", "e", "E"]))
+    if exponent:
+        exponent += draw(st.sampled_from(["", "+", "-"])) + draw(digits)
+    text = sign + mantissa + exponent
+    return text, float(text)
+
+
+@st.composite
+def _written_operand(draw):
+    """An operand as text, and the names or the number it stands for."""
+    kind = draw(st.sampled_from(["name", "group", "number"]))
+    if kind == "number":
+        return draw(_number())
+    if kind == "name":
+        name = draw(st.sampled_from(_COEFS))
+        return name, [name]
+    names = draw(st.lists(st.sampled_from(_COEFS), min_size=1, max_size=3))
+    members = [draw(_SPACE) + n + draw(_SPACE) for n in names]
+    return "(" + ",".join(members) + ")", names
+
+
+@st.composite
+def _chain(draw):
+    """A hypothesis chain as text, and its rows as ``(op, row, rhs)``
+    in order: each comparison, left member outermost, ``<`` turned round."""
+    operands = draw(st.lists(_written_operand(), min_size=2, max_size=4))
+    ops = draw(st.lists(st.sampled_from("<>>="), min_size=len(operands) - 1,
+                        max_size=len(operands) - 1))
+    text = draw(_SPACE) + operands[0][0]
+    for op, (operand, _) in zip(ops, operands[1:]):
+        text += draw(_SPACE) + op + draw(_SPACE) + operand + draw(_SPACE)
+    rows = []
+    for (_, left), op, (_, right) in zip(operands, ops, operands[1:]):
+        if op == "<":
+            left, op, right = right, ">", left
+        for a in left if isinstance(left, list) else [left]:
+            for b in right if isinstance(right, list) else [right]:
+                row, rhs = np.zeros(len(_COEFS)), 0.0
+                if isinstance(a, str):
+                    row[_COEFS.index(a)] += 1.0
+                else:
+                    rhs -= a
+                if isinstance(b, str):
+                    row[_COEFS.index(b)] -= 1.0
+                else:
+                    rhs += b
+                rows.append((op, row, rhs))
+    return text, rows
+
+
+class TestParserProperties:
+    @given(st.lists(_chain(), min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_chains_give_their_rows_in_order(self, chains):
+        """Random chains of names, groups and numbers in every form give
+        their rows, in order, or a labelled syntax error when a
+        comparison has no coefficient content.  Chains whose equalities
+        are dependent (deduplicated or contradictory) are left out."""
+        eq = [np.array([row for op, row, _ in rows if op == "="]) for _, rows in chains]
+        assume(all(len(e) == 0 or np.linalg.matrix_rank(e) == len(e) for e in eq))
+        text = ";".join(t for t, _ in chains)
+        if any(not row.any() for _, rows in chains for _, row, _ in rows):
+            with pytest.raises(HypothesisSyntaxError, match=LABEL_RE):
+                parse_hypotheses(text, _COEFS)
+            return
+        systems = parse_hypotheses(text, _COEFS)
+        assert [cs.label for cs in systems] == [f"H{i + 1}" for i in range(len(chains))]
+        for cs, (chain, rows) in zip(systems, chains):
+            assert cs.source == "".join(chain.split())
+            for op, R, r in (("=", cs.R_E, cs.r_E), (">", cs.R_I, cs.r_I)):
+                mine = [(row, rhs) for o, row, rhs in rows if o == op]
+                assert len(R) == len(mine)
+                for got_row, got_rhs, (row, rhs) in zip(R, r, mine):
+                    assert np.array_equal(got_row, row)
+                    assert got_rhs == rhs and np.signbit(got_rhs) == np.signbit(rhs)
+
+    _TOKENS = st.sampled_from(
+        ["x1", "x2", "(Intercept)", "(", ")", ",", ";", "<", ">", "=", "1",
+         ".5", "-", "+", "e", "E3", " ", "é", "٣", "²", "_", "."]
+    )
+
+    @given(st.one_of(st.text(), st.lists(_TOKENS, max_size=12).map("".join)))
+    @settings(max_examples=500, deadline=None)
+    def test_any_text_parses_or_raises_invalid_input(self, text):
+        """Any text parses, or raises an input error that names its
+        hypothesis."""
+        try:
+            parse_hypotheses(text, COEFS4)
+        except InvalidInputError as exc:
+            assert LABEL_RE.match(str(exc))
+
+
 class TestConstraintSystemType:
     def test_needs_at_least_one_constraint(self):
         empty = np.zeros((0, 3))
@@ -323,6 +456,8 @@ class TestConstraintSystemType:
             ConstraintSystem("H1", "bad", [[0, np.nan, 1]], [0.0], empty, [])
         with pytest.raises(InvalidInputError, match="finite"):
             ConstraintSystem("H1", "bad", empty, [], [[0, -np.inf, 1]], [0.0])
+        with pytest.raises(InvalidInputError, match="finite"):
+            ConstraintSystem("H1", "bad", empty, [], [[0, 1, 0]], [-np.inf])
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):

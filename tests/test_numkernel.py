@@ -862,6 +862,16 @@ class TestRankRule:
         est = mvt_constraint_prob(d, np.array([[1.0, -1.0]]), np.array([bound]), 10_000, 292)
         assert est == ProbEstimate(want, 0.0, True, 0)
 
+    @pytest.mark.parametrize("bound, want", [(-0.1, 0.5), (0.1, 0.0)])
+    def test_singular_row_among_several(self, bound, want):
+        """Scale ``[[1, 1, 0], [1, 1, 0], [0, 0, 1]]`` leaves ``x1 - x2``
+        constant at 0: when it holds, the other row alone decides (``x3 > 0``,
+        1/2); when it fails, nothing does."""
+        d = MultivariateT(np.zeros(3), np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1]]), 5.0)
+        R = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+        est = mvt_constraint_prob(d, R, np.array([bound, 0.0]), 10_000, 293)
+        assert est == ProbEstimate(want, 0.0, True, 0)
+
 
 def _routes(monkeypatch, returned=None):
     """Record the pivot systems of each route ``complement_prob`` sums, in
