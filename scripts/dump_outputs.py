@@ -16,7 +16,8 @@ one lattice block each at ``K5_MCREP`` and take fewer points),
 ``df_as_printed``, the exploratory screen of the k5 fit and of a fit
 whose ``Pr(x1 < 0)`` underflows (every factor of every coefficient), a
 five-row chain off and through the location of a fixed t law (the
-lattice rule; off the location at 7 and at 1 degree of freedom), the
+lattice rule; off the location at 7 and at 1 degree of freedom, and at
+1 degree of freedom with a budget of one point per lattice shift), the
 README demo and, on its fit, a complement whose intersection term
 repeats a row and a hypothesis that repeats one of its own rows.  Four
 k5 texts at one seed use every operand form of the grammar, so the bit
@@ -40,7 +41,10 @@ each probability estimate that differs its old and new value and
 ``|new - old| / sqrt(se_old^2 + se_new^2)``, or for two exact values
 their relative change ``|new - old| / |old|``.  Its last line counts the
 cases that differ and gives the largest ``|dv|/se``.  It exits 1 when
-the two files hold different cases or different errors.
+the two files hold different cases or different errors.  A checkout
+whose lattice took the mean of per-shift ratios at 64 points or more
+records an error (a NaN probability) for the chain at one point per
+shift, so a comparison against it exits 1 on that case alone.
 """
 
 import argparse
@@ -97,6 +101,9 @@ REPEATED_OWN_ROW = "(x1,x1)>x2>0"
 ALL_TABLES = ("computation", "ci", "bf-matrix")
 CHAIN_SEEDS = (1, 12345)
 CHAIN_MCREP = 1_000_000
+# One lattice point on each of the 64 shifts: at df 1 some shifts hold only
+# points of weight 0.
+ONE_POINT_MCREP = 100
 
 
 def _config(cli, formula, mode="test"):
@@ -134,15 +141,16 @@ def _k5_fit(model):
     return model.fit_ols(data, "y ~ x1 + x2 + x3 + x4")
 
 
-def _chain_prob(numkernel, seed, centred, df=7.0):
+def _chain_prob(numkernel, seed, centred, df=7.0, mcrep=None):
     """``Pr(x1 > ... > x6)`` under a fixed 6-d t with ``df`` degrees of
-    freedom, as the estimate's JSON."""
+    freedom at a budget of ``mcrep`` (default ``CHAIN_MCREP``), as the
+    estimate's JSON."""
     rng = np.random.default_rng(2018)
     s = rng.standard_normal((6, 6))
     dist = numkernel.MultivariateT(rng.standard_normal(6), s @ s.T + np.eye(6), df)
     chain = np.eye(6)[:-1] - np.eye(6)[1:]
     r = chain @ dist.location if centred else np.zeros(5)
-    est = numkernel.mvt_constraint_prob(dist, chain, r, CHAIN_MCREP, seed)
+    est = numkernel.mvt_constraint_prob(dist, chain, r, mcrep or CHAIN_MCREP, seed)
     return json.dumps(
         {
             "value": est.value,
@@ -266,6 +274,9 @@ def cases(tmp):
         yield f"q5 chain off-apex df=1 seed={seed}", (
             lambda seed=seed: _chain_prob(numkernel, seed, False, df=1.0)
         )
+    yield f"q5 chain off-apex df=1 mcrep={ONE_POINT_MCREP} seed={CHAIN_SEEDS[0]}", (
+        lambda: _chain_prob(numkernel, CHAIN_SEEDS[0], False, df=1.0, mcrep=ONE_POINT_MCREP)
+    )
 
     demo_fit = model.RegressionFit(
         coef_names=("(Intercept)", "x1", "x2"),

@@ -10,6 +10,7 @@ these five pieces.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,21 +168,16 @@ def standardize(data: Dataset, which=None) -> Dataset:
 
 
 def _formula_terms(rhs: str):
-    """Split the right-hand side on +/- keeping the sign of each term."""
-    terms = []
-    sign, buf = 1, []
-    for ch in rhs:
-        if ch == "+" or ch == "-":
-            if "".join(buf).strip():
-                terms.append((sign, "".join(buf).strip()))
-            sign = 1 if ch == "+" else -1
-            buf = []
-        else:
-            buf.append(ch)
-    tail = "".join(buf).strip()
-    if tail:
-        terms.append((sign, tail))
-    elif not terms:
+    """Split the right-hand side on +/- keeping the sign of each term: the
+    operator just before it, ``+`` before the first.  Empty terms are
+    dropped."""
+    parts = re.split(r"([+-])", rhs)
+    terms = [
+        (1 if op == "+" else -1, term.strip())
+        for op, term in zip(["+", *parts[1::2]], parts[::2])
+        if term.strip()
+    ]
+    if not terms:
         raise FormulaError("formula has an empty right-hand side")
     return terms
 

@@ -32,16 +32,17 @@ factor is the only rank rule.
 - closed form: two or three rows through the location, of any rank
   (below);
 - QMC: any other system is estimated by Genz-Bretz separation of
-  variables on randomly shifted lattice points (:func:`_lattice_prob`),
-  with the standard error taken from the spread of independent shifts.
+  variables on randomly shifted lattice points (:func:`_lattice_prob`).
   The radial chi coordinate of a cone off the location is the
   Wilson-Hilferty cube of a normal quantile, and each point is weighted
-  by the ratio of the exact law to that map's (:func:`_radial`); a
-  shift's estimate is its weighted mean.  A budget below one point per
-  shift takes one point on each of fewer shifts.  The integrand works in
-  place, with signs moved where rounding leaves them exact, and gives
-  the bits of the formula as written: its time goes to ``ndtr`` and
-  ``ndtri``.
+  by the ratio of the exact law to that map's (:func:`_radial`).  The
+  estimate is ``sum omega prod e_j / sum omega`` pooled over all points,
+  with the delta-method standard error over the shifts
+  (:func:`_pooled_ratio`), so a shift whose weights are all 0 leaves it
+  finite.  A budget below one point per shift takes one point on each of
+  fewer shifts.  The integrand works in place, with signs moved where
+  rounding leaves them exact, and gives the bits of the formula as
+  written: its time goes to ``ndtr`` and ``ndtri``.
 
 A region probability needs the scale of the law to be positive
 semidefinite only: a singular scale makes some rows dependent, and a
@@ -119,11 +120,13 @@ _EPS = float(np.finfo(float).eps)
 _APEX_TOL = 1e-13
 
 # The lattice rule of the transformed path: _SHIFTS independent random
-# shifts give the standard error, and the points per shift double from
-# _LATTICE_BLOCK, so blocks hold 1024 * 2**j points.  An error divided by
-# a standard error from S shifts follows Student's t with S - 1 df: with
-# 16 shifts 6e-4 of the estimates land beyond 4.5 standard errors, with
-# 64 none of 10000 did.
+# shifts give the delta-method standard error of the pooled ratio, and the
+# points per shift double from _LATTICE_BLOCK, so blocks hold 1024 * 2**j
+# points.  An error divided by a standard error from S shifts follows
+# Student's t with S - 1 df: for the mean of the shift ratios, which the
+# pooled ratio equals on a centred cone and to second order elsewhere,
+# with 16 shifts 6e-4 of the estimates landed beyond 4.5 standard errors,
+# with 64 none of 10000 did.
 _SHIFTS = 64
 _LATTICE_BLOCK = 16
 _TINY = float(np.finfo(float).tiny)
@@ -253,7 +256,8 @@ class ProbEstimate:
 
     ``exact`` estimates carry ``std_error == 0`` and ``n_draws == 0``.
     Every other estimate is a lattice (QMC) rule over ``n_draws`` points
-    in all, and carries the standard error of its independent random
+    in all, one weighted ratio pooled over them, and carries the
+    delta-method standard error of that ratio over its independent random
     shifts, which is positive: where the shifts show no spread it is that
     of one hit in the budget (:func:`_one_hit_se`).  A complement sums
     lattice terms: ``n_draws`` counts every point it evaluated and its
@@ -348,13 +352,13 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
     The path is chosen by :func:`_estimates`: a single row is exact
     through the univariate t CDF, rows of rank 1 are an exact interval,
     two or three rows through the location a closed form, and every other
-    system takes the lattice rule of :func:`_lattice_prob`, which stops
-    once its standard error is at most the binomial one of ``n_draws``
-    draws and never uses more than ``n_draws`` points.  A lattice
-    estimate whose shifts show no spread (every point 0, say, in a far
-    tail) carries the standard error of one hit in ``n_draws`` instead of
-    0.  The rows are taken as given (see the
-    module notes).
+    system takes the lattice rule of :func:`_lattice_prob`, a weighted
+    ratio pooled over all its points with a delta-method standard error,
+    which stops once that error is at most the binomial one of
+    ``n_draws`` draws and never uses more than ``n_draws`` points.  A
+    lattice estimate whose shifts show no spread (every point 0, say, in
+    a far tail) carries the standard error of one hit in ``n_draws``
+    instead of 0.  The rows are taken as given (see the module notes).
     """
     R = np.atleast_2d(np.asarray(R, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -537,19 +541,19 @@ def _lattice_prob(a, L, col, df, seed, cap):
     The points of shift ``k`` are ``|2 frac(i sqrt(p_j) + shift_kj) - 1|``
     (Richtmyer's generator, one prime ``p_j`` per coordinate, folded by
     the baker's transform) for ``i = 1, 2, ...``, with ``_SHIFTS`` uniform
-    shifts drawn from ``seed``.  Each shift estimates the probability by
-    the self-normalised ratio ``sum omega prod e_j / sum omega`` over its
-    points, which returns a constant integrand exactly and stays in [0,
-    1]; the unnormalised mean ``sum omega prod e_j / n`` would add the
-    lattice error of ``omega`` itself, which swamps a probability near 1.
-    The estimate is the mean of the shift ratios and its standard error
-    their spread.  Points per shift double from ``_LATTICE_BLOCK``, and an
+    shifts drawn from ``seed``.  The estimate is the self-normalised ratio
+    ``sum omega prod e_j / sum omega`` over every point of every shift,
+    which returns a constant integrand exactly and stays in [0, 1]; the
+    unnormalised mean ``sum omega prod e_j / n`` would add the lattice
+    error of ``omega`` itself, which swamps a probability near 1.  Its
+    standard error is the delta-method one of a ratio of means over the
+    independent shifts (:func:`_pooled_ratio`).  The ratio is pooled, not
+    taken per shift: a shift of few points, at df 1 say, can have ``sum
+    omega = 0``.  Points per shift double from ``_LATTICE_BLOCK``, and an
     estimate is yielded after each block (``n_draws`` counts the points
     so far) until the next block would pass ``cap`` points in all.  A
     ``cap`` below one point per shift takes one point on each of ``cap``
-    shifts and yields once: a shift of one point has a ratio of 0/0 where
-    ``omega`` is 0, so the ratio is pooled over all of them
-    (:func:`_pooled_ratio`).
+    shifts and yields once.
 
     The integrand works in place on each chunk, so that its time goes to
     ``ndtr`` and ``ndtri``, and moves signs where rounding to nearest
@@ -655,37 +659,28 @@ def _lattice_prob(a, L, col, df, seed, cap):
             total, weight = integrand(np.arange(start + 1, min(n, start + step) + 1.0))
             sums += total
             weights += weight
-        if n_shifts < _SHIFTS:
-            yield _pooled_ratio(sums, weights)
-            return
-        # the mean and standard deviation of the shift ratios, summed as
-        # np.mean and np.std sum them
-        means = sums / weights
-        mean = float(means.sum()) / _SHIFTS
-        dev = means - mean
-        dev *= dev
-        se = math.sqrt(float(dev.sum()) / (_SHIFTS - 1)) / math.sqrt(_SHIFTS)
-        yield ProbEstimate(mean, se, False, n * _SHIFTS)
-        if 2 * n * _SHIFTS > cap:
+        yield _pooled_ratio(sums, weights, n * n_shifts)
+        if 2 * n * n_shifts > cap:
             return
         done, n = n, 2 * n
 
 
-def _pooled_ratio(sums, weights):
-    """The estimate of ``k < _SHIFTS`` shifts of one point each: the ratio
-    ``sum omega prod e_j / sum omega`` over all their points, with the
-    delta-method standard error of a ratio of means.  A point of weight 0
-    says nothing, so with no point of positive weight the estimate is 1/2.
-    A single point shows no spread: its standard error is 0."""
+def _pooled_ratio(sums, weights, n_draws):
+    """The lattice estimate of ``n_draws`` points from the per-shift sums of
+    ``omega prod e_j`` and of ``omega``: their ratio over all points, with
+    the delta-method standard error of a ratio of means over the ``k``
+    shifts.  Equal weights (a centred cone) give the mean of the shift
+    ratios and their standard deviation over ``sqrt(k)``.  With no point of
+    positive weight the estimate is 1/2; one shift has standard error 0."""
     k, total = len(sums), float(weights.sum())
     if total == 0.0:
-        return ProbEstimate(0.5, 0.0, False, k)
+        return ProbEstimate(0.5, 0.0, False, n_draws)
     p = min(float(sums.sum()) / total, 1.0)
     se = 0.0
     if k > 1:
         resid = sums - p * weights
         se = math.sqrt(float(resid @ resid) / (k * (k - 1))) * k / total
-    return ProbEstimate(p, se, False, k)
+    return ProbEstimate(p, se, False, n_draws)
 
 
 def _radial(u, df):

@@ -249,11 +249,13 @@ def oracle_bf(
 # array expression per step: the reference that its in-place integrand
 # must match bit for bit (``tests/test_numkernel.py::TestLatticeReference``).
 # It takes the kernel's constants, lattice generator, seed stream and
-# pooled ratio; its integrand, radial map and block statistics are its own.
+# block statistic, the ratio pooled over all points with its delta-method
+# standard error over the shifts (``_pooled_ratio``, tested on its own);
+# its integrand and radial map are its own.
 _CHUNK, _SHIFTS, _LATTICE_BLOCK = numkernel._CHUNK, numkernel._SHIFTS, numkernel._LATTICE_BLOCK
 _TINY, _BELOW_ONE, _EPS = numkernel._TINY, numkernel._BELOW_ONE, numkernel._EPS
 _root_primes, rng_from_seed = numkernel._root_primes, numkernel.rng_from_seed
-_pooled_ratio, ProbEstimate = numkernel._pooled_ratio, numkernel.ProbEstimate
+_pooled_ratio = numkernel._pooled_ratio
 
 
 def reference_lattice_prob(a, L, col, df, seed, cap):
@@ -314,13 +316,8 @@ def reference_lattice_prob(a, L, col, df, seed, cap):
             total, weight = integrand(np.arange(start + 1, min(n, start + step) + 1.0))
             sums += total
             weights += weight
-        if n_shifts < _SHIFTS:
-            yield _pooled_ratio(sums, weights)
-            return
-        means = sums / weights
-        se = float(means.std(ddof=1)) / math.sqrt(_SHIFTS)
-        yield ProbEstimate(float(means.mean()), se, False, n * _SHIFTS)
-        if 2 * n * _SHIFTS > cap:
+        yield _pooled_ratio(sums, weights, n * n_shifts)
+        if 2 * n * n_shifts > cap:
             return
         done, n = n, 2 * n
 

@@ -412,6 +412,25 @@ class TestTestHypotheses:
         run_hypotheses(two_effect_fit, "x1>x2=0", mcrep=10_000, seed=2)
         assert len(calls) == 1
 
+    def test_one_point_per_lattice_shift(self):
+        """A budget of 100 takes one lattice point on each of 64 shifts;
+        the prior's df is 1, where some shifts have only points of weight
+        0.  Every seed gives finite factors and posteriors."""
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((40, 2))
+        y = x @ np.array([0.4, 0.2]) + rng.standard_normal(40)
+        fit = fit_ols(Dataset(("y", "x1", "x2"), np.column_stack([y, x])), "y ~ x1 + x2")
+        for seed in range(1, 21):
+            with warnings.catch_warnings():
+                # the chain has no exact prior center
+                warnings.simplefilter("ignore", ConstraintCenterWarning)
+                res = run_hypotheses(fit, "1 > x1 > x2 > 0", mcrep=100, seed=seed)
+            for comp in res.components:
+                assert np.isfinite(comp.log_bf)
+                for est in (comp.c_ie, comp.f_ie):
+                    assert 0.0 <= est.value <= 1.0 and np.isfinite(est.std_error)
+            assert np.isfinite(res.post_probs).all()
+
     def test_prior_weights_reorder_posteriors(self, two_effect_fit):
         res = run_hypotheses(
             two_effect_fit,

@@ -132,6 +132,21 @@ class TestFormula:
         fit = fit_ols(two_effect_data, "y ~ x1 + x2 + 0")
         assert fit.coef_names == ("x1", "x2")
 
+    @pytest.mark.parametrize(
+        "rhs, names",
+        [
+            ("x1 - + x2", ("(Intercept)", "x1", "x2")),
+            ("-1 + x1", ("x1",)),
+            ("x1 +", ("(Intercept)", "x1")),
+        ],
+    )
+    def test_sign_is_the_operator_before_a_term(self, two_effect_data, rhs, names):
+        assert fit_ols(two_effect_data, f"y ~ {rhs}").coef_names == names
+
+    def test_empty_right_hand_side(self, two_effect_data):
+        with pytest.raises(FormulaError, match="empty right-hand side"):
+            fit_ols(two_effect_data, "y ~ +")
+
     def test_unknown_column(self, two_effect_data):
         with pytest.raises(FormulaError, match="nope"):
             fit_ols(two_effect_data, "y ~ x1 + nope")

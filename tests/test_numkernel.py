@@ -310,6 +310,18 @@ class TestMvtConstraintProb:
         mean = np.mean([e.value for e in ests])
         assert abs(mean - ref.value) <= 0.1 * np.mean([e.std_error for e in ests])
 
+    @pytest.mark.parametrize("cap", [64, 100, 127])
+    def test_one_point_per_shift_at_df_1(self, cap):
+        """At 64 to 127 points each shift takes one point; at df 1 about
+        5% of them have weight 0, so some shift's own ratio is 0/0.  Every
+        seed still gives a finite estimate in [0, 1]."""
+        d = MultivariateT(np.zeros(3), np.eye(3) + 0.3, 1.0)
+        R = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+        for seed in range(200):
+            est = mvt_constraint_prob(d, R, np.array([0.3, 0.2]), cap, seed)
+            assert not est.exact and est.n_draws == numkernel._SHIFTS
+            assert 0.0 <= est.value <= 1.0 and 0.0 < est.std_error < 1.0
+
     def test_no_spread_carries_the_error_of_one_hit(self):
         """Forty scales beyond the location every point is 0, and forty
         before it every point is 1: inexact, with the standard error of
@@ -738,16 +750,23 @@ class TestLatticeReference:
         args = (a, L, col, d.df, 411, 1 << 14)
         assert _bits(numkernel._lattice_prob(*args)) == _bits(reference_lattice_prob(*args))
 
-    @pytest.mark.parametrize("cap", [1, 8, 63])
-    @pytest.mark.parametrize("centred", [False, True])
-    def test_caps_below_one_point_per_shift(self, cap, centred):
+    @pytest.mark.parametrize(
+        "centred, cap",
+        [*itertools.product([False, True], [1, 8, 63]), (False, 64), (False, 100), (False, 127)],
+    )
+    def test_caps_below_one_point_per_shift(self, centred, cap):
+        """Caps of at most one point per shift give one block.  Caps of 64
+        to 127 are taken at df 1 off the apex, where some shifts have only
+        points of weight 0: the pooled ratio stays finite."""
+        df = 1.0 if cap >= numkernel._SHIFTS else 3.0
         rng = np.random.default_rng(420 + cap)
-        d = _random_law(rng, 4, 3.0)
+        d = _random_law(rng, 4, df)
         R = np.eye(4)[:-1] - np.eye(4)[1:]
         r = R @ d.location + (0.0 if centred else 0.4 * rng.standard_normal(3))
         args = (*_lattice_args(d, R, r), d.df, 421, cap)
-        blocks = _bits(numkernel._lattice_prob(*args))
-        assert len(blocks) == 1 and blocks == _bits(reference_lattice_prob(*args))
+        blocks = list(numkernel._lattice_prob(*args))
+        assert len(blocks) == 1 and math.isfinite(blocks[0].value)
+        assert _bits(blocks) == _bits(reference_lattice_prob(*args))
 
     @pytest.mark.parametrize("df", [0.2, 1.0, 5.0, 940.0])
     def test_radial_map(self, df):
@@ -770,6 +789,38 @@ class TestLatticeReference:
         blocks = _bits(numkernel._lattice_prob(*args))
         assert blocks[-1][3] // numkernel._SHIFTS == 4 * (numkernel._CHUNK // numkernel._SHIFTS)
         assert blocks == _bits(reference_lattice_prob(*args))
+
+
+class TestPooledRatio:
+    """The one lattice statistic: ``sum omega prod e_j / sum omega`` over
+    every point, with the delta-method standard error over the shifts."""
+
+    def test_all_weights_zero_is_a_half(self):
+        est = numkernel._pooled_ratio(np.zeros(64), np.zeros(64), 64)
+        assert (est.value, est.std_error, est.exact, est.n_draws) == (0.5, 0.0, False, 64)
+
+    def test_one_point_shows_no_spread(self):
+        est = numkernel._pooled_ratio(np.array([0.3]), np.array([0.8]), 1)
+        assert est.value == pytest.approx(0.375, rel=1e-15)
+        assert est.std_error == 0.0 and est.n_draws == 1
+
+    def test_equal_weights_give_the_shift_means(self):
+        """With every weight ``n`` the ratio is the mean of the shift means
+        and its standard error their standard deviation over ``sqrt(k)``."""
+        means = np.random.default_rng(450).random(64)
+        est = numkernel._pooled_ratio(16.0 * means, np.full(64, 16.0), 1024)
+        assert est.value == pytest.approx(means.mean(), rel=1e-14)
+        assert est.std_error == pytest.approx(means.std(ddof=1) / 8.0, rel=1e-12)
+        assert est.n_draws == 1024
+
+    def test_ratio_of_sums_with_a_weightless_shift(self):
+        """A shift whose weights are all 0 adds nothing to either sum: the
+        ratio is 1.1 / 2, the residuals ``sums - p weights`` are -0.075, 0
+        and 0.075, and the standard error ``sqrt(0.01125 / 6) * 3 / 2``."""
+        sums, weights = np.array([0.2, 0.0, 0.9]), np.array([0.5, 0.0, 1.5])
+        est = numkernel._pooled_ratio(sums, weights, 3)
+        assert est.value == pytest.approx(0.55, rel=1e-15)
+        assert est.std_error == pytest.approx(0.06495190528383290, rel=1e-12)
 
 
 class TestRankRule:
