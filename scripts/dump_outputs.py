@@ -17,9 +17,13 @@ one lattice block each at ``K5_MCREP`` and take fewer points),
 whose ``Pr(x1 < 0)`` underflows (every factor of every coefficient), a
 five-row chain off and through the location of a fixed t law (the
 lattice rule; off the location at 7 and at 1 degree of freedom, and at
-1 degree of freedom with a budget of one point per lattice shift), the
-README demo and, on its fit, a complement whose intersection term
-repeats a row and a hypothesis that repeats one of its own rows.  Four
+1 degree of freedom with a budget of one point per lattice shift), rows
+of rank 2 off the location of fixed t laws (the angular rule: a pair at
+1 degree of freedom, a pair near 1e-13 at 193, a strip cut by a third
+row, four rows through the location, and pairs of correlation +-(1 -
+1e-8), just above the factor's rank-1 cut-over), the README demo and, on
+its fit, a complement whose intersection term repeats a row and a
+hypothesis that repeats one of its own rows.  Four
 k5 texts at one seed use every operand form of the grammar, so the bit
 check covers the parser too.  Two cases are the text reports instead:
 the README demo with every ``--show`` table, and the k5 screen with its
@@ -104,6 +108,29 @@ CHAIN_MCREP = 1_000_000
 # One lattice point on each of the 64 shifts: at df 1 some shifts hold only
 # points of weight 0.
 ONE_POINT_MCREP = 100
+# Rows of rank 2 under fixed laws: (name, location, scale, df, rows, bounds
+# or None for rows through the location).
+NEAR_ONE = 1.0 - 1e-8
+RANK2_CASES = (
+    ("pair off-apex df=1", (0.3, -0.2), ((1.0, 0.4), (0.4, 2.0)), 1.0, ((1, 0), (0, 1)), (0.5, -0.6)),
+    ("pair far tail df=193", (0.0, 0.0), ((1.0, 0.3), (0.3, 1.0)), 193.0, ((1, 0), (0, 1)), (6.4, 5.76)),
+    (
+        "strip cut by a third row df=5",
+        (0.2, -0.1), ((1.0, 0.4), (0.4, 2.0)), 5.0, ((1, 0), (-1, 0), (0, 1)), (-0.5, -0.8, 0.3),
+    ),
+    (
+        "centred cone of four rows df=3",
+        (1.0, -2.0), ((1.0, 0.3), (0.3, 1.5)), 3.0, ((1, 0), (0, 1), (1, 1), (1, -0.5)), None,
+    ),
+    (
+        "pair rho=1-1e-8 df=17",
+        (0.0, 0.0), ((1.0, NEAR_ONE), (NEAR_ONE, 1.0)), 17.0, ((1, 0), (0, 1)), (0.3, 0.5),
+    ),
+    (
+        "pair rho=-(1-1e-8) df=17",
+        (0.0, 0.0), ((1.0, -NEAR_ONE), (-NEAR_ONE, 1.0)), 17.0, ((1, 0), (0, 1)), (-0.4, 0.2),
+    ),
+)
 
 
 def _config(cli, formula, mode="test"):
@@ -150,7 +177,10 @@ def _chain_prob(numkernel, seed, centred, df=7.0, mcrep=None):
     dist = numkernel.MultivariateT(rng.standard_normal(6), s @ s.T + np.eye(6), df)
     chain = np.eye(6)[:-1] - np.eye(6)[1:]
     r = chain @ dist.location if centred else np.zeros(5)
-    est = numkernel.mvt_constraint_prob(dist, chain, r, mcrep or CHAIN_MCREP, seed)
+    return _estimate_json(numkernel.mvt_constraint_prob(dist, chain, r, mcrep or CHAIN_MCREP, seed))
+
+
+def _estimate_json(est):
     return json.dumps(
         {
             "value": est.value,
@@ -159,6 +189,16 @@ def _chain_prob(numkernel, seed, centred, df=7.0, mcrep=None):
             "n_draws": est.n_draws,
         }
     )
+
+
+def _region_prob(numkernel, location, scale, df, rows, bounds, seed=SEED):
+    """``Pr(R xi > r)`` under a fixed t law at a budget of ``CHAIN_MCREP``,
+    as the estimate's JSON; ``bounds`` None puts the rows through the
+    location."""
+    dist = numkernel.MultivariateT(np.array(location), np.array(scale), df)
+    R = np.array(rows, dtype=float)
+    r = R @ dist.location if bounds is None else np.array(bounds)
+    return _estimate_json(numkernel.mvt_constraint_prob(dist, R, r, CHAIN_MCREP, seed))
 
 
 def _screen_json(res):
@@ -277,6 +317,8 @@ def cases(tmp):
     yield f"q5 chain off-apex df=1 mcrep={ONE_POINT_MCREP} seed={CHAIN_SEEDS[0]}", (
         lambda: _chain_prob(numkernel, CHAIN_SEEDS[0], False, df=1.0, mcrep=ONE_POINT_MCREP)
     )
+    for name, *law in RANK2_CASES:
+        yield f"rank 2 {name}", lambda law=law: _region_prob(numkernel, *law)
 
     demo_fit = model.RegressionFit(
         coef_names=("(Intercept)", "x1", "x2"),

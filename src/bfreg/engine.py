@@ -45,6 +45,7 @@ from .model import RegressionFit
 from .numkernel import (
     MultivariateT,
     ProbEstimate,
+    _log_gamma_ratio,
     complement_prob,
     derived_seed,
     mvt_constraint_prob,
@@ -224,8 +225,7 @@ def _exp(log_x: float) -> float:
 def _t_logpdf(z, sd, df):
     """``mvt_logpdf`` in 1-d, elementwise, at ``z`` scales ``sd`` from the mean."""
     return (
-        math.lgamma(0.5 * (df + 1))
-        - math.lgamma(0.5 * df)
+        _log_gamma_ratio(0.5 * df)
         - 0.5 * math.log(df * math.pi)
         - np.log(sd)
         - 0.5 * (df + 1) * np.log1p(np.square(z) / df)

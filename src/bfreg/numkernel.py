@@ -27,12 +27,17 @@ it is at most ``_DEPENDENT`` depends on them, shares their column of the
 factor and bounds it from above or below (Genz and Kwong 2000).  That
 factor is the only rank rule.
 
-- exact 1-d: the univariate t CDF for a single row;
+- exact 1-d: the univariate t CDF for a single row (:func:`t_cdf`, in
+  Python floats);
 - exact interval: rows of rank 1, which bound one t variable;
 - closed form: two or three rows through the location, of any rank
   (below);
-- QMC: any other system is estimated by Genz-Bretz separation of
-  variables on randomly shifted lattice points (:func:`_lattice_prob`).
+- angular rule: any other rows of rank 2, exact to rounding, as a
+  one-dimensional integral over the angle of a ray in the plane of the
+  factor's columns (:func:`_angular_prob`);
+- QMC: any system of rank 3 or more is estimated by Genz-Bretz
+  separation of variables on randomly shifted lattice points
+  (:func:`_lattice_prob`).
   The radial chi coordinate of a cone off the location is the
   Wilson-Hilferty cube of a normal quantile, and each point is weighted
   by the ratio of the exact law to that map's (:func:`_radial`).  The
@@ -43,6 +48,12 @@ factor is the only rank rule.
   fewer shifts.  The integrand works in place, with signs moved where
   rounding leaves them exact, and gives the bits of the formula as
   written: its time goes to ``ndtr`` and ``ndtri``.
+
+Only the lattice and the t CDF of an array use ``scipy.special``, which
+is imported on their first use (:func:`_special`): importing the package
+loads no scipy, and a process whose estimates all have rank 2 or less
+never does (a cold ``import scipy.special`` costs more than the rest of
+a small analysis).
 
 A region probability needs the scale of the law to be positive
 semidefinite only: a singular scale makes some rows dependent, and a
@@ -88,8 +99,9 @@ factor with an exact center) has the same probability under every
 elliptical law, whatever the df: the Gaussian orthant probability of the
 correlation of ``R S R'``.  With two or three rows that probability is
 exact (Sheppard's and Plackett's formulas, which hold for a singular
-correlation too); with more the lattice rule drops its radial
-coordinate, so the estimate does not depend on df.
+correlation too); with more, of rank 2, the angular rule gives the arc
+of the circle the cone cuts, and of rank 3 or more the lattice rule
+drops its radial coordinate, so the estimate does not depend on df.
 """
 
 from __future__ import annotations
@@ -99,7 +111,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri, stdtr
 
 from .errors import DecompositionError, InvalidInputError, NumericError
 
@@ -299,7 +310,8 @@ def mvt_logpdf(x, dist: MultivariateT) -> float:
     -------
     float
         ``lgamma((nu+d)/2) - lgamma(nu/2) - (d/2) log(nu pi)
-        - (1/2) log|S| - ((nu+d)/2) log(1 + quad/nu)``.
+        - (1/2) log|S| - ((nu+d)/2) log(1 + quad/nu)``, whose gamma ratio
+        is taken by :func:`_log_gamma_ratio`, not as a difference.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (dist.dim,):
@@ -314,36 +326,147 @@ def mvt_logpdf(x, dist: MultivariateT) -> float:
     d, df = dist.dim, dist.df
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return float(
-        math.lgamma(0.5 * (df + d))
-        - math.lgamma(0.5 * df)
+        _log_gamma_step(0.5 * df, d)
         - 0.5 * d * math.log(df * math.pi)
         - 0.5 * logdet
         - 0.5 * (df + d) * math.log1p(quad / df)
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _log_gamma_ratio(a) -> float:
+    """``log Gamma(a + 1/2) - log Gamma(a)`` for ``a > 0``.
+
+    From its asymptotic series at ``a >= 16``, ``log(a) / 2 - 1/(8 a) +
+    1/(192 a^3) - 1/(640 a^5) + 17/(14336 a^7) - 31/(18432 a^9)``, whose
+    next term is below 4e-3 / a^11; below that, shifted up by ``Gamma(a +
+    3/2) / Gamma(a + 1) = (a + 1/2) / a * Gamma(a + 1/2) / Gamma(a)``.
+    The difference of ``lgamma`` values loses ``eps lgamma(a)``, 1e-12 at
+    ``a`` near 500.  Kept for the last 64 arguments: an analysis asks for
+    the same few df again and again."""
+    a = float(a)
+    shift = 0.0
+    while a < 16.0:
+        shift += math.log1p(0.5 / a)
+        a += 1.0
+    x = 1.0 / a
+    x2 = x * x
+    series = x * (-1 / 8 + x2 * (1 / 192 + x2 * (-1 / 640 + x2 * (17 / 14336 - x2 * 31 / 18432))))
+    return 0.5 * math.log(a) + series - shift
+
+
+def _log_gamma_step(a, d) -> float:
+    """``log Gamma(a + d/2) - log Gamma(a)`` for an integer ``d >= 0``: a
+    sum of logs, and :func:`_log_gamma_ratio` for the half step of odd
+    ``d``."""
+    m, odd = divmod(int(d), 2)
+    start = a + 0.5 if odd else a
+    out = _log_gamma_ratio(a) if odd else 0.0
+    return out + sum(math.log(start + k) for k in range(m))
+
+
 def t_cdf(x, df):
     """CDF of the standard univariate Student-t: a float for a scalar ``x``,
     else an array of its shape.
 
-    Evaluated through the regularized incomplete beta function
-    (``scipy.special.stdtr``).  Against 40-digit references on
-    ``|x| <= 30`` the absolute error was at most 2.3e-16 at df 0.5, 1.5,
-    2, 3, 4.5, 5, 17, 100 and 940, but at df 1, the prior's, it reaches
-    2.4e-9 for ``|x|`` near 1e-8: ``t_cdf(-5e-9, 1)`` returns 0.5, whose
-    true value is 0.5 - 1.59e-9 (ROADMAP item 6).  Saturates at 0/1 for
-    infinite arguments.  The complement identity ``t_cdf(z) + t_cdf(-z)
-    == 1`` holds exactly in floating point by construction.
+    A scalar is evaluated in Python floats by :func:`_t_tail`, to within
+    1e-12 relative of ``scipy.special.stdtr`` at df 0.2 to 5000 for ``|x|
+    <= 1e3`` (at most 3.1e-13 over a grid of those, in a tail near
+    1e-255), and within 1e-14 of the Cauchy closed form at df 1, where
+    ``stdtr`` loses up to 3e-9 near 0: ``t_cdf(-5e-9, 1)`` is 0.5 -
+    1.59e-9.  An array goes to ``stdtr``,
+    imported on first use: a vectorised continued fraction costs far more
+    per call than ``stdtr`` (the exploratory screen is one such call per
+    side).  Saturates at 0/1 for infinite arguments.  The complement
+    identity ``t_cdf(z) + t_cdf(-z) == 1`` holds exactly in floating point
+    by construction.
     """
     df = float(df)
     if not (df > 0 and math.isfinite(df)):
         raise InvalidInputError("df must be a positive finite number")
+    if np.ndim(x) == 0:
+        x = float(x)
+        if math.isnan(x):
+            raise InvalidInputError("t_cdf argument is NaN")
+        p = _t_tail(abs(x), df)
+        return 1.0 - p if x >= 0.0 else p
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise InvalidInputError("t_cdf argument is NaN")
-    p = stdtr(df, -np.abs(x))
-    p = np.where(x >= 0.0, 1.0 - p, p)
-    return float(p) if p.ndim == 0 else p
+    p = _special().stdtr(df, -np.abs(x))
+    return np.where(x >= 0.0, 1.0 - p, p)
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported on first use: its import is most of the
+    start-up of a cold process, which needs it only for the lattice and
+    the t CDF of an array."""
+    import scipy.special
+
+    return scipy.special
+
+
+# The continued fraction of the incomplete beta function stops once a step
+# changes it by at most _CF_EPS; it converged within 60 steps everywhere
+# its tests look.
+_CF_EPS = 1e-16
+_CF_STEPS = 500
+
+
+def _t_tail(t, df) -> float:
+    """``Pr(T <= -t)`` for ``t >= 0`` and ``T`` a standard t with ``df``
+    degrees of freedom, in Python floats.
+
+    It is ``I_x(df/2, 1/2) / 2`` with ``x = df / (df + t^2)``, the
+    regularized incomplete beta function taken by its continued fraction
+    (:func:`_beta_cf`) as ``I_x(a, b)`` when ``x < (a + 1) / (a + b + 2)``
+    and as ``1 - I_y(b, a)``, ``y = t^2 / (df + t^2)``, otherwise, where
+    each converges fast (Numerical Recipes' ``betai``).  The prefactor
+    ``x^a y^b / B(a, b)`` is taken in logs, with ``log x = -log1p(t^2 /
+    df)``, ``log y = -log1p(df / t^2)`` and ``log B(a, 1/2) = log(pi) / 2
+    - log Gamma(a + 1/2) / Gamma(a)`` (:func:`_log_gamma_ratio`)."""
+    if t == 0.0:
+        return 0.5
+    if t == math.inf:
+        return 0.0
+    a = 0.5 * df
+    r = df / t / t  # x / y, without squaring t
+    if 0.0 < r < math.inf:
+        log_x, log_y = -math.log1p(1.0 / r), -math.log1p(r)
+    else:  # t^2 / df outside the float range
+        log_r = math.log(df) - 2.0 * math.log(t)
+        log_x, log_y = min(log_r, 0.0), min(-log_r, 0.0)
+    log_front = a * log_x + 0.5 * log_y + _log_gamma_ratio(a) - 0.5 * math.log(math.pi)
+    front = math.exp(log_front)
+    x = r / (1.0 + r) if r < 1.0 else 1.0 / (1.0 + 1.0 / r)
+    if x < (a + 1.0) / (a + 2.5):
+        return 0.5 * front * _beta_cf(a, 0.5, x) / a
+    return 0.5 - front * _beta_cf(0.5, a, 1.0 / (1.0 + r))
+
+
+def _beta_cf(a, b, x) -> float:
+    """The continued fraction of ``I_x(a, b) a B(a, b) / (x^a (1 - x)^b)``
+    by the modified Lentz method (Numerical Recipes, section 6.4)."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c, d = 1.0, 1.0 - qab * x / qap
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, _CF_STEPS):
+        m2 = 2 * m
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + aa / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) <= _CF_EPS:
+            return h
+    raise NumericError(f"the t CDF did not converge (x={x}, a={a}, b={b})")
 
 
 def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimate:
@@ -351,14 +474,16 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
 
     The path is chosen by :func:`_estimates`: a single row is exact
     through the univariate t CDF, rows of rank 1 are an exact interval,
-    two or three rows through the location a closed form, and every other
-    system takes the lattice rule of :func:`_lattice_prob`, a weighted
-    ratio pooled over all its points with a delta-method standard error,
-    which stops once that error is at most the binomial one of
-    ``n_draws`` draws and never uses more than ``n_draws`` points.  A
-    lattice estimate whose shifts show no spread (every point 0, say, in
-    a far tail) carries the standard error of one hit in ``n_draws``
-    instead of 0.  The rows are taken as given (see the module notes).
+    two or three rows through the location a closed form, other rows of
+    rank 2 the exact angular rule of :func:`_angular_prob`, and every
+    system of rank 3 or more takes the lattice rule of
+    :func:`_lattice_prob`, a weighted ratio pooled over all its points
+    with a delta-method standard error, which stops once that error is at
+    most the binomial one of ``n_draws`` draws and never uses more than
+    ``n_draws`` points.  A lattice estimate whose shifts show no spread
+    (every point 0, say, in a far tail) carries the standard error of one
+    hit in ``n_draws`` instead of 0.  The rows are taken as given (see
+    the module notes).
     """
     R = np.atleast_2d(np.asarray(R, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -397,8 +522,10 @@ def _estimates(dist: MultivariateT, R, r, seed, cap):
     one exact estimate, the interval between their largest lower and
     smallest upper cut.  Two or three rows through the location (the
     apex test of ``_APEX_TOL``), of any rank, are one exact estimate in
-    closed form (:func:`_centred_orthant_prob`).  Any other system yields
-    the blocks of :func:`_lattice_prob`.
+    closed form (:func:`_centred_orthant_prob`), and any other system of
+    rank 2 is one exact estimate by the angular rule of
+    :func:`_angular_prob`.  Any other system yields the blocks of
+    :func:`_lattice_prob`.
     """
     q = R.shape[0]
     if q == 1:
@@ -436,6 +563,8 @@ def _estimates(dist: MultivariateT, R, r, seed, cap):
         yield ProbEstimate(max(p, 0.0), 0.0, True, 0)
     elif centred and q <= 3:
         yield ProbEstimate(_centred_orthant_prob(C), 0.0, True, 0)
+    elif L.shape[1] == 2:
+        yield ProbEstimate(_angular_prob(a, L, law.df), 0.0, True, 0)
     else:
         yield from _lattice_prob(a, L, col, law.df, seed, cap)
 
@@ -514,6 +643,132 @@ def _factor(C):
     return L, col
 
 
+# The angular rule of :func:`_angular_prob`: on each piece of the circle,
+# Gauss-Legendre rules of _ANGULAR_NODES nodes on subintervals halving
+# toward both ends _ANGULAR_DEPTH times, the innermost two mapped by the
+# power _ANGULAR_POWER.  Against a far finer rule (30 nodes on subintervals
+# shrinking by 1.5 down to 1.5^-60), its worst relative error over 300
+# random rank-2 systems (2-4 rows, df 0.5 to 996, probabilities down to
+# 1e-39) was 1e-13; with 10 nodes or 6 halvings it was 1.5e-11 and 5e-8.
+_ANGULAR_NODES = 12
+_ANGULAR_DEPTH = 8
+_ANGULAR_POWER = 4
+
+
+@functools.lru_cache(maxsize=None)
+def _angular_rule():
+    """Nodes and weights in (0, 1) of the rule of :func:`_angular_prob`
+    for one piece (read-only: one pair serves every call).
+
+    The Gauss-Legendre nodes are the eigenvalues of the Jacobi matrix of
+    the Legendre recurrence, and the weights twice the squared first
+    components of its eigenvectors (Golub and Welsch 1969): within 5e-15
+    of ``numpy.polynomial.legendre.leggauss``, without that module's
+    import in a cold process."""
+    k = np.arange(1.0, _ANGULAR_NODES)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    x, w = (x + 1.0) / 2.0, v[0] ** 2
+    halves = 0.5 ** np.arange(2, _ANGULAR_DEPTH + 2)
+    edges = np.unique(np.concatenate([[0.0, 0.5, 1.0], halves, 1.0 - halves]))
+    width = np.diff(edges)
+    nodes = edges[:-1, None] + width[:, None] * x
+    weights = width[:, None] * w * np.ones_like(nodes)
+    # the power map takes a singularity (theta - end)^nu to a smooth power
+    p = _ANGULAR_POWER
+    nodes[0], weights[0] = width[0] * x**p, width[0] * p * x ** (p - 1) * w
+    nodes[-1], weights[-1] = 1.0 - width[-1] * x**p, weights[0]
+    return _read_only(nodes.ravel()), _read_only(weights.ravel())
+
+
+def _angular_breaks(a, L):
+    """The angles at which the integrand of :func:`_angular_prob` changes
+    form, sorted in ``[0, 2 pi)``, and the first again plus ``2 pi``: the
+    directions along each row's line (where it turns from a lower to an
+    upper bound), the foot of the perpendicular to each line off the
+    origin (where the bound is nearest) and every vertex off the origin."""
+    rows = [(float(ai), float(l0), float(l1)) for ai, (l0, l1) in zip(a, L)]
+    angles = []
+    for k, (ai, l0, l1) in enumerate(rows):
+        along = math.atan2(l0, -l1)
+        angles += [along, along + math.pi]
+        if ai:
+            angles.append(math.atan2(l1, l0) if ai > 0.0 else math.atan2(-l1, -l0))
+        for aj, m0, m1 in rows[:k]:
+            det = l0 * m1 - l1 * m0
+            x, y = ai * m1 - aj * l1, l0 * aj - m0 * ai
+            if det and (x or y):
+                angles.append(math.atan2(y / det, x / det))
+    breaks = np.unique(np.mod(angles, 2.0 * math.pi))
+    return np.append(breaks, breaks[0] + 2.0 * math.pi)
+
+
+def _ray_bounds(a, L, theta):
+    """At each angle of ``theta``, the rows' coefficients ``c`` on the ray
+    and the radii between which it meets ``L w > a``: a row with ``c > 0``
+    bounds the radius from below by ``a / c``, one with ``c < 0`` from
+    above; the lower bound is at least 0."""
+    c = L @ np.array([np.cos(theta), np.sin(theta)])
+    r = a[:, None] / c
+    lo = np.where(c > 0.0, r, 0.0).max(axis=0, initial=0.0)
+    hi = np.where(c < 0.0, r, math.inf).min(axis=0)
+    return c, lo, hi
+
+
+def _log_radial_survival(r, df):
+    """``log G(r) = -(df/2) log1p(r^2 / df)``, as ``-df (log t + log1p(1 /
+    t^2) / 2)`` with ``t = r / sqrt(df)`` beyond ``t = 1``, so that ``r^2``
+    never overflows."""
+    t = r / math.sqrt(df)
+    far = t > 1.0
+    t[far] = np.log(t[far]) + 0.5 * np.log1p(1.0 / (t[far] * t[far]))
+    t[~far] = 0.5 * np.log1p(t[~far] * t[~far])
+    return -df * t
+
+
+def _angular_prob(a, L, df) -> float:
+    """``Pr(L w > a)`` for a spherical bivariate t ``w`` with ``df`` degrees
+    of freedom and a ``(q, 2)`` factor ``L`` (of rank 2): exact to
+    rounding and the rule's error.
+
+    :func:`_factor`'s coordinates make the rows a polygon, possibly open,
+    under a law whose radial survival is elementary, ``G(r) = Pr(|w| >
+    r) = (1 + r^2 / df)^(-df/2)``.  The ray at angle ``theta`` meets the
+    polygon between the radii ``r_lo`` and ``r_hi`` (:func:`_ray_bounds`),
+    so ``P = (1 / 2 pi) int_0^{2 pi} [G(r_lo) - G(r_hi)]_+ dtheta``, the
+    t analogue of Craig's (1991) formula for a normal polygon, taken as
+    ``G(r_lo) (-expm1(log G(r_hi) - log G(r_lo)))`` so that a far tail
+    keeps its relative accuracy.  The circle is cut at the angles of
+    :func:`_angular_breaks`, so that on each piece the same rows bound
+    the ray and the integrand is smooth inside: its peaks (a vertex, the
+    foot of a perpendicular) are ends, and so are the directions along a
+    line, where ``G`` behaves as a power ``df`` of the distance in angle.
+    A piece the ray misses counts 0 and one it crosses unbounded from the
+    origin counts its length; the others take the Gauss-Legendre rule of
+    :func:`_angular_rule`, graded toward both ends.  Rows through the
+    origin only cut the circle, so a centred cone is its arc over ``2
+    pi``."""
+    breaks = _angular_breaks(a, L)
+    start, length = breaks[:-1], np.diff(breaks)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c, lo, hi = _ray_bounds(a, L, start + 0.5 * length)
+        live = hi > lo
+        if (c == 0.0).any():  # along a line: the row holds on no ray unless a < 0
+            live &= ~((c == 0.0) & (a[:, None] >= 0.0)).any(axis=0)
+        whole = live & (lo == 0.0) & (hi == math.inf)
+        total = float(length[whole].sum())
+        part = live & ~whole
+        if part.any():
+            nodes, weights = _angular_rule()
+            theta = (start[part, None] + length[part, None] * nodes).ravel()
+            _, lo, hi = _ray_bounds(a, L, theta)
+            log_lo, log_hi = _log_radial_survival(lo, df), _log_radial_survival(hi, df)
+            value = np.exp(log_lo) * -np.expm1(log_hi - log_lo)
+            value[~(hi > lo)] = 0.0
+            total += float(value @ (length[part, None] * weights).ravel())
+    return min(max(total / (2.0 * math.pi), 0.0), 1.0)
+
+
 def _lattice_prob(a, L, col, df, seed, cap):
     """Quasi-Monte Carlo estimates of ``Pr(L z > s a)``, rank of ``L`` >= 2.
 
@@ -565,6 +820,7 @@ def _lattice_prob(a, L, col, df, seed, cap):
     differently.  The estimates are bit for bit those of the formula as
     written above (``reference_lattice_prob`` in the tests' oracle).
     """
+    ndtr, ndtri = _special().ndtr, _special().ndtri
     cap = int(cap)
     n_shifts = min(_SHIFTS, cap)
     centred = not a.any()
@@ -701,7 +957,7 @@ def _radial(u, df):
     law bfreg builds has df >= 1.  The points with ``b <= 0`` are masked
     only when there are some.
     """
-    z = ndtri(np.minimum(u, 1.0 - _EPS))
+    z = _special().ndtri(np.minimum(u, 1.0 - _EPS))
     c = 2.0 / (9.0 * df)
     x = z * math.sqrt(c) - c  # b - 1
     dead = x <= -1.0 if x.min() <= -1.0 else None

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bfreg import Dataset
 from bfreg.cli import main
 from conftest import make_two_effect_dataset
 
@@ -19,6 +20,9 @@ from conftest import make_two_effect_dataset
 BF_EQ = 0.3825498458570321
 BF_MIXED = 10.060613733940691
 ANALYTIC_HYP = "x1=x2=0; x1>x2=0"
+# Three rows of rank 3 off the posterior's location: a lattice estimate.
+RANK3_HYP = "(Intercept)>x1>x2>0"
+README_HYP = "x1=x2=0; (x1,x2)>0; x1>x2=0"
 
 
 def write_csv(path, data, delimiter=","):
@@ -125,9 +129,10 @@ class TestTextOutput:
         assert h2_row.split()[1:] == [f"{BF_MIXED:.3f}", "NA", "NA"]
 
     def test_ci_table_has_bounds_for_monte_carlo_path(self, capsys, csv_path):
+        """Rows of rank 3 take the lattice; two rows would be exact."""
         code, out, _ = run_cli(
             capsys,
-            *base_test_args(csv_path, "(x1,x2)>0", "--show", "ci"),
+            *base_test_args(csv_path, RANK3_HYP, "--show", "ci"),
         )
         assert code == 0
         assert "(all Bayes factors are exact" not in out
@@ -195,7 +200,7 @@ class TestJsonOutput:
         )
 
     def test_byte_identical_reruns(self, capsys, csv_path):
-        args = base_test_args(csv_path, "(x1,x2)>0", "--output", "json")
+        args = base_test_args(csv_path, RANK3_HYP, "--output", "json")
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
@@ -370,14 +375,65 @@ class TestOptions:
         )
 
 
+def _cold_process(code, *argv):
+    """Run ``code`` in a fresh interpreter that imports bfreg from this
+    checkout; its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, check=True, capture_output=True, text=True
+    )
+    return out.stdout
+
+
+# Runs the CLI on sys.argv[1:] and prints, after its output, the scipy
+# modules loaded by then.
+_CLI_THEN_MODULES = (
+    "import sys, bfreg.cli\n"
+    "code = bfreg.cli.main(sys.argv[1:])\n"
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    "sys.exit(code)\n"
+)
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
         """Only rank-deficient systems solve an LP, so a cold process does
         not pay for importing scipy.optimize up front."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": src}
         code = "import bfreg.cli, sys; assert 'scipy.optimize' not in sys.modules"
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        _cold_process(code)
+
+    def test_cli_import_loads_no_scipy(self):
+        """scipy.special is imported on first use, by the lattice and by
+        the t CDF of an array, so importing the package loads no scipy."""
+        code = "import bfreg, bfreg.cli, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        assert _cold_process(code).strip() == "[]"
+
+    def test_readme_command_loads_no_scipy_and_ignores_the_seed(self, csv_path):
+        """Every estimate of the README command has rank 2 or less, so it is
+        exact, the process never loads scipy, and its JSON is the same for
+        every seed but for the seed itself."""
+        docs = []
+        for seed in ("1", "2"):
+            args = ("test", "--data", csv_path, "--formula", "y ~ x1 + x2", "--hyp", README_HYP)
+            out = _cold_process(_CLI_THEN_MODULES, *args, "--output", "json", "--seed", seed)
+            text, modules = out.rsplit("\n", 2)[:2]
+            assert modules == "[]"
+            docs.append(json.loads(text))
+        assert [doc.pop("seed") for doc in docs] == [1, 2]
+        assert docs[0] == docs[1]
+        for comp in docs[0]["bf_unconstrained"]:
+            for est in (comp["c_ie"], comp["f_ie"]):
+                assert est is None or (est["exact"] and est["n_draws"] == 0)
+
+    def test_rank_three_takes_the_lattice(self, csv_path):
+        """Rows of rank 3 still take the lattice, and with it scipy.special."""
+        args = ("test", "--data", csv_path, "--formula", "y ~ x1 + x2", "--hyp", RANK3_HYP)
+        out = _cold_process(_CLI_THEN_MODULES, *args, "--output", "json", "--seed", "1")
+        text, modules = out.rsplit("\n", 2)[:2]
+        assert "scipy.special" in modules
+        est = json.loads(text)["bf_unconstrained"][0]["f_ie"]
+        assert not est["exact"] and est["n_draws"] > 0 and est["std_error"] > 0
 
 
 class TestFailures:
@@ -455,11 +511,25 @@ class TestFailures:
         assert code == 1
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_numeric_failure_exits_two(self, capsys, csv_path):
-        """A feasible band so thin that its exact prior probability
-        underflows to zero is a numeric failure, not bad input."""
+    def test_numeric_failure_exits_two(self, capsys, tmp_path):
+        """A feasible region whose prior probability underflows to zero is a
+        numeric failure, not bad input: with noise of scale 1e120 the prior
+        on each slope is a t of scale near 1e120, so the cube 1e-8 >
+        (x1,x2,x3) > 0 holds prior mass near 1e-385."""
+        rng = np.random.default_rng(96)
+        columns = np.column_stack([1e120 * rng.standard_normal(30), rng.standard_normal((30, 3))])
+        path = write_csv(tmp_path / "wide.csv", Dataset(("y", "x1", "x2", "x3"), columns))
         code, _, err = run_cli(
-            capsys, *base_test_args(csv_path, "0.00000001>x1>0")
+            capsys,
+            "test",
+            "--data",
+            path,
+            "--formula",
+            "y ~ x1 + x2 + x3",
+            "--hyp",
+            "1e-8>(x1,x2,x3)>0",
+            "--mcrep",
+            "10000",
         )
         assert code == 2
         assert "prior" in err

@@ -45,13 +45,16 @@ run_hypotheses = bfreg.test_hypotheses
 # independent script (scipy.stats t/multivariate_t plus direct gamma
 # function algebra, no package code).  The prior density peaks are exact
 # closed forms because the prior marginal scale matrices reduce to the
-# identity there.
+# identity there.  H2's f_ie is the bivariate t orthant, df 17, at
+# standardised bounds (-0.7, -0.03) sqrt(17), by 30-digit mpmath
+# quadrature of int t_17(x) T_18(...) dx (multivariate_t.cdf's value,
+# 0.5457315952176547, was off by 1.1e-7).
 H1_F_E = 0.06088469894718928
 H1_C_E = 1.0 / (2.0 * np.pi)
 H1_BF = 0.3825498458570321
-H2_F_IE = 0.5457315952176547
+H2_F_IE = 0.5457317058730390
 H2_C_IE = 0.25
-H2_BF = 2.1829263808706187
+H2_BF = H2_F_IE / H2_C_IE
 H3_F_E = 1.6078121556929343
 H3_C_E = 1.0 / np.pi
 H3_F_IE = 0.9958852473066347
@@ -141,15 +144,17 @@ class TestBfUnconstrainedTwoEffect:
         assert not comp.uses_mc
 
     def test_inequality_only_hypothesis(self, two_effect_fit):
+        """(x1,x2)>0: two rows off the posterior's location are exact (the
+        angular rule), so the factor is exact and has no interval."""
         cs = parse_one("(x1,x2)>0", two_effect_fit.coef_names)
         comp = bf_unconstrained(two_effect_fit, cs, 400_000, seed=2)
         assert comp.c_e is None and comp.f_e is None
-        assert abs(comp.f_ie.value - H2_F_IE) < 3 * comp.f_ie.std_error
+        assert comp.f_ie.exact and comp.f_ie.n_draws == 0
+        assert comp.f_ie.value == pytest.approx(H2_F_IE, rel=1e-12)
         assert comp.c_ie.exact and comp.c_ie.value == H2_C_IE
-        assert comp.uses_mc
-        assert comp.ci90 is not None
-        lo, hi = comp.ci90
-        assert lo < comp.bf < hi
+        assert comp.bf == pytest.approx(H2_BF, rel=1e-12)
+        assert not comp.uses_mc
+        assert comp.ci90 is None
 
     def test_mixed_hypothesis_fully_analytic(self, two_effect_fit):
         cs = parse_one("x1>x2=0", two_effect_fit.coef_names)
@@ -196,12 +201,16 @@ class TestBfUnconstrainedTwoEffect:
         assert comp.c_ie.value == 0.5
         assert comp.bf == 1.0
 
-    def test_vanishing_prior_probability_raises(self, two_effect_fit):
-        """A sliver of prior mass too thin for the draw budget is an
-        error, not a silent infinity."""
-        cs = parse_one("0.000000001>x1>0", two_effect_fit.coef_names)
-        with pytest.raises(NumericError, match="prior"):
-            bf_unconstrained(two_effect_fit, cs, 20_000, seed=5)
+    def test_vanishing_prior_probability_raises(self):
+        """A sliver of prior mass below the float range is an error, not a
+        silent infinity.  With noise of scale 1e120 the prior on each slope
+        is a t of scale near 1e120, so the cube 1e-8 > (x1,x2,x3) > 0
+        holds prior mass near 1e-385."""
+        fit = make_random_fit(seed=96, n=30, k=4, sigma=1e120)
+        cs = parse_one("1e-8>(x1,x2,x3)>0", fit.coef_names)
+        with pytest.warns(ConstraintCenterWarning):
+            with pytest.raises(NumericError, match="prior"):
+                bf_unconstrained(fit, cs, 20_000, seed=5)
 
     @pytest.mark.parametrize("mcrep", [_SHIFTS - 1, 50_000])
     def test_band_next_to_equality_centers_on_least_squares_point(
@@ -222,12 +231,13 @@ class TestBfUnconstrainedTwoEffect:
         assert abs(comp.c_ie.value - 1 / np.sqrt(5)) <= 1e-12
 
     def test_inexact_band_counts_t_draws(self):
-        """Below one point per lattice shift a band of rank 2, 1 > x1 > x2
-        > x3 = 0, is not an exact interval: its prior factor takes one point
-        on each of that many shifts and agrees with raw t draws."""
+        """Below one point per lattice shift a band of rank 3, 1 > x1 > x2
+        > x3 > x4 = 0, is not exact: its prior factor takes one point on each
+        of that many shifts and agrees with raw t draws.  (A band of rank 2
+        is exact by the angular rule.)"""
         n = _SHIFTS - 1
-        fit = make_random_fit(seed=91, n=40, k=4)
-        cs = parse_one("1 > x1 > x2 > x3 = 0", fit.coef_names)
+        fit = make_random_fit(seed=91, n=40, k=5)
+        cs = parse_one("1 > x1 > x2 > x3 > x4 = 0", fit.coef_names)
         with pytest.warns(ConstraintCenterWarning, match="^H1:"):
             comp = bf_unconstrained(fit, cs, n, seed=6)
             ts = build_transform(cs, fit)
@@ -241,7 +251,8 @@ class TestBfUnconstrainedTwoEffect:
         assert comp.c_ie.std_error > 0 and abs(comp.c_ie.value - ref.value) < 4 * se
 
     def test_mixed_centred_cone_is_exact(self):
-        """(x1,x2)>x3=0: the conditional prior cone has a closed form.
+        """(x1,x2)>x3=0: the conditional prior cone has a closed form (and
+        the posterior's pair off its location the angular rule).
 
         The oracle samples the conditional prior in raw coordinates with
         the apex at its own location.
@@ -249,7 +260,7 @@ class TestBfUnconstrainedTwoEffect:
         fit = make_random_fit(seed=91, n=40, k=4)
         cs = parse_one("(x1,x2)>x3=0", fit.coef_names)
         comp = bf_unconstrained(fit, cs, 100_000, seed=92)
-        assert comp.c_ie.exact and not comp.f_ie.exact
+        assert comp.c_ie.exact and comp.f_ie.exact
         ts = build_transform(cs, fit)
         prior = conditional_xiI(fit, ts, minimal_fraction(fit), ts.xi_hat[:1])
         Rt = cs.reduction.Rtilde_I
@@ -353,12 +364,18 @@ class TestTestHypotheses:
         assert res.bf_matrix[2, 0] == pytest.approx(B31, rel=0.001)
 
     def test_deterministic_given_seed(self, two_effect_fit):
-        a = run_hypotheses(two_effect_fit, THREE_HYP, mcrep=50_000, seed=7)
-        b = run_hypotheses(two_effect_fit, THREE_HYP, mcrep=50_000, seed=7)
+        """The same seed gives the same bits; another seed moves the lattice
+        estimate of H2, whose posterior rows have rank 3, and nothing
+        exact."""
+        text = "x1=x2=0; (Intercept)>x1>x2>0; x1>x2=0"
+        a = run_hypotheses(two_effect_fit, text, mcrep=50_000, seed=7)
+        b = run_hypotheses(two_effect_fit, text, mcrep=50_000, seed=7)
         assert [c.bf for c in a.components] == [c.bf for c in b.components]
         assert np.array_equal(a.post_probs, b.post_probs)
-        c = run_hypotheses(two_effect_fit, THREE_HYP, mcrep=50_000, seed=8)
+        c = run_hypotheses(two_effect_fit, text, mcrep=50_000, seed=8)
+        assert not a.components[1].f_ie.exact
         assert a.components[1].bf != c.components[1].bf
+        assert a.components[2].bf == c.components[2].bf
 
     def test_exploratory_string_delegates(self, two_effect_fit):
         res = run_hypotheses(two_effect_fit, "exploratory", seed=1)
@@ -584,14 +601,9 @@ class TestComplement:
         # their intersection is empty in closed form: 1 - U_c = 1 - c1 - c2
         assert hc.c_ie.exact and h1.c_ie.exact and h2.c_ie.exact
         assert abs(hc.c_ie.value - (1.0 - h1.c_ie.value - h2.c_ie.value)) <= 1e-15
-        lhs_f = hc.f_ie.value
-        rhs_f = 1.0 - h1.f_ie.value - h2.f_ie.value
-        se_f = np.sqrt(
-            hc.f_ie.std_error**2
-            + h1.f_ie.std_error**2
-            + h2.f_ie.std_error**2
-        )
-        assert abs(lhs_f - rhs_f) < 3 * se_f
+        # posterior side: both orthants are exact off the location too
+        assert hc.f_ie.exact and h1.f_ie.exact and h2.f_ie.exact
+        assert abs(hc.f_ie.value - (1.0 - h1.f_ie.value - h2.f_ie.value)) <= 1e-12
 
     def test_overlapping_union_bounded_by_sum(self, two_effect_fit):
         """x1 > 0 or x1 > x2 under a prior centred on both apexes.
@@ -617,7 +629,7 @@ class TestComplement:
         res = run_hypotheses(two_effect_fit, "x1>x2>0; x1>x2", mcrep=20_000, seed=3)
         _, h2, hc = res.components
         assert hc.c_ie.exact and hc.c_ie.value == 0.5
-        assert abs(hc.f_ie.value - (1.0 - h2.f_ie.value)) < 4 * hc.f_ie.std_error
+        assert hc.f_ie.exact and abs(hc.f_ie.value - (1.0 - h2.f_ie.value)) <= 1e-12
 
     @pytest.mark.parametrize("seed", [1, 3])
     def test_repeated_own_row_leaves_an_exact_eighth(self, two_effect_fit, seed):
@@ -642,8 +654,9 @@ class TestComplement:
     ):
         """Measure-zero slices leave the complement untouched.
 
-        The draw streams differ (the inequality hypothesis sits at a
-        different position in each list), so agreement is statistical.
+        The inequality hypothesis sits at a different position in each
+        list, so its estimates take different streams; they are exact, so
+        the complement's factor agrees to rounding.
         """
         with_eq = run_hypotheses(
             two_effect_fit, "x1=x2=0; (x1,x2)>0", mcrep=200_000, seed=16
@@ -652,14 +665,8 @@ class TestComplement:
             two_effect_fit, "(x1,x2)>0", mcrep=200_000, seed=16
         )
         a, b = with_eq.components[-1], only_ineq.components[-1]
-        rel_se = np.sqrt(
-            sum(
-                (c.f_ie.std_error / c.f_ie.value) ** 2
-                + (c.c_ie.std_error / c.c_ie.value) ** 2
-                for c in (a, b)
-            )
-        )
-        assert abs(np.log(a.bf) - np.log(b.bf)) < 3 * rel_se
+        assert a.f_ie.exact and a.c_ie.exact and b.f_ie.exact and b.c_ie.exact
+        assert abs(np.log(a.bf) - np.log(b.bf)) <= 1e-12
 
 
 def _k5_fit():
@@ -698,25 +705,28 @@ class TestComplementRoutes:
         return taken
 
     def test_unresolved_inclusion_exclusion_falls_back_to_direct(self, monkeypatch):
-        """x1>x2>0; x2>x1>0 leaves only x1 <= 0 or x2 <= 0, about 4e-8.
+        """x4<x1>x2>0; x4<x2>x1>0 (rows of rank 3) leaves x1 <= 0, x2 <= 0,
+        or the larger of x1, x2 at most x4: about 4e-8.
 
         Inclusion-exclusion cannot resolve it at mcrep 40000 and the
-        disjoint pieces take over; the reference brackets it between
-        ``max`` and the sum of the two t tails (scipy.stats).
+        disjoint pieces take over; the reference brackets it between the
+        larger t tail of x1 <= 0 and x2 <= 0, each inside it, and the sum
+        of the tails of those and of x1 <= x4 and x2 <= x4 (scipy.stats).
         """
         from scipy import stats
 
         fit = _k5_fit()
         taken = self._routes(monkeypatch)
-        res = run_hypotheses(fit, "x1>x2>0; x2>x1>0", mcrep=40_000, seed=1)
+        res = run_hypotheses(fit, "x4<x1>x2>0; x4<x2>x1>0", mcrep=40_000, seed=1)
         assert taken == [(), (0, 1), ()]
         h1, h2, hc = res.components
         post = _posterior_t(fit, 1.0)
-        sd = np.sqrt(np.diag(post.scale))
-        tails = stats.t.cdf(-post.location[1:3] / sd[1:3], post.df)
+        rows = np.array([[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, -1], [0, 0, 1, 0, -1]])
+        sd = np.sqrt(np.diag(rows @ post.scale @ rows.T))
+        tails = stats.t.cdf(-(rows @ post.location) / sd, post.df)
         f = hc.f_ie
         assert not f.exact and 0 < f.n_draws <= 40_000 and f.std_error > 0
-        assert tails.max() - 4 * f.std_error <= f.value <= tails.sum() + 4 * f.std_error
+        assert tails[:2].max() - 4 * f.std_error <= f.value <= tails.sum() + 4 * f.std_error
         assert f.std_error < 0.1 * f.value
         # the prior terms are exact orthants and their pair is empty
         assert hc.c_ie.exact
@@ -724,12 +734,13 @@ class TestComplementRoutes:
         assert np.all(np.isfinite(res.bf_matrix))
 
     def test_single_hypothesis_near_one_takes_the_pieces(self, monkeypatch):
-        """(x1,x2) > 0.12 on the k = 5 fit misses with posterior
-        probability about 6e-5, so ``mcrep (1 - p) < 1`` at mcrep 10000:
-        Hc's f_ie is the sum of the hypothesis's disjoint pieces, against
-        raw t draws, not ``1 - p`` with the SE of p."""
+        """x4 < (x1,x2) > 0.12 (four rows of rank 3) on the k = 5 fit
+        misses with posterior probability about 6e-5, so ``mcrep (1 - p) <
+        1`` at mcrep 10000: Hc's f_ie is the sum of the hypothesis's
+        disjoint pieces, against raw t draws, not ``1 - p`` with the SE of
+        p."""
         fit = _k5_fit()
-        text = "(x1,x2)>0.12"
+        text = "x4<(x1,x2)>0.12"
         taken = self._routes(monkeypatch)
         h, hc = run_hypotheses(fit, text, mcrep=10_000, seed=7).components
         assert 10_000 * (1.0 - h.f_ie.value) < 1.0
@@ -743,14 +754,14 @@ class TestComplementRoutes:
         assert f.std_error < 0.1 * f.value
 
     def test_cancelling_terms_fall_back_to_the_walk(self, monkeypatch):
-        """x1>0.1; x2<-0.2; (x1,x2)>0.05 leaves about 3e-11 (x3>x4=0.5 has
-        an equality and no part in the union).  Under the pieces of x1>0.1
-        it is the exact Pr(x1 <= 0.1) less a lattice overlap nearly as
-        large, whose standard error outweighs the difference: the walk over
-        every hypothesis's pieces follows, its estimate stands, and the
-        points of both routes count."""
+        """x1>0.1; x2<-0.2; x4<(x1,x2)>0.05 leaves about 7e-11 (x3>x4=0.5
+        has an equality and no part in the union).  Under the pieces of
+        x1>0.1 it is the exact Pr(x1 <= 0.1) less a lattice overlap of rank
+        3 nearly as large, whose standard error outweighs the difference:
+        the walk over every hypothesis's pieces follows, its estimate
+        stands, and the points of both routes count."""
         fit = _k5_fit()
-        text = "x1>0.1; x2<-0.2; x3>x4=0.5; (x1,x2)>0.05"
+        text = "x1>0.1; x2<-0.2; x3>x4=0.5; x4<(x1,x2)>0.05"
         returned = []
         taken = self._routes(monkeypatch, returned)
         with pytest.warns(ConstraintCenterWarning):

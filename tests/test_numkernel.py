@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
-from scipy.special import ndtr, ndtri, owens_t
+from scipy.special import gammaln, ndtr, ndtri, owens_t, stdtr
 
 from bfreg import (
     DecompositionError,
@@ -23,6 +23,8 @@ from bfreg import numkernel
 from bfreg.numkernel import (
     _estimates,
     _factor,
+    _log_gamma_ratio,
+    _log_gamma_step,
     _radial,
     complement_prob,
     derived_seed,
@@ -102,6 +104,47 @@ class TestMvtLogpdf:
             mvt_logpdf(np.zeros(2), d)
 
 
+def _exact_log_gamma_step(n, d):
+    """``log Gamma(n + d/2) - log Gamma(n)`` for integers ``n >= 1`` and
+    ``d >= 0`` in integer arithmetic: a product of integers for even ``d``;
+    for odd ``d = 2m + 1``, ``Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!)``
+    with ``k = n + m``.  One correctly rounded division, then a log."""
+    m, odd = divmod(d, 2)
+    if not odd:
+        return math.log(math.prod(range(n, n + m))) if m else 0.0
+    k = n + m
+    ratio = math.factorial(2 * k) / (4**k * math.factorial(k) * math.factorial(n - 1))
+    return math.log(ratio) + 0.5 * math.log(math.pi)
+
+
+class TestLogGammaRatio:
+    """``log Gamma(a + 1/2) / Gamma(a)`` without the difference of lgammas."""
+
+    @pytest.mark.parametrize("n", [*range(1, 21), 50, 470, 498, 2500, 50_000])
+    def test_against_integer_arithmetic(self, n):
+        """``Gamma(n + 1/2) / Gamma(n) = (2n)! sqrt(pi) / (4^n n! (n-1)!)``:
+        within 2 ulp of the exact log, where ``lgamma(n + 1/2) -
+        lgamma(n)`` is off by up to 1e-12 near n = 500."""
+        want = _exact_log_gamma_step(n, 1)
+        assert abs(_log_gamma_ratio(n) - want) <= 4.5e-16 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 6, 7])
+    @pytest.mark.parametrize("n", [1, 3, 17, 470, 2500])
+    def test_step_of_a_dimension(self, n, d):
+        """``mvt_logpdf``'s ``lgamma((nu + d)/2) - lgamma(nu/2)`` at ``nu = 2n``."""
+        want = _exact_log_gamma_step(n, d)
+        assert abs(_log_gamma_step(n, d) - want) <= 1e-15 * max(1.0, abs(want))
+
+    def test_half_integers_and_small_arguments(self):
+        """``a = 1/2``: ``Gamma(1) / Gamma(1/2) = 1 / sqrt(pi)``; ``a = 3/2``:
+        ``Gamma(2) / Gamma(3/2) = 2 / sqrt(pi)``; small ``a``: ``Gamma(a +
+        1/2) / Gamma(a)`` tends to ``a sqrt(pi)``."""
+        assert _log_gamma_ratio(0.5) == pytest.approx(-0.5 * math.log(math.pi), rel=1e-15)
+        assert _log_gamma_ratio(1.5) == pytest.approx(math.log(2.0 / math.sqrt(math.pi)), rel=1e-15)
+        a = 1e-9
+        assert _log_gamma_ratio(a) == pytest.approx(math.log(a * math.sqrt(math.pi)), rel=1e-9)
+
+
 class TestTCdf:
     def test_symmetry_point(self):
         assert t_cdf(0.0, 1.0) == 0.5
@@ -123,6 +166,40 @@ class TestTCdf:
     def test_saturates_at_infinities(self):
         assert t_cdf(np.inf, 3.0) == 1.0
         assert t_cdf(-np.inf, 3.0) == 0.0
+
+    @pytest.mark.parametrize("df", [0.2, 0.5, 1.0, 1.5, 3.0, 17.0, 193.0, 940.0, 5000.0])
+    def test_scalar_against_stdtr(self, df):
+        """The continued fraction in Python floats is within 1e-12 relative
+        of ``scipy.special.stdtr`` for ``|x| <= 1e3``, in both tails, except
+        where stdtr loses digits (df 1 near 0) or underflows."""
+        from scipy.special import stdtr
+
+        for x in np.concatenate([-np.logspace(-10, 3, 131), [-0.5, -1.0, -2.0]]):
+            for t in (x, -x):
+                want = float(stdtr(df, t))
+                if (df == 1.0 and abs(t) < 1e-3) or min(want, 1.0 - want) < 1e-300:
+                    continue
+                got = t_cdf(float(t), df)
+                assert abs(got - want) <= 1e-12 * min(want, 1.0 - want) or (
+                    t > 0 and abs(got - want) <= 1e-16
+                ), (df, t)
+
+    def test_cauchy_keeps_the_digits_near_zero(self):
+        """At df 1 the lower tail is ``atan(-1 / x) / pi`` for ``x < 0``: within
+        1e-14 relative at every scale, where stdtr reads 0.5 at -5e-9."""
+        for x in -np.logspace(-12, 12, 241):
+            want = np.arctan(-1.0 / x) / np.pi
+            assert abs(t_cdf(float(x), 1.0) - want) <= 1e-14 * want
+        assert t_cdf(-5e-9, 1.0) == pytest.approx(0.5 - 5e-9 / np.pi, rel=1e-15)
+        assert t_cdf(-5e-9, 1.0) < 0.5 - 1.59e-9
+
+    def test_array_path_agrees_with_the_scalar(self):
+        x = np.linspace(-30.0, 30.0, 61)
+        for df in (2.5, 45.0, 940.0):
+            got = t_cdf(x, df)
+            assert got.shape == x.shape
+            want = np.array([t_cdf(float(v), df) for v in x])
+            assert np.all(np.abs(got - want) <= 1e-12 * np.minimum(want, 1.0 - want))
 
     def test_nan_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -164,14 +241,13 @@ class TestMvtConstraintProb:
         est = mvt_constraint_prob(d, np.eye(2), np.zeros(2), 400_000, seed=2)
         assert est.exact and est.n_draws == 0
         assert est.value == 0.25
-        # off the apex the lattice rule decides; uncorrelated is not independent
-        # for a t, so the reference is raw sampling of the same law
+        # off the apex the angular rule is exact; uncorrelated is not
+        # independent for a t, so the reference is raw sampling of the same law
         r = np.array([-0.3, 0.4])
         est = mvt_constraint_prob(d, np.eye(2), r, 400_000, seed=2)
         ref = oracle_inequality_prob(d, np.eye(2), r, 400_000, seed=12)
-        assert not est.exact and 0 < est.n_draws <= 400_000
-        se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
-        assert abs(est.value - ref.value) < 4 * se
+        assert est.exact and est.n_draws == 0
+        assert abs(est.value - ref.value) < 4 * ref.value * ref.rel_error_bound
 
     def test_correlated_orthant_against_elliptical_formula(self):
         """Orthant mass of an elliptical pair is 1/4 + asin(rho)/(2 pi).
@@ -229,7 +305,9 @@ class TestMvtConstraintProb:
         """The lattice rule agrees with raw t draws within 4 SE.
 
         Random correlations; the bounds are either scattered around the
-        location or, for q >= 4, the location itself (a centred cone).
+        location or, for q >= 4, the location itself (a centred cone).  Two
+        rows off the location are exact (the angular rule) and are held to
+        the same draws.
         """
         rng = np.random.default_rng(100 + 10 * q + int(df) + centred)
         s = rng.standard_normal((7, 7))
@@ -241,7 +319,8 @@ class TestMvtConstraintProb:
                 np.diag(r_mat @ d.scale @ r_mat.T)
             )
         est = mvt_constraint_prob(d, r_mat, r_vec, 1_000_000, seed=101)
-        assert not est.exact and 0 < est.n_draws <= 1_000_000
+        assert est.exact == (q == 2) and (est.n_draws == 0) == est.exact
+        assert est.n_draws <= 1_000_000
         ref = oracle_inequality_prob(d, r_mat, r_vec, 400_000, seed=102)
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
         assert abs(est.value - ref.value) < 4 * se
@@ -283,7 +362,7 @@ class TestMvtConstraintProb:
         fewer points than shifts take one point on each of fewer shifts.
         """
         rng = np.random.default_rng(130)
-        for q in (2, 4, 6):
+        for q in (3, 4, 6):
             s = rng.standard_normal((q, q))
             d = MultivariateT(rng.standard_normal(q), s @ s.T + np.eye(q), 5.0)
             r_vec = rng.standard_normal(q)
@@ -299,13 +378,15 @@ class TestMvtConstraintProb:
     def test_budgets_below_one_point_per_shift(self, q, df, budget):
         """Budgets of 1, 8 and 63 take one point on each of as many shifts.
 
-        Off the apex every estimate is inexact with a positive standard
-        error and stays within its budget, and over 2000 seeds the mean is
-        within a tenth of the mean reported standard error of the same
-        rule at a budget of 1e9.
+        ``q + 1`` rows off the apex (two rows are exact): every estimate is
+        inexact with a positive standard error and stays within its budget,
+        and over 2000 seeds the mean is within a tenth of the mean reported
+        standard error of the same rule at a budget of 1e9.
         """
-        d, r_vec, ref = _off_apex_case(q, df)
-        ests = [mvt_constraint_prob(d, np.eye(q), r_vec, budget, seed) for seed in range(2000)]
+        d, r_vec, ref = _off_apex_case(q + 1, df)
+        ests = [
+            mvt_constraint_prob(d, np.eye(q + 1), r_vec, budget, seed) for seed in range(2000)
+        ]
         assert all(not e.exact and e.std_error > 0 and 0 < e.n_draws <= budget for e in ests)
         mean = np.mean([e.value for e in ests])
         assert abs(mean - ref.value) <= 0.1 * np.mean([e.std_error for e in ests])
@@ -315,10 +396,10 @@ class TestMvtConstraintProb:
         """At 64 to 127 points each shift takes one point; at df 1 about
         5% of them have weight 0, so some shift's own ratio is 0/0.  Every
         seed still gives a finite estimate in [0, 1]."""
-        d = MultivariateT(np.zeros(3), np.eye(3) + 0.3, 1.0)
-        R = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+        d = MultivariateT(np.zeros(4), np.eye(4) + 0.3, 1.0)
+        R = np.eye(4)[:-1] - np.eye(4)[1:]
         for seed in range(200):
-            est = mvt_constraint_prob(d, R, np.array([0.3, 0.2]), cap, seed)
+            est = mvt_constraint_prob(d, R, np.array([0.3, 0.2, 0.1]), cap, seed)
             assert not est.exact and est.n_draws == numkernel._SHIFTS
             assert 0.0 <= est.value <= 1.0 and 0.0 < est.std_error < 1.0
 
@@ -326,10 +407,10 @@ class TestMvtConstraintProb:
         """Forty scales beyond the location every point is 0, and forty
         before it every point is 1: inexact, with the standard error of
         one hit in the budget, not 0."""
-        d = MultivariateT(np.zeros(2), np.array([[1.0, 0.3], [0.3, 1.0]]), 1e4)
+        d = MultivariateT(np.zeros(3), 0.7 * np.eye(3) + 0.3, 1e4)
         one_hit = np.sqrt((1 / 1e6) * (1 - 1 / 1e6) / 1e6)
         for bound, value in ((40.0, 0.0), (-40.0, 1.0)):
-            est = mvt_constraint_prob(d, np.eye(2), np.full(2, bound), 1_000_000, seed=1)
+            est = mvt_constraint_prob(d, np.eye(3), np.full(3, bound), 1_000_000, seed=1)
             assert not est.exact and est.value == value
             assert est.std_error == pytest.approx(one_hit, rel=1e-12)
 
@@ -338,7 +419,9 @@ class TestMvtConstraintProb:
 
         Twenty random systems (q 2 to 6, df 1, 5 or 60, off the apex or
         centred) at twenty seeds each, against the same rule with a
-        standard error target 100 times finer.
+        standard error target 100 times finer.  Two rows off the apex take
+        the exact angular rule in ``mvt_constraint_prob``; here they go to
+        the lattice directly (``_lattice_only``).
         """
         rng = np.random.default_rng(140)
         z = []
@@ -350,9 +433,11 @@ class TestMvtConstraintProb:
             r_vec = d.location + 0.7 * rng.standard_normal(q)
             if q > 3 and k % 2 == 0:
                 r_vec = d.location
-            hp = mvt_constraint_prob(d, np.eye(q), r_vec, 10**10, seed=1000 + k)
+            prob = _lattice_only if q == 2 else mvt_constraint_prob
+            hp = prob(d, np.eye(q), r_vec, 10**10, seed=1000 + k)
             for seed in range(20):
-                est = mvt_constraint_prob(d, np.eye(q), r_vec, 1_000_000, seed=seed)
+                est = prob(d, np.eye(q), r_vec, 1_000_000, seed=seed)
+                assert not est.exact
                 z.append((est.value - hp.value) / np.hypot(est.std_error, hp.std_error))
         assert np.mean(np.abs(z) > 2.0) <= 0.08
 
@@ -378,9 +463,8 @@ class TestMvtConstraintProb:
                     d, flip[:, None] * r_mat, flip * r_vec, 300_000, seed=21 + i
                 )
             )
-        total = sum(e.value for e in estimates)
-        se = np.sqrt(sum(e.std_error**2 for e in estimates))
-        assert abs(total - 1.0) < 3 * se
+        assert all(e.exact for e in estimates)
+        assert abs(sum(e.value for e in estimates) - 1.0) <= 1e-12
 
     def test_affine_consistency(self):
         """Pr(R xi > r) is invariant under an invertible reparameterization."""
@@ -397,15 +481,15 @@ class TestMvtConstraintProb:
         p2 = mvt_constraint_prob(
             mapped, r_mat @ np.linalg.inv(a), r_vec, 400_000, seed=31
         )
-        se = np.hypot(p1.std_error, p2.std_error)
-        assert abs(p1.value - p2.value) < 3 * se
+        assert p1.exact and p2.exact
+        assert abs(p1.value - p2.value) <= 1e-12
 
     def test_transformed_and_raw_paths_agree(self):
         """Full-row-rank systems may be estimated in the reduced space.
 
-        A rank-2 system on a 3-d t can be sampled either through the
-        2-d transformed t or by raw 3-d draws; the two estimates must
-        agree within combined Monte Carlo error.
+        A rank-2 system on a 3-d t, as two rows or with one of them
+        repeated: the two descriptions of the same region are exact by the
+        angular rule and agree to rounding.
         """
         rng = np.random.default_rng(14)
         s = rng.standard_normal((3, 3))
@@ -418,8 +502,8 @@ class TestMvtConstraintProb:
         r_rank_def = np.vstack([r_full, r_full[:1]])
         r_vec_def = np.concatenate([r_vec, r_vec[:1]])
         est_raw = mvt_constraint_prob(d, r_rank_def, r_vec_def, 400_000, seed=42)
-        se = np.hypot(est_fast.std_error, est_raw.std_error)
-        assert abs(est_fast.value - est_raw.value) < 3 * se
+        assert est_fast.exact and est_raw.exact
+        assert abs(est_fast.value - est_raw.value) <= 1e-12
 
     def test_zero_rows_are_resolved_without_sampling(self):
         d = MultivariateT(np.zeros(2), np.eye(2), 4.0)
@@ -474,6 +558,107 @@ def _quadrature_prob(d, r):
     return integrate.quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
 
 
+def _conditional_prob(a, b, rho, df):
+    """``Pr(X > a, Y > b)`` for a standard bivariate t of correlation
+    ``rho``: ``int_a^inf t_df(x) Pr(T_{df+1} > (b - rho x) sqrt((df + 1) /
+    ((1 - rho^2) (df + x^2)))) dx`` (scipy quad, relative tolerance
+    1e-13, with stdtr), on pieces at relative steps from ``a`` and from the
+    kink at ``b / rho``, and beyond the last in ``u = top / x``.  The
+    integrand is positive, so the far tail keeps its relative accuracy,
+    which the normal orthant of ``_quadrature_prob`` (Owen's T) does not."""
+    c = math.sqrt((1.0 - rho) * (1.0 + rho))
+    log_norm = gammaln(0.5 * (df + 1.0)) - gammaln(0.5 * df) - 0.5 * math.log(df * math.pi)
+
+    def f(x):
+        z = (b - rho * x) * math.sqrt((df + 1.0) / (df + x * x)) / c
+        return math.exp(log_norm - 0.5 * (df + 1.0) * math.log1p(x * x / df)) * stdtr(df + 1.0, -z)
+
+    knots = [a] + ([b / rho] if rho > 0.0 and b / rho > a else [])
+    edges = sorted({k + h * max(1.0, abs(k)) for k in knots for h in (0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0)})
+    top = edges[-1]
+    pieces = [(f, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    pieces.append((lambda u: f(top / u) * top / (u * u), 0.0, 1.0))
+    return sum(
+        integrate.quad(g, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0] for g, lo, hi in pieces
+    )
+
+
+def _pair(a, b, rho, df):
+    """``Pr(X > a, Y > b)`` for the standard bivariate t, by ``mvt_constraint_prob``."""
+    d = MultivariateT(np.zeros(2), np.array([[1.0, rho], [rho, 1.0]]), df)
+    return mvt_constraint_prob(d, np.eye(2), np.array([a, b]), 10_000, seed=1)
+
+
+class TestAngularRule:
+    """Rows of rank 2 off the location: the exact angular rule."""
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 5.0, 17.0, 193.0, 996.0])
+    def test_pairs_against_quadrature(self, df):
+        """Within 1e-10 relative of ``_conditional_prob`` over |rho| <= 0.95,
+        bounds on either side of the location and far tails down to
+        probabilities below 1e-30; and of ``_quadrature_prob`` where its
+        normal orthant keeps its digits (above 1e-6)."""
+        tails = {0.5: (10.0, 1e8, 1e30, 1e60), 1.0: (10.0, 1e3, 1e15, 1e30)}.get(
+            df, (3.0, 10.0, 1e3, 1e7) if df < 100 else (3.0, 6.0, 8.0, 12.0)
+        )
+        cases = [
+            (a, b, rho)
+            for rho in (-0.95, -0.5, 0.0, 0.3, 0.95)
+            for a, b in ((0.3, 0.5), (-1.0, 0.7), (2.0, -0.5), (-2.0, -3.0))
+        ] + [(s, 0.8 * s, rho) for rho in (-0.6, 0.3, 0.9) for s in tails]
+        smallest = 1.0
+        for a, b, rho in cases:
+            est = _pair(a, b, rho, df)
+            assert est.exact and est.n_draws == 0
+            want = _conditional_prob(a, b, rho, df)
+            assert abs(est.value - want) <= 1e-10 * want, (a, b, rho)
+            smallest = min(smallest, want)
+            if want > 1e-6 and max(abs(a), abs(b)) <= 3.0:
+                d = MultivariateT(np.zeros(2), np.array([[1.0, rho], [rho, 1.0]]), df)
+                assert abs(est.value - _quadrature_prob(d, np.array([a, b]))) <= 1e-10 * want
+        assert smallest < 1e-30
+
+    @pytest.mark.parametrize("rho", [1.0 - 1e-8, -(1.0 - 1e-8)])
+    def test_nearly_dependent_pair(self, rho):
+        """|rho| = 1 - 1e-8 has residual variance 2e-8, above ``_DEPENDENT``:
+        still rank 2, against the quadrature, and near the rank-1 interval
+        of rho = +-1, which differs from it by about the residual sd."""
+        for df in (1.0, 17.0):
+            for a, b in ((0.3, 0.5), (-0.4, 0.2), (1.5, -1.0)):
+                est = _pair(a, b, rho, df)
+                want = _conditional_prob(a, b, rho, df)
+                assert est.exact and abs(est.value - want) <= 1e-10 * max(want, 1e-3)
+                step = _pair(a, b, math.copysign(1.0, rho), df)
+                assert abs(est.value - step.value) <= 1e-3
+
+    def test_dependent_rows_against_the_lattice(self):
+        """Three and four rows of rank 2 off the location (a strip cut by a
+        third row, a quadrilateral, a wedge with a redundant row) agree
+        with the lattice at a budget of 2^22 within 4 SE."""
+        d = MultivariateT(np.array([0.2, -0.1]), np.array([[1.0, 0.4], [0.4, 2.0]]), 5.0)
+        systems = [
+            (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), np.array([-0.5, -0.8, 0.3])),
+            (np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]), np.array([-0.3, -0.4, -1.5, -1.0])),
+            (np.array([[1.0, 1.0], [1.0, -1.0], [2.0, 0.0]]), np.array([0.4, 0.1, 0.2])),
+        ]
+        for R, r in systems:
+            est = mvt_constraint_prob(d, R, r, 10_000, seed=1)
+            assert est.exact and _factor(_correlation(R @ d.scale @ R.T))[0].shape[1] == 2
+            ref = _lattice_only(d, R, r, 1 << 22, seed=2)
+            assert not ref.exact and abs(est.value - ref.value) < 4 * ref.std_error
+
+    def test_centred_cone_of_four_rows_is_its_arc(self):
+        """Four rows through the location of a law of identity scale, at
+        angles 0, 0.3, 0.5 and 1: the cone is the arc of directions within
+        pi/2 of all four, pi - 1 of 2 pi, whatever the df."""
+        phi = np.array([0.0, 0.3, 0.5, 1.0])
+        R = np.column_stack([np.cos(phi), np.sin(phi)])
+        for df in (1.0, 9.0):
+            d = MultivariateT(np.array([1.0, -2.0]), np.eye(2), df)
+            est = mvt_constraint_prob(d, R, R @ d.location, 10_000, seed=1)
+            assert est.exact and abs(est.value - (np.pi - 1.0) / (2.0 * np.pi)) <= 1e-15
+
+
 class TestRadialMap:
     """The lattice's radial coordinate: a Wilson-Hilferty map and its weight."""
 
@@ -513,9 +698,11 @@ class TestRadialMap:
         three rows against raw t draws (``oracle_inequality_prob``).
         Neither reference uses the lattice or its radial map, so a bias of
         the map shows here, where the same rule at a finer target cannot
-        see it.  The shift spread understates the error a little (about
-        6.5% of errors pass two standard errors, against 5% for Student's
-        t with 63 df), so the share is pooled over every df.
+        see it.  Two rows take the exact angular rule in
+        ``mvt_constraint_prob``, so here they go to the lattice directly,
+        with its stop rule.  The shift spread understates the error a little
+        (about 6.5% of errors pass two standard errors, against 5% for
+        Student's t with 63 df), so the share is pooled over every df.
         """
         rng = np.random.default_rng(160)
         z = {}
@@ -530,7 +717,8 @@ class TestRadialMap:
                     o = oracle_inequality_prob(d, np.eye(q), r_vec, 1_000_000, seed=161, rel_se=2e-3)
                     ref, ref_se = o.value, o.value * o.rel_error_bound
                 for seed in range(20):
-                    est = mvt_constraint_prob(d, np.eye(q), r_vec, 20_000, seed=seed)
+                    prob = _lattice_only if q == 2 else mvt_constraint_prob
+                    est = prob(d, np.eye(q), r_vec, 20_000, seed)
                     assert not est.exact and est.n_draws == 1024
                     z[df].append((est.value - ref) / np.hypot(est.std_error, ref_se))
         for df, errors in z.items():
@@ -645,13 +833,23 @@ class TestSingularLattice:
 
     @pytest.mark.parametrize("df", [3.0, 60.0])
     def test_triangle(self, df):
-        """``x1 > 0, x2 > 0, x1 + x2 < 0.3``: a bounded region, not a cone."""
+        """``x1 > 0, x2 > 0, x1 + x2 < 0.3``: a bounded region, not a cone,
+        exact by the angular rule; and the tetrahedron ``x1, x2, x3 > 0,
+        x1 + x2 + x3 < 0.3``, four rows of rank 3, on the lattice."""
         d = MultivariateT(np.array([0.1, 0.05]), np.array([[0.04, 0.01], [0.01, 0.02]]), df)
         R = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
         r = np.array([0.0, 0.0, -0.3])
         est = _refined(_estimates(d, R, r, 221, 1_000_000), 1_000_000)
-        assert not est.exact and est.value > 0
+        assert est.exact and est.value > 0
         ref = oracle_inequality_prob(d, R, r, 400_000, seed=222)
+        assert abs(est.value - ref.value) < 4 * ref.value * ref.rel_error_bound
+        scale = np.array([[0.04, 0.01, 0.0], [0.01, 0.02, 0.005], [0.0, 0.005, 0.03]])
+        d = MultivariateT(np.array([0.1, 0.05, 0.08]), scale, df)
+        R = np.vstack([np.eye(3), -np.ones(3)])
+        r = np.array([0.0, 0.0, 0.0, -0.3])
+        est = _refined(_estimates(d, R, r, 223, 1_000_000), 1_000_000)
+        assert not est.exact and est.value > 0
+        ref = oracle_inequality_prob(d, R, r, 400_000, seed=224)
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
         assert abs(est.value - ref.value) < 4 * se
 
@@ -708,6 +906,12 @@ def _lattice_args(dist, R, r):
     order = np.argsort(-a, kind="stable")
     L, col = _factor(S[np.ix_(order, order)] / np.outer(sd[order], sd[order]))
     return a[order], L, col
+
+
+def _lattice_only(dist, R, r, cap, seed):
+    """``Pr(R xi > r)`` by the lattice rule whatever its rank, with the
+    stop rule of ``mvt_constraint_prob``."""
+    return _refined(numkernel._lattice_prob(*_lattice_args(dist, R, r), dist.df, seed, cap), cap)
 
 
 def _bits(blocks):
@@ -848,7 +1052,9 @@ class TestRankRule:
     @pytest.mark.parametrize("centred", [False, True])
     def test_near_dependent_rows_against_sampling(self, centred):
         """A row 1e-7 off the span of two others has full rank by SVD but a
-        residual variance below ``_DEPENDENT``: it shares their column."""
+        residual variance below ``_DEPENDENT``: it shares their column, and
+        the three rows of rank 2 are exact (the angular rule off the
+        location)."""
         rng = np.random.default_rng(270 + centred)
         d = _random_law(rng, 4, 5.0)
         R = np.array(
@@ -860,7 +1066,7 @@ class TestRankRule:
         assert _factor(C)[0].shape[1] == 2
         r = R @ d.location + (0.0 if centred else 0.3 * rng.standard_normal(3))
         est = mvt_constraint_prob(d, R, r, 1_000_000, 271)
-        assert est.exact == centred
+        assert est.exact
         ref = oracle_inequality_prob(d, R, r, 400_000, seed=272)
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
         assert abs(est.value - ref.value) < 4 * se
@@ -1023,11 +1229,14 @@ class TestComplementProb:
 
     def test_direct_route_is_chosen_when_no_miss_would_show(self, monkeypatch):
         """``mcrep (1 - max p_i) < 1``: never inclusion-exclusion.  The
-        route under the likeliest system fits beside the walk and runs
-        first; its subtracted term outweighs its pieces, so the walk over
-        the disjoint pieces follows.  Far from the boundary, 1 - U is ~6e-5."""
-        d = MultivariateT(np.array([4.1, 4.1]), np.array([[1.0, 0.2], [0.2, 1.0]]), 60.0)
-        systems = [(np.eye(2), np.zeros(2)), (np.array([[1.0, -1.0]]), np.zeros(1))]
+        route under the likeliest system, ``x1, x2 > 0``, fits beside the
+        walk and runs first; its pieces are exact and its subtracted terms,
+        inside ``x1 > x2 > x3``, are lattice estimates of rank 3 that
+        outweigh them, so the walk over the disjoint pieces follows.  Far
+        from the boundary, 1 - U is ~1.2e-4."""
+        d = MultivariateT(np.full(3, 4.1), 0.8 * np.eye(3) + 0.2, 60.0)
+        chain = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+        systems = [(np.eye(3)[:2], np.zeros(2)), (chain, np.zeros(2))]
         mcrep = 5000
         known = _own_estimates(d, systems, mcrep, 320)
         assert mcrep * (1.0 - max(k.value for k in known)) < 1.0
@@ -1070,11 +1279,11 @@ class TestComplementProb:
         assert est.value == pytest.approx(t_cdf(-5.0, 60.0) - t_cdf(-5.5, 60.0), rel=1e-12)
 
     def test_no_overlap_takes_the_likeliest_pieces_less_the_known(self):
-        """An orthant and ``x1 < -0.5``, which share no point: ``1 - U`` is
-        the walk over the orthant's pieces, on the same streams, less the
-        exact ``p_2``, to the bit."""
-        d = MultivariateT(np.full(2, 4.6), 0.8 * np.eye(2) + 0.2, 60.0)
-        systems = [(np.eye(2), np.zeros(2)), (np.array([[-1.0, 0.0]]), np.array([0.5]))]
+        """An orthant of rank 3 and ``x1 < -0.5``, which share no point:
+        ``1 - U`` is the walk over the orthant's pieces, on the same streams,
+        less the exact ``p_2``, to the bit."""
+        d = MultivariateT(np.full(3, 4.6), 0.8 * np.eye(3) + 0.2, 60.0)
+        systems = [(np.eye(3), np.zeros(3)), (np.array([[-1.0, 0.0, 0.0]]), np.array([0.5]))]
         known = _own_estimates(d, systems, 20_000, 330)
         assert 20_000 * (1.0 - known[0].value) < 1.0 and known[1].exact
         est = complement_prob(d, systems, known, 20_000, seed=331)
