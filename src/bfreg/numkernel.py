@@ -28,7 +28,7 @@ factor and bounds it from above or below (Genz and Kwong 2000).  That
 factor is the only rank rule.
 
 - exact 1-d: the univariate t CDF for a single row (:func:`t_cdf`, in
-  Python floats);
+  Python floats up to 5000 df);
 - exact interval: rows of rank 1, which bound one t variable;
 - closed form: two or three rows through the location, of any rank
   (below);
@@ -49,11 +49,11 @@ factor is the only rank rule.
   rounding leaves them exact, and gives the bits of the formula as
   written: its time goes to ``ndtr`` and ``ndtri``.
 
-Only the lattice and the t CDF of an array use ``scipy.special``, which
-is imported on their first use (:func:`_special`): importing the package
-loads no scipy, and a process whose estimates all have rank 2 or less
-never does (a cold ``import scipy.special`` costs more than the rest of
-a small analysis).
+Only the lattice, the t CDF of an array and that of a scalar above 5000
+df use ``scipy.special``, which they import on first use: importing the
+package loads no scipy, and a process whose estimates all have rank 2 or
+less at df up to 5000 never does (a cold ``import scipy.special`` costs
+more than the rest of a small analysis).
 
 A region probability needs the scale of the law to be positive
 semidefinite only: a singular scale makes some rows dependent, and a
@@ -108,6 +108,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -333,7 +334,6 @@ def mvt_logpdf(x, dist: MultivariateT) -> float:
     )
 
 
-@functools.lru_cache(maxsize=64)
 def _log_gamma_ratio(a) -> float:
     """``log Gamma(a + 1/2) - log Gamma(a)`` for ``a > 0``.
 
@@ -342,8 +342,7 @@ def _log_gamma_ratio(a) -> float:
     next term is below 4e-3 / a^11; below that, shifted up by ``Gamma(a +
     3/2) / Gamma(a + 1) = (a + 1/2) / a * Gamma(a + 1/2) / Gamma(a)``.
     The difference of ``lgamma`` values loses ``eps lgamma(a)``, 1e-12 at
-    ``a`` near 500.  Kept for the last 64 arguments: an analysis asks for
-    the same few df again and again."""
+    ``a`` near 500."""
     a = float(a)
     shift = 0.0
     while a < 16.0:
@@ -369,49 +368,45 @@ def t_cdf(x, df):
     """CDF of the standard univariate Student-t: a float for a scalar ``x``,
     else an array of its shape.
 
-    A scalar is evaluated in Python floats by :func:`_t_tail`, to within
-    1e-12 relative of ``scipy.special.stdtr`` at df 0.2 to 5000 for ``|x|
-    <= 1e3`` (at most 3.1e-13 over a grid of those, in a tail near
-    1e-255), and within 1e-14 of the Cauchy closed form at df 1, where
-    ``stdtr`` loses up to 3e-9 near 0: ``t_cdf(-5e-9, 1)`` is 0.5 -
-    1.59e-9.  An array goes to ``stdtr``,
-    imported on first use: a vectorised continued fraction costs far more
-    per call than ``stdtr`` (the exploratory screen is one such call per
-    side).  Saturates at 0/1 for infinite arguments.  The complement
-    identity ``t_cdf(z) + t_cdf(-z) == 1`` holds exactly in floating point
-    by construction.
+    A scalar at df up to ``_CF_DF_MAX`` is evaluated in Python floats by
+    :func:`_t_tail`, to within 1e-12 relative of ``scipy.special.stdtr``
+    at df 0.01 to 5000 for ``|x| <= 1e3`` (at most 5e-13 over a grid of
+    those, in a tail near 1e-255, and it grows with df: the continued
+    fraction takes ``x = df / (df + t^2)`` near 1 rounded, which costs
+    ``df eps`` relative), and within 1e-14 of the Cauchy closed form at
+    df 1, where ``stdtr`` loses up to 3e-9 near 0: ``t_cdf(-5e-9, 1)`` is
+    0.5 - 1.59e-9.  An array, or a scalar at a larger df, goes to
+    ``stdtr``, imported on first use: a vectorised continued fraction
+    costs far more per call than ``stdtr`` (the exploratory screen is one
+    such call per side).  Saturates at 0/1 for infinite arguments.  The
+    complement identity ``t_cdf(z) + t_cdf(-z) == 1`` holds exactly in
+    floating point by construction.
     """
     df = float(df)
     if not (df > 0 and math.isfinite(df)):
         raise InvalidInputError("df must be a positive finite number")
-    if np.ndim(x) == 0:
-        x = float(x)
-        if math.isnan(x):
-            raise InvalidInputError("t_cdf argument is NaN")
-        p = _t_tail(abs(x), df)
-        return 1.0 - p if x >= 0.0 else p
-    x = np.asarray(x, dtype=float)
+    scalar = np.ndim(x) == 0
+    x = float(x) if scalar else np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise InvalidInputError("t_cdf argument is NaN")
-    p = _special().stdtr(df, -np.abs(x))
-    return np.where(x >= 0.0, 1.0 - p, p)
+    if scalar and df <= _CF_DF_MAX:
+        p = _t_tail(abs(x), df)
+        return 1.0 - p if x >= 0.0 else p
+    from scipy.special import stdtr
 
-
-@functools.cache
-def _special():
-    """``scipy.special``, imported on first use: its import is most of the
-    start-up of a cold process, which needs it only for the lattice and
-    the t CDF of an array."""
-    import scipy.special
-
-    return scipy.special
+    p = stdtr(df, -np.abs(x))
+    out = np.where(x >= 0.0, 1.0 - p, p)
+    return float(out) if scalar else out
 
 
 # The continued fraction of the incomplete beta function stops once a step
 # changes it by at most _CF_EPS; it converged within 60 steps everywhere
-# its tests look.
+# its tests look.  Above _CF_DF_MAX degrees of freedom the t CDF of a
+# scalar goes to stdtr, where the continued fraction would lose more than
+# 1e-12 to the rounding of its argument.
 _CF_EPS = 1e-16
 _CF_STEPS = 500
+_CF_DF_MAX = 5000.0
 
 
 def _t_tail(t, df) -> float:
@@ -432,9 +427,9 @@ def _t_tail(t, df) -> float:
         return 0.0
     a = 0.5 * df
     r = df / t / t  # x / y, without squaring t
-    if 0.0 < r < math.inf:
+    if sys.float_info.min <= r < math.inf:
         log_x, log_y = -math.log1p(1.0 / r), -math.log1p(r)
-    else:  # t^2 / df outside the float range
+    else:  # t^2 / df outside the range of normal floats
         log_r = math.log(df) - 2.0 * math.log(t)
         log_x, log_y = min(log_r, 0.0), min(-log_r, 0.0)
     log_front = a * log_x + 0.5 * log_y + _log_gamma_ratio(a) - 0.5 * math.log(math.pi)
@@ -820,7 +815,8 @@ def _lattice_prob(a, L, col, df, seed, cap):
     differently.  The estimates are bit for bit those of the formula as
     written above (``reference_lattice_prob`` in the tests' oracle).
     """
-    ndtr, ndtri = _special().ndtr, _special().ndtri
+    from scipy.special import ndtr, ndtri
+
     cap = int(cap)
     n_shifts = min(_SHIFTS, cap)
     centred = not a.any()
@@ -957,7 +953,9 @@ def _radial(u, df):
     law bfreg builds has df >= 1.  The points with ``b <= 0`` are masked
     only when there are some.
     """
-    z = _special().ndtri(np.minimum(u, 1.0 - _EPS))
+    from scipy.special import ndtri
+
+    z = ndtri(np.minimum(u, 1.0 - _EPS))
     c = 2.0 / (9.0 * df)
     x = z * math.sqrt(c) - c  # b - 1
     dead = x <= -1.0 if x.min() <= -1.0 else None

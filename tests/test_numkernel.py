@@ -167,14 +167,21 @@ class TestTCdf:
         assert t_cdf(np.inf, 3.0) == 1.0
         assert t_cdf(-np.inf, 3.0) == 0.0
 
-    @pytest.mark.parametrize("df", [0.2, 0.5, 1.0, 1.5, 3.0, 17.0, 193.0, 940.0, 5000.0])
+    @pytest.mark.parametrize(
+        "df", [0.01, 0.2, 0.5, 1.0, 1.5, 3.0, 17.0, 193.0, 940.0, 5000.0, 1e5, 1e6, 1e7]
+    )
     def test_scalar_against_stdtr(self, df):
-        """The continued fraction in Python floats is within 1e-12 relative
-        of ``scipy.special.stdtr`` for ``|x| <= 1e3``, in both tails, except
-        where stdtr loses digits (df 1 near 0) or underflows."""
+        """A scalar is within 1e-12 relative of ``scipy.special.stdtr`` for
+        ``|x| <= 1e3``, in both tails, except where stdtr loses digits (df 1
+        near 0) or underflows: by the continued fraction in Python floats up
+        to 5000 df, including around ``|x| = sqrt(3)``, where it switches
+        between ``I_x(a, 1/2)`` and ``1 - I_y(1/2, a)``, and by stdtr above."""
         from scipy.special import stdtr
 
-        for x in np.concatenate([-np.logspace(-10, 3, 131), [-0.5, -1.0, -2.0]]):
+        switch = math.sqrt(3.0 * (1.0 - 1.0 / (0.5 * df + 1.0)))
+        for x in np.concatenate(
+            [-np.logspace(-10, 3, 131), [-0.5, -1.0, -2.0, -switch], -np.linspace(1.6, 2.0, 41)]
+        ):
             for t in (x, -x):
                 want = float(stdtr(df, t))
                 if (df == 1.0 and abs(t) < 1e-3) or min(want, 1.0 - want) < 1e-300:
@@ -186,12 +193,17 @@ class TestTCdf:
 
     def test_cauchy_keeps_the_digits_near_zero(self):
         """At df 1 the lower tail is ``atan(-1 / x) / pi`` for ``x < 0``: within
-        1e-14 relative at every scale, where stdtr reads 0.5 at -5e-9."""
+        1e-14 relative for ``|x| <= 1e12``, where stdtr reads 0.5 at -5e-9,
+        and within 1e-13 where ``df / x^2`` is subnormal and the tail is
+        taken from its log, near -357."""
         for x in -np.logspace(-12, 12, 241):
             want = np.arctan(-1.0 / x) / np.pi
             assert abs(t_cdf(float(x), 1.0) - want) <= 1e-14 * want
         assert t_cdf(-5e-9, 1.0) == pytest.approx(0.5 - 5e-9 / np.pi, rel=1e-15)
         assert t_cdf(-5e-9, 1.0) < 0.5 - 1.59e-9
+        for x in (-1e155, -1e160):
+            want = -1.0 / (np.pi * x)
+            assert abs(t_cdf(x, 1.0) - want) <= 1e-13 * want
 
     def test_array_path_agrees_with_the_scalar(self):
         x = np.linspace(-30.0, 30.0, 61)
