@@ -12,7 +12,11 @@ and with every coefficient pinned), raw-coordinate systems, three rows of
 rank 2 through the prior's location (closed form), two- and three-system
 complements (one whose inclusion-exclusion does not resolve its small
 value and falls back to disjoint pieces, one whose terms leave less than
-one lattice block each at ``K5_MCREP`` and take fewer points),
+one lattice block each at ``K5_MCREP`` and take fewer points, and one
+whose far-tail terms, bounded at first, are estimated after all because
+the other terms' standard error is too small beside their bounds), a
+far-tail complement at 1 degree of freedom, where the half-space bounds
+of its terms are loosest,
 ``df_as_printed``, the exploratory screen of the k5 fit and of a fit
 whose ``Pr(x1 < 0)`` underflows (every factor of every coefficient), a
 five-row chain off and through the location of a fixed t law (the
@@ -44,7 +48,8 @@ Usage:
 each probability estimate that differs its old and new value and
 ``|new - old| / sqrt(se_old^2 + se_new^2)``, or for two exact values
 their relative change ``|new - old| / |old|``.  Its last line counts the
-cases that differ and gives the largest ``|dv|/se``.  It exits 1 when
+cases that differ, gives the largest ``|dv|/se`` and totals the lattice
+points (``n_draws``) of every estimate, old -> new.  It exits 1 when
 the two files hold different cases or different errors.  A checkout
 whose lattice took the mean of per-shift ratios at 64 points or more
 records an error (a NaN probability) for the chain at one point per
@@ -108,6 +113,25 @@ CHAIN_MCREP = 1_000_000
 # One lattice point on each of the 64 shifts: at df 1 some shifts hold only
 # points of weight 0.
 ONE_POINT_MCREP = 100
+# A complement at 1 degree of freedom, where half-space bounds are loosest,
+# far inside the orthant (x1, x2, x3) > 0 and the chain x3 > x2 > x1, with
+# x4 > 1e11 and x4 > x2 far beyond: most of its terms lie far out in the
+# tails.  (location, scale, df, systems as (rows, bounds), mcrep, seed)
+FAR_TAIL_DF1 = (
+    (1e4, 3e4, 6e4, 0.0),
+    ((1.0, 0.5, 0.3, 0.0), (0.5, 1.0, 0.5, 0.2), (0.3, 0.5, 1.0, 0.1), (0.0, 0.2, 0.1, 1.0)),
+    1.0,
+    (
+        (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), (0.0, 0.0, 0.0)),
+        (((0, 0, 0, 1), (0, -1, 0, 1)), (1e11, 0.0)),
+        (((-1, 1, 0, 0), (0, -1, 1, 0)), (0.0, 0.0)),
+    ),
+    10_000,
+    7,
+)
+# Hc's lattice terms whose bounds are negligible before the others refine
+# but not after: their sum falls back to estimating them (seed 1).
+FALLBACK_HYPOTHESES = "x1>0.1; x2<-0.2; x3>x4=0.5; x4<(x1,x2)>0.05"
 # Rows of rank 2 under fixed laws: (name, location, scale, df, rows, bounds
 # or None for rows through the location).
 NEAR_ONE = 1.0 - 1e-8
@@ -201,6 +225,18 @@ def _region_prob(numkernel, location, scale, df, rows, bounds, seed=SEED):
     return _estimate_json(numkernel.mvt_constraint_prob(dist, R, r, CHAIN_MCREP, seed))
 
 
+def _complement_json(numkernel, location, scale, df, systems, mcrep, seed):
+    """``Pr(no system holds)`` under a fixed t law, each system's own
+    estimate known as the engine passes it, as the estimate's JSON."""
+    dist = numkernel.MultivariateT(np.array(location), np.array(scale), df)
+    systems = [(np.array(R, dtype=float), np.array(r, dtype=float)) for R, r in systems]
+    known = [
+        numkernel.mvt_constraint_prob(dist, R, r, mcrep, numkernel.derived_seed(seed, i))
+        for i, (R, r) in enumerate(systems)
+    ]
+    return _estimate_json(numkernel.complement_prob(dist, systems, known, mcrep, seed))
+
+
 def _screen_json(res):
     """An exploratory result with every factor of every coefficient."""
 
@@ -285,6 +321,9 @@ def cases(tmp):
                 )
             )
 
+    yield f"k5 seed=1 fallback {FALLBACK_HYPOTHESES}", lambda: cli.render_json(
+        engine.test_hypotheses(fit, FALLBACK_HYPOTHESES, mcrep=K5_MCREP, seed=1), cfg
+    )
     for text in PARSE_HYPOTHESES:
         yield f"k5 seed={PARSE_SEED} parse {text!r}", lambda text=text: cli.render_json(
             engine.test_hypotheses(fit, text, mcrep=K5_MCREP, seed=PARSE_SEED), cfg
@@ -319,6 +358,7 @@ def cases(tmp):
     )
     for name, *law in RANK2_CASES:
         yield f"rank 2 {name}", lambda law=law: _region_prob(numkernel, *law)
+    yield "complement far tail df=1", lambda: _complement_json(numkernel, *FAR_TAIL_DF1)
 
     demo_fit = model.RegressionFit(
         coef_names=("(Intercept)", "x1", "x2"),
@@ -383,11 +423,15 @@ def compare(old_path, new_path) -> int:
     with open(new_path, encoding="utf-8") as fh:
         new = json.load(fh)
     status, differing, z_max = 0, 0, 0.0
+    points = [0, 0]  # lattice points of every estimate in both files, old and new
     for name in sorted(old.keys() ^ new.keys()):
         print(f"only in {'old' if name in old else 'new'}: {name}")
         status = 1
     for name in [n for n in old if n in new]:
         a, b = old[name], new[name]
+        doc_a, doc_b = _document(a), _document(b)
+        for k, doc in enumerate((doc_a, doc_b)):
+            points[k] += sum(est[3] for _, est in _estimates(doc)) if doc is not None else 0
         if a == b:
             print(f"same    {name}")
             continue
@@ -397,7 +441,6 @@ def compare(old_path, new_path) -> int:
             print(f"    {a.splitlines()[0]!r} -> {b.splitlines()[0]!r}")
             status = 1
             continue
-        doc_a, doc_b = _document(a), _document(b)
         if doc_a is None or doc_b is None:
             continue
         est_a, est_b = dict(_estimates(doc_a)), dict(_estimates(doc_b))
@@ -416,7 +459,10 @@ def compare(old_path, new_path) -> int:
                 z_max = max(z_max, z)
                 change = f"|dv|/se = {z:.3g}"
             print(f"    {path}: {est_a[path]} -> {est_b[path]}  {change}")
-    print(f"{differing} of {len(old.keys() & new.keys())} cases differ; largest |dv|/se = {z_max:.3g}")
+    print(
+        f"{differing} of {len(old.keys() & new.keys())} cases differ; largest |dv|/se = "
+        f"{z_max:.3g}; lattice points (n_draws) {points[0]} -> {points[1]}"
+    )
     return status
 
 

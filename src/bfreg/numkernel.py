@@ -18,8 +18,8 @@ budget -> identical estimate, bit for bit.
 
 Probability estimates
 ---------------------
-:func:`_estimates` is where the estimation path of a region probability
-is chosen, for :func:`mvt_constraint_prob` and every term of
+:func:`_path` is where the estimation path of a region probability is
+chosen, for :func:`mvt_constraint_prob` and every term of
 :func:`complement_prob` alike.  Several rows are taken under the
 transformed law of ``R xi``, whose correlation has one lower factor
 (:func:`_factor`): a row whose residual variance given the rows before
@@ -86,6 +86,20 @@ of each pivot set) is worked out once per distinct row content and
 kept, for the last ``_TABLES`` contents, in a read-only
 :class:`_Table`.  Only the estimates depend on the law, the seed and the
 budget.
+
+A complement term left to the lattice need not be sampled when it
+cannot move the sum.  For any ``lam >= 0`` over its rows, ``lam' Y``
+is a univariate t, so the term is at most the t tail at the distance
+``lam' (r - R mu) / sqrt(lam' R S R' lam)``; coordinate ascent in
+Python floats finds the ``lam`` of the Mahalanobis distance from the
+location to the region (:func:`_half_space_bound`).  A term whose bound
+is at most ``_NEGLIGIBLE`` of the smallest target its sum can set
+waits, unstarted, and is taken as 0 when the waiting terms' bounds sum
+to at most ``_NEGLIGIBLE`` of the other terms' combined standard error,
+which that sum then joins; otherwise it is estimated like the others
+(:func:`_term_sum`).  On the benchmark's ``order-mc``, six of the seven
+lattice terms of the complement's posterior factor lie beyond 1e-12 and
+wait, and one lattice term starts.
 
 Every path takes the rows it is given as they are.  Deciding rows the
 equalities leave without coefficient content, and dropping rows another
@@ -165,6 +179,27 @@ _MAX_TERMS = 4096
 # Tables of row structure (:func:`_table`) kept, for the most recently used
 # distinct row contents.
 _TABLES = 128
+
+# A complement term left to the lattice waits, unstarted, while its
+# half-space bound is at most _NEGLIGIBLE of the smallest standard error
+# target its sum can set, and is taken as 0 when the waiting terms' bounds
+# sum to at most _NEGLIGIBLE of the other terms' combined standard error,
+# which the sum then joins: that error grows by a factor of at most
+# sqrt(1 + _NEGLIGIBLE^2) = 1.00005 (:func:`_term_sum`).
+_NEGLIGIBLE = 1e-2
+
+# The bound's coordinate ascent (:func:`_half_space_bound`) takes steps
+# over-relaxed by _BOUND_RELAX and stops after _BOUND_SWEEPS sweeps, or
+# once a sweep raises its objective by at most _BOUND_GAIN of it: on the
+# far-tail complement terms of order-mc (6 to 8 rows of rank 6) it came
+# within 1e-4 of the distance in 5 to 12 sweeps, where plain ascent took
+# 4 to 38.  The ratio it gives is shrunk by _BOUND_SHRINK, which
+# raises a tail T(-t) at t >= 1 by more than 1e-10 relative, far above the
+# 1e-12 relative error of t_cdf.
+_BOUND_RELAX = 1.5
+_BOUND_SWEEPS = 16
+_BOUND_GAIN = 1e-4
+_BOUND_SHRINK = 1e-9
 
 
 def _seed_sequence(seed, path=()):
@@ -273,7 +308,9 @@ class ProbEstimate:
     shifts, which is positive: where the shifts show no spread it is that
     of one hit in the budget (:func:`_one_hit_se`).  A complement sums
     lattice terms: ``n_draws`` counts every point it evaluated and its
-    standard error combines those of its terms.
+    standard error combines those of its terms with the sum of the
+    half-space bounds of the far-tail terms it took as 0, unsampled
+    (:func:`_term_sum`).
     """
 
     value: float
@@ -467,7 +504,7 @@ def _beta_cf(a, b, x) -> float:
 def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimate:
     """Estimate ``Pr(R xi > r)`` for ``xi ~ dist``.
 
-    The path is chosen by :func:`_estimates`: a single row is exact
+    The path is chosen by :func:`_path`: a single row is exact
     through the univariate t CDF, rows of rank 1 are an exact interval,
     two or three rows through the location a closed form, other rows of
     rank 2 the exact angular rule of :func:`_angular_prob`, and every
@@ -504,23 +541,46 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
 
 
 def _estimates(dist: MultivariateT, R, r, seed, cap):
-    """Successive estimates of ``Pr(R xi > r)``, each finer than the last:
+    """Successive estimates of ``Pr(R xi > r)``, each finer than the last,
+    on the path :func:`_path` chooses (:func:`_blocks`)."""
+    yield from _blocks(_path(dist, R, r), seed, cap)
+
+
+class _Lattice:
+    """A region left to :func:`_lattice_prob`: ``Pr(Y > a)`` for a
+    standardised t ``Y`` with ``df`` degrees of freedom and correlation
+    ``C``, and the factor of ``C`` (:func:`_factor`) when it is known.  A
+    plain class: a dataclass would cost a cold process about 1 ms to
+    create."""
+
+    __slots__ = ("a", "C", "df", "factor")
+
+    def __init__(self, a, C, df, factor=None):
+        self.a, self.C, self.df, self.factor = a, C, df, factor
+
+
+def _path(dist: MultivariateT, R, r):
+    """The estimation path of ``Pr(R xi > r)``: an exact
+    :class:`ProbEstimate`, or the :class:`_Lattice` it is left to.  This is
     the one place where the path of a region probability is chosen.
 
-    A single row is one exact estimate, the univariate t CDF.  Rows of
-    variance 0 under the scale are constants: one that fails gives an
-    exact 0, and if all hold the other rows are estimated.  Several
-    rows are taken under the law ``Y`` of ``R xi``: its rows are sorted by
-    standardised bound ``a = (r - mu) / sd``, largest (least likely)
-    first, and their correlation is factored by :func:`_factor`, whose
-    rank decides the rest.  Rows of rank 1 bound one t variable and are
-    one exact estimate, the interval between their largest lower and
-    smallest upper cut.  Two or three rows through the location (the
-    apex test of ``_APEX_TOL``), of any rank, are one exact estimate in
+    A single row is exact, the univariate t CDF.  Rows of variance 0 under
+    the scale are constants: one that fails gives an exact 0, and if all
+    hold the other rows take their path.  Several rows are taken under the
+    law ``Y`` of ``R xi``: its rows are sorted by standardised bound ``a =
+    (r - mu) / sd``, largest (least likely) first, and their correlation is
+    factored by :func:`_factor`, whose rank decides the rest.  Rows of rank
+    1 bound one t variable and are exact, the interval between their
+    largest lower and smallest upper cut.  Two or three rows through the
+    location (the apex test of ``_APEX_TOL``), of any rank, are exact in
     closed form (:func:`_centred_orthant_prob`), and any other system of
-    rank 2 is one exact estimate by the angular rule of
-    :func:`_angular_prob`.  Any other system yields the blocks of
-    :func:`_lattice_prob`.
+    rank 2 is exact by the angular rule of :func:`_angular_prob`.  Any
+    other system is left to the lattice.  More than three rows whose first
+    three have rank 3 by that factor are left to it unfactored: the
+    factor is taken when the lattice starts, which a complement term whose
+    bound is negligible never does (:func:`_term_sum`), and for rows of
+    rank below the full, such as a chain with an orthant, it costs more
+    than the bound.
     """
     q = R.shape[0]
     if q == 1:
@@ -528,26 +588,24 @@ def _estimates(dist: MultivariateT, R, r, seed, cap):
         s2 = float(R[0] @ dist.scale @ R[0])
         if s2 <= 0.0:
             _check_variances(R, dist.scale, s2)
-            yield ProbEstimate(1.0 if m > r[0] else 0.0, 0.0, True, 0)
-        else:
-            yield ProbEstimate(t_cdf((m - r[0]) / math.sqrt(s2), dist.df), 0.0, True, 0)
-        return
+            return ProbEstimate(1.0 if m > r[0] else 0.0, 0.0, True, 0)
+        return ProbEstimate(t_cdf((m - r[0]) / math.sqrt(s2), dist.df), 0.0, True, 0)
     law = MultivariateT(R @ dist.location, R @ dist.scale @ R.T, dist.df)
     var = np.diagonal(law.scale)
     if not (var > 0.0).all():
         _check_variances(R, dist.scale, var)
         const, hold = var <= 0.0, law.location > r
         if const.all() or not hold[const].all():
-            yield ProbEstimate(float(hold[const].all()), 0.0, True, 0)
-        else:
-            yield from _estimates(dist, R[~const], r[~const], seed, cap)
-        return
+            return ProbEstimate(float(hold[const].all()), 0.0, True, 0)
+        return _path(dist, R[~const], r[~const])
     sd = np.sqrt(var)
     centred = bool((np.abs(law.location - r) <= _APEX_TOL * sd).all())
     a = np.zeros(q) if centred else (r - law.location) / sd
     order = np.argsort(-a, kind="stable")
     a, sd = a[order], sd[order]
     C = law.scale[order][:, order] / (sd[:, None] * sd)
+    if q > 3 and _factor(C[:3, :3])[0].shape[1] == 3:
+        return _Lattice(a, C, law.df)  # of rank 3 or more: factored when it starts
     L, col = _factor(C)
     if L.shape[1] == 1:
         cuts = a / L[:, 0]
@@ -555,13 +613,21 @@ def _estimates(dist: MultivariateT, R, r, seed, cap):
         lo = float(cuts[low].max())
         hi = float(cuts[~low].min(initial=math.inf))
         p = t_cdf(-lo, law.df) - t_cdf(-hi, law.df)
-        yield ProbEstimate(max(p, 0.0), 0.0, True, 0)
-    elif centred and q <= 3:
-        yield ProbEstimate(_centred_orthant_prob(C), 0.0, True, 0)
-    elif L.shape[1] == 2:
-        yield ProbEstimate(_angular_prob(a, L, law.df), 0.0, True, 0)
-    else:
-        yield from _lattice_prob(a, L, col, law.df, seed, cap)
+        return ProbEstimate(max(p, 0.0), 0.0, True, 0)
+    if centred and q <= 3:
+        return ProbEstimate(_centred_orthant_prob(C), 0.0, True, 0)
+    if L.shape[1] == 2:
+        return ProbEstimate(_angular_prob(a, L, law.df), 0.0, True, 0)
+    return _Lattice(a, C, law.df, (L, col))
+
+
+def _blocks(path, seed, cap):
+    """The estimates on a :func:`_path`: the exact one alone, or the blocks
+    of :func:`_lattice_prob`."""
+    if isinstance(path, ProbEstimate):
+        return iter((path,))
+    L, col = path.factor or _factor(path.C)
+    return _lattice_prob(path.a, L, col, path.df, seed, cap)
 
 
 def _check_variances(R, S, var):
@@ -768,11 +834,12 @@ def _lattice_prob(a, L, col, df, seed, cap):
     """Quasi-Monte Carlo estimates of ``Pr(L z > s a)``, rank of ``L`` >= 2.
 
     Genz-Bretz separation of variables (Genz 1992, JCGS 1; Genz and Bretz
-    2009, LNS 195).  :func:`_estimates` passes the standardised bounds
-    ``a`` of its sorted rows and :func:`_factor`'s lower factor ``L`` of
-    their correlation with ``col``, the column each row bounds, so that
-    ``Y > r`` reads ``L z > s a`` for standard normals ``z`` and the
-    radial factor ``s = sqrt(w / df)``, ``w ~ chi-square(df)``.  ``s`` is
+    2009, LNS 195).  :func:`_blocks` passes, from :func:`_path`, the
+    standardised bounds ``a`` of the sorted rows and :func:`_factor`'s
+    lower factor ``L`` of their correlation with ``col``, the column each
+    row bounds, so that ``Y > r`` reads ``L z > s a`` for standard
+    normals ``z`` and the radial factor ``s = sqrt(w / df)``, ``w ~
+    chi-square(df)``.  ``s`` is
     not drawn by the inverse chi-square CDF, which would cost more than
     the rest of the integrand: the last uniform ``u`` maps to ``s`` by the
     Wilson-Hilferty cube of :func:`_radial`, and each point carries the
@@ -1044,7 +1111,12 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
     sets each term's standard error target, the binomial one of ``1 - U``
     at ``mcrep`` over the square root of the number of inexact terms, and
     terms refine to it.  A ``known`` estimate stands for the term of its
-    system alone when it is exact or meets that target.
+    system alone when it is exact or meets that target.  A term left to
+    the lattice whose half-space bound (:func:`_half_space_bound`) is
+    negligible waits, unstarted, and is 0 within its bound when the
+    waiting terms' bounds together are negligible beside the others'
+    standard error; otherwise it is estimated like the rest
+    (:func:`_term_sum`).
 
     Each term needs at least one lattice point, so a route fits when its
     terms fit in ``mcrep`` (and ``_MAX_TERMS``) beside those of the routes
@@ -1056,7 +1128,8 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
     not taken included, never passes ``mcrep``.  The last route that runs
     stands whether or not it resolves: its standard error says how
     precise it is.  The value is clamped to [0, 1], its standard error
-    combines those of the terms, and it is exact when every term is.  An
+    combines those of the terms and the sum of the bounds of the terms
+    taken as 0, and it is exact when every term is.  An
     inexact sum whose terms show no spread (its only inexact terms are
     zeros) carries the standard error of one hit in ``mcrep``.
     """
@@ -1260,10 +1333,9 @@ def _terms(pivots, table, limit):
     return tuple(terms)
 
 
-def _start(dist, table, ix, seed, cap):
-    """The first estimate of the term on rows ``ix`` of ``table`` and the
-    iterator of finer ones."""
-    blocks = _estimates(dist, table.rows[ix], table.bounds[ix], seed, cap)
+def _start(path, seed, cap):
+    """The first estimate on a :func:`_path` and the iterator of finer ones."""
+    blocks = _blocks(path, seed, cap)
     return next(blocks), blocks
 
 
@@ -1277,12 +1349,11 @@ def _refine(est, blocks, target):
     return est
 
 
-def _term_target(v, terms, mcrep) -> float:
+def _term_target(v, n, mcrep) -> float:
     """Binomial standard error of ``v`` at ``mcrep`` (at least one hit
-    or miss), over the square root of the number of inexact terms."""
+    or miss), over the square root of ``n``, the number of inexact terms."""
     v = min(max(v, 1.0 / mcrep), 1.0 - 1.0 / mcrep)
-    n = max(sum(not est.exact for est in terms), 1)
-    return math.sqrt(v * (1.0 - v) / mcrep / n)
+    return math.sqrt(v * (1.0 - v) / mcrep / max(n, 1))
 
 
 def _sum_estimate(value, terms, points, mcrep) -> ProbEstimate:
@@ -1294,6 +1365,58 @@ def _sum_estimate(value, terms, points, mcrep) -> ProbEstimate:
     return ProbEstimate(value, se or _one_hit_se(mcrep), False, points)
 
 
+def _half_space_bound(a, C, df) -> float:
+    """An upper bound on ``Pr(Y > a)`` for a standardised t ``Y`` with
+    ``df`` degrees of freedom and correlation ``C``, from one half-space.
+
+    Every point of the region has ``lam' Y >= lam' a`` for any ``lam >=
+    0``, and ``lam' Y`` is a univariate t of scale ``sqrt(lam' C lam)``, so
+    the probability is at most ``T(-lam' a / sqrt(lam' C lam))`` when
+    ``lam' a > 0``.  The best ``lam`` maximises ``2 a' lam - lam' C lam``
+    over ``lam >= 0``, whose maximum is the squared Mahalanobis distance
+    from the location to the region.  Coordinate ascent (Hildreth 1957),
+    over-relaxed by ``_BOUND_RELAX`` (projected SOR), approaches it in
+    Python floats: it stops after ``_BOUND_SWEEPS`` sweeps over the rows,
+    or once a sweep raises the objective by at most ``_BOUND_GAIN`` of it.
+    Any ``lam`` gives a bound, so the sweeps only decide how tight it is.
+
+    The ascent runs on ``a / max(a)``, so that ``lam`` stays near 1 when
+    ``a`` is far from it, and the ratio is scaled back.  It is shrunk by
+    what rounding can move: ``4 q eps sum |lam_i a_i|`` off its
+    numerator, ``_DEPENDENT (sum lam)^2`` (the kernel's rank rule, far
+    above the rounding of ``C`` and of the quadratic form) onto its
+    squared denominator, and a relative ``_BOUND_SHRINK`` for the error of
+    :func:`t_cdf`.  The bound is 1 when no row is off the location (every
+    ``a <= 0``), or when the numerator is not positive or ``lam' C lam``
+    is not above ``_DEPENDENT (sum lam)^2``, as on a singular ``C`` whose
+    region is empty."""
+    top = float(a.max())
+    if top <= 0.0:
+        return 1.0
+    a, C = (a / top).tolist(), C.tolist()  # the ratio scales with a, lam need not
+    lam, g = [0.0] * len(a), [0.0] * len(a)  # g = C lam
+    objective = 0.0
+    for _ in range(_BOUND_SWEEPS):
+        rise = 0.0
+        for i, row in enumerate(C):
+            slope = a[i] - g[i]
+            step = max(_BOUND_RELAX * slope / row[i], -lam[i])
+            if step:
+                lam[i] += step
+                rise += step * (2.0 * slope - step * row[i])
+                g = [gj + step * c for gj, c in zip(g, row)]
+        objective += rise
+        if rise <= _BOUND_GAIN * objective:
+            break
+    num = sum(x * y for x, y in zip(lam, a))
+    slack = 4.0 * len(a) * _EPS * sum(abs(x * y) for x, y in zip(lam, a))
+    var = sum(x * sum(c * y for c, y in zip(row, lam)) for x, row in zip(lam, C))
+    margin = _DEPENDENT * sum(lam) ** 2
+    if not (num > slack and var > margin):
+        return 1.0
+    return t_cdf(-top * (num - slack) / math.sqrt(var + margin) * (1.0 - _BOUND_SHRINK), df)
+
+
 def _term_sum(dist, pivots, terms, table, known, mcrep, seed, cap):
     """``1 - U`` as the base (1 with no pivot, the whole space; else 0)
     plus the :func:`_terms` under ``pivots``, each signed ``(-1)^|S|``, and
@@ -1303,8 +1426,20 @@ def _term_sum(dist, pivots, terms, table, known, mcrep, seed, cap):
     ``(2, *node, *S)`` with one.  A subset none of whose terms is positive
     is not extended, and a ``known`` estimate stands for the term of its
     system alone unless it is inexact and misses the target, when that
-    term is estimated afresh.  ``table`` is a :class:`_Table`."""
+    term is estimated afresh.  ``table`` is a :class:`_Table`.
+
+    A term left to the lattice waits, unstarted, when its bound
+    (:func:`_half_space_bound`) is at most ``_NEGLIGIBLE`` of ``floor``,
+    the smallest target the sum can set (:func:`_term_target` at ``v = 1 /
+    mcrep`` over every term): it keeps its subset live and counts as an
+    inexact term for the target, so no other term refines less for it.
+    Once the others are refined, the waiting terms are 0 within the sum of
+    their bounds when that sum is at most ``_NEGLIGIBLE`` of the others'
+    combined standard error, and it joins that error; otherwise they are
+    started and refined as the others were."""
     items = []  # [subset, row indices, estimate, finer estimates or None for a known one]
+    waiting = {}  # index in items -> (lattice path, stream key) of the terms not started
+    floor = _term_target(1.0 / mcrep, len(terms), mcrep)
     live = {()}
     for S, node, ix in terms:
         if any(S[:k] + S[k + 1 :] not in live for k in range(len(S))):
@@ -1313,7 +1448,16 @@ def _term_sum(dist, pivots, terms, table, known, mcrep, seed, cap):
             est, blocks = known[S[0]], None
         else:
             key = (2, *node, *S) if node else (1, *S)
-            est, blocks = _start(dist, table, ix, derived_seed(seed, *key), cap)
+            path = _path(dist, table.rows[ix], table.bounds[ix])
+            if isinstance(path, _Lattice):
+                bound = _half_space_bound(path.a, path.C, path.df)
+                if bound <= _NEGLIGIBLE * floor:
+                    # 0 within its bound, below every target: it stays unrefined
+                    waiting[len(items)] = path, key
+                    items.append([S, ix, ProbEstimate(0.0, bound, False, 0), None])
+                    live.add(S)
+                    continue
+            est, blocks = _start(path, derived_seed(seed, *key), cap)
         items.append([S, ix, est, blocks])
         if est.value > 0.0:
             live.add(S)
@@ -1322,17 +1466,28 @@ def _term_sum(dist, pivots, terms, table, known, mcrep, seed, cap):
     def value():
         return base - sum((-1) ** (len(S) + 1) * est.value for S, _, est, _ in items)
 
-    target = _term_target(value(), [est for _, _, est, _ in items], mcrep)
+    target = _term_target(value(), sum(not est.exact for _, _, est, _ in items), mcrep)
     for item in items:
         S, ix, est, blocks = item
         if blocks is None:
             if est.exact or est.std_error <= target:
                 continue
-            est, blocks = _start(dist, table, ix, derived_seed(seed, 1, *S), cap)
+            path = _path(dist, table.rows[ix], table.bounds[ix])
+            est, blocks = _start(path, derived_seed(seed, 1, *S), cap)
         item[2:] = _refine(est, blocks, target), blocks
+    ests = [est for _, _, est, _ in items]
+    if waiting:
+        bound = sum(ests[i].std_error for i in waiting)
+        rest = [est for i, est in enumerate(ests) if i not in waiting]
+        if bound <= _NEGLIGIBLE * math.sqrt(sum(est.std_error**2 for est in rest)):
+            ests = rest + [ProbEstimate(0.0, bound, False, 0)]
+        else:
+            for i, (path, key) in waiting.items():
+                est, blocks = _start(path, derived_seed(seed, *key), cap)
+                items[i][2:] = _refine(est, blocks, target), blocks
+            ests = [est for _, _, est, _ in items]
     points = sum(est.n_draws for _, _, est, blocks in items if blocks is not None)
     var = [0.0, 0.0]  # of the added terms, of the subtracted ones
     for S, _, est, _ in items:
         var[len(S) % 2] += est.std_error**2
-    est = _sum_estimate(value(), [est for _, _, est, _ in items], points, mcrep)
-    return est, var[1] <= var[0]
+    return _sum_estimate(value(), ests, points, mcrep), var[1] <= var[0]

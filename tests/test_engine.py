@@ -29,8 +29,8 @@ from bfreg import (
 )
 from bfreg.constraints import minimal_fraction
 from bfreg.engine import bf_unconstrained
-from bfreg.hyparse import validate
-from bfreg.numkernel import _SHIFTS
+from bfreg.hyparse import prior_center, validate
+from bfreg.numkernel import _SHIFTS, _estimates, derived_seed
 from conftest import (
     make_random_fit,
     make_two_effect_dataset,
@@ -684,6 +684,44 @@ def _posterior_t(fit, b):
     return MultivariateT(fit.beta_hat, fit.s2 / nu * fit.xtx_inv, nu)
 
 
+def _order_fit():
+    """The fit of the benchmark's order-mc workload: n = 200, coefficients
+    0, .6, .5, .4, .3, .2 and .1, centred predictors of variance 1 that are
+    exactly decorrelated, and a raw residual sum of squares of n - k."""
+    n, k = 200, 7
+    return RegressionFit(
+        coef_names=("(Intercept)", *(f"x{j}" for j in range(1, k))),
+        beta_hat=np.array([0.0, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1]),
+        s2=float(n - k),
+        xtx_inv=np.diag([1 / n] + [1 / (n - 1)] * (k - 1)),
+        n=n,
+        k=k,
+    )
+
+
+def _every_term_sum(dist, pivots, terms, table, known, mcrep, seed, cap):
+    """``1 - U`` under the pieces of ``pivots`` with every term taken
+    through ``_estimates`` on its stream and refined to the sum's target,
+    none bounded: the value and the combined standard error.  For terms
+    that each hold a piece and at most one other system."""
+    assert pivots and all(node and len(S) <= 1 for S, node, _ in terms)
+    signs, blocks = [], []
+    for S, node, ix in terms:
+        stream = derived_seed(seed, 2, *node, *S)
+        signs.append((-1) ** len(S))
+        blocks.append(_estimates(dist, table.rows[ix], table.bounds[ix], stream, cap))
+    ests = [next(b) for b in blocks]
+    value = sum(sign * est.value for sign, est in zip(signs, ests))
+    target = bfreg.numkernel._term_target(value, sum(not est.exact for est in ests), mcrep)
+    for k, b in enumerate(blocks):
+        for finer in b:
+            if ests[k].std_error <= target:
+                break
+            ests[k] = finer
+    value = sum(sign * est.value for sign, est in zip(signs, ests))
+    return value, np.sqrt(sum(est.std_error**2 for est in ests))
+
+
 class TestComplementRoutes:
     """How the complement's ``1 - U`` is estimated, end to end."""
 
@@ -773,6 +811,40 @@ class TestComplementRoutes:
         assert f.n_draws == route.n_draws + walk.n_draws <= 40_000
         assert f.std_error < 0.2 * f.value
 
+    def test_far_tail_terms_are_bounded_not_sampled(self, monkeypatch):
+        """On the benchmark's order-mc fit, (x1,x2,x3)>0 misses with
+        posterior probability about 3e-8, so Hc's f_ie sums the terms under
+        its three pieces.  Six of them hold a piece and one of the two
+        chains, far below 1e-12; their half-space bounds sum to far less
+        than a hundredth of the others' standard error, so they take no
+        point: one term starts the lattice, not seven.  The sum agrees
+        within 1e-3 of its standard error with every term taken through
+        ``_estimates``, and its standard error with theirs to 1e-4."""
+        text = "x1>x2>x3>x4>x5>x6; x6>x5>x4>x3>x2>x1; (x1,x2,x3)>0; x1>x2>x3=x4=x5=x6=0"
+        starts, calls = [], []
+        lattice, term_sum = bfreg.numkernel._lattice_prob, bfreg.numkernel._term_sum
+
+        def count(*args):
+            starts.append(args)
+            return lattice(*args)
+
+        def spy(*args):
+            before = len(starts)
+            out = term_sum(*args)
+            calls.append((args, out[0], len(starts) - before))
+            return out
+
+        monkeypatch.setattr(bfreg.numkernel, "_lattice_prob", count)
+        monkeypatch.setattr(bfreg.numkernel, "_term_sum", spy)
+        hc = run_hypotheses(_order_fit(), text, mcrep=1_000_000, seed=5).components[-1]
+        args, est, started = calls[0]
+        assert args[1] == (2,) and hc.f_ie == est
+        assert started == 1 and est.n_draws == 1024
+        assert sum(len(S) == 1 for S, _, _ in args[2]) == 6
+        value, se = _every_term_sum(*args)
+        assert abs(est.value - value) <= 1e-3 * est.std_error
+        assert abs(est.std_error / se - 1.0) <= 1e-4
+
     def test_terms_past_one_block_each_take_fewer_points(self):
         """43 worst-case terms (7 of inclusion-exclusion and the walk's 36
         leaves) leave less than one 1024-point block per term at mcrep
@@ -835,6 +907,75 @@ class TestComplementRoutes:
         seen.clear()
         res = run_hypotheses(two_effect_fit, "(x1,x2)>0; (x1,x2)<0", mcrep=20_000, seed=3)
         assert all(a is c.c_ie for a, c in zip(seen[1], res.components[:2]))
+
+
+def _generated_hypotheses(rng, names):
+    """2 to 4 inequality hypotheses over ``names``: orthants of one to
+    three coefficients either way, chains of two or three (down to 0 or
+    not) and single coefficients against a number."""
+    texts = []
+    for _ in range(rng.integers(2, 5)):
+        pick = list(rng.permutation(names)[: rng.integers(1, min(3, len(names)) + 1)])
+        kind = rng.integers(3)
+        if kind == 0:
+            group = "(" + ",".join(pick) + ")" if len(pick) > 1 else pick[0]
+            texts.append(group + rng.choice([">0", "<0"]))
+        elif kind == 1 and len(pick) > 1:
+            texts.append(">".join(pick) + rng.choice(["", ">0"]))
+        else:
+            texts.append(f"{pick[0]}{rng.choice(['>', '<'])}{rng.choice([-0.2, 0.1, 0.3])}")
+    return "; ".join(texts)
+
+
+class TestGeneratedComplements:
+    """Hc's factors on generated hypothesis sets, against raw t draws."""
+
+    def test_against_raw_draws(self, monkeypatch):
+        """32 generated sets of 2 to 4 inequality hypotheses on simulated
+        fits (k 3 to 5, n 20 to 60, effects of 0.3 to 1.5 either way) at
+        mcrep 20000: Hc's f_ie and c_ie lie within 4 combined standard
+        errors of the share of 100000 raw draws in which no hypothesis
+        holds, whose standard error is that of at least one hit and one
+        miss.  Many sets have one hypothesis nearly certain, and in at
+        least five of them a complement term's half-space bound is below
+        1e-9, far below what any term there is refined to, so it is
+        bounded rather than sampled."""
+        bounds = []
+        bound = bfreg.numkernel._half_space_bound
+
+        def spy(a, C, df):
+            bounds.append(bound(a, C, df))
+            return bounds[-1]
+
+        monkeypatch.setattr(bfreg.numkernel, "_half_space_bound", spy)
+        n_draws, bounded, checked = 100_000, 0, 0
+        for case in range(32):
+            rng = np.random.default_rng(900 + case)
+            k, n = int(rng.integers(3, 6)), int(rng.integers(20, 61))
+            beta = rng.choice([-1.0, 1.0], k) * rng.uniform(0.3, 1.5, k)
+            fit = make_random_fit(900 + case, n=n, k=k, beta=beta)
+            text = _generated_hypotheses(rng, list(fit.coef_names[1:]))
+            bounds.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConstraintCenterWarning)
+                hc = run_hypotheses(fit, text, mcrep=20_000, seed=case + 1).components[-1]
+            if hc.label != "Hc" or hc.f_ie is None:  # the hypotheses exhaust the line
+                continue
+            systems = parse_hypotheses(text, fit.coef_names)
+            rows = [(cs.R_I, cs.r_I) for cs in systems]
+            center, _ = prior_center(
+                np.vstack([cs.reduction.Rtilde_I for cs in systems]),
+                np.concatenate([cs.reduction.rtilde_I for cs in systems]),
+            )
+            prior = _posterior_t(fit, minimal_fraction(fit)).relocate(center)
+            for est, dist, seed in ((hc.f_ie, _posterior_t(fit, 1.0), 2 * case), (hc.c_ie, prior, 2 * case + 1)):
+                ref = oracle_complement_prob(dist, rows, n_draws, seed).value
+                p = min(max(ref, 1.0 / n_draws), 1.0 - 1.0 / n_draws)
+                se = np.hypot(est.std_error, np.sqrt(p * (1.0 - p) / n_draws))
+                assert abs(est.value - ref) < 4 * se, (case, text)
+            checked += 1
+            bounded += min(bounds, default=1.0) < 1e-9
+        assert checked >= 25 and bounded >= 5
 
 
 class TestInvariance:

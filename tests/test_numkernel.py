@@ -671,6 +671,88 @@ class TestAngularRule:
             assert est.exact and abs(est.value - (np.pi - 1.0) / (2.0 * np.pi)) <= 1e-15
 
 
+class TestHalfSpaceBound:
+    """``_half_space_bound``: an upper bound on ``Pr(Y > a)`` from one
+    half-space that holds the region, which lets a complement leave a
+    far-tail term unsampled."""
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 5.0, 17.0, 193.0, 996.0])
+    def test_above_the_angular_rule(self, df):
+        """At or above the exact rank-2 probability of ``_angular_prob``
+        over |rho| <= 0.95, bounds on either side of the location and far
+        tails down to probabilities below 1e-30, and below the tail of the
+        largest single bound times 1.01: the ascent finds a half-space at
+        least that far."""
+        tails = {0.5: (10.0, 1e8, 1e30, 1e60), 1.0: (10.0, 1e3, 1e15, 1e30)}.get(
+            df, (3.0, 10.0, 1e3, 1e7) if df < 100 else (3.0, 6.0, 8.0, 12.0)
+        )
+        cases = [
+            (a, b, rho)
+            for rho in (-0.95, -0.5, 0.0, 0.3, 0.95)
+            for a, b in ((0.3, 0.5), (-1.0, 0.7), (2.0, -0.5), (-2.0, -3.0))
+        ] + [(s, 0.8 * s, rho) for rho in (-0.6, 0.3, 0.9) for s in tails]
+        smallest = 1.0
+        for a, b, rho in cases:
+            C = np.array([[1.0, rho], [rho, 1.0]])
+            bounds = np.array([a, b])
+            exact = numkernel._angular_prob(bounds, _factor(C)[0], df)
+            bound = numkernel._half_space_bound(bounds, C, df)
+            assert exact <= bound <= 1.0, (a, b, rho)
+            if max(a, b) > 0.0:
+                assert bound <= 1.01 * t_cdf(-max(a, b), df), (a, b, rho)
+            smallest = min(smallest, exact)
+        assert smallest < 1e-30
+
+    @pytest.mark.parametrize("df", [1.0, 5.0, 60.0])
+    def test_above_the_lattice_on_rank_three(self, df):
+        """At or above ``P - 4 SE`` of the lattice at 2^22 points on
+        systems of rank 3 off the location: an orthant with one far bound,
+        a chain with an orthant (five rows), and a tetrahedron-like cone
+        of four rows."""
+        rng = np.random.default_rng(370 + int(df))
+        d = _random_law(rng, 3, df)
+        sd = np.sqrt(np.diag(d.scale))
+        chain = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+        systems = [
+            (np.eye(3), d.location + sd * np.array([2.5, -0.3, 0.2])),
+            (np.vstack([chain, np.eye(3)]), None),
+            (np.vstack([np.eye(3), [[1.0, 1.0, 1.0]]]), None),
+        ]
+        for k, (R, r) in enumerate(systems):
+            if r is None:  # every row off the location by 1.5 of its sd
+                r = R @ d.location + 1.5 * np.sqrt(np.diag(R @ d.scale @ R.T))
+            path = numkernel._path(d, R, r)
+            assert isinstance(path, numkernel._Lattice)
+            bound = numkernel._half_space_bound(path.a, path.C, path.df)
+            ref = _refined(numkernel._blocks(path, 371 + k, 1 << 22), 1 << 22)
+            assert ref.value > 0.0 and ref.value - 4.0 * ref.std_error <= bound <= 1.0
+
+    def test_one_when_the_location_satisfies_every_row(self):
+        rng = np.random.default_rng(380)
+        C = _correlation(_random_law(rng, 4, 5.0).scale)
+        for a in (np.zeros(4), -np.abs(rng.standard_normal(4)), np.array([-1.0, -0.0, -2.0, -1e-300])):
+            assert numkernel._half_space_bound(a, C, 5.0) == 1.0
+
+    def test_never_nan_on_singular_or_empty_regions(self):
+        """Rows of rank 2 in three (a sum of two), an empty triangle, a
+        row and its opposite that share no point, and equal rows: a
+        probability in [0, 1] each time, 1 where ``lam' C lam`` vanishes."""
+        h = math.sqrt(0.5)
+        sum_rows = np.array([[1.0, 0.0, h], [0.0, 1.0, h], [h, h, 1.0]])
+        flip = np.diag([1.0, 1.0, -1.0])  # the third row negated: x1 + x2 bounded above
+        cases = [
+            (np.array([1.0, 1.0, 3.0]), sum_rows),
+            (np.array([1.0, 1.0, -0.5]), flip @ sum_rows @ flip),
+            (np.array([1.0, -0.5]), np.array([[1.0, -1.0], [-1.0, 1.0]])),
+            (np.array([2.0, 3.0, 1e300]), np.ones((3, 3))),
+        ]
+        for df in (1.0, 60.0):
+            for a, C in cases:
+                bound = numkernel._half_space_bound(a, C, df)
+                assert 0.0 <= bound <= 1.0
+        assert numkernel._half_space_bound(*cases[2], 1.0) == 1.0
+
+
 class TestRadialMap:
     """The lattice's radial coordinate: a Wilson-Hilferty map and its weight."""
 
