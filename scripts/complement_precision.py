@@ -66,14 +66,13 @@ def run(n_seeds, ref_points):
     order = workloads.OrderMC(SEED)
     calls = []  # per f_ie: (routes, seconds, estimate, dist, rows)
     taken = []
-    complement = engine._complement_prob
+    complement = engine.complement_prob
 
-    def timed(dist, systems, known, mcrep, seed):
+    def timed(dist, rows, known, mcrep, seed):
         start = len(taken)
         t0 = time.perf_counter()
-        est = complement(dist, systems, known, mcrep, seed)
+        est = complement(dist, rows, known, mcrep, seed)
         seconds = time.perf_counter() - t0
-        rows = [(cs.reduction.Rtilde_I, cs.reduction.rtilde_I) for cs in systems]
         routes = tuple(route_name(pivots, len(rows)) for pivots in taken[start:])
         calls.append((routes, seconds, est, dist, rows))
         return est
@@ -85,7 +84,7 @@ def run(n_seeds, ref_points):
         return term_sum(dist, pivots, *args)
 
     numkernel._term_sum = spy
-    engine._complement_prob = timed
+    engine.complement_prob = timed
 
     results = []
     with warnings.catch_warnings():

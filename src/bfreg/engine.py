@@ -38,7 +38,6 @@ from .hyparse import (
     ConstraintSystem,
     is_exploratory,
     parse_hypotheses,
-    prior_center,
     validate,
 )
 from .model import RegressionFit
@@ -46,6 +45,7 @@ from .numkernel import (
     MultivariateT,
     ProbEstimate,
     _log_gamma_ratio,
+    _table,
     complement_prob,
     derived_seed,
     mvt_constraint_prob,
@@ -241,6 +241,14 @@ def _check_prior_prob(est: ProbEstimate, label: str, what: str):
         )
 
 
+def _fit_laws(fit: RegressionFit) -> tuple:
+    """The posterior and the minimal-fraction prior of ``beta`` under ``fit``."""
+    return (
+        fractional_posterior_beta(fit, 1.0),
+        fractional_posterior_beta(fit, minimal_fraction(fit)),
+    )
+
+
 def bf_unconstrained(
     fit: RegressionFit,
     cs: ConstraintSystem,
@@ -248,6 +256,7 @@ def bf_unconstrained(
     seed: int = 0,
     *,
     df_as_printed: bool = False,
+    _laws: tuple | None = None,
 ) -> BFComponents:
     """Bayes factor of one constrained hypothesis against the unconstrained.
 
@@ -258,17 +267,24 @@ def bf_unconstrained(
     rows are the live rows of the system's reduction; when the equalities
     leave none, both probability factors are exactly 1.  The lattice
     estimates of numerator and denominator use independent streams
-    derived from ``seed``.
+    derived from ``seed``.  ``_laws`` is :func:`_fit_laws` of ``fit`` when
+    the caller has built it, as :func:`test_hypotheses` does once for all
+    its hypotheses.
     """
-    ts = build_transform(cs, fit)
-    b_min = minimal_fraction(fit)
     label = cs.label
+    if cs.q_E:
+        ts = build_transform(cs, fit)
+    elif cs.k != fit.k:  # build_transform's checks: without equalities no rotation is needed
+        raise InvalidInputError(f"hypothesis is over {cs.k} coefficients, model has {fit.k}")
+    else:
+        warn_if_inexact(label, cs.reduction.center_exact)
 
     c_e = f_e = None
     c_ie = f_ie = None
     log_bf = 0.0
 
     if cs.q_E:
+        b_min = minimal_fraction(fit)
         post = marginal_xiE(fit, ts, 1.0)
         prior = marginal_xiE(fit, ts, b_min).relocate(cs.r_E)
         log_f = mvt_logpdf(cs.r_E, post)
@@ -289,8 +305,7 @@ def bf_unconstrained(
                 fit, ts, b_min, ts.xi_hat[: cs.q_E], df_as_printed=df_as_printed
             )
         else:
-            post = fractional_posterior_beta(fit, 1.0)
-            prior = fractional_posterior_beta(fit, b_min)
+            post, prior = _laws or _fit_laws(fit)
         prior = prior.relocate(red.center)
         f_ie = mvt_constraint_prob(post, R, r, mcrep, derived_seed(seed, 1))
         c_ie = mvt_constraint_prob(prior, R, r, mcrep, derived_seed(seed, 2))
@@ -306,21 +321,16 @@ def bf_unconstrained(
 
 
 def _union_prob(dist: MultivariateT, systems, n_draws: int, seed) -> ProbEstimate:
-    """Pr(any system's inequalities hold), one minus :func:`_complement_prob`.
+    """Pr(any system's inequalities hold), one minus
+    :func:`~bfreg.numkernel.complement_prob` on each reduction's live rows.
 
     Nothing calls it: it stays only as the site where the benchmark's
     tracer counts ``engine.union_draws``, and goes once that counter reads
     the complement's returned estimates instead.
     """
-    est = _complement_prob(dist, systems, [None] * len(systems), n_draws, seed)
-    return replace(est, value=1.0 - est.value)
-
-
-def _complement_prob(dist: MultivariateT, systems, known, mcrep: int, seed) -> ProbEstimate:
-    """Pr(no system's inequalities hold): :func:`~bfreg.numkernel.complement_prob`
-    on the live rows of each reduction."""
     rows = [(cs.reduction.Rtilde_I, cs.reduction.rtilde_I) for cs in systems]
-    return complement_prob(dist, rows, known, mcrep, seed)
+    est = complement_prob(dist, rows, [None] * len(systems), n_draws, seed)
+    return replace(est, value=1.0 - est.value)
 
 
 def bf_complement(
@@ -329,6 +339,8 @@ def bf_complement(
     components,
     mcrep: int = 1_000_000,
     seed: int = 0,
+    *,
+    _laws: tuple | None = None,
 ):
     """Bayes factor of the complement of the stated hypotheses.
 
@@ -347,7 +359,8 @@ def bf_complement(
     :class:`~bfreg.errors.NumericError` is raised when no route's terms
     fit it.  A single inequality-only hypothesis takes the same path;
     with none the complement is the unconstrained model itself (B = 1).
-    Returns None when the stated hypotheses exhaust the space.
+    Returns None when the stated hypotheses exhaust the space.  ``_laws``
+    is as for :func:`bf_unconstrained`.
     """
     ineq = [
         (cs, comp)
@@ -356,21 +369,17 @@ def bf_complement(
     ]
     if not ineq:
         return BFComponents("Hc", None, None, _CERTAIN, _CERTAIN, 0.0, 1.0, None)
-    systems = [cs for cs, _ in ineq]
-    post = fractional_posterior_beta(fit, 1.0)
+    rows = [(cs.reduction.Rtilde_I, cs.reduction.rtilde_I) for cs, _ in ineq]
+    post, prior = _laws or _fit_laws(fit)
     known = [comp.f_ie for _, comp in ineq]
-    f_ie = _complement_prob(post, systems, known, mcrep, derived_seed(seed, 1))
-    center, exact = prior_center(
-        np.vstack([cs.reduction.Rtilde_I for cs in systems]),
-        np.concatenate([cs.reduction.rtilde_I for cs in systems]),
-    )
+    f_ie = complement_prob(post, rows, known, mcrep, derived_seed(seed, 1))
+    center, exact = _table(rows).center  # prior_center of every row, kept with the rows
     warn_if_inexact("Hc", exact)
-    prior = fractional_posterior_beta(fit, minimal_fraction(fit)).relocate(center)
     known = [
         comp.c_ie if np.array_equal(cs.reduction.center, center) else None
         for cs, comp in ineq
     ]
-    c_ie = _complement_prob(prior, systems, known, mcrep, derived_seed(seed, 2))
+    c_ie = complement_prob(prior.relocate(center), rows, known, mcrep, derived_seed(seed, 2))
     if c_ie.value < _EXHAUSTION_TOL + 3.0 * c_ie.std_error:
         return None
     with np.errstate(divide="ignore"):
@@ -421,9 +430,11 @@ def test_hypotheses(
     fits and seeds: the parsed and validated systems (with their
     equality reductions and prior centers) are kept per ``(text,
     fit.coef_names)`` for the last 64 distinct pairs, and the
-    complement's term structure per distinct row content
-    (:func:`~bfreg.numkernel.complement_prob`).  Warnings about inexact
-    prior centers are raised on every call.
+    complement's term structure and prior center per distinct row content
+    (:func:`~bfreg.numkernel.complement_prob`).  The posterior and the
+    minimal-fraction prior of ``fit`` are built once per call and serve
+    every hypothesis and the complement.  Warnings about inexact prior
+    centers are raised on every call.
     """
     mcrep = int(mcrep)
     if mcrep < 1:
@@ -431,6 +442,7 @@ def test_hypotheses(
     if is_exploratory(hypothesis_text):
         return exploratory_test(fit, mcrep=mcrep, seed=seed)
     systems = _validated(hypothesis_text, tuple(fit.coef_names))
+    laws = _fit_laws(fit)
     components = []
     for i, cs in enumerate(systems):
         try:
@@ -441,6 +453,7 @@ def test_hypotheses(
                     mcrep,
                     derived_seed(seed, 10, i),
                     df_as_printed=df_as_printed,
+                    _laws=laws,
                 )
             )
         except BfregError as exc:
@@ -448,7 +461,7 @@ def test_hypotheses(
                 raise
             raise type(exc)(f"{cs.label}: {exc}") from exc
     complement = bf_complement(
-        fit, systems, components, mcrep, derived_seed(seed, 20)
+        fit, systems, components, mcrep, derived_seed(seed, 20), _laws=laws
     )
     texts = [cs.source for cs in systems]
     if complement is not None:

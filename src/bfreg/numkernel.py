@@ -81,11 +81,11 @@ subtracted terms add no more variance than its added ones.  The terms
 share the budget; a route whose terms do not fit it is skipped.  A
 term's row that another of its rows implies (a positive multiple with a
 bound no tighter) is left out of it.  What depends on the rows alone
-(the signed table of rows, their parallel pairs and pieces and the terms
-of each pivot set) is worked out once per distinct row content and
-kept, for the last ``_TABLES`` contents, in a read-only
-:class:`_Table`.  Only the estimates depend on the law, the seed and the
-budget.
+(the signed table of rows, their parallel pairs and pieces, the terms
+of each pivot set and the union's prior center) is worked out once per
+distinct row content and kept, for the last ``_TABLES`` contents, in a
+read-only :class:`_Table`.  Only the estimates depend on the law, the
+seed and the budget.
 
 A complement term left to the lattice need not be sampled when it
 cannot move the sum.  For any ``lam >= 0`` over its rows, ``lam' Y``
@@ -128,6 +128,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DecompositionError, InvalidInputError, NumericError
+from .hyparse import prior_center
 
 # The lattice evaluates its points in chunks of at most this many to bound
 # memory.  The chunks set the order of summation, so the size must stay
@@ -254,11 +255,7 @@ class MultivariateT:
             raise InvalidInputError(
                 f"scale has shape {S.shape}, expected ({d}, {d})"
             )
-        size = float(np.abs(S).max(initial=0.0))  # not finite when S is not
-        if not (np.isfinite(loc).all() and math.isfinite(size)):
-            raise InvalidInputError("non-finite distribution parameters")
-        if not np.abs(S - S.T).max(initial=0.0) <= 1e-8 * max(size, 1.0):
-            raise InvalidInputError("scale matrix must be symmetric")
+        _check_law(loc, S)
         df = float(self.df)
         if not (df > 0 and math.isfinite(df)):
             raise InvalidInputError("df must be a positive finite number")
@@ -285,6 +282,16 @@ class MultivariateT:
         law = object.__new__(type(self))
         law.__dict__.update(location=loc, scale=self.scale, df=self.df)
         return law
+
+
+def _check_law(loc, S):
+    """Raise :class:`InvalidInputError` unless the location ``loc`` and the
+    scale ``S`` are finite and ``S`` is symmetric."""
+    size = float(np.abs(S).max(initial=0.0))  # not finite when S is not
+    if not (np.isfinite(loc).all() and math.isfinite(size)):
+        raise InvalidInputError("non-finite distribution parameters")
+    if not np.abs(S - S.T).max(initial=0.0) <= 1e-8 * max(size, 1.0):
+        raise InvalidInputError("scale matrix must be symmetric")
 
 
 def _location(x):
@@ -590,35 +597,36 @@ def _path(dist: MultivariateT, R, r):
             _check_variances(R, dist.scale, s2)
             return ProbEstimate(1.0 if m > r[0] else 0.0, 0.0, True, 0)
         return ProbEstimate(t_cdf((m - r[0]) / math.sqrt(s2), dist.df), 0.0, True, 0)
-    law = MultivariateT(R @ dist.location, R @ dist.scale @ R.T, dist.df)
-    var = np.diagonal(law.scale)
+    df, mu, S = dist.df, R @ dist.location, R @ dist.scale @ R.T
+    _check_law(mu, S)  # the law of R xi, checked as MultivariateT would
+    var = np.diagonal(S)
     if not (var > 0.0).all():
         _check_variances(R, dist.scale, var)
-        const, hold = var <= 0.0, law.location > r
+        const, hold = var <= 0.0, mu > r
         if const.all() or not hold[const].all():
             return ProbEstimate(float(hold[const].all()), 0.0, True, 0)
         return _path(dist, R[~const], r[~const])
     sd = np.sqrt(var)
-    centred = bool((np.abs(law.location - r) <= _APEX_TOL * sd).all())
-    a = np.zeros(q) if centred else (r - law.location) / sd
+    centred = bool((np.abs(mu - r) <= _APEX_TOL * sd).all())
+    a = np.zeros(q) if centred else (r - mu) / sd
     order = np.argsort(-a, kind="stable")
     a, sd = a[order], sd[order]
-    C = law.scale[order][:, order] / (sd[:, None] * sd)
+    C = S[order][:, order] / (sd[:, None] * sd)
     if q > 3 and _factor(C[:3, :3])[0].shape[1] == 3:
-        return _Lattice(a, C, law.df)  # of rank 3 or more: factored when it starts
+        return _Lattice(a, C, df)  # of rank 3 or more: factored when it starts
     L, col = _factor(C)
     if L.shape[1] == 1:
         cuts = a / L[:, 0]
         low = L[:, 0] > 0.0
         lo = float(cuts[low].max())
         hi = float(cuts[~low].min(initial=math.inf))
-        p = t_cdf(-lo, law.df) - t_cdf(-hi, law.df)
+        p = t_cdf(-lo, df) - t_cdf(-hi, df)
         return ProbEstimate(max(p, 0.0), 0.0, True, 0)
     if centred and q <= 3:
         return ProbEstimate(_centred_orthant_prob(C), 0.0, True, 0)
     if L.shape[1] == 2:
-        return ProbEstimate(_angular_prob(a, L, law.df), 0.0, True, 0)
-    return _Lattice(a, C, law.df, (L, col))
+        return ProbEstimate(_angular_prob(a, L, df), 0.0, True, 0)
+    return _Lattice(a, C, df, (L, col))
 
 
 def _blocks(path, seed, cap):
@@ -1199,8 +1207,9 @@ class _Table:
     another (:func:`_parallel_pairs`) serves every check.  ``own`` holds
     each system's rows, ``pieces`` its pieces that do not conflict in
     themselves, and ``disjoint[i][j]`` whether systems ``i`` and ``j``
-    conflict.  The pairs, pieces and the terms of each pivot set
-    (:meth:`terms`) are computed on first use and kept."""
+    conflict.  The pairs, pieces, the terms of each pivot set
+    (:meth:`terms`) and the union's prior center (:attr:`center`) are
+    computed on first use and kept."""
 
     def __init__(self, systems):
         A = np.vstack([R for R, _ in systems])
@@ -1231,6 +1240,14 @@ class _Table:
             [i != j and bool(self.pairs[0][np.ix_(own[i], own[j])].any()) for j in range(m)]
             for i in range(m)
         ]
+
+    @functools.cached_property
+    def center(self):
+        """:func:`~bfreg.hyparse.prior_center` of every system's rows stacked:
+        the read-only center and whether it is exact."""
+        n = len(self.bounds) // 2
+        center, exact = prior_center(self.rows[:n], self.bounds[:n])
+        return _read_only(center), exact
 
     def terms(self, pivots):
         """:func:`_terms` under ``pivots`` up to ``_MAX_TERMS`` (None past them)."""
