@@ -733,13 +733,14 @@ def _angular_rule():
     the Legendre recurrence, and the weights twice the squared first
     components of its eigenvectors (Golub and Welsch 1969): within 5e-15
     of ``numpy.polynomial.legendre.leggauss``, without that module's
-    import in a cold process."""
+    import in a cold process (nor that of ``numpy.ma``, which
+    ``np.unique`` imports)."""
     k = np.arange(1.0, _ANGULAR_NODES)
     off = k / np.sqrt(4.0 * k * k - 1.0)
     x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     x, w = (x + 1.0) / 2.0, v[0] ** 2
-    halves = 0.5 ** np.arange(2, _ANGULAR_DEPTH + 2)
-    edges = np.unique(np.concatenate([[0.0, 0.5, 1.0], halves, 1.0 - halves]))
+    halves = [0.5**j for j in range(2, _ANGULAR_DEPTH + 2)]
+    edges = np.array(sorted({0.0, 0.5, 1.0, *halves, *(1.0 - h for h in halves)}))
     width = np.diff(edges)
     nodes = edges[:-1, None] + width[:, None] * x
     weights = width[:, None] * w * np.ones_like(nodes)
@@ -768,8 +769,9 @@ def _angular_breaks(a, L):
             x, y = ai * m1 - aj * l1, l0 * aj - m0 * ai
             if det and (x or y):
                 angles.append(math.atan2(y / det, x / det))
-    breaks = np.unique(np.mod(angles, 2.0 * math.pi))
-    return np.append(breaks, breaks[0] + 2.0 * math.pi)
+    # sorted and deduplicated in Python: np.unique would import numpy.ma
+    breaks = sorted({x % (2.0 * math.pi) for x in angles})
+    return np.array(breaks + [breaks[0] + 2.0 * math.pi])
 
 
 def _ray_bounds(a, L, theta):
