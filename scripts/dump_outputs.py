@@ -48,8 +48,10 @@ Usage:
 each probability estimate that differs its old and new value and
 ``|new - old| / sqrt(se_old^2 + se_new^2)``, or for two exact values
 their relative change ``|new - old| / |old|``.  Its last line counts the
-cases that differ, gives the largest ``|dv|/se`` and totals the lattice
-points (``n_draws``) of every estimate, old -> new.  It exits 1 when
+cases that differ, gives the largest ``|dv|/se``, totals the lattice
+points (``n_draws``) of every estimate, old -> new, counts the changed
+estimates that are exact in either file and names every case with an
+estimate moved beyond 4 standard errors.  It exits 1 when
 the two files hold different cases or different errors.  A checkout
 whose lattice took the mean of per-shift ratios at 64 points or more
 records an error (a NaN probability) for the chain at one point per
@@ -387,6 +389,10 @@ def cases(tmp):
 
 _ESTIMATE_KEYS = {"value", "std_error", "exact", "n_draws"}
 
+# --compare names every case with an estimate moved by more than this many
+# combined standard errors.
+FAR = 4.0
+
 
 def _estimates(node, path=""):
     """``(path, (value, std_error, exact, n_draws))`` of every probability
@@ -422,8 +428,9 @@ def compare(old_path, new_path) -> int:
         old = json.load(fh)
     with open(new_path, encoding="utf-8") as fh:
         new = json.load(fh)
-    status, differing, z_max = 0, 0, 0.0
+    status, differing, z_max, exact_moved = 0, 0, 0.0, 0
     points = [0, 0]  # lattice points of every estimate in both files, old and new
+    far = []  # the cases with an estimate moved beyond FAR standard errors
     for name in sorted(old.keys() ^ new.keys()):
         print(f"only in {'old' if name in old else 'new'}: {name}")
         status = 1
@@ -450,18 +457,23 @@ def compare(old_path, new_path) -> int:
             if path not in est_a or path not in est_b:
                 print(f"    {path}: only in {'old' if path in est_a else 'new'}")
                 continue
-            (va, sa, *_), (vb, sb, *_) = est_a[path], est_b[path]
+            (va, sa, xa, _), (vb, sb, xb, _) = est_a[path], est_b[path]
             se = math.hypot(sa, sb)
+            exact_moved += bool(xa or xb)
             if se == 0.0 and va != vb:  # exact to exact
                 change = f"|dv|/|v| = {abs(vb - va) / abs(va) if va else math.inf:.3g}"
             else:
                 z = abs(vb - va) / se if se > 0 else 0.0
                 z_max = max(z_max, z)
                 change = f"|dv|/se = {z:.3g}"
+                if z > FAR and name not in far:
+                    far.append(name)
             print(f"    {path}: {est_a[path]} -> {est_b[path]}  {change}")
     print(
         f"{differing} of {len(old.keys() & new.keys())} cases differ; largest |dv|/se = "
-        f"{z_max:.3g}; lattice points (n_draws) {points[0]} -> {points[1]}"
+        f"{z_max:.3g}; lattice points (n_draws) {points[0]} -> {points[1]}; "
+        f"{exact_moved} exact estimates changed; beyond {FAR:g} se: "
+        + ("; ".join(far) or "none")
     )
     return status
 
