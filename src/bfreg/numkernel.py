@@ -12,8 +12,11 @@ object it passes.  With ``d=1, df=1, scale=1`` the density is the standard
 Cauchy.
 
 Every estimate that is not exact is a lattice rule whose random shifts
-are drawn from a Philox generator (counter based), keyed by a
-``SeedSequence`` over the user seed, so the contract is: same seed + same
+are read from SHAKE-256 of its seed (:func:`_shifts`), and every stream
+of a larger computation has its own seed, the BLAKE2b hash of the user
+seed and the stream's path (:func:`derived_seed`); no numpy generator is
+involved.  The hashes are those of the standard, the same on every
+platform and in every process, so the contract is: same seed + same
 budget -> identical estimate, bit for bit.
 
 Probability estimates
@@ -203,27 +206,34 @@ _BOUND_GAIN = 1e-4
 _BOUND_SHRINK = 1e-9
 
 
-def _seed_sequence(seed, path=()):
-    entropy = (int(seed) % (1 << 63),) + tuple(int(p) % (1 << 63) for p in path)
-    return np.random.SeedSequence(entropy)
-
-
-def rng_from_seed(seed, *path):
-    """Philox generator keyed on ``(seed, *path)``.
-
-    Counter-based, so sequential chunked consumption reproduces the serial
-    stream exactly.
-    """
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
+def _key(seed, path=()):
+    """The words of ``(seed, *path)``, each taken modulo 2**64, packed as
+    8 bytes little-endian: the message's length fixes the path's, so a
+    path and the same path with a trailing 0 differ."""
+    return b"".join((int(x) % (1 << 64)).to_bytes(8, "little") for x in (seed, *path))
 
 
 def derived_seed(seed, *path):
-    """Deterministically derive an independent child seed from ``seed``.
+    """Deterministically derive an independent child seed from ``seed``:
+    the 64-bit BLAKE2b hash of ``(seed, *path)`` (:func:`_key`).
 
     Used to give every estimate in a larger computation its own
     reproducible stream.
     """
-    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
+    import hashlib  # on first use, so that importing bfreg does not load it
+
+    return int.from_bytes(hashlib.blake2b(_key(seed, path), digest_size=8).digest(), "little")
+
+
+def _shifts(seed, dims):
+    """The lattice's ``(dims, _SHIFTS)`` uniform shifts in [0, 1) for
+    ``seed``: 53-bit uniforms ``(u >> 11) 2^-53`` of the 64-bit words
+    ``u`` of SHAKE-256 of :func:`_key` of ``seed``.  A shift's
+    coordinates do not depend on how many shifts a call takes."""
+    import hashlib
+
+    words = np.frombuffer(hashlib.shake_256(_key(seed)).digest(8 * dims * _SHIFTS), "<u8")
+    return (words >> 11).astype(float).reshape(dims, _SHIFTS) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -919,7 +929,7 @@ def _lattice_prob(a, L, col, df, seed, cap):
         columns.append((rows, n_low[j], neg_L[rows, :j], L[rows, j, None, None]))
     dims = rank - 1 if centred else rank
     alpha = _root_primes(dims)[:, None, None]
-    shifts = rng_from_seed(seed).random((dims, n_shifts, 1))
+    shifts = _shifts(seed, dims)[:, :n_shifts, None]
 
     def integrand(i):
         """Sums over points ``i`` of the weighted values and of the weights,

@@ -1,8 +1,8 @@
 """Brute-force reference estimators for the Bayes factor components.
 
 These deliberately avoid the package's numeric kernels.  Draws come
-from numpy's default generator rather than the package's seeded Philox
-streams, marginal densities are obtained by integrating the
+from numpy's default generator rather than the package's hash-keyed
+lattice shifts, marginal densities are obtained by integrating the
 normal-given-sigma^2 mixture over a sigma^2 quadrature grid instead of
 evaluating the closed-form Student t, and region probabilities are raw
 sample proportions in the original coordinates (never the transformed
@@ -248,13 +248,13 @@ def oracle_bf(
 # The lattice rule of bfreg.numkernel written as the formula reads, one
 # array expression per step: the reference that its in-place integrand
 # must match bit for bit (``tests/test_numkernel.py::TestLatticeReference``).
-# It takes the kernel's constants, lattice generator, seed stream and
-# block statistic, the ratio pooled over all points with its delta-method
+# It takes the kernel's constants, lattice generator, shifts (``_shifts``)
+# and block statistic, the ratio pooled over all points with its delta-method
 # standard error over the shifts (``_pooled_ratio``, tested on its own);
 # its integrand and radial map are its own.
 _CHUNK, _SHIFTS, _LATTICE_BLOCK = numkernel._CHUNK, numkernel._SHIFTS, numkernel._LATTICE_BLOCK
 _TINY, _BELOW_ONE, _EPS = numkernel._TINY, numkernel._BELOW_ONE, numkernel._EPS
-_root_primes, rng_from_seed = numkernel._root_primes, numkernel.rng_from_seed
+_root_primes, _shifts = numkernel._root_primes, numkernel._shifts
 _pooled_ratio = numkernel._pooled_ratio
 
 
@@ -273,7 +273,7 @@ def reference_lattice_prob(a, L, col, df, seed, cap):
         columns.append((np.concatenate([rows[low], rows[~low]]), int(low.sum())))
     dims = rank - 1 if centred else rank
     alpha = _root_primes(dims)
-    shifts = rng_from_seed(seed).random((dims, n_shifts, 1))
+    shifts = _shifts(seed, dims)[:, :n_shifts, None]
 
     def integrand(i):
         """Sums over points ``i`` of the weighted values and of the weights,

@@ -388,12 +388,14 @@ def _cold_process(code, *argv):
 
 # Runs the CLI on sys.argv[1:] and prints, after its output, the scipy
 # modules loaded by then.
-# The CLI in a cold process, then the scipy modules it loaded, and numpy.ma
-# when it did (a cold import of it costs about 9 ms).
+# The CLI in a cold process, then the scipy modules it loaded, and
+# numpy.random and numpy.ma when it did (cold imports of about 16 and 9 ms
+# that bfreg never needs).
 _CLI_THEN_MODULES = (
     "import sys, bfreg.cli\n"
     "code = bfreg.cli.main(sys.argv[1:])\n"
-    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))\n"
+    "print(sorted(m for m in sys.modules\n"
+    "             if m.split('.')[0] == 'scipy' or m in ('numpy.random', 'numpy.ma')))\n"
     "sys.exit(code)\n"
 )
 
@@ -413,8 +415,9 @@ class TestImport:
 
     def test_readme_command_loads_no_scipy_and_ignores_the_seed(self, csv_path):
         """Every estimate of the README command has rank 2 or less, so it is
-        exact, the process never loads scipy (nor numpy.ma), and its JSON
-        is the same for every seed but for the seed itself."""
+        exact, the process never loads scipy (nor numpy.random or
+        numpy.ma), and its JSON is the same for every seed but for the seed
+        itself."""
         docs = []
         for seed in ("1", "2"):
             args = ("test", "--data", csv_path, "--formula", "y ~ x1 + x2", "--hyp", README_HYP)

@@ -3,7 +3,11 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +235,63 @@ class TestTCdf:
     def test_monotone(self, a, b, df):
         lo, hi = sorted((a, b))
         assert t_cdf(lo, df) <= t_cdf(hi, df)
+
+
+class TestStreams:
+    """Each estimate's stream is keyed by a hash of its seed and path."""
+
+    PARENTS = (5, 2**63 - 25)
+    # every path of length 0 to 4 over the entries 0, 1 and 2: 121 paths,
+    # among them each shorter path with trailing zeros appended
+    PATHS = [p for n in range(5) for p in itertools.product(range(3), repeat=n)]
+
+    @pytest.mark.parametrize("parent", PARENTS)
+    def test_paths_give_distinct_keys(self, parent):
+        """No two paths share a key, trailing zeros included, under a small
+        parent and a 63-bit one (SeedSequence padded short entropy with
+        zeros, so ``(s, 2)`` and ``(s, 2, 0)`` collided)."""
+        keys = [derived_seed(parent, *p) for p in self.PATHS]
+        assert len(set(keys)) == len(self.PATHS)
+        assert all(0 <= k < 2**64 for k in keys)
+
+    @pytest.mark.parametrize("parent", PARENTS)
+    def test_shifts_are_distinct_uniforms(self, parent):
+        """Every key's shifts lie in [0, 1), and no two keys share them."""
+        shifts = [numkernel._shifts(derived_seed(parent, *p), 4) for p in self.PATHS]
+        assert all(u.shape == (4, numkernel._SHIFTS) for u in shifts)
+        assert all(u.min() >= 0.0 and u.max() < 1.0 for u in shifts)
+        assert len({u.tobytes() for u in shifts}) == len(self.PATHS)
+
+    def test_golden_values(self):
+        """The rule is pinned: BLAKE2b-64 of the packed words, and the first
+        53 bits of SHAKE-256's first word as a shift."""
+        assert derived_seed(0) == 1786884285633530058
+        assert derived_seed(2**63 - 1, 20, 1, 0) == 9999326997121900848
+        assert numkernel._shifts(0, 1)[0, 0] == float.fromhex("0x1.20f31d1b88320p-5")
+
+    def test_same_bits_in_another_process(self):
+        """A lattice estimate, a derived seed and the shifts reproduce to
+        the bit in a fresh interpreter."""
+        code = (
+            "import numpy as np\n"
+            "from bfreg.numkernel import MultivariateT, _shifts, derived_seed, mvt_constraint_prob\n"
+            "d = MultivariateT(np.array([0.3, -0.2, 0.1]), np.eye(3) + 0.2, 7.0)\n"
+            "est = mvt_constraint_prob(d, np.eye(3), np.zeros(3), 5000, derived_seed(9, 1, 2))\n"
+            "print(est.value.hex(), est.std_error.hex(), derived_seed(9, 1, 2), _shifts(9, 3).tobytes().hex())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+            capture_output=True,
+            text=True,
+        ).stdout.split()
+        d = MultivariateT(np.array([0.3, -0.2, 0.1]), np.eye(3) + 0.2, 7.0)
+        est = mvt_constraint_prob(d, np.eye(3), np.zeros(3), 5000, derived_seed(9, 1, 2))
+        assert not est.exact
+        here = [est.value.hex(), est.std_error.hex(), str(derived_seed(9, 1, 2))]
+        assert out == here + [numkernel._shifts(9, 3).tobytes().hex()]
 
 
 def _within_4_se(est, t_hits):
