@@ -1080,8 +1080,11 @@ class TestGeneratedRewrites:
                 continue
             m = len(chains)
             for form, res in results.items():
+                assert not isinstance(res, type), (case, form, texts[form], res)
                 post = res.post_probs
                 assert np.isfinite(post).all() and abs(post.sum() - 1.0) <= 1e-12
+                if form == "as drawn":
+                    continue
                 order = list(range(m))[::-1] if form == "reordered" else list(range(m))
                 order += list(range(m, len(base.components)))  # the complement stays last
                 assert res.labels[m:] == base.labels[m:], (case, form)
