@@ -387,10 +387,8 @@ def _cold_process(code, *argv):
 
 
 # Runs the CLI on sys.argv[1:] and prints, after its output, the scipy
-# modules loaded by then.
-# The CLI in a cold process, then the scipy modules it loaded, and
-# numpy.random and numpy.ma when it did (cold imports of about 16 and 9 ms
-# that bfreg never needs).
+# modules loaded by then, and numpy.random and numpy.ma if loaded (cold
+# imports of about 16 and 9 ms that bfreg itself does not use).
 _CLI_THEN_MODULES = (
     "import sys, bfreg.cli\n"
     "code = bfreg.cli.main(sys.argv[1:])\n"

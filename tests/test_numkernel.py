@@ -248,8 +248,8 @@ class TestStreams:
     @pytest.mark.parametrize("parent", PARENTS)
     def test_paths_give_distinct_keys(self, parent):
         """No two paths share a key, trailing zeros included, under a small
-        parent and a 63-bit one (SeedSequence padded short entropy with
-        zeros, so ``(s, 2)`` and ``(s, 2, 0)`` collided)."""
+        parent and a 63-bit one: a rule that pads short keys with zeros
+        would give ``(s, 2)`` and ``(s, 2, 0)`` one stream."""
         keys = [derived_seed(parent, *p) for p in self.PATHS]
         assert len(set(keys)) == len(self.PATHS)
         assert all(0 <= k < 2**64 for k in keys)
