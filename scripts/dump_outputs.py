@@ -31,7 +31,11 @@ hypothesis that repeats one of its own rows.  Four
 k5 texts at one seed use every operand form of the grammar, so the bit
 check covers the parser too.  Two cases are the text reports instead:
 the README demo with every ``--show`` table, and the k5 screen with its
-Bayes factor matrices.  A case that raises records its error instead.
+Bayes factor matrices.  Three cases run the CLI itself: the README
+command, ``--hyp exploratory`` on its data (the JSON's exploratory
+mode), and ``x1<0; x1>0`` on a fit where ``Pr(x1 < 0)`` underflows (the
+JSON's non-finite numbers).  A case that raises records its error
+instead.
 
 Usage:
     python scripts/dump_outputs.py OUT [--root CHECKOUT]
@@ -107,6 +111,8 @@ PARSE_HYPOTHESES = (
     "((Intercept),x1)>0",
 )
 README_HYPOTHESES = "x1=x2=0; (x1,x2)>0; x1>x2=0"
+# Two order hypotheses on a fit where Pr(x1 < 0) underflows: log_bf is -inf.
+UNDERFLOW_HYPOTHESES = "x1<0; x1>0"
 REPEATED_ROW = "x1>x2>0; x1>x2"
 REPEATED_OWN_ROW = "(x1,x1)>x2>0"
 ALL_TABLES = ("computation", "ci", "bf-matrix")
@@ -159,9 +165,8 @@ RANK2_CASES = (
 )
 
 
-def _config(cli, formula, mode="test"):
+def _config(cli, formula):
     return cli.CliConfig(
-        mode=mode,
         data="",
         formula=formula,
         hyp="",
@@ -175,6 +180,27 @@ def _config(cli, formula, mode="test"):
         delimiter=",",
         df_as_printed=False,
     )
+
+
+def _cli(cli, argv):
+    """The exit code and standard output of ``bfreg`` on ``argv``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def _underflow_csv(tmp):
+    """A CSV of ``y = 60 x1 + 0.01 noise`` over 2000 rows, on which the
+    posterior ``Pr(x1 < 0)`` underflows to 0; returns its path."""
+    rng = np.random.default_rng(2018)
+    x = rng.standard_normal(2000)
+    y = 60.0 * x + 0.01 * rng.standard_normal(2000)
+    path = str(Path(tmp) / "underflow.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("y,x1\n")
+        fh.writelines(f"{a!r},{b!r}\n" for a, b in zip(y.tolist(), x.tolist()))
+    return path
 
 
 def _outcome(fn):
@@ -285,14 +311,18 @@ def cases(tmp):
     from perfbench import workloads
 
     demo = workloads.CliDemo(SEED, tmp)
-
-    def cli_demo():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(demo.argv(0))
-        return f"exit {code}\n{out.getvalue()}"
-
-    yield "cli-demo", cli_demo
+    yield "cli-demo", lambda: _cli(cli, demo.argv(0))
+    yield "cli exploratory json", lambda: _cli(
+        cli, [*demo.argv(0)[:5], "--hyp", "exploratory", "--output", "json", "--seed", str(SEED)]
+    )
+    underflow_csv = _underflow_csv(tmp)
+    yield f"cli underflow json {UNDERFLOW_HYPOTHESES}", lambda: _cli(
+        cli,
+        [
+            "test", "--data", underflow_csv, "--formula", "y ~ x1",
+            "--hyp", UNDERFLOW_HYPOTHESES, "--output", "json", "--seed", str(SEED),
+        ],
+    )
 
     for seed in WORKLOAD_SEEDS:
         order = workloads.OrderMC(seed)
@@ -307,7 +337,7 @@ def cases(tmp):
             )
     wide = workloads.ExploreWide(SEED)
     yield "explore-wide", lambda: cli.render_json(
-        wide.operation(0), _config(cli, "explore-wide", mode="exploratory")
+        wide.operation(0), _config(cli, "explore-wide")
     )
 
     fit = _k5_fit(model)

@@ -37,7 +37,6 @@ _SCHEMA = "bfreg/1"
 class CliConfig:
     """Resolved command line options for one run."""
 
-    mode: str
     data: str
     formula: str
     hyp: str
@@ -154,7 +153,6 @@ def _config_from_args(ns) -> CliConfig:
         prior = weights
     seed, derived = _resolve_seed(ns.seed)
     return CliConfig(
-        mode=ns.mode,
         data=ns.data,
         formula=ns.formula,
         hyp=getattr(ns, "hyp", "exploratory"),
@@ -321,15 +319,23 @@ def _component_json(comp: BFComponents) -> dict:
 
 
 def _json_safe(x):
+    """``x`` with every non-finite float in it, at any depth, as its repr:
+    ``"inf"``, ``"-inf"`` or ``"nan"``."""
+    if isinstance(x, dict):
+        return {key: _json_safe(v) for key, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
     if isinstance(x, float) and not math.isfinite(x):
-        return repr(x)
+        return repr(float(x))
     return x
 
 
 def render_json(res, cfg: CliConfig) -> str:
+    """The result as strict JSON: non-finite numbers are strings, and
+    ``mode`` is that of the result."""
     doc = {
         "schema": _SCHEMA,
-        "mode": cfg.mode,
+        "mode": "test" if isinstance(res, TestResult) else "exploratory",
         "formula": cfg.formula,
         "standardize": cfg.standardize,
         "seed": res.seed,
@@ -342,33 +348,25 @@ def render_json(res, cfg: CliConfig) -> str:
                     {"label": lab, "text": text}
                     for lab, text in zip(res.labels, res.hypothesis_texts)
                 ],
-                "prior_probs": [float(p) for p in res.prior_probs],
-                "posterior_probs": [float(p) for p in res.post_probs],
+                "prior_probs": res.prior_probs.tolist(),
+                "posterior_probs": res.post_probs.tolist(),
                 "bf_unconstrained": [
                     _component_json(c) for c in res.components
                 ],
-                "bf_matrix": [
-                    [_json_safe(float(v)) for v in row] for row in res.bf_matrix
-                ],
+                "bf_matrix": res.bf_matrix.tolist(),
             }
         )
     else:
         doc.update(
             {
                 "coefficients": list(res.coef_names),
-                "posterior_probs": [
-                    [float(p) for p in row] for row in res.post_probs
-                ],
+                "posterior_probs": res.post_probs.tolist(),
                 "bf_matrices": {
-                    name: [
-                        [_json_safe(float(v)) for v in row]
-                        for row in res.bf_matrices[name]
-                    ]
-                    for name in res.coef_names
+                    name: res.bf_matrices[name].tolist() for name in res.coef_names
                 },
             }
         )
-    return json.dumps(doc, indent=2)
+    return json.dumps(_json_safe(doc), indent=2, allow_nan=False)
 
 
 def run(cfg: CliConfig):

@@ -496,8 +496,7 @@ def exploratory_test(
     exact (``seed`` and ``mcrep`` are only recorded), each row sums to 1,
     and no complement applies (the three hypotheses exhaust the line).
     """
-    post = fractional_posterior_beta(fit, 1.0)
-    prior = fractional_posterior_beta(fit, minimal_fraction(fit))
+    post, prior = _fit_laws(fit)
     v, v0 = np.diag(post.scale), np.diag(prior.scale)
     if not np.all(np.minimum(v, v0) > 0):
         raise NumericError("H1: prior constraint probability is numerically zero")

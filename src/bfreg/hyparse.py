@@ -24,6 +24,11 @@ operand between them (:func:`_operand`): parentheses make a group of
 names, else it is a number or a name.  Text that does not follow the
 grammar raises :class:`~bfreg.errors.HypothesisSyntaxError`, naming the
 hypothesis and the operand.
+
+What the rows alone decide is worked out here too, for the parser and
+the kernel alike: the prior center (:func:`prior_center`) and which
+parallel rows conflict or imply one another (:func:`_parallel_pairs`,
+:func:`_unimplied`).  Of bfreg this module imports only its errors.
 """
 
 from __future__ import annotations
@@ -49,6 +54,11 @@ _INTERCEPT = "(Intercept)"
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 _NUM_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
+# Rows R_b = -c R_a (c > 0) with c r_a + r_b >= 0 cannot both hold, and
+# with c < 0 and c r_a + r_b <= 0 row a implies row b: the closed-form
+# tests of :func:`_parallel_pairs`, to this relative tolerance.
+_PARALLEL_TOL = 1e-12
+
 
 def is_exploratory(text: str) -> bool:
     """True when the hypothesis text requests the exploratory mode."""
@@ -72,6 +82,27 @@ def prior_center(R, r):
     center = np.linalg.lstsq(R, r, rcond=None)[0]
     exact = bool(np.linalg.norm(R @ center - r) <= 1e-8 * (1.0 + np.linalg.norm(r)))
     return center, exact
+
+
+def _parallel_pairs(A, a):
+    """For every pair ``(i, j)`` of rows of ``A x > a`` with ``A_j = -c A_i``,
+    in closed form: whether they share no point (``c > 0`` and ``c a_i +
+    a_j >= 0``), and whether row ``i`` implies row ``j`` (``c < 0`` and
+    ``c a_i + a_j <= 0``: the same direction, a bound no tighter)."""
+    c = -(A @ A.T) / np.einsum("ij,ij->i", A, A)[:, None]
+    resid = np.linalg.norm(A[None, :, :] + c[:, :, None] * A[:, None, :], axis=2)
+    parallel = resid <= _PARALLEL_TOL * np.linalg.norm(A, axis=1)
+    gap = c * a[:, None] + a[None, :]
+    slack = _PARALLEL_TOL * (np.abs(c * a[:, None]) + np.abs(a[None, :]))
+    return parallel & (c > 0.0) & (gap >= -slack), parallel & (c < 0.0) & (gap <= slack)
+
+
+def _unimplied(ix, implied):
+    """Rows ``ix`` less those another of them implies; of rows that imply
+    each other, the first stays."""
+    among = implied[np.ix_(ix, ix)]
+    drop = (among & (~among.T | ~np.tri(len(ix), dtype=bool))).any(axis=0)
+    return ix[~drop]
 
 
 def _frozen(a) -> np.ndarray:
@@ -160,8 +191,8 @@ class ConstraintSystem:
         raises :class:`InfeasibleHypothesisError` for ``c >= 0`` and is
         dropped as vacuously true otherwise.  A live row that another
         implies (a positive multiple with a bound no tighter, by
-        :func:`bfreg.numkernel._parallel_pairs`) is dropped too, before
-        the prior center is taken; of equal rows the first stays.
+        :func:`_parallel_pairs`) is dropped too, before the prior center
+        is taken; of equal rows the first stays.
 
         One SVD ``R_E = U diag(s) V'`` gives the rest: the equality rows
         are independent when every singular value exceeds ``max(q_E, k)
@@ -194,11 +225,6 @@ class ConstraintSystem:
                     f"inequality reduces to 0 > {c:g}"
                 )
         Rt, rt = Rt[live], rt[live]
-        # Imported here, not at the top: importing numkernel from this
-        # module's body made a cold `bfreg` process 3.5% slower (cli-demo
-        # analysis_s over 10 alternating benchmark pairs, 2-vCPU Xeon).
-        from .numkernel import _parallel_pairs, _unimplied
-
         keep = _unimplied(np.arange(len(rt)), _parallel_pairs(Rt, rt)[1])
         Rt, rt = Rt[keep], rt[keep]
         center, exact = prior_center(Rt, rt)

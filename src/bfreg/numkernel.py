@@ -88,7 +88,9 @@ bound no tighter) is left out of it.  What depends on the rows alone
 of each pivot set and the union's prior center) is worked out once per
 distinct row content and kept, for the last ``_TABLES`` contents, in a
 read-only :class:`_Table`.  Only the estimates depend on the law, the
-seed and the budget.
+seed and the budget.  The pair tests and the prior center are those of
+:mod:`bfreg.hyparse`, which owns every fact about constraint rows, so
+the parser and the kernel decide them alike.
 
 A complement term left to the lattice need not be sampled when it
 cannot move the sum.  For any ``lam >= 0`` over its rows, ``lam' Y``
@@ -131,7 +133,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DecompositionError, InvalidInputError, NumericError
-from .hyparse import prior_center
+from .hyparse import _parallel_pairs, _unimplied, prior_center
 
 # The lattice evaluates its points in chunks of at most this many to bound
 # memory.  The chunks set the order of summation, so the size must stay
@@ -171,10 +173,6 @@ _BELOW_ONE = 1.0 - _EPS / 2.0
 # -_DEPENDENT is no roundoff: the scale is not positive semidefinite.
 _DEPENDENT = 1e-10
 _NONZERO = 1e-8
-
-# Rows R_b = -c R_a (c > 0) with c r_a + r_b >= 0 cannot both hold: the
-# closed-form test for an empty union term, to this relative tolerance.
-_PARALLEL_TOL = 1e-12
 
 # A complement is a sum of at most this many lattice terms in the worst
 # case; a route with more is skipped.
@@ -549,18 +547,12 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
     if n_draws < 1:
         raise InvalidInputError("n_draws must be at least 1")
 
-    for est in _estimates(dist, R, r, seed, n_draws):
+    for est in _blocks(_path(dist, R, r), seed, n_draws):
         if est.exact or _resolved(est, n_draws):
             break
     if est.exact or est.std_error > 0.0:
         return est
     return replace(est, std_error=_one_hit_se(n_draws))
-
-
-def _estimates(dist: MultivariateT, R, r, seed, cap):
-    """Successive estimates of ``Pr(R xi > r)``, each finer than the last,
-    on the path :func:`_path` chooses (:func:`_blocks`)."""
-    yield from _blocks(_path(dist, R, r), seed, cap)
 
 
 class _Lattice:
@@ -1090,8 +1082,8 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
     """Estimate ``Pr(no (R, r) in systems has R xi > r)`` for ``xi ~ dist``.
 
     The union ``U`` of the systems is never sampled: ``1 - U`` is a sum of
-    region probabilities ("terms"), each estimated as in
-    :func:`_estimates`.  The complement of a system ``H_t`` is the union
+    region probabilities ("terms"), each estimated on its :func:`_path`
+    (:func:`_blocks`).  The complement of a system ``H_t`` is the union
     of its disjoint pieces, row ``j`` fails and the rows before it hold.
     For any set ``T`` of *pivot* systems,
 
@@ -1216,10 +1208,10 @@ class _Table:
     Every row of a piece or a term is row ``k`` of a system or its
     negation, row ``n + k``, of the signed table ``rows x > bounds``, and
     one table of the pairs of parallel rows that conflict or imply one
-    another (:func:`_parallel_pairs`) serves every check.  ``own`` holds
-    each system's rows, ``pieces`` its pieces that do not conflict in
-    themselves, and ``disjoint[i][j]`` whether systems ``i`` and ``j``
-    conflict.  The pairs, pieces, the terms of each pivot set
+    another (:func:`bfreg.hyparse._parallel_pairs`) serves every check.
+    ``own`` holds each system's rows, ``pieces`` its pieces that do not
+    conflict in themselves, and ``disjoint[i][j]`` whether systems ``i``
+    and ``j`` conflict.  The pairs, pieces, the terms of each pivot set
     (:meth:`terms`) and the union's prior center (:attr:`center`) are
     computed on first use and kept."""
 
@@ -1234,7 +1226,7 @@ class _Table:
 
     @functools.cached_property
     def pairs(self):
-        """``(conflict, implied)`` of the signed rows (:func:`_parallel_pairs`)."""
+        """``(conflict, implied)`` of the signed rows."""
         return tuple(_read_only(m) for m in _parallel_pairs(self.rows, self.bounds))
 
     @functools.cached_property
@@ -1280,40 +1272,16 @@ def _pieces(own, n):
     return [(j, np.append(own[:j], n + own[j])) for j in range(len(own))]
 
 
-def _parallel_pairs(A, a):
-    """For every pair ``(i, j)`` of rows of ``A x > a`` with ``A_j = -c A_i``,
-    in closed form: whether they share no point (``c > 0`` and ``c a_i +
-    a_j >= 0``), and whether row ``i`` implies row ``j`` (``c < 0`` and
-    ``c a_i + a_j <= 0``: the same direction, a bound no tighter)."""
-    c = -(A @ A.T) / np.einsum("ij,ij->i", A, A)[:, None]
-    resid = np.linalg.norm(A[None, :, :] + c[:, :, None] * A[:, None, :], axis=2)
-    parallel = resid <= _PARALLEL_TOL * np.linalg.norm(A, axis=1)
-    gap = c * a[:, None] + a[None, :]
-    slack = _PARALLEL_TOL * (np.abs(c * a[:, None]) + np.abs(a[None, :]))
-    return parallel & (c > 0.0) & (gap >= -slack), parallel & (c < 0.0) & (gap <= slack)
-
-
-def _unimplied(ix, implied):
-    """Rows ``ix`` less those another of them implies; of rows that imply
-    each other, the first stays."""
-    among = implied[np.ix_(ix, ix)]
-    drop = (among & (~among.T | ~np.tri(len(ix), dtype=bool))).any(axis=0)
-    return ix[~drop]
-
-
 def _next_level(level, m, disjoint):
-    """Subsets one larger than those of ``level`` whose every subset one
-    smaller is in ``level`` and which hold no disjoint pair."""
-    have = set(level)
-    out = []
-    for S in level:
-        for j in range(S[-1] + 1 if S else 0, m):
-            T = S + (j,)
-            if not any(disjoint[i][j] for i in S) and all(
-                T[:k] + T[k + 1 :] in have for k in range(len(S))
-            ):
-                out.append(T)
-    return out
+    """Subsets one larger than those of ``level`` that hold no disjoint
+    pair.  ``level`` holds every such subset of its size, so each of
+    theirs is ``S + (j,)`` with ``S`` in it."""
+    return [
+        S + (j,)
+        for S in level
+        for j in range(S[-1] + 1 if S else 0, m)
+        if not any(disjoint[i][j] for i in S)
+    ]
 
 
 def _terms(pivots, table, limit):

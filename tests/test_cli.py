@@ -230,6 +230,38 @@ class TestJsonOutput:
         assert len(doc["posterior_probs"]) == 3
         assert set(doc["bf_matrices"]) == {"(Intercept)", "x1", "x2"}
 
+    def test_mode_follows_the_result(self, capsys, csv_path):
+        """``bfreg test --hyp exploratory`` runs the screen, and says so."""
+        code, out, _ = run_cli(
+            capsys, *base_test_args(csv_path, "exploratory", "--output", "json")
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["mode"] == "exploratory"
+        assert doc["coefficients"] == ["(Intercept)", "x1", "x2"]
+
+    def test_non_finite_numbers_are_strings(self, capsys, tmp_path):
+        """Where ``Pr(x1 < 0)`` underflows, H1's ``log_bf`` is -inf: the
+        document writes it as ``"-inf"`` and stays strict JSON."""
+        rng = np.random.default_rng(2000)
+        x = rng.standard_normal(2000)
+        y = 60.0 * x + 0.01 * rng.standard_normal(2000)
+        path = write_csv(tmp_path / "steep.csv", Dataset(("y", "x1"), np.column_stack([y, x])))
+        code, out, _ = run_cli(
+            capsys,
+            "test", "--data", path, "--formula", "y ~ x1", "--hyp", "x1<0; x1>0",
+            "--seed", "3", "--output", "json",
+        )
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["bf_unconstrained"][0]["log_bf"] == "-inf"
+        assert doc["bf_unconstrained"][0]["bf"] == 0.0
+        assert "inf" in doc["bf_matrix"][1]
+
 
 class TestSeeds:
     def test_explicit_seed_is_reported_in_json(self, capsys, csv_path):

@@ -30,7 +30,7 @@ from bfreg import (
 from bfreg.constraints import minimal_fraction
 from bfreg.engine import bf_unconstrained
 from bfreg.hyparse import prior_center, validate
-from bfreg.numkernel import _SHIFTS, _estimates, derived_seed
+from bfreg.numkernel import _SHIFTS, _blocks, _path, derived_seed
 from conftest import (
     make_random_fit,
     make_two_effect_dataset,
@@ -701,15 +701,16 @@ def _order_fit():
 
 def _every_term_sum(dist, pivots, terms, table, known, mcrep, seed, cap):
     """``1 - U`` under the pieces of ``pivots`` with every term taken
-    through ``_estimates`` on its stream and refined to the sum's target,
-    none bounded: the value and the combined standard error.  For terms
-    that each hold a piece and at most one other system."""
+    through ``_blocks`` of its ``_path`` on its stream and refined to the
+    sum's target, none bounded: the value and the combined standard
+    error.  For terms that each hold a piece and at most one other
+    system."""
     assert pivots and all(node and len(S) <= 1 for S, node, _ in terms)
     signs, blocks = [], []
     for S, node, ix in terms:
         stream = derived_seed(seed, 2, *node, *S)
         signs.append((-1) ** len(S))
-        blocks.append(_estimates(dist, table.rows[ix], table.bounds[ix], stream, cap))
+        blocks.append(_blocks(_path(dist, table.rows[ix], table.bounds[ix]), stream, cap))
     ests = [next(b) for b in blocks]
     value = sum(sign * est.value for sign, est in zip(signs, ests))
     target = bfreg.numkernel._term_target(value, sum(not est.exact for est in ests), mcrep)
@@ -818,8 +819,8 @@ class TestComplementRoutes:
         chains, far below 1e-12; their half-space bounds sum to far less
         than a hundredth of the others' standard error, so they take no
         point: one term starts the lattice, not seven.  The sum agrees
-        within 1e-3 of its standard error with every term taken through
-        ``_estimates``, and its standard error with theirs to 1e-4."""
+        within 1e-3 of its standard error with every term taken on its
+        ``_path``, and its standard error with theirs to 1e-4."""
         text = "x1>x2>x3>x4>x5>x6; x6>x5>x4>x3>x2>x1; (x1,x2,x3)>0; x1>x2>x3=x4=x5=x6=0"
         starts, calls = [], []
         lattice, term_sum = bfreg.numkernel._lattice_prob, bfreg.numkernel._term_sum

@@ -25,10 +25,11 @@ from bfreg import (
 )
 from bfreg import numkernel
 from bfreg.numkernel import (
-    _estimates,
+    _blocks,
     _factor,
     _log_gamma_ratio,
     _log_gamma_step,
+    _path,
     _radial,
     complement_prob,
     derived_seed,
@@ -963,7 +964,7 @@ class TestSingularLattice:
         )
         r = R @ d.location if centred else 0.3 * rng.standard_normal(4)
         assert np.linalg.matrix_rank(R) == 3
-        est = _refined(_estimates(d, R, r, 201, 1_000_000), 1_000_000)
+        est = _refined(_blocks(_path(d, R, r), 201, 1_000_000), 1_000_000)
         assert not est.exact and 0 < est.n_draws <= 1_000_000
         ref = oracle_inequality_prob(d, R, r, 400_000, seed=202)
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
@@ -977,7 +978,7 @@ class TestSingularLattice:
         chain = np.eye(6)[:-1] - np.eye(6)[1:]
         R = np.vstack([chain, np.eye(6)[:3]])
         r = np.zeros(8)
-        est = _refined(_estimates(d, R, r, 211, 1_000_000), 1_000_000)
+        est = _refined(_blocks(_path(d, R, r), 211, 1_000_000), 1_000_000)
         assert not est.exact and est.value > 0
         ref = oracle_inequality_prob(d, R, r, 400_000, seed=212, rel_se=0.05)
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
@@ -985,7 +986,7 @@ class TestSingularLattice:
         # exchangeable and centred: one order of six, with at least three
         # of the six signs positive, (42 / 64) / 720
         iid = MultivariateT(np.zeros(6), np.eye(6), df)
-        est = _refined(_estimates(iid, R, r, 213, 1_000_000), 1_000_000)
+        est = _refined(_blocks(_path(iid, R, r), 213, 1_000_000), 1_000_000)
         assert abs(est.value - 42 / 64 / 720) < 4 * est.std_error
 
     @pytest.mark.parametrize("df", [3.0, 60.0])
@@ -996,7 +997,7 @@ class TestSingularLattice:
         d = MultivariateT(np.array([0.1, 0.05]), np.array([[0.04, 0.01], [0.01, 0.02]]), df)
         R = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
         r = np.array([0.0, 0.0, -0.3])
-        est = _refined(_estimates(d, R, r, 221, 1_000_000), 1_000_000)
+        est = _refined(_blocks(_path(d, R, r), 221, 1_000_000), 1_000_000)
         assert est.exact and est.value > 0
         ref = oracle_inequality_prob(d, R, r, 400_000, seed=222)
         assert abs(est.value - ref.value) < 4 * ref.value * ref.rel_error_bound
@@ -1004,7 +1005,7 @@ class TestSingularLattice:
         d = MultivariateT(np.array([0.1, 0.05, 0.08]), scale, df)
         R = np.vstack([np.eye(3), -np.ones(3)])
         r = np.array([0.0, 0.0, 0.0, -0.3])
-        est = _refined(_estimates(d, R, r, 223, 1_000_000), 1_000_000)
+        est = _refined(_blocks(_path(d, R, r), 223, 1_000_000), 1_000_000)
         assert not est.exact and est.value > 0
         ref = oracle_inequality_prob(d, R, r, 400_000, seed=224)
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
@@ -1020,7 +1021,7 @@ class TestSingularLattice:
         row = np.array([1.0, 1.0, 0.0])
         R = np.vstack([row, -row])
         r = np.array([0.1, -0.6])
-        est = next(_estimates(d, R, r, 231, 1_000_000))
+        est = next(_blocks(_path(d, R, r), 231, 1_000_000))
         m, sd = row @ d.location, np.sqrt(row @ d.scale @ row)
         want = stats.t.cdf((0.6 - m) / sd, df) - stats.t.cdf((0.1 - m) / sd, df)
         assert est.exact and est.n_draws == 0
@@ -1033,7 +1034,7 @@ class TestSingularLattice:
         chain = np.eye(6)[:-1] - np.eye(6)[1:]
         R = np.vstack([chain, -chain])
         for r in (np.zeros(10), R @ d.location):
-            est = next(_estimates(d, R, r, 241, 1_000_000))
+            est = next(_blocks(_path(d, R, r), 241, 1_000_000))
             assert est.value == 0.0 and not est.exact and est.n_draws == 1024
 
     def test_full_rank_rows_keep_the_cholesky_path(self):
@@ -1055,7 +1056,7 @@ class TestSingularLattice:
 
 def _lattice_args(dist, R, r):
     """The standardised bounds, factor and columns of ``R xi > r`` that
-    ``_estimates`` passes to the lattice: rows sorted by bound, largest
+    ``_path`` leaves to the lattice: rows sorted by bound, largest
     first."""
     S = R @ dist.scale @ R.T
     sd = np.sqrt(np.diag(S))
