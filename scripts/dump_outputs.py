@@ -60,8 +60,8 @@ the two files hold different cases or different errors.  A checkout
 whose lattice took the mean of per-shift ratios at 64 points or more
 records an error (a NaN probability) for the chain at one point per
 shift, so a comparison against it exits 1 on that case alone.  A
-checkout whose ``CliConfig`` still takes a ``mode`` is dumped with its
-own copy of this script, since this one no longer passes it.
+checkout whose ``render_json`` takes a ``CliConfig`` rather than a
+formula is dumped with its own copy of this script.
 """
 
 import argparse
@@ -165,23 +165,6 @@ RANK2_CASES = (
         (0.0, 0.0), ((1.0, -NEAR_ONE), (-NEAR_ONE, 1.0)), 17.0, ((1, 0), (0, 1)), (-0.4, 0.2),
     ),
 )
-
-
-def _config(cli, formula):
-    return cli.CliConfig(
-        data="",
-        formula=formula,
-        hyp="",
-        prior_probs="equal",
-        mcrep=0,
-        seed=0,
-        seed_was_derived=False,
-        standardize=False,
-        output="json",
-        show=(),
-        delimiter=",",
-        df_as_printed=False,
-    )
 
 
 def _cli(cli, argv):
@@ -328,20 +311,20 @@ def cases(tmp):
         order = workloads.OrderMC(seed)
         for i in range(ORDER_OPS):
             yield f"order-mc seed={seed} op={i}", lambda order=order, i=i: cli.render_json(
-                order.operation(i), _config(cli, "order-mc")
+                order.operation(i), "order-mc"
             )
         sim = workloads.SimStudy(seed)
         for i in range(SIM_OPS):
             yield f"sim-study seed={seed} op={i}", lambda sim=sim, i=i: cli.render_json(
-                sim.operation(i)[2], _config(cli, sim.FORMULA)
+                sim.operation(i)[2], sim.FORMULA
             )
     wide = workloads.ExploreWide(SEED)
     yield "explore-wide", lambda: cli.render_json(
-        wide.operation(0), _config(cli, "explore-wide")
+        wide.operation(0), "explore-wide"
     )
 
     fit = _k5_fit(model)
-    cfg = _config(cli, "y ~ x1 + x2 + x3 + x4")
+    formula = "y ~ x1 + x2 + x3 + x4"
     for seed, df_as_printed in K5_SEEDS:
         for text in K5_HYPOTHESES:
             yield f"k5 seed={seed} df_as_printed={df_as_printed} {text}", (
@@ -349,16 +332,16 @@ def cases(tmp):
                     engine.test_hypotheses(
                         fit, text, mcrep=K5_MCREP, seed=seed, df_as_printed=flag
                     ),
-                    cfg,
+                    formula,
                 )
             )
 
     yield f"k5 seed=1 fallback {FALLBACK_HYPOTHESES}", lambda: cli.render_json(
-        engine.test_hypotheses(fit, FALLBACK_HYPOTHESES, mcrep=K5_MCREP, seed=1), cfg
+        engine.test_hypotheses(fit, FALLBACK_HYPOTHESES, mcrep=K5_MCREP, seed=1), formula
     )
     for text in PARSE_HYPOTHESES:
         yield f"k5 seed={PARSE_SEED} parse {text!r}", lambda text=text: cli.render_json(
-            engine.test_hypotheses(fit, text, mcrep=K5_MCREP, seed=PARSE_SEED), cfg
+            engine.test_hypotheses(fit, text, mcrep=K5_MCREP, seed=PARSE_SEED), formula
         )
 
     yield "k5 exploratory", lambda: _screen_json(engine.exploratory_test(fit, seed=1))
@@ -402,18 +385,18 @@ def cases(tmp):
     )
     yield "readme-demo", lambda: cli.render_json(
         engine.test_hypotheses(demo_fit, README_HYPOTHESES, seed=42),
-        _config(cli, "y ~ x1 + x2"),
+        "y ~ x1 + x2",
     )
     yield "readme-demo text", lambda: cli.render_test_text(
         engine.test_hypotheses(demo_fit, README_HYPOTHESES, seed=42), ALL_TABLES
     )
     yield f"readme-fit seed=3 {REPEATED_ROW}", lambda: cli.render_json(
         engine.test_hypotheses(demo_fit, REPEATED_ROW, seed=3),
-        _config(cli, "y ~ x1 + x2"),
+        "y ~ x1 + x2",
     )
     yield f"readme-fit seed=3 {REPEATED_OWN_ROW}", lambda: cli.render_json(
         engine.test_hypotheses(demo_fit, REPEATED_OWN_ROW, seed=3),
-        _config(cli, "y ~ x1 + x2"),
+        "y ~ x1 + x2",
     )
 
 

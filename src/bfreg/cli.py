@@ -16,9 +16,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
-
-import numpy as np
 
 from .engine import (
     BFComponents,
@@ -31,24 +28,6 @@ from .model import fit_ols, load_csv, parse_formula, standardize
 
 _MIN_MCREP = 10_000
 _SCHEMA = "bfreg/1"
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved command line options for one run."""
-
-    data: str
-    formula: str
-    hyp: str
-    prior_probs: object
-    mcrep: int
-    seed: int
-    seed_was_derived: bool
-    standardize: bool
-    output: str
-    show: tuple
-    delimiter: str
-    df_as_printed: bool
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,36 +115,21 @@ def _resolve_seed(arg_seed) -> tuple:
     return int(seed), False
 
 
-def _config_from_args(ns) -> CliConfig:
-    if ns.mcrep < _MIN_MCREP:
-        raise InvalidInputError(f"--mcrep must be at least {_MIN_MCREP}")
-    prior = ns.prior_probs.strip()
-    if prior != "equal":
-        try:
-            weights = tuple(float(w) for w in prior.split(","))
-        except ValueError:
-            raise InvalidInputError(
-                f"--prior-probs must be 'equal' or comma-separated numbers, "
-                f"got {prior!r}"
-            ) from None
-        if any(not (w > 0 and math.isfinite(w)) for w in weights):
-            raise InvalidInputError("--prior-probs weights must be positive")
-        prior = weights
-    seed, derived = _resolve_seed(ns.seed)
-    return CliConfig(
-        data=ns.data,
-        formula=ns.formula,
-        hyp=getattr(ns, "hyp", "exploratory"),
-        prior_probs=prior,
-        mcrep=ns.mcrep,
-        seed=seed,
-        seed_was_derived=derived,
-        standardize=ns.standardize,
-        output=ns.output,
-        show=tuple(dict.fromkeys(ns.show)),
-        delimiter=ns.delimiter,
-        df_as_printed=ns.lemma_df_as_printed,
-    )
+def _prior_probs(text):
+    """None for ``"equal"``, else the positive weights ``text`` lists."""
+    prior = text.strip()
+    if prior == "equal":
+        return None
+    try:
+        weights = tuple(float(w) for w in prior.split(","))
+    except ValueError:
+        raise InvalidInputError(
+            f"--prior-probs must be 'equal' or comma-separated numbers, "
+            f"got {prior!r}"
+        ) from None
+    if any(not (w > 0 and math.isfinite(w)) for w in weights):
+        raise InvalidInputError("--prior-probs weights must be positive")
+    return weights
 
 
 # --- formatting -------------------------------------------------------
@@ -330,14 +294,15 @@ def _json_safe(x):
     return x
 
 
-def render_json(res, cfg: CliConfig) -> str:
-    """The result as strict JSON: non-finite numbers are strings, and
-    ``mode`` is that of the result."""
+def render_json(res, formula, standardize=False) -> str:
+    """The result as strict JSON, echoing the ``formula`` it was fitted
+    with and whether the data were standardized: non-finite numbers are
+    strings, and ``mode`` is that of the result."""
     doc = {
         "schema": _SCHEMA,
         "mode": "test" if isinstance(res, TestResult) else "exploratory",
-        "formula": cfg.formula,
-        "standardize": cfg.standardize,
+        "formula": formula,
+        "standardize": standardize,
         "seed": res.seed,
         "mcrep": res.mcrep,
     }
@@ -369,24 +334,6 @@ def render_json(res, cfg: CliConfig) -> str:
     return json.dumps(_json_safe(doc), indent=2, allow_nan=False)
 
 
-def run(cfg: CliConfig):
-    """Load data, fit, test; returns the engine result."""
-    data = load_csv(cfg.data, delimiter=cfg.delimiter)
-    if cfg.standardize:
-        response, terms, _ = parse_formula(cfg.formula)
-        data = standardize(data, [response, *terms])
-    fit = fit_ols(data, cfg.formula)
-    prior = None if cfg.prior_probs == "equal" else cfg.prior_probs
-    return test_hypotheses(
-        fit,
-        cfg.hyp,
-        prior_probs=prior,
-        mcrep=cfg.mcrep,
-        seed=cfg.seed,
-        df_as_printed=cfg.df_as_printed,
-    )
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -394,16 +341,30 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(ns)
-        if cfg.seed_was_derived:
-            print(f"seed: {cfg.seed} (time-derived)", file=sys.stderr)
-        res = run(cfg)
-        if cfg.output == "json":
-            print(render_json(res, cfg))
+        if ns.mcrep < _MIN_MCREP:
+            raise InvalidInputError(f"--mcrep must be at least {_MIN_MCREP}")
+        prior = _prior_probs(ns.prior_probs)
+        seed, derived = _resolve_seed(ns.seed)
+        if derived:
+            print(f"seed: {seed} (time-derived)", file=sys.stderr)
+        data = load_csv(ns.data, delimiter=ns.delimiter)
+        if ns.standardize:
+            response, terms, _ = parse_formula(ns.formula)
+            data = standardize(data, [response, *terms])
+        res = test_hypotheses(
+            fit_ols(data, ns.formula),
+            getattr(ns, "hyp", "exploratory"),
+            prior_probs=prior,
+            mcrep=ns.mcrep,
+            seed=seed,
+            df_as_printed=ns.lemma_df_as_printed,
+        )
+        if ns.output == "json":
+            print(render_json(res, ns.formula, ns.standardize))
         elif isinstance(res, ExploratoryResult):
-            print(render_exploratory_text(res, cfg.show), end="")
+            print(render_exploratory_text(res, ns.show), end="")
         else:
-            print(render_test_text(res, cfg.show), end="")
+            print(render_test_text(res, ns.show), end="")
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

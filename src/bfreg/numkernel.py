@@ -23,16 +23,16 @@ Probability estimates
 ---------------------
 :func:`_path` is where the estimation path of a region probability is
 chosen, for :func:`mvt_constraint_prob` and every term of
-:func:`complement_prob` alike.  Several rows are taken under the
+:func:`complement_prob` alike.  The rows are taken under the
 transformed law of ``R xi``, whose correlation has one lower factor
 (:func:`_factor`): a row whose residual variance given the rows before
 it is at most ``_DEPENDENT`` depends on them, shares their column of the
 factor and bounds it from above or below (Genz and Kwong 2000).  That
 factor is the only rank rule.
 
-- exact 1-d: the univariate t CDF for a single row (:func:`t_cdf`, in
-  Python floats up to 5000 df);
-- exact interval: rows of rank 1, which bound one t variable;
+- exact interval: rows of rank 1, a single row among them, which bound
+  one t variable, by the univariate t CDF (:func:`t_cdf`, in Python
+  floats up to 5000 df);
 - closed form: two or three rows through the location, of any rank
   (below);
 - angular rule: any other rows of rank 2, exact to rounding, as a
@@ -519,9 +519,9 @@ def _beta_cf(a, b, x) -> float:
 def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimate:
     """Estimate ``Pr(R xi > r)`` for ``xi ~ dist``.
 
-    The path is chosen by :func:`_path`: a single row is exact
-    through the univariate t CDF, rows of rank 1 are an exact interval,
-    two or three rows through the location a closed form, other rows of
+    The path is chosen by :func:`_path`: rows of rank 1, a single row
+    among them, are an exact interval of the univariate t CDF, two or
+    three rows through the location a closed form, other rows of
     rank 2 the exact angular rule of :func:`_angular_prob`, and every
     system of rank 3 or more takes the lattice rule of
     :func:`_lattice_prob`, a weighted ratio pooled over all its points
@@ -573,14 +573,13 @@ def _path(dist: MultivariateT, R, r):
     :class:`ProbEstimate`, or the :class:`_Lattice` it is left to.  This is
     the one place where the path of a region probability is chosen.
 
-    A single row is exact, the univariate t CDF.  Rows of variance 0 under
-    the scale are constants: one that fails gives an exact 0, and if all
-    hold the other rows take their path.  Several rows are taken under the
-    law ``Y`` of ``R xi``: its rows are sorted by standardised bound ``a =
+    Rows of variance 0 under the scale are constants: one that fails
+    gives an exact 0, and if all hold the other rows take their path.  The
+    rows are taken under the law ``Y`` of ``R xi``: its rows are sorted by standardised bound ``a =
     (r - mu) / sd``, largest (least likely) first, and their correlation is
     factored by :func:`_factor`, whose rank decides the rest.  Rows of rank
-    1 bound one t variable and are exact, the interval between their
-    largest lower and smallest upper cut.  Two or three rows through the
+    1, a single row among them, bound one t variable and are exact, the
+    interval between their largest lower and smallest upper cut.  Two or three rows through the
     location (the apex test of ``_APEX_TOL``), of any rank, are exact in
     closed form (:func:`_centred_orthant_prob`), and any other system of
     rank 2 is exact by the angular rule of :func:`_angular_prob`.  Any
@@ -592,13 +591,6 @@ def _path(dist: MultivariateT, R, r):
     than the bound.
     """
     q = R.shape[0]
-    if q == 1:
-        m = float(R[0] @ dist.location)
-        s2 = float(R[0] @ dist.scale @ R[0])
-        if s2 <= 0.0:
-            _check_variances(R, dist.scale, s2)
-            return ProbEstimate(1.0 if m > r[0] else 0.0, 0.0, True, 0)
-        return ProbEstimate(t_cdf((m - r[0]) / math.sqrt(s2), dist.df), 0.0, True, 0)
     df, mu, S = dist.df, R @ dist.location, R @ dist.scale @ R.T
     _check_law(mu, S)  # the law of R xi, checked as MultivariateT would
     var = np.diagonal(S)
@@ -1134,7 +1126,9 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
     terms fit in ``mcrep`` (and ``_MAX_TERMS``) beside those of the routes
     that fit before it: inclusion-exclusion, then the walk, then the
     likeliest system's.  A route that does not fit is skipped, and when
-    none fits :class:`~bfreg.errors.NumericError` is raised.  Each term is
+    none fits :class:`~bfreg.errors.NumericError` is raised, advising a
+    larger ``mcrep`` only when some route has at most ``_MAX_TERMS``
+    terms.  Each term is
     capped at ``mcrep`` over the number of terms of the routes that fit,
     so ``n_draws``, which counts every lattice point evaluated, a route
     not taken included, never passes ``mcrep``.  The last route that runs
@@ -1143,7 +1137,9 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
     combines those of the terms and the sum of the bounds of the terms
     taken as 0, and it is exact when every term is.  An
     inexact sum whose terms show no spread (its only inexact terms are
-    zeros) carries the standard error of one hit in ``mcrep``.
+    zeros) carries the standard error of one hit in ``mcrep``, and any
+    other at least the rounding of the sum, ``eps`` times its value and
+    the terms' values.
     """
     m = len(systems)
     table = _table(systems)
@@ -1155,15 +1151,16 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
         first = max((i for i in range(m) if known[i] is not None), key=lambda i: known[i].value)
         wanted.append(((first,), derived_seed(seed, 3)))
     limit = min(mcrep, _MAX_TERMS)
-    routes = []
+    routes, listed = [], False
     for pivots, route_seed in wanted:
         terms = table.terms(pivots)
+        listed |= terms is not None  # within _MAX_TERMS: a larger mcrep fits it
         if terms is not None and len(terms) <= limit - sum(len(t) for _, t, _ in routes):
             routes.append((pivots, terms, route_seed))
     if not routes:
         raise NumericError(
             f"the complement needs more than {limit} lattice terms on every "
-            "route (increase mcrep)"
+            "route" + (" (increase mcrep)" if listed else "")
         )
     routes.sort(key=lambda route: route[0] == every)  # the walk runs last
     cap = mcrep // max(sum(len(terms) for _, terms, _ in routes), 1)
@@ -1354,12 +1351,17 @@ def _term_target(v, n, mcrep) -> float:
 
 
 def _sum_estimate(value, terms, points, mcrep) -> ProbEstimate:
-    """The clamped value of a sum of ``terms``, with their combined error."""
+    """The clamped value of a sum of ``terms``, with their combined error,
+    at least the rounding the sum can carry, ``eps`` times the value and
+    the terms' values."""
     value = min(max(value, 0.0), 1.0)
     if all(est.exact for est in terms):
         return ProbEstimate(value, 0.0, True, 0)
     se = math.sqrt(sum(est.std_error**2 for est in terms))
-    return ProbEstimate(value, se or _one_hit_se(mcrep), False, points)
+    if not se:
+        return ProbEstimate(value, _one_hit_se(mcrep), False, points)
+    rounding = _EPS * (value + sum(est.value for est in terms))
+    return ProbEstimate(value, max(se, rounding), False, points)
 
 
 def _half_space_bound(a, C, df) -> float:

@@ -385,6 +385,18 @@ class TestTestHypotheses:
         with pytest.raises(Exception, match="H2"):
             run_hypotheses(two_effect_fit, "x1>0; zzz>0", seed=1)
 
+    def test_unlabelled_error_gets_the_hypothesis_label(self, two_effect_fit, monkeypatch):
+        """An error raised without a label, here from the kernel, is raised
+        again as the same type with its hypothesis' label in front."""
+
+        def fail(*args):
+            raise NumericError("boom")
+
+        monkeypatch.setattr(bfreg.engine, "mvt_constraint_prob", fail)
+        with pytest.raises(NumericError) as info:
+            run_hypotheses(two_effect_fit, "x1>0", seed=1)
+        assert type(info.value) is NumericError and str(info.value) == "H1: boom"
+
     def test_prior_weight_count_message_mentions_complement(
         self, two_effect_fit
     ):
@@ -937,7 +949,8 @@ class TestGeneratedComplements:
         mcrep 20000: Hc's f_ie and c_ie lie within 4 combined standard
         errors of the share of 100000 raw draws in which no hypothesis
         holds, whose standard error is that of at least one hit and one
-        miss.  Many sets have one hypothesis nearly certain, and in at
+        miss, and no inexact factor's standard error is below the spacing
+        of doubles at its value.  Many sets have one hypothesis nearly certain, and in at
         least five of them a complement term's half-space bound is below
         1e-9, far below what any term there is refined to, so it is
         bounded rather than sampled."""
@@ -974,6 +987,7 @@ class TestGeneratedComplements:
                 p = min(max(ref, 1.0 / n_draws), 1.0 - 1.0 / n_draws)
                 se = np.hypot(est.std_error, np.sqrt(p * (1.0 - p) / n_draws))
                 assert abs(est.value - ref) < 4 * se, (case, text)
+                assert est.exact or est.std_error >= np.spacing(est.value), (case, text)
             checked += 1
             bounded += min(bounds, default=1.0) < 1e-9
         assert checked >= 25 and bounded >= 5

@@ -1512,8 +1512,20 @@ class TestComplementProb:
         ref = oracle_complement_prob(d, systems, 400_000, seed=331)
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
         assert abs(est.value - ref.value) < 4 * se
-        with pytest.raises(NumericError, match="complement"):
+        with pytest.raises(NumericError, match=r"complement.*\(increase mcrep\)$"):
             complement_prob(d, systems, [None] * 3, 6, seed=330)
+
+    def test_no_budget_advice_past_the_term_limit(self):
+        """13 systems of two random rows have more than ``_MAX_TERMS``
+        terms on every route, inclusion-exclusion's subsets and the walk's
+        leaves alike, so no budget fits them and the error does not advise
+        a larger mcrep."""
+        rng = np.random.default_rng(1313)
+        d = MultivariateT(np.zeros(4), np.eye(4), 5.0)
+        systems = [(rng.standard_normal((2, 4)), np.zeros(2)) for _ in range(13)]
+        with pytest.raises(NumericError, match="complement") as info:
+            complement_prob(d, systems, [None] * 13, 1_000_000, seed=1)
+        assert "mcrep" not in str(info.value)
 
     def test_pivot_sets_agree(self):
         """Inclusion-exclusion (no pivot), the pieces of one system and the
