@@ -29,13 +29,14 @@ row, four rows through the location, and pairs of correlation +-(1 -
 its fit, a complement whose intersection term repeats a row and a
 hypothesis that repeats one of its own rows.  Four
 k5 texts at one seed use every operand form of the grammar, so the bit
-check covers the parser too.  Two cases are the text reports instead:
-the README demo with every ``--show`` table, and the k5 screen with its
-Bayes factor matrices.  Three cases run the CLI itself: the README
-command, ``--hyp exploratory`` on its data (the JSON's exploratory
-mode), and ``x1<0; x1>0`` on a fit where ``Pr(x1 < 0)`` underflows (the
-JSON's non-finite numbers).  A case that raises records its error
-instead.
+check covers the parser too.  Three cases are the text reports instead:
+the README demo and, on the k5 fit, a lattice factor that reads an
+inexact 0 beside exact ones, each with every ``--show`` table, and the
+k5 screen with its Bayes factor matrices.  Three cases run the CLI
+itself: the README command, ``--hyp exploratory`` on its data (the
+JSON's exploratory mode), and ``x1<0; x1>0`` on a fit where ``Pr(x1 <
+0)`` underflows (the JSON's non-finite numbers).  A case that raises
+records its error instead.
 
 Usage:
     python scripts/dump_outputs.py OUT [--root CHECKOUT]
@@ -142,6 +143,9 @@ FAR_TAIL_DF1 = (
 # Hc's lattice terms whose bounds are negligible before the others refine
 # but not after: their sum falls back to estimating them (seed 1).
 FALLBACK_HYPOTHESES = "x1>0.1; x2<-0.2; x3>x4=0.5; x4<(x1,x2)>0.05"
+# H3's f_ie is a lattice estimate of 0 (seed 1), so its ci90 is None while
+# it is inexact; H1 and H2 are exact and no complement is added.
+INEXACT_ZERO_HYPOTHESES = "x1>0; x1<0; x1>x2>x3>30"
 # Rows of rank 2 under fixed laws: (name, location, scale, df, rows, bounds
 # or None for rows through the location).
 NEAR_ONE = 1.0 - 1e-8
@@ -338,6 +342,10 @@ def cases(tmp):
 
     yield f"k5 seed=1 fallback {FALLBACK_HYPOTHESES}", lambda: cli.render_json(
         engine.test_hypotheses(fit, FALLBACK_HYPOTHESES, mcrep=K5_MCREP, seed=1), formula
+    )
+    yield f"k5 seed=1 text {INEXACT_ZERO_HYPOTHESES}", lambda: cli.render_test_text(
+        engine.test_hypotheses(fit, INEXACT_ZERO_HYPOTHESES, mcrep=K5_MCREP, seed=1),
+        ALL_TABLES,
     )
     for text in PARSE_HYPOTHESES:
         yield f"k5 seed={PARSE_SEED} parse {text!r}", lambda text=text: cli.render_json(

@@ -222,7 +222,7 @@ def render_test_text(res: TestResult, show) -> str:
                 places = _ci_places(comp.bf, *comp.ci90)
                 rows.append([_fmt(x, places) for x in (comp.bf, *comp.ci90)])
         note = ""
-        if all(comp.ci90 is None for comp in res.components):
+        if not any(comp.uses_mc for comp in res.components):
             note = "\n(all Bayes factors are exact; no Monte Carlo error)"
         parts.append(
             "Bayes factors vs. unconstrained (90% credibility interval):\n\n"

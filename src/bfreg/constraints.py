@@ -44,6 +44,7 @@ conditional factorization.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -102,13 +103,17 @@ def fractional_posterior_beta(fit: RegressionFit, b: float) -> MultivariateT:
 
 def warn_if_inexact(label: str, exact: bool) -> None:
     """Warn unless ``label``'s prior center is exact; the warning is
-    attributed to the caller of this function's caller."""
+    attributed to the first frame outside the bfreg package, whichever
+    function that frame called."""
     if not exact:
+        frame, level = sys._getframe(1), 2
+        while frame and frame.f_globals.get("__name__", "").startswith(f"{__package__}."):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"{label}: the stacked constraint system has no exact "
             "solution; the prior is centered on its least-squares point",
             ConstraintCenterWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 

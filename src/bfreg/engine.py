@@ -12,9 +12,10 @@ constraint boundary, f_IE the posterior probability of the inequality
 region (conditioned on the equalities when both parts are present) and
 c_IE the same probability under the relocated prior.  Densities are
 handled in log space throughout; only the probability factors ever carry
-estimation error, that of a randomly shifted lattice rule, and single-row
-inequality systems take an exact CDF path.  The automatic complement
-covers whatever region the stated inequality-only hypotheses leave free.
+estimation error, that of a randomly shifted lattice rule; rows of rank
+2 or less, and cones of 3 rows or less through the law's location, are
+exact (:func:`~bfreg.numkernel._path`).  The automatic complement covers
+whatever region the stated inequality-only hypotheses leave free.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class BFComponents:
     ``c_e``/``f_e`` are prior/posterior densities (None without an
     equality part), ``c_ie``/``f_ie`` prior/posterior constraint
     probabilities (None without an inequality part).  ``ci90`` is a 90%
-    interval for ``bf`` when estimation error is present, else None.
+    interval for ``bf``, None unless ``uses_mc`` (see :func:`_ratio_ci90`).
     """
 
     label: str
@@ -191,26 +192,25 @@ def _log_posteriors(log_bf, w=None) -> np.ndarray:
 
 
 def bf_matrix(components) -> np.ndarray:
-    """Pairwise Bayes factors ``B[i, j] = bf_i / bf_j``."""
-    b = np.array(
-        [c.bf if isinstance(c, BFComponents) else float(c) for c in components]
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return b[:, None] / b[None, :]
+    """Pairwise Bayes factors ``B[..., i, j] = bf_i / bf_j`` of a sequence of
+    :class:`BFComponents` or numbers, or of an array of Bayes factors along
+    its last axis: shape ``(k, 3)`` gives ``(k, 3, 3)``."""
+    if not isinstance(components, np.ndarray):
+        components = [c.bf if isinstance(c, BFComponents) else float(c) for c in components]
+    b = np.asarray(components, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return b[..., :, None] / b[..., None, :]
 
 
 def _ratio_ci90(bf, f_est: ProbEstimate, c_est: ProbEstimate):
-    """Delta-method 90% interval on log B for a ratio of estimated proportions."""
-    if not (f_est.std_error > 0 or c_est.std_error > 0):
+    """Delta-method 90% interval on log B for a ratio of estimated
+    proportions (an exact one has standard error 0 and adds nothing); None
+    when both are exact, or when ``f_est`` or ``bf`` reads 0."""
+    if (f_est.exact and c_est.exact) or f_est.value <= 0 or bf <= 0:
         return None
-    if f_est.value <= 0 or bf <= 0:
-        return None
-    var = 0.0
-    if f_est.std_error > 0:
-        var += (f_est.std_error / f_est.value) ** 2
-    if c_est.std_error > 0:
-        var += (c_est.std_error / c_est.value) ** 2
-    h = _Z90 * math.sqrt(var)
+    h = _Z90 * math.sqrt(
+        (f_est.std_error / f_est.value) ** 2 + (c_est.std_error / c_est.value) ** 2
+    )
     return (bf * math.exp(-h), bf * math.exp(h))
 
 
@@ -272,13 +272,7 @@ def bf_unconstrained(
     its hypotheses.
     """
     label = cs.label
-    if cs.q_E:
-        ts = build_transform(cs, fit)
-    elif cs.k != fit.k:  # build_transform's checks: without equalities no rotation is needed
-        raise InvalidInputError(f"hypothesis is over {cs.k} coefficients, model has {fit.k}")
-    else:
-        warn_if_inexact(label, cs.reduction.center_exact)
-
+    ts = build_transform(cs, fit)
     c_e = f_e = None
     c_ie = f_ie = None
     log_bf = 0.0
@@ -512,7 +506,6 @@ def exploratory_test(
         )
         bf = np.exp(log_bf)
         f_e, c_e = np.exp(log_f), np.exp(log_c)
-        matrices = bf[:, :, None] / bf[:, None, :]
     half = ProbEstimate(0.5, 0.0, True, 0)
     lt, gt = ([ProbEstimate(p, 0.0, True, 0) for p in a.tolist()] for a in (f_lt, f_gt))
     columns = (a.tolist() for a in (f_e, c_e, log_bf, bf))
@@ -528,7 +521,7 @@ def exploratory_test(
         coef_names=fit.coef_names,
         post_probs=_log_posteriors(log_bf),
         components=components,
-        bf_matrices=dict(zip(fit.coef_names, matrices)),
+        bf_matrices=dict(zip(fit.coef_names, bf_matrix(bf))),
         seed=seed,
         mcrep=int(mcrep),
     )

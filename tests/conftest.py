@@ -45,6 +45,15 @@ def make_random_fit(seed, n: int = 50, k: int = 3, beta=None, sigma=1.0):
     return fit_ols(data, "y ~ " + " + ".join(names[1:]))
 
 
+def make_k5_dataset() -> Dataset:
+    """The k = 5 data of scripts/dump_outputs.py: n = 200, an intercept of
+    0.2 and slopes .5, .3, .1, -.1 on independent standard normals."""
+    rng = np.random.default_rng(2018)
+    x = rng.standard_normal((200, 4))
+    y = 0.2 + x @ np.array([0.5, 0.3, 0.1, -0.1]) + rng.standard_normal(200)
+    return Dataset(("y", "x1", "x2", "x3", "x4"), np.column_stack([y, x]))
+
+
 @pytest.fixture
 def two_effect_fit():
     return make_two_effect_fit()

@@ -12,7 +12,7 @@ import pytest
 
 from bfreg import Dataset
 from bfreg.cli import main
-from conftest import make_two_effect_dataset
+from conftest import make_k5_dataset, make_two_effect_dataset
 
 # Exact Bayes factors for the all-analytic pair "x1=x2=0; x1>x2=0" on
 # the two-effect dataset; the complement is the unit factor because no
@@ -141,6 +141,29 @@ class TestTextOutput:
         assert "NA" not in cells
         lb, ub = float(cells[1]), float(cells[2])
         assert lb < float(cells[0]) < ub
+
+    @pytest.mark.filterwarnings("ignore::bfreg.errors.ConstraintCenterWarning")
+    def test_ci_table_notes_no_exactness_beside_an_inexact_zero(self, capsys, tmp_path):
+        """H3's posterior factor is a lattice estimate that reads 0: its
+        interval is NA, but it is not exact, so the note must not say all
+        factors are.  H1 and H2 are exact and no complement is added (the
+        union's inexact prior center still warns as Hc)."""
+        path = write_csv(tmp_path / "k5.csv", make_k5_dataset())
+        argv = [
+            "test", "--data", path, "--formula", "y ~ x1 + x2 + x3 + x4",
+            "--hyp", "x1>0; x1<0; x1>x2>x3>30", "--mcrep", "40000", "--seed", "1",
+        ]
+        code, out, _ = run_cli(capsys, *argv, "--output", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert [c["label"] for c in doc["bf_unconstrained"]] == ["H1", "H2", "H3"]
+        h3 = doc["bf_unconstrained"][2]
+        assert h3["f_ie"]["value"] == 0.0 and not h3["f_ie"]["exact"]
+        assert h3["ci90"] is None
+        code, out, _ = run_cli(capsys, *argv, "--show", "ci")
+        assert code == 0
+        assert "90% credibility interval" in out
+        assert "(all Bayes factors are exact" not in out
 
     def test_bf_matrix_table(self, capsys, csv_path):
         code, out, _ = run_cli(
@@ -522,6 +545,32 @@ class TestFailures:
         )
         assert code == 1
         assert "automatic complement" in err
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ("1,two", "--prior-probs must be 'equal' or comma-separated numbers, got '1,two'"),
+            ("1,0", "--prior-probs weights must be positive"),
+            ("1,-2", "--prior-probs weights must be positive"),
+            ("1,inf", "--prior-probs weights must be positive"),
+        ],
+    )
+    def test_bad_prior_probs(self, capsys, csv_path, weights, message):
+        code, _, err = run_cli(
+            capsys, *base_test_args(csv_path, "x1=0", "--prior-probs", weights)
+        )
+        assert code == 1
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("env", ["seven", "1.5"])
+    def test_non_integer_env_seed(self, capsys, csv_path, monkeypatch, env):
+        monkeypatch.setenv("BFREG_SEED", env)
+        code, _, err = run_cli(
+            capsys,
+            "test", "--data", csv_path, "--formula", "y ~ x1 + x2", "--hyp", "x1=0",
+        )
+        assert code == 1
+        assert err == f"error: BFREG_SEED must be an integer, got {env!r}\n"
 
     def test_mcrep_floor(self, capsys, csv_path):
         code, _, err = run_cli(

@@ -274,3 +274,16 @@ class TestConditionalXiI:
         ts = build_transform(cs, two_effect_fit)
         with pytest.raises(InvalidInputError):
             conditional_xiI(two_effect_fit, ts, 1.0, np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1 > x2", "hypothesis has no equality constraints"),
+            ("(Intercept) = x1 = x2 = 0", "no free directions remain after the equalities"),
+        ],
+    )
+    def test_needs_equalities_and_a_free_direction(self, two_effect_fit, text, message):
+        cs = parse_one(text, two_effect_fit.coef_names)
+        ts = build_transform(cs, two_effect_fit)
+        with pytest.raises(InvalidInputError, match=message):
+            conditional_xiI(two_effect_fit, ts, 1.0, np.zeros(ts.q_E))

@@ -32,6 +32,7 @@ from bfreg.engine import bf_unconstrained
 from bfreg.hyparse import prior_center, validate
 from bfreg.numkernel import _SHIFTS, _blocks, _path, derived_seed
 from conftest import (
+    make_k5_dataset,
     make_random_fit,
     make_two_effect_dataset,
     make_two_effect_fit,
@@ -63,6 +64,9 @@ HC_BF = 0.6056912063764605
 B31 = 26.29883097038439
 
 THREE_HYP = "x1=x2=0; (x1,x2)>0; x1>x2=0"
+
+# The two calls that meet one hypothesis with a fit, as ``call(fit, cs)``.
+TRANSFORM_AND_FACTOR = (lambda fit, cs: build_transform(cs, fit), bf_unconstrained)
 
 
 def parse_one(text, coefs):
@@ -99,6 +103,10 @@ class TestPosteriorProbabilities:
         with pytest.raises(InvalidInputError):
             posterior_probabilities([1.0, 2.0], prior_probs=[1.0])
 
+    def test_rejects_no_bayes_factors(self):
+        with pytest.raises(InvalidInputError, match="need a nonempty vector"):
+            posterior_probabilities([])
+
     def test_all_zero_scores_is_numeric_error(self):
         with pytest.raises(NumericError):
             posterior_probabilities([0.0, 0.0])
@@ -132,6 +140,13 @@ class TestBfMatrix:
 
 class TestBfUnconstrainedTwoEffect:
     """The deterministic scenario pins every component analytically."""
+
+    @pytest.mark.parametrize("call", TRANSFORM_AND_FACTOR, ids=["build_transform", "bf_unconstrained"])
+    @pytest.mark.parametrize("text", ["x1 > 0", "1 > x1 > 0", "x1 > x2 = 0"])
+    def test_rejects_a_hypothesis_over_other_coefficients(self, two_effect_fit, call, text):
+        cs = parse_one(text, ("(Intercept)", "x1", "x2", "x3"))
+        with pytest.raises(InvalidInputError, match="hypothesis is over 4 coefficients, model has 3"):
+            call(two_effect_fit, cs)
 
     def test_equality_only_hypothesis(self, two_effect_fit):
         cs = parse_one("x1=x2=0", two_effect_fit.coef_names)
@@ -340,7 +355,44 @@ class TestBfUnconstrainedTwoEffect:
         assert validate(cs).n_trivial_rows == 1
 
 
+class TestCenterWarningLocation:
+    """A ConstraintCenterWarning names the line that called into bfreg,
+    whichever entry point it took and whichever hypothesis kind warned."""
+
+    @staticmethod
+    def _located(call):
+        """``(label, filename)`` of each center warning ``call()`` raises."""
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            call()
+        return [
+            (str(w.message).split(":")[0], w.filename)
+            for w in record
+            if w.category is ConstraintCenterWarning
+        ]
+
+    @pytest.mark.parametrize(
+        "text, labels",
+        [("1 > x1 > x2 = 0", ["H1"]), ("1 > x1 > 0", ["H1", "Hc"]), ("x1 > 1; x1 < 0", ["Hc"])],
+    )
+    def test_through_test_hypotheses(self, two_effect_fit, text, labels):
+        located = self._located(
+            lambda: run_hypotheses(two_effect_fit, text, mcrep=20_000, seed=3)
+        )
+        assert located == [(label, __file__) for label in labels]
+
+    @pytest.mark.parametrize("call", TRANSFORM_AND_FACTOR, ids=["build_transform", "bf_unconstrained"])
+    def test_direct_calls(self, two_effect_fit, call):
+        cs = parse_one("1 > x1 > 0", two_effect_fit.coef_names)
+        assert self._located(lambda: call(two_effect_fit, cs)) == [("H1", __file__)]
+
+
 class TestTestHypotheses:
+    @pytest.mark.parametrize("mcrep", [0, -5, 0.5])
+    def test_rejects_nonpositive_mcrep(self, two_effect_fit, mcrep):
+        with pytest.raises(InvalidInputError, match="mcrep must be positive"):
+            run_hypotheses(two_effect_fit, "x1>0", mcrep=mcrep)
+
     def test_two_effect_full_run(self, two_effect_fit):
         res = run_hypotheses(
             two_effect_fit, THREE_HYP, mcrep=1_000_000, seed=42
@@ -682,12 +734,8 @@ class TestComplement:
 
 
 def _k5_fit():
-    """The k = 5 fit of scripts/dump_outputs.py: n = 200, slopes .5, .3, .1, -.1."""
-    rng = np.random.default_rng(2018)
-    x = rng.standard_normal((200, 4))
-    y = 0.2 + x @ np.array([0.5, 0.3, 0.1, -0.1]) + rng.standard_normal(200)
-    data = Dataset(("y", "x1", "x2", "x3", "x4"), np.column_stack([y, x]))
-    return fit_ols(data, "y ~ x1 + x2 + x3 + x4")
+    """The k = 5 fit of scripts/dump_outputs.py."""
+    return fit_ols(make_k5_dataset(), "y ~ x1 + x2 + x3 + x4")
 
 
 def _posterior_t(fit, b):

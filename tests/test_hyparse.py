@@ -459,6 +459,11 @@ class TestConstraintSystemType:
         with pytest.raises(InvalidInputError, match="finite"):
             ConstraintSystem("H1", "bad", empty, [], [[0, 1, 0]], [-np.inf])
 
+    @pytest.mark.parametrize("r_E, r_I", [([0.0, 1.0], [0.0]), ([0.0], [])])
+    def test_bound_length_mismatch_rejected(self, r_E, r_I):
+        with pytest.raises(InvalidInputError, match="bounds have the wrong length"):
+            ConstraintSystem("H1", "bad", np.eye(3)[:1], r_E, np.eye(3)[1:2], r_I)
+
     def test_width_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             ConstraintSystem(

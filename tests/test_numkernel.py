@@ -108,6 +108,18 @@ class TestMvtLogpdf:
         with pytest.raises(DecompositionError):
             mvt_logpdf(np.zeros(2), d)
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (np.zeros(3), r"point has shape \(3,\), expected \(2,\)"),
+            (np.array([0.0, np.inf]), "non-finite"),
+            (np.array([np.nan, 0.0]), "non-finite"),
+        ],
+    )
+    def test_bad_point_rejected(self, x, message):
+        with pytest.raises(InvalidInputError, match=message):
+            mvt_logpdf(x, MultivariateT(np.zeros(2), np.eye(2), 3.0))
+
 
 def _exact_log_gamma_step(n, d):
     """``log Gamma(n + d/2) - log Gamma(n)`` for integers ``n >= 1`` and
@@ -153,6 +165,12 @@ class TestLogGammaRatio:
 class TestTCdf:
     def test_symmetry_point(self):
         assert t_cdf(0.0, 1.0) == 0.5
+
+    @pytest.mark.parametrize("df", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("x", [1.0, np.array([-1.0, 1.0])])
+    def test_bad_df_rejected(self, x, df):
+        with pytest.raises(InvalidInputError, match="df must be a positive finite number"):
+            t_cdf(x, df)
 
     def test_cauchy_closed_form(self):
         assert t_cdf(1.0, 1.0) == pytest.approx(0.75, abs=1e-14)
@@ -303,6 +321,23 @@ def _within_4_se(est, t_hits):
 
 
 class TestMvtConstraintProb:
+    @pytest.mark.parametrize(
+        "R, r, n_draws, message",
+        [
+            ([[1.0, np.nan]], [0.0], 100, "constraint matrix must be a finite 2-d array"),
+            ([[1.0, 0.0], [0.0, np.inf]], [0.0, 0.0], 100, "finite 2-d array"),
+            ([[1.0, 0.0]], [0.0, 0.0], 100, "constraint bound has the wrong length"),
+            ([[1.0, 0.0], [0.0, 1.0]], [0.0], 100, "constraint bound has the wrong length"),
+            ([[1.0, 0.0]], [np.nan], 100, "constraint bound contains non-finite entries"),
+            ([[1.0, 0.0]], [-np.inf], 100, "constraint bound contains non-finite entries"),
+            ([[1.0, 0.0]], [0.0], 0, "n_draws must be at least 1"),
+        ],
+    )
+    def test_bad_input_rejected(self, R, r, n_draws, message):
+        d = MultivariateT(np.zeros(2), np.eye(2), 5.0)
+        with pytest.raises(InvalidInputError, match=message):
+            mvt_constraint_prob(d, R, r, n_draws, seed=1)
+
     def test_univariate_symmetric_exact(self):
         d = MultivariateT(np.zeros(1), np.eye(1), 5.0)
         est = mvt_constraint_prob(d, np.eye(1), np.zeros(1), 1000, seed=1)
