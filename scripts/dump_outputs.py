@@ -20,12 +20,16 @@ of its terms are loosest,
 ``df_as_printed``, the exploratory screen of the k5 fit and of a fit
 whose ``Pr(x1 < 0)`` underflows (every factor of every coefficient), a
 five-row chain off and through the location of a fixed t law (the
-lattice rule; off the location at 7 and at 1 degree of freedom, and at
-1 degree of freedom with a budget of one point per lattice shift), rows
+lattice rule off the location, at 7 and at 1 degree of freedom, and at
+1 degree of freedom with a budget of one point per lattice shift;
+Plackett's reduction through it), rows
 of rank 2 off the location of fixed t laws (the angular rule: a pair at
 1 degree of freedom, a pair near 1e-13 at 193, a strip cut by a third
 row, four rows through the location, and pairs of correlation +-(1 -
-1e-8), just above the factor's rank-1 cut-over), the README demo and, on
+1e-8), just above the factor's rank-1 cut-over), centred cones of full
+rank (four rows whose correlation is not exchangeable, which Plackett's
+reduction takes, and five rows just below its cut-over, which the
+lattice does), the README demo and, on
 its fit, a complement whose intersection term repeats a row and a
 hypothesis that repeats one of its own rows.  Four
 k5 texts at one seed use every operand form of the grammar, so the bit
@@ -146,6 +150,25 @@ FALLBACK_HYPOTHESES = "x1>0.1; x2<-0.2; x3>x4=0.5; x4<(x1,x2)>0.05"
 # H3's f_ie is a lattice estimate of 0 (seed 1), so its ci90 is None while
 # it is inexact; H1 and H2 are exact and no complement is added.
 INEXACT_ZERO_HYPOTHESES = "x1>0; x1<0; x1>x2>x3>30"
+# Centred cones of full rank under fixed laws, as RANK2_CASES: four rows
+# whose correlation is not exchangeable (Plackett's reduction), and the five
+# coordinates of an exchangeable law of correlation -0.2448, each of
+# residual variance 0.0975 given the others, just below the reduction's
+# cut-over (the lattice).
+CENTRED_CASES = (
+    (
+        "four rows df=4",
+        (0.5, -1.0, 2.0, 0.3),
+        ((2.0, 0.5, 0.3, 0.1), (0.5, 1.0, 0.2, 0.4), (0.3, 0.2, 1.5, -0.3), (0.1, 0.4, -0.3, 1.0)),
+        4.0, ((1, 0, 0, 0), (0, 1, -1, 0), (0, 0, 1, 0), (1, 0, 0, -1)), None,
+    ),
+    (
+        "five rows below the cut-over df=6",
+        (0.0, 1.0, 2.0, 3.0, 4.0),
+        tuple(tuple(1.0 if i == j else -0.2448 for j in range(5)) for i in range(5)),
+        6.0, tuple(tuple(int(i == j) for j in range(5)) for i in range(5)), None,
+    ),
+)
 # Rows of rank 2 under fixed laws: (name, location, scale, df, rows, bounds
 # or None for rows through the location).
 NEAR_ONE = 1.0 - 1e-8
@@ -381,6 +404,8 @@ def cases(tmp):
     )
     for name, *law in RANK2_CASES:
         yield f"rank 2 {name}", lambda law=law: _region_prob(numkernel, *law)
+    for name, *law in CENTRED_CASES:
+        yield f"centred cone {name}", lambda law=law: _region_prob(numkernel, *law)
     yield "complement far tail df=1", lambda: _complement_json(numkernel, *FAR_TAIL_DF1)
 
     demo_fit = model.RegressionFit(

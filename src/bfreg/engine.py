@@ -13,8 +13,10 @@ region (conditioned on the equalities when both parts are present) and
 c_IE the same probability under the relocated prior.  Densities are
 handled in log space throughout; only the probability factors ever carry
 estimation error, that of a randomly shifted lattice rule; rows of rank
-2 or less, and cones of 3 rows or less through the law's location, are
-exact (:func:`~bfreg.numkernel._path`).  The automatic complement covers
+2 or less, cones of 3 rows or less through the law's location, and
+well-conditioned cones of 4 or 5 rows of full rank through it (such as
+the prior factor of a chain over 5 or 6 coefficients) are exact
+(:func:`~bfreg.numkernel._path`).  The automatic complement covers
 whatever region the stated inequality-only hypotheses leave free.
 """
 
@@ -344,8 +346,8 @@ def bf_complement(
     prior probability of the union of their regions, the prior centered
     by :func:`~bfreg.hyparse.prior_center` on all their reduced rows
     (those a system's own rows imply are gone; warning as Hc when
-    inexact).  ``1 - U`` is a sum of region probabilities by
-    inclusion-exclusion or by disjoint pieces
+    inexact, unless the complement is not returned).  ``1 - U`` is a sum
+    of region probabilities by inclusion-exclusion or by disjoint pieces
     (:func:`~bfreg.numkernel.complement_prob`), exact when every term is;
     a hypothesis' own ``f_ie`` (and its ``c_ie`` when its prior center is
     the union's) stands for its term when precise enough.  Terms share
@@ -368,7 +370,6 @@ def bf_complement(
     known = [comp.f_ie for _, comp in ineq]
     f_ie = complement_prob(post, rows, known, mcrep, derived_seed(seed, 1))
     center, exact = _table(rows).center  # prior_center of every row, kept with the rows
-    warn_if_inexact("Hc", exact)
     known = [
         comp.c_ie if np.array_equal(cs.reduction.center, center) else None
         for cs, comp in ineq
@@ -376,6 +377,7 @@ def bf_complement(
     c_ie = complement_prob(prior.relocate(center), rows, known, mcrep, derived_seed(seed, 2))
     if c_ie.value < _EXHAUSTION_TOL + 3.0 * c_ie.std_error:
         return None
+    warn_if_inexact("Hc", exact)  # only for a complement that is returned
     with np.errstate(divide="ignore"):
         log_bf = float(np.log(f_ie.value)) - math.log(c_ie.value)
     bf = _exp(log_bf)

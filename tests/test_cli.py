@@ -484,6 +484,25 @@ class TestImport:
             for est in (comp["c_ie"], comp["f_ie"]):
                 assert est is None or (est["exact"] and est["n_draws"] == 0)
 
+    def test_quadrature_nodes_are_built_on_first_use(self, csv_path):
+        """Importing bfreg builds no Gauss-Legendre nodes, and neither it
+        nor the README command loads ``numpy.polynomial``: the command
+        builds the angular rule's nodes only, not those of Plackett's
+        reduction, which it does not reach."""
+        code = (
+            "import sys, bfreg, bfreg.cli\n"
+            "from bfreg import numkernel as nk\n"
+            "def state():\n"
+            "    return ('numpy.polynomial' in sys.modules, nk._gauss_legendre.cache_info().currsize,\n"
+            "            nk._plackett_rule.cache_info().currsize)\n"
+            "before = state()\n"
+            "bfreg.cli.main(sys.argv[1:])\n"
+            "print(before, state())\n"
+        )
+        args = ("test", "--data", csv_path, "--formula", "y ~ x1 + x2", "--hyp", README_HYP)
+        out = _cold_process(code, *args, "--output", "json", "--seed", "1")
+        assert out.rsplit("\n", 2)[-2] == "(False, 0, 0) (False, 1, 0)"
+
     def test_rank_three_takes_the_lattice(self, csv_path):
         """Rows of rank 3 still take the lattice, and with it scipy.special."""
         args = ("test", "--data", csv_path, "--formula", "y ~ x1 + x2", "--hyp", RANK3_HYP)

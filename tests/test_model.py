@@ -10,6 +10,7 @@ from bfreg import (
     Dataset,
     FormulaError,
     InvalidInputError,
+    RegressionFit,
     fit_ols,
     load_csv,
     standardize,
@@ -267,3 +268,81 @@ class TestDatasetType:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             Dataset(("a", "b"), np.ones((3, 1)))
+
+
+def _fit(**changed):
+    """``RegressionFit`` of three coefficients at n = 10, with ``changed``
+    fields."""
+    fields = dict(
+        coef_names=("(Intercept)", "x1", "x2"),
+        beta_hat=np.zeros(3),
+        s2=1.0,
+        xtx_inv=np.eye(3),
+        n=10,
+        k=3,
+    )
+    fields.update(changed)
+    return RegressionFit(**fields)
+
+
+class TestInputRaises:
+    """Each input check of ``bfreg.model`` raises its own error."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Dataset(("a",), np.ones(3)), "2-d array"),
+            (lambda: Dataset(("a", "b"), np.ones((2, 2, 1))), "2-d array"),
+            (lambda: Dataset(("a", "b"), [[1.0, np.inf]]), "non-finite"),
+            (lambda: Dataset(("a", "b"), [[1.0, np.nan]]), "non-finite"),
+            (lambda: _fit(beta_hat=np.zeros(2)), "inconsistent fit dimensions"),
+            (lambda: _fit(xtx_inv=np.eye(2)), "inconsistent fit dimensions"),
+            (lambda: _fit(coef_names=("x1", "x2")), "inconsistent fit dimensions"),
+            (lambda: _fit(s2=0.0), "s2 must be positive and finite"),
+            (lambda: _fit(s2=-1.0), "s2 must be positive and finite"),
+            (lambda: _fit(s2=np.inf), "s2 must be positive and finite"),
+            (lambda: _fit(s2=np.nan), "s2 must be positive and finite"),
+            (lambda: _fit(n=4), r"n >= k \+ 2"),
+            (lambda: standardize(Dataset(("a",), np.ones((1, 1)))), "at least two rows"),
+            (
+                lambda: standardize(Dataset(("a",), np.arange(3.0)[:, None]), which=("b",)),
+                "unknown column 'b'",
+            ),
+        ],
+    )
+    def test_data_error(self, make, message):
+        with pytest.raises(DataError, match=message):
+            make()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "no data"),
+            ("\n , \n\n", "no data"),
+            ("y,,x\n1,2,3\n", "blank column name"),
+            ("y, \n1,2\n", "blank column name"),
+        ],
+    )
+    def test_csv_data_error(self, tmp_path, text, message):
+        with pytest.raises(DataError, match=message):
+            load_csv(_write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "formula, message",
+        [
+            (" ~ x1", "missing a response"),
+            ("y ~ x1 - 0", "'- 0' is not a valid formula term"),
+            ("y ~ x1 - x2", "cannot remove term 'x2'"),
+            ("y ~ -1", "empty model"),
+            ("y ~ 0", "empty model"),
+            ("nope ~ x1", "response 'nope' is not a data column"),
+        ],
+    )
+    def test_formula_error(self, two_effect_data, formula, message):
+        with pytest.raises(FormulaError, match=message):
+            fit_ols(two_effect_data, formula)
+
+    def test_plus_one_restores_the_intercept(self, two_effect_data):
+        """``+ 1`` after ``0`` keeps the intercept: the last one stands."""
+        fit = fit_ols(two_effect_data, "y ~ 0 + x1 + 1")
+        assert fit.coef_names == ("(Intercept)", "x1")

@@ -387,15 +387,16 @@ class TestMvtConstraintProb:
         assert abs(est.value - ref.value) < 4 * ref.value * ref.rel_error_bound
 
     def test_centred_chain_takes_the_lattice_path(self):
-        """Five rows through the location: the lattice rule without df.
+        """Six rows through the location: the lattice rule without df
+        (four and five rows take Plackett's reduction, ``TestPlackett``).
 
         The estimate reruns to the same bits, stays within its draw
         budget, and agrees with t draws of the same law.
         """
         rng = np.random.default_rng(70)
-        s = rng.standard_normal((6, 6))
-        d = MultivariateT(rng.standard_normal(6), s @ s.T + np.eye(6), 3.0)
-        chain = np.eye(6)[:-1] - np.eye(6)[1:]
+        s = rng.standard_normal((7, 7))
+        d = MultivariateT(rng.standard_normal(7), s @ s.T + np.eye(7), 3.0)
+        chain = np.eye(7)[:-1] - np.eye(7)[1:]
         r_vec = chain @ d.location
         n = 300_000
         est = mvt_constraint_prob(d, chain, r_vec, n, seed=71)
@@ -416,7 +417,9 @@ class TestMvtConstraintProb:
         Random correlations; the bounds are either scattered around the
         location or, for q >= 4, the location itself (a centred cone).  Two
         rows off the location are exact (the angular rule) and are held to
-        the same draws.
+        the same draws.  Centred cones of 4 and 5 rows can be exact
+        (Plackett's reduction), so they go to the lattice directly
+        (``_lattice_only``).
         """
         rng = np.random.default_rng(100 + 10 * q + int(df) + centred)
         s = rng.standard_normal((7, 7))
@@ -427,7 +430,8 @@ class TestMvtConstraintProb:
             r_vec += 0.5 * rng.standard_normal(q) * np.sqrt(
                 np.diag(r_mat @ d.scale @ r_mat.T)
             )
-        est = mvt_constraint_prob(d, r_mat, r_vec, 1_000_000, seed=101)
+        prob = _lattice_only if centred and q <= 5 else mvt_constraint_prob
+        est = prob(d, r_mat, r_vec, 1_000_000, seed=101)
         assert est.exact == (q == 2) and (est.n_draws == 0) == est.exact
         assert est.n_draws <= 1_000_000
         ref = oracle_inequality_prob(d, r_mat, r_vec, 400_000, seed=102)
@@ -447,12 +451,13 @@ class TestMvtConstraintProb:
         assert mvt_constraint_prob(d, np.eye(5), r_vec, 200_000, seed=112) != a
 
     def test_centred_cone_does_not_depend_on_df(self):
-        """A cone through the location drops the radial coordinate."""
+        """A cone through the location drops the radial coordinate: six
+        rows, which the lattice takes."""
         rng = np.random.default_rng(120)
-        s = rng.standard_normal((5, 5))
-        scale = s @ s.T + np.eye(5)
-        loc = rng.standard_normal(5)
-        chain = np.eye(5)[:-1] - np.eye(5)[1:]
+        s = rng.standard_normal((7, 7))
+        scale = s @ s.T + np.eye(7)
+        loc = rng.standard_normal(7)
+        chain = np.eye(7)[:-1] - np.eye(7)[1:]
         est = [
             mvt_constraint_prob(
                 MultivariateT(loc, scale, df), chain, chain @ loc, 100_000, seed=121
@@ -529,8 +534,9 @@ class TestMvtConstraintProb:
         Twenty random systems (q 2 to 6, df 1, 5 or 60, off the apex or
         centred) at twenty seeds each, against the same rule with a
         standard error target 100 times finer.  Two rows off the apex take
-        the exact angular rule in ``mvt_constraint_prob``; here they go to
-        the lattice directly (``_lattice_only``).
+        the exact angular rule in ``mvt_constraint_prob``, and centred
+        cones of 4 or 5 rows can take Plackett's reduction; here they go
+        to the lattice directly (``_lattice_only``).
         """
         rng = np.random.default_rng(140)
         z = []
@@ -540,9 +546,10 @@ class TestMvtConstraintProb:
             s = rng.standard_normal((q, q))
             d = MultivariateT(rng.standard_normal(q), s @ s.T + 0.5 * np.eye(q), df)
             r_vec = d.location + 0.7 * rng.standard_normal(q)
-            if q > 3 and k % 2 == 0:
+            centred = q > 3 and k % 2 == 0
+            if centred:
                 r_vec = d.location
-            prob = _lattice_only if q == 2 else mvt_constraint_prob
+            prob = _lattice_only if q == 2 or centred and q <= 5 else mvt_constraint_prob
             hp = prob(d, np.eye(q), r_vec, 10**10, seed=1000 + k)
             for seed in range(20):
                 est = prob(d, np.eye(q), r_vec, 1_000_000, seed=seed)
@@ -768,6 +775,167 @@ class TestAngularRule:
             d = MultivariateT(np.array([1.0, -2.0]), np.eye(2), df)
             est = mvt_constraint_prob(d, R, R @ d.location, 10_000, seed=1)
             assert est.exact and abs(est.value - (np.pi - 1.0) / (2.0 * np.pi)) <= 1e-15
+
+
+def _smallest_residual_variance(C):
+    """The smallest variance of a row of ``C`` given all the others."""
+    return 1.0 / np.linalg.inv(C).diagonal().max()
+
+
+def _edge_correlation(rng, q, factor):
+    """A random correlation of ``q`` rows whose smallest residual variance
+    is ``factor`` times ``_PLACKETT_MIN_VAR``: ``(1 - s) I + s C0`` for a
+    nearly singular ``C0`` of rows of rank ``q - 1`` (centred ones, whose
+    correlations are negative, half the time), ``s`` found by bisection."""
+    G = rng.standard_normal((q, q - 1))
+    if rng.random() < 0.5:
+        G -= G.mean(axis=0)
+    C0 = _correlation(G @ G.T + 1e-9 * np.eye(q))
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        s = 0.5 * (lo + hi)
+        C = (1.0 - s) * np.eye(q) + s * C0
+        if _smallest_residual_variance(C) >= factor * numkernel._PLACKETT_MIN_VAR:
+            lo = s
+        else:
+            hi = s
+    return (1.0 - lo) * np.eye(q) + lo * C0
+
+
+def _orthant_at_nodes(n, C):
+    """``_centred_orthant_prob(C)`` with ``n`` nodes in Plackett's rule."""
+    nodes = numkernel._PLACKETT_NODES
+    try:
+        numkernel._PLACKETT_NODES = n
+        numkernel._plackett_rule.cache_clear()
+        return numkernel._centred_orthant_prob(C)
+    finally:
+        numkernel._PLACKETT_NODES = nodes
+        numkernel._plackett_rule.cache_clear()
+
+
+def _accepted_cone(rng, q, df):
+    """A random law of dimension ``q + 3`` and ``q`` random rows through its
+    location whose correlation passes the cut-over of Plackett's rule."""
+    while True:
+        d = _random_law(rng, q + 3, df)
+        R = rng.standard_normal((q, q + 3))
+        C = _correlation(R @ d.scale @ R.T)
+        if _smallest_residual_variance(C) >= numkernel._PLACKETT_MIN_VAR:
+            return d, R, R @ d.location
+
+
+def _centred_path(C):
+    """``_path`` of the cone ``Y > 0`` for a centred ``Y`` of correlation ``C``."""
+    q = C.shape[0]
+    return _path(MultivariateT(np.zeros(q), C, 5.0), np.eye(q), np.zeros(q))
+
+
+class TestPlackett:
+    """Centred cones of 4 and 5 rows of full rank: Plackett's reduction to
+    a 1-d integral of the closed forms of 2 and 3 rows."""
+
+    @pytest.mark.parametrize("q", [4, 5])
+    def test_against_a_rule_of_1024_nodes(self, q):
+        """Within 1e-12 relative of the same reduction at 1024 nodes over
+        random correlations: 30 of random rows and 30 on the edge of the
+        cut-over, their smallest residual variance 1.001 times
+        ``_PLACKETT_MIN_VAR``, where the rule is least accurate.  Each is
+        exact on ``_path``; the same edges at 0.999 times the cut-over go
+        to the lattice."""
+        rng = np.random.default_rng(460 + q)
+        cones = []
+        while len(cones) < 30:
+            s = rng.standard_normal((q, q + 2))
+            C = _correlation(s @ s.T)
+            if _smallest_residual_variance(C) >= numkernel._PLACKETT_MIN_VAR:
+                cones.append(C)
+        cones += [_edge_correlation(rng, q, 1.001) for _ in range(30)]
+        for C in cones:
+            est = _centred_path(C)
+            assert isinstance(est, ProbEstimate) and est.exact
+            assert abs(est.value - _orthant_at_nodes(1024, C)) <= 1e-12 * est.value
+        for _ in range(5):
+            assert isinstance(_centred_path(_edge_correlation(rng, q, 0.999)), numkernel._Lattice)
+
+    def test_order_chains(self):
+        """``x1 > ... > x6`` (5 rows) and ``x1 > ... > x5`` (4 rows) through
+        the location of an exchangeable law: 1/720 and 1/120."""
+        for k, want in ((6, 1.0 / 720.0), (5, 1.0 / 120.0)):
+            d = MultivariateT(np.arange(k, dtype=float), np.eye(k) + 0.5, 3.0)
+            chain = np.eye(k)[:-1] - np.eye(k)[1:]
+            est = mvt_constraint_prob(d, chain, chain @ d.location, 1_000_000, seed=1)
+            assert est.exact and est.std_error == 0.0 and est.n_draws == 0
+            assert abs(est.value - want) <= 1e-12 * want
+
+    def test_row_order_and_reflection(self):
+        """Permuting the rows, or negating every row and bound (the cone
+        reflected through its apex), leaves the probability within 1e-12
+        relative."""
+        rng = np.random.default_rng(470)
+        for k in range(12):
+            d, R, r = _accepted_cone(rng, 4 + k % 2, 5.0)
+            est = mvt_constraint_prob(d, R, r, 1000, seed=1)
+            others = [(R[p], r[p]) for p in (rng.permutation(len(R)) for _ in range(6))]
+            for R2, r2 in [(R, r), *others, (-R, -r)]:
+                other = mvt_constraint_prob(d, R2, r2, 1000, seed=1)
+                assert other.exact and abs(other.value - est.value) <= 1e-12 * est.value
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (2, 3)])
+    def test_independent_blocks_multiply(self, sizes):
+        """A block-diagonal correlation, its rows interleaved, has the
+        product of the blocks' orthant probabilities: Sheppard's ``1/4 +
+        asin(rho) / (2 pi)`` and Plackett's ``1/8 + sum asin(rho_ij) / (4
+        pi)``, to 1e-12 relative."""
+        rng = np.random.default_rng(480 + sum(sizes))
+        q, checked = sum(sizes), 0
+        for _ in range(8):
+            blocks = [_correlation(s @ s.T) for s in (rng.standard_normal((m, m + 1)) for m in sizes)]
+            want = 1.0
+            for B in blocks:
+                m = B.shape[0]
+                angles = sum(np.arcsin(B[i, j]) for i in range(m) for j in range(i + 1, m))
+                want *= 0.5**m + angles / (2 ** (m - 1) * np.pi)
+            C = np.zeros((q, q))
+            C[:2, :2], C[2:, 2:] = blocks
+            p = rng.permutation(q)
+            C = C[np.ix_(p, p)]
+            if _smallest_residual_variance(C) < numkernel._PLACKETT_MIN_VAR:
+                continue
+            est = _centred_path(C)
+            assert est.exact and abs(est.value - want) <= 1e-12 * want
+            checked += 1
+        assert checked >= 5
+
+    def test_does_not_depend_on_df(self):
+        """The same cone at df 1, 5 and 60 gives the same bits."""
+        d, R, r = _accepted_cone(np.random.default_rng(490), 5, 1.0)
+        ests = [
+            mvt_constraint_prob(MultivariateT(d.location, d.scale, df), R, r, 1000, 1)
+            for df in (1.0, 5.0, 60.0)
+        ]
+        assert ests[0].exact and len({e.value.hex() for e in ests}) == 1
+
+    @pytest.mark.parametrize("q", [4, 5])
+    def test_against_the_lattice(self, q):
+        """Within 4 SE of the lattice at 2^20 points on two random laws."""
+        rng = np.random.default_rng(500 + q)
+        for k in range(2):
+            d, R, r = _accepted_cone(rng, q, 4.0)
+            est = mvt_constraint_prob(d, R, r, 1000, seed=1)
+            assert est.exact
+            *_, ref = numkernel._lattice_prob(*_lattice_args(d, R, r), d.df, 501 + k, 1 << 20)
+            assert ref.n_draws == 1 << 20 and abs(est.value - ref.value) < 4 * ref.std_error
+
+    def test_what_stays_on_the_lattice(self):
+        """Centred cones of rank 3 with 4 rows, and of 6 rows, take the
+        lattice."""
+        d = _random_law(np.random.default_rng(510), 6, 5.0)
+        rank3 = np.array([[1, 0, -1, 0], [1, 0, 0, -1], [0, 1, -1, 0], [0, 1, 0, -1]], dtype=float)
+        R4 = np.column_stack([rank3, np.zeros((4, 2))])
+        R6 = np.eye(6)
+        for R in (R4, R6):
+            assert isinstance(_path(d, R, R @ d.location), numkernel._Lattice)
 
 
 class TestHalfSpaceBound:
