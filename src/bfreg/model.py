@@ -94,14 +94,22 @@ def _is_missing(cell: str) -> bool:
 def load_csv(path, delimiter=",") -> Dataset:
     """Read a delimited text file with a header row into a :class:`Dataset`.
 
-    Numeric columns are parsed as floats.  Non-numeric columns with
-    exactly two distinct values are coded 0/1 in order of first
-    appearance; any other non-numeric column is rejected.  Rows containing
-    a missing cell (empty, NA, NaN, null) are dropped and counted in
-    ``n_dropped``.
+    The file is read as UTF-8; a leading byte-order mark, as spreadsheet
+    programs write, is dropped.  Numeric columns are parsed as floats.
+    Non-numeric columns with exactly two distinct values are coded 0/1 in
+    order of first appearance; any other non-numeric column is rejected.
+    Rows containing a missing cell (empty, NA, NaN, null) are dropped and
+    counted in ``n_dropped``.  :class:`~bfreg.errors.DataError` is raised
+    for a ``delimiter`` that is not one character and for a file that is
+    not UTF-8.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh, delimiter=delimiter)]
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise DataError(f"delimiter {delimiter!r} is not one character")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = [row for row in csv.reader(fh, delimiter=delimiter)]
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
     rows = [row for row in rows if row and any(c.strip() != "" for c in row)]
     if not rows:
         raise DataError(f"{path}: no data")

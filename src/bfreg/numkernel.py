@@ -89,13 +89,14 @@ subtracted terms add no more variance than its added ones.  The terms
 share the budget; a route whose terms do not fit it is skipped.  A
 term's row that another of its rows implies (a positive multiple with a
 bound no tighter) is left out of it.  What depends on the rows alone
-(the signed table of rows, their parallel pairs and pieces, the terms
-of each pivot set and the union's prior center) is worked out once per
-distinct row content and kept, for the last ``_TABLES`` contents, in a
-read-only :class:`_Table`.  Only the estimates depend on the law, the
-seed and the budget.  The pair tests and the prior center are those of
-:mod:`bfreg.hyparse`, which owns every fact about constraint rows, so
-the parser and the kernel decide them alike.
+(the signed table of rows, their parallel pairs and pieces, the
+disjoint systems and the union's prior center, computed when the table
+is made, and the terms of each pivot set, on first use) is worked out
+once per distinct row content and kept, for the last ``_TABLES``
+contents, in a read-only :class:`_Table`.  Only the estimates depend on
+the law, the seed and the budget.  The pair tests and the prior center
+are those of :mod:`bfreg.hyparse`, which owns every fact about
+constraint rows, so the parser and the kernel decide them alike.
 
 A complement term left to the lattice need not be sampled when it
 cannot move the sum.  For any ``lam >= 0`` over its rows, ``lam' Y``
@@ -107,9 +108,11 @@ is at most ``_NEGLIGIBLE`` of the smallest target its sum can set
 waits, unstarted, and is taken as 0 when the waiting terms' bounds sum
 to at most ``_NEGLIGIBLE`` of the other terms' combined standard error,
 which that sum then joins; otherwise it is estimated like the others
-(:func:`_term_sum`).  On the benchmark's ``order-mc``, six of the seven
-lattice terms of the complement's posterior factor lie beyond 1e-12 and
-wait, and one lattice term starts.
+(:func:`_term_sum`).  Every term starts in one place, on its path
+computed at most once, whether it starts at once, after waiting, or
+when its ``known`` estimate misses its target.  On the benchmark's
+``order-mc``, six of the seven lattice terms of the complement's
+posterior factor lie beyond 1e-12 and wait, and one lattice term starts.
 
 Every path takes the rows it is given as they are.  Deciding rows the
 equalities leave without coefficient content, and dropping rows another
@@ -137,6 +140,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -1197,8 +1201,9 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
 
     ``known`` holds, per system, an estimate of its own probability under
     ``dist`` (a component's factor) or None.  They bound ``1 - U <= 1 -
-    max p_i``.  When ``mcrep (1 - max p_i) < 1``, where a sample of
-    ``mcrep`` would see no miss, the route under the likeliest system is
+    max p_i``, where one scan finds the likeliest known system.  When
+    ``mcrep (1 - max p_i) < 1``, where a sample of ``mcrep`` would see
+    no miss, the route under the likeliest system is
     tried first (with two or more systems); otherwise inclusion-exclusion
     is.  The route tried stands when its standard error is within the
     binomial one of its value at ``mcrep``, and the likeliest system's
@@ -1221,8 +1226,9 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
     the lattice whose half-space bound (:func:`_half_space_bound`) is
     negligible waits, unstarted, and is 0 within its bound when the
     waiting terms' bounds together are negligible beside the others'
-    standard error; otherwise it is estimated like the rest
-    (:func:`_term_sum`).
+    standard error; otherwise it is estimated like the rest.  A known
+    estimate and a bound are provisional: a term starts, on its path
+    computed at most once, in one place (:func:`_term_sum`).
 
     Each term needs at least one lattice point, so a route fits when its
     terms fit in ``mcrep`` (and ``_MAX_TERMS``) beside those of the routes
@@ -1245,12 +1251,12 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
     """
     m = len(systems)
     table = _table(systems)
-    p_max = max((est.value for est in known if est is not None), default=0.0)
-    near_one = mcrep * (1.0 - p_max) < 1.0  # a sample of mcrep would see no miss
+    first = max((i for i in range(m) if known[i]), key=lambda i: known[i].value, default=None)
+    # the likeliest known system is so likely that a sample of mcrep would see no miss
+    near_one = first is not None and mcrep * (1.0 - known[first].value) < 1.0
     every = tuple(range(m))
     wanted = [((), seed), (every, seed)] if not near_one else [(every, seed)]
     if m >= 2 and near_one:
-        first = max((i for i in range(m) if known[i] is not None), key=lambda i: known[i].value)
         wanted.append(((first,), derived_seed(seed, 3)))
     limit = min(mcrep, _MAX_TERMS)
     routes, listed = [], False
@@ -1308,49 +1314,37 @@ class _Table:
     negation, row ``n + k``, of the signed table ``rows x > bounds``, and
     one table of the pairs of parallel rows that conflict or imply one
     another (:func:`bfreg.hyparse._parallel_pairs`) serves every check.
-    ``own`` holds each system's rows, ``pieces`` its pieces that do not
-    conflict in themselves, and ``disjoint[i][j]`` whether systems ``i``
-    and ``j`` conflict.  The pairs, pieces, the terms of each pivot set
-    (:meth:`terms`) and the union's prior center (:attr:`center`) are
-    computed on first use and kept."""
+    ``pairs`` holds ``(conflict, implied)`` of the signed rows, ``own``
+    each system's rows, ``pieces`` its pieces that do not conflict in
+    themselves, ``disjoint[i][j]`` whether systems ``i`` and ``j``
+    conflict, and ``center`` the read-only
+    :func:`~bfreg.hyparse.prior_center` of every system's rows stacked and
+    whether it is exact.  These are computed when the table is made:
+    every table reaches :func:`_terms`, which reads the first four, and
+    the engine reads the center of every table it builds.  Only the terms
+    of each pivot set (:meth:`terms`) are computed on first use and
+    kept."""
 
     def __init__(self, systems):
         A = np.vstack([R for R, _ in systems])
         a = np.concatenate([r for _, r in systems])
         self.rows = _read_only(np.vstack([A, -A]))
         self.bounds = _read_only(np.concatenate([a, -a]))
+        self.pairs = tuple(_read_only(m) for m in _parallel_pairs(self.rows, self.bounds))
+        conflict, n, m = self.pairs[0], len(a), len(systems)
         ends = np.cumsum([len(r) for _, r in systems])[:-1]
-        self.own = [_read_only(ix) for ix in np.split(np.arange(len(a)), ends)]
-        self._terms = {}
-
-    @functools.cached_property
-    def pairs(self):
-        """``(conflict, implied)`` of the signed rows."""
-        return tuple(_read_only(m) for m in _parallel_pairs(self.rows, self.bounds))
-
-    @functools.cached_property
-    def pieces(self):
-        n, (conflict, _) = len(self.bounds) // 2, self.pairs
-        return [
+        own = self.own = [_read_only(ix) for ix in np.split(np.arange(n), ends)]
+        self.pieces = [
             [(j, _read_only(P)) for j, P in _pieces(ix, n) if not conflict[np.ix_(P, P)].any()]
-            for ix in self.own
+            for ix in own
         ]
-
-    @functools.cached_property
-    def disjoint(self):
-        own, m = self.own, len(self.own)
-        return [
-            [i != j and bool(self.pairs[0][np.ix_(own[i], own[j])].any()) for j in range(m)]
+        self.disjoint = [
+            [i != j and bool(conflict[np.ix_(own[i], own[j])].any()) for j in range(m)]
             for i in range(m)
         ]
-
-    @functools.cached_property
-    def center(self):
-        """:func:`~bfreg.hyparse.prior_center` of every system's rows stacked:
-        the read-only center and whether it is exact."""
-        n = len(self.bounds) // 2
-        center, exact = prior_center(self.rows[:n], self.bounds[:n])
-        return _read_only(center), exact
+        center, exact = prior_center(A, a)
+        self.center = _read_only(center), exact
+        self._terms = {}
 
     def terms(self, pivots):
         """:func:`_terms` under ``pivots`` up to ``_MAX_TERMS`` (None past them)."""
@@ -1523,72 +1517,82 @@ def _term_sum(dist, pivots, terms, table, known, mcrep, seed, cap):
     plus the :func:`_terms` under ``pivots``, each signed ``(-1)^|S|``, and
     whether the subtracted terms' variance is at most the added terms'.
 
-    A term's stream is ``derived_seed(seed, 1, *S)`` without a piece and
-    ``(2, *node, *S)`` with one.  A subset none of whose terms is positive
-    is not extended, and a ``known`` estimate stands for the term of its
-    system alone unless it is inexact and misses the target, when that
-    term is estimated afresh.  ``table`` is a :class:`_Table`.
+    Each term is one record: its subset ``S``, its rows of the signed
+    table, its stream key, ``(1, *S)`` without a piece and ``(2, *node,
+    *S)`` with one, its :func:`_path` once computed, its estimate, and
+    its finer estimates once started.  A subset none of whose terms is
+    positive is not extended.  ``table`` is a :class:`_Table`.
 
-    A term left to the lattice waits, unstarted, when its bound
-    (:func:`_half_space_bound`) is at most ``_NEGLIGIBLE`` of ``floor``,
-    the smallest target the sum can set (:func:`_term_target` at ``v = 1 /
-    mcrep`` over every term): it keeps its subset live and counts as an
-    inexact term for the target, so no other term refines less for it.
-    Once the others are refined, the waiting terms are 0 within the sum of
-    their bounds when that sum is at most ``_NEGLIGIBLE`` of the others'
-    combined standard error, and it joins that error; otherwise they are
-    started and refined as the others were."""
-    items = []  # [subset, row indices, estimate, finer estimates or None for a known one]
-    waiting = {}  # index in items -> (lattice path, stream key) of the terms not started
+    A term starts in one place: its path is computed at most once, its
+    first estimate taken on ``derived_seed(seed, *key)`` and refined to
+    the target at hand.  Most terms start at once; two kinds take a
+    provisional estimate instead.  The term of a system alone takes its
+    ``known`` estimate.  A term left to the lattice takes ``0`` within
+    its bound (:func:`_half_space_bound`) and waits when that bound is at
+    most ``_NEGLIGIBLE`` of ``floor``, the smallest target the sum can set
+    (:func:`_term_target` at ``v = 1 / mcrep`` over every term): it keeps
+    its subset live and counts as an inexact term for the target, so no
+    other term refines less for it.  Once the started terms set the
+    target and refine to it, an unstarted term starts when its
+    provisional estimate is inexact and misses the target, which a
+    waiting bound never does.  The waiting terms are then 0 within the
+    sum of their bounds when that sum is at most ``_NEGLIGIBLE`` of the
+    others' combined standard error, and it joins that error; otherwise
+    they start too."""
     floor = _term_target(1.0 / mcrep, len(terms), mcrep)
-    live = {()}
+    items, live = [], {()}
+
+    def start(t, target):
+        """Start the term ``t`` on its path, computed once, and refine it to ``target``."""
+        if t.path is None:
+            t.path = _path(dist, table.rows[t.ix], table.bounds[t.ix])
+        est, t.blocks = _start(t.path, derived_seed(seed, *t.key), cap)
+        t.est = _refine(est, t.blocks, target)
+
+    def waits(t):
+        """Whether ``t`` waits on its bound: its path is computed, and it is
+        not started (a ``known`` estimate has no path until it starts)."""
+        return t.blocks is None and t.path is not None
+
     for S, node, ix in terms:
         if any(S[:k] + S[k + 1 :] not in live for k in range(len(S))):
             continue
+        key = (2, *node, *S) if node else (1, *S)
+        t = SimpleNamespace(S=S, ix=ix, key=key, path=None, est=None, blocks=None)
+        items.append(t)
         if not node and len(S) == 1 and known[S[0]] is not None:
-            est, blocks = known[S[0]], None
+            t.est = known[S[0]]
         else:
-            key = (2, *node, *S) if node else (1, *S)
-            path = _path(dist, table.rows[ix], table.bounds[ix])
-            if isinstance(path, _Lattice):
-                bound = _half_space_bound(path.a, path.C, path.df)
-                if bound <= _NEGLIGIBLE * floor:
-                    # 0 within its bound, below every target: it stays unrefined
-                    waiting[len(items)] = path, key
-                    items.append([S, ix, ProbEstimate(0.0, bound, False, 0), None])
-                    live.add(S)
-                    continue
-            est, blocks = _start(path, derived_seed(seed, *key), cap)
-        items.append([S, ix, est, blocks])
-        if est.value > 0.0:
+            t.path = _path(dist, table.rows[ix], table.bounds[ix])
+            if isinstance(t.path, _Lattice):
+                bound = _half_space_bound(t.path.a, t.path.C, t.path.df)
+                if bound <= _NEGLIGIBLE * floor:  # 0 within its bound, below every target
+                    t.est = ProbEstimate(0.0, bound, False, 0)
+            if t.est is None:
+                start(t, math.inf)  # refined once the started terms set the target
+        if t.est.value > 0.0 or waits(t):
             live.add(S)
     base = 0.0 if pivots else 1.0
 
     def value():
-        return base - sum((-1) ** (len(S) + 1) * est.value for S, _, est, _ in items)
+        return base - sum((-1) ** (len(t.S) + 1) * t.est.value for t in items)
 
-    target = _term_target(value(), sum(not est.exact for _, _, est, _ in items), mcrep)
-    for item in items:
-        S, ix, est, blocks = item
-        if blocks is None:
-            if est.exact or est.std_error <= target:
-                continue
-            path = _path(dist, table.rows[ix], table.bounds[ix])
-            est, blocks = _start(path, derived_seed(seed, 1, *S), cap)
-        item[2:] = _refine(est, blocks, target), blocks
-    ests = [est for _, _, est, _ in items]
-    if waiting:
-        bound = sum(ests[i].std_error for i in waiting)
-        rest = [est for i, est in enumerate(ests) if i not in waiting]
-        if bound <= _NEGLIGIBLE * math.sqrt(sum(est.std_error**2 for est in rest)):
-            ests = rest + [ProbEstimate(0.0, bound, False, 0)]
-        else:
-            for i, (path, key) in waiting.items():
-                est, blocks = _start(path, derived_seed(seed, *key), cap)
-                items[i][2:] = _refine(est, blocks, target), blocks
-            ests = [est for _, _, est, _ in items]
-    points = sum(est.n_draws for _, _, est, blocks in items if blocks is not None)
+    target = _term_target(value(), sum(not t.est.exact for t in items), mcrep)
+    for t in items:
+        if t.blocks is not None:
+            t.est = _refine(t.est, t.blocks, target)
+        elif not t.est.exact and t.est.std_error > target:  # never a waiting bound
+            start(t, target)
+    waiting = [t for t in items if waits(t)]
+    rest = [t.est for t in items if not waits(t)]
+    bound = sum(t.est.std_error for t in waiting)
+    if bound > _NEGLIGIBLE * math.sqrt(sum(est.std_error**2 for est in rest)):
+        for t in waiting:
+            start(t, target)
+        waiting, rest = [], [t.est for t in items]
+    ests = rest + [ProbEstimate(0.0, bound, False, 0)] if waiting else rest
+    points = sum(t.est.n_draws for t in items if t.blocks is not None)
     var = [0.0, 0.0]  # of the added terms, of the subtracted ones
-    for S, _, est, _ in items:
-        var[len(S) % 2] += est.std_error**2
+    for t in items:
+        var[len(t.S) % 2] += t.est.std_error**2
     return _sum_estimate(value(), ests, points, mcrep), var[1] <= var[0]

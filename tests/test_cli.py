@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from bfreg import Dataset
-from bfreg.cli import main
+from bfreg.cli import _ci_places, main
 from conftest import make_k5_dataset, make_two_effect_dataset
+from dump_outputs import _underflow_csv
 
 # Exact Bayes factors for the all-analytic pair "x1=x2=0; x1>x2=0" on
 # the two-effect dataset; the complement is the unit factor because no
@@ -180,6 +181,22 @@ class TestTextOutput:
         cells = h2_row.split()[1:]
         assert float(cells[0]) == pytest.approx(BF_MIXED / BF_EQ, abs=0.001)
         assert float(cells[1]) == 1.0
+
+    def test_bf_matrix_prints_inf_and_na(self, capsys, tmp_path):
+        """Where ``Pr(x1 < 0)`` underflows, H1's Bayes factor is 0: the
+        matrix prints ``Inf`` for H2 over H1 and ``NA`` for 0/0."""
+        code, out, _ = run_cli(
+            capsys,
+            "test", "--data", _underflow_csv(tmp_path), "--formula", "y ~ x1",
+            "--hyp", "x1<0; x1>0", "--seed", "3", "--show", "computation", "--show", "bf-matrix",
+        )
+        assert code == 0
+        matrix = out.split("BF matrix:", 1)[1].split()
+        assert matrix == ["H1", "H2", "H1", "NA", "0.000", "H2", "Inf", "1.000"]
+
+    def test_ci_places_widen_until_the_interval_shows(self):
+        assert _ci_places(1.0004, 1.0001, 1.0007) == 4
+        assert _ci_places(2.5, 1.0, 4.0) == 3
 
     def test_exploratory_layout_includes_intercept(self, capsys, csv_path):
         code, out, err = run_cli(
@@ -543,6 +560,38 @@ class TestFailures:
         )
         assert code == 1
         assert "distinct" in err
+
+    @pytest.mark.parametrize(
+        "content, delimiter, message",
+        [
+            ("y,x\u00e9\n", ",", "not UTF-8 text"),
+            ("y,x1\n", "\\t", "delimiter '\\\\t' is not one character"),
+            ("y,x1\n", "", "delimiter '' is not one character"),
+        ],
+    )
+    def test_unreadable_csv_is_an_error_line(self, capsys, tmp_path, content, delimiter, message):
+        """A file that is not UTF-8 and a delimiter that is not one
+        character exit 1 with one error line, not a traceback."""
+        path = tmp_path / "bad.csv"
+        path.write_bytes((content + "1,2\n2,3\n3,5\n4,4\n").encode("latin-1"))
+        code, _, err = run_cli(
+            capsys,
+            "test", "--data", str(path), "--formula", "y ~ x1", "--hyp", "x1>0",
+            "--seed", "3", "--delimiter", delimiter,
+        )
+        assert code == 1
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    def test_byte_order_mark_reads_as_without(self, capsys, tmp_path, csv_path):
+        """A file that starts with a UTF-8 byte-order mark gives the same
+        document as the file without it."""
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(csv_path).read_bytes())
+        plain, bom = (
+            run_cli(capsys, *base_test_args(path, "x1>x2>0", "--output", "json"))
+            for path in (csv_path, str(marked))
+        )
+        assert plain[0] == 0 and bom == plain
 
     def test_bad_hypothesis_names_the_label(self, capsys, csv_path):
         code, _, err = run_cli(

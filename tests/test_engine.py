@@ -28,7 +28,7 @@ from bfreg import (
     posterior_probabilities,
 )
 from bfreg.constraints import minimal_fraction
-from bfreg.engine import bf_unconstrained
+from bfreg.engine import _log_posteriors, bf_unconstrained
 from bfreg.hyparse import prior_center, validate
 from bfreg.numkernel import _SHIFTS, _blocks, _path, derived_seed
 from conftest import (
@@ -110,6 +110,11 @@ class TestPosteriorProbabilities:
     def test_all_zero_scores_is_numeric_error(self):
         with pytest.raises(NumericError):
             posterior_probabilities([0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_log_posteriors_reject_nan_and_plus_inf(self, bad):
+        with pytest.raises(InvalidInputError, match="must be finite or -inf"):
+            _log_posteriors([0.0, bad])
 
     @given(
         st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=6),
@@ -926,6 +931,77 @@ class TestComplementRoutes:
         assert abs(est.value - value) <= 1e-3 * est.std_error
         assert abs(est.std_error / se - 1.0) <= 1e-4
 
+    @pytest.mark.parametrize(
+        "text, started",
+        [
+            # the dump's fallback case: bounded terms are started after all
+            ("x1>0.1; x2<-0.2; x3>x4=0.5; x4<(x1,x2)>0.05", "bounded"),
+            # a known estimate misses its term's target and is started
+            ("x4<x1>x2>0; x4<x2>x1>0", "known"),
+        ],
+    )
+    def test_each_term_takes_its_path_once(self, monkeypatch, text, started):
+        """Within every ``_term_sum``, ``_path`` is computed at most once
+        per term: never twice on the same rows, and no more often than the
+        sum has terms, also for a term that waited on its half-space bound
+        or stood on a ``known`` estimate before it started."""
+        nk = bfreg.numkernel
+        path, bound, start, term_sum = nk._path, nk._half_space_bound, nk._start, nk._term_sum
+        calls, current = [], []
+
+        def count_path(dist, R, r):
+            out = path(dist, R, r)
+            if current:
+                current[-1]["paths"].append((R.tobytes(), r.tobytes(), out))
+            return out
+
+        def spy_bound(a, C, df):
+            out = bound(a, C, df)
+            if current:
+                current[-1]["bounds"][id(a)] = out
+            return out
+
+        def spy_start(p, seed, cap):
+            if current:
+                current[-1]["starts"].add(id(p))
+            return start(p, seed, cap)
+
+        def spy(dist, pivots, terms, table, known, mcrep, seed, cap):
+            floor = nk._term_target(1.0 / mcrep, len(terms), mcrep)
+            lone = {
+                (table.rows[ix].tobytes(), table.bounds[ix].tobytes())
+                for S, node, ix in terms
+                if not node and len(S) == 1 and known[S[0]] is not None
+            }
+            current.append(dict(paths=[], bounds={}, starts=set(), floor=floor, lone=lone))
+            out = term_sum(dist, pivots, terms, table, known, mcrep, seed, cap)
+            calls.append((len(terms), current.pop()))
+            return out
+
+        monkeypatch.setattr(nk, "_path", count_path)
+        monkeypatch.setattr(nk, "_half_space_bound", spy_bound)
+        monkeypatch.setattr(nk, "_start", spy_start)
+        monkeypatch.setattr(nk, "_term_sum", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConstraintCenterWarning)
+            run_hypotheses(_k5_fit(), text, mcrep=40_000, seed=1)
+        assert calls
+        restarted = 0
+        for n_terms, seen in calls:
+            rows = [(R, r) for R, r, _ in seen["paths"]]
+            assert len(rows) == len(set(rows)) <= n_terms
+            if started == "bounded":
+                waited = [
+                    p
+                    for _, _, p in seen["paths"]
+                    if isinstance(p, nk._Lattice)
+                    and seen["bounds"].get(id(p.a), 1.0) <= nk._NEGLIGIBLE * seen["floor"]
+                ]
+                restarted += sum(id(p) in seen["starts"] for p in waited)
+            else:
+                restarted += len(seen["lone"] & set(rows))
+        assert restarted > 0
+
     def test_terms_past_one_block_each_take_fewer_points(self):
         """43 worst-case terms (7 of inclusion-exclusion and the walk's 36
         leaves) leave less than one 1024-point block per term at mcrep
@@ -1082,6 +1158,10 @@ def _generated_chains(rng, names):
     return chains
 
 
+def _is_number(operand) -> bool:
+    return operand.lstrip("-")[0].isdigit()
+
+
 def _chain_text(operands, ops):
     return "".join(a + op for a, op in zip(operands, ops)) + operands[-1]
 
@@ -1230,6 +1310,102 @@ class TestGeneratedRewrites:
                 if not any(c.uses_mc for c in base.components + res.components):
                     assert np.abs(res.post_probs - base.post_probs).max() <= 1e-12
         assert inexact >= 100 and sum(plackett) >= 30
+
+    def test_implied_rows_change_nothing(self):
+        """On 32 generated fits (k 3 to 5, n 12 to 60) with 1 to 3
+        generated hypotheses each, at mcrep 20000 and one seed: adding to
+        the first hypothesis rows that the reduction drops leaves the
+        components, ``post_probs`` and ``bf_matrix`` bit-identical, and
+        only the echoed text and ``n_trivial_rows`` (one more per added
+        row) change.  The rows are the first comparison again, ``(a,a)>b``
+        for ``a>b``, or, before a comparison with a number, a bound one
+        weaker on each of its names, ``-0.9<(a,b)>0.1``.  At least 10
+        cases take each kind."""
+        taken = {"repeated": 0, "weaker": 0}
+        for case in range(32):
+            rng = np.random.default_rng(1700 + case)
+            k, n = int(rng.integers(3, 6)), int(rng.integers(12, 61))
+            fit = make_random_fit(1700 + case, n=n, k=k)
+            chains = _generated_chains(rng, list(fit.coef_names[1:]))
+            base_text = "; ".join(_chain_text(*c) for c in chains)
+            (operands, ops), rest = chains[0], [_chain_text(*c) for c in chains[1:]]
+            first = operands[0].strip("()").split(",")
+            variants = []
+            if ops[0] != "=":
+                repeated = "(" + ",".join(first + first[:1]) + ")"
+                variants.append(("repeated", _chain_text([repeated, *operands[1:]], ops), 1))
+            if len(operands) == 2 and ops[0] != "=" and _is_number(operands[1]):
+                weaker = float(operands[1]) + (-1.0 if ops[0] == ">" else 1.0)
+                text = f"{weaker:g}{_FLIP[ops[0]]}{_chain_text(operands, ops)}"
+                variants.append(("weaker", text, len(first)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConstraintCenterWarning)
+                try:
+                    base = run_hypotheses(fit, base_text, mcrep=20_000, seed=case + 1)
+                except bfreg.BfregError:
+                    continue
+                for kind, first_text, added in variants:
+                    text = "; ".join([first_text, *rest])
+                    res = run_hypotheses(fit, text, mcrep=20_000, seed=case + 1)
+                    where = (case, base_text, text)
+                    assert _same_result(base, res), where
+                    assert res.hypothesis_texts[0] == first_text
+                    assert res.hypothesis_texts[1:] == base.hypothesis_texts[1:], where
+                    trivial = [
+                        validate(parse_one(t, fit.coef_names)).n_trivial_rows
+                        for t in (_chain_text(*chains[0]), first_text)
+                    ]
+                    assert trivial[1] == trivial[0] + added, where
+                    taken[kind] += 1
+        assert min(taken.values()) >= 10, taken
+
+    def test_an_added_row_never_raises_the_posterior_factor(self):
+        """On 64 generated fits (k 3 to 5, n 12 to 60), each generated
+        hypothesis with one more comparison at the end of its chain, to a
+        name it does not hold or to a number, at mcrep 20000 and one seed:
+        the added row shrinks the region, so ``f_ie`` never rises by more
+        than 4 combined standard errors, or by more than 1e-12 relative
+        when both estimates are exact.  ``c_ie`` is left out: it need not
+        fall, because the prior is re-centred on the new rows: on 100 rows
+        of ``y = 0.5 x1 + e`` with ``x1`` of standard deviation 3,
+        ``x1>0`` has ``c_ie`` 1/2 and ``1>x1>0`` 0.650."""
+        checked = inexact = 0
+        for case in range(64):
+            rng = np.random.default_rng(1800 + case)
+            k, n = int(rng.integers(3, 6)), int(rng.integers(12, 61))
+            fit = make_random_fit(1800 + case, n=n, k=k)
+            names = list(fit.coef_names[1:])
+            for operands, ops in _generated_chains(rng, names):
+                held = {x for operand in operands for x in operand.strip("()").split(",")}
+                free = [x for x in names if x not in held]
+                if _is_number(operands[-1]):
+                    if not free:
+                        continue
+                    extra = str(rng.choice(free))
+                else:
+                    extra = str(rng.choice(free + ["0", "0.1", "-0.2"]))
+                longer = (operands + [extra], ops + [str(rng.choice([">", "<"]))])
+                texts = [_chain_text(operands, ops), _chain_text(*longer)]
+                pair = [parse_one(text, fit.coef_names) for text in texts]
+                try:
+                    for cs in pair:
+                        validate(cs)
+                except bfreg.BfregError:
+                    continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ConstraintCenterWarning)
+                    old, new = (bf_unconstrained(fit, cs, 20_000, case + 1).f_ie for cs in pair)
+                if old is None:  # equalities only before the added row
+                    continue
+                where = (case, *texts, old, new)
+                if old.exact and new.exact:
+                    assert new.value <= old.value * (1.0 + 1e-12), where
+                else:
+                    se = np.hypot(old.std_error, new.std_error)
+                    assert new.value <= old.value + 4.0 * se, where
+                    inexact += 1
+                checked += 1
+        assert checked >= 60 and inexact >= 40, (checked, inexact)
 
 
 def _zero_bound_chains(rng, names):

@@ -1,5 +1,7 @@
 """CSV ingestion, standardization, and OLS sufficient statistics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,18 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(str(tmp_path / "absent.csv"))
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        """A UTF-8 byte-order mark, as spreadsheet programs write one, is
+        not part of the first column name: the fit is the same as without."""
+        text = "y,x1\n1,2\n2,3.5\n3,3\n4,6\n5,4\n"
+        plain = load_csv(_write(tmp_path, text))
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        data = load_csv(str(marked))
+        assert data.column_names == plain.column_names == ("y", "x1")
+        a, b = fit_ols(plain, "y ~ x1"), fit_ols(data, "y ~ x1")
+        assert np.array_equal(a.beta_hat, b.beta_hat) and a.s2 == b.s2
 
 
 class TestStandardize:
@@ -326,6 +340,18 @@ class TestInputRaises:
     def test_csv_data_error(self, tmp_path, text, message):
         with pytest.raises(DataError, match=message):
             load_csv(_write(tmp_path, text))
+
+    @pytest.mark.parametrize("delimiter", ["\\t", "", ",;"])
+    def test_delimiter_of_other_than_one_character(self, tmp_path, delimiter):
+        path = _write(tmp_path, "y,x\n1,2\n")
+        with pytest.raises(DataError, match=re.escape(f"delimiter {delimiter!r} is not one")):
+            load_csv(path, delimiter=delimiter)
+
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("y,x\u00e9\n1,2\n".encode("latin-1"))
+        with pytest.raises(DataError, match="latin1.csv: not UTF-8 text"):
+            load_csv(str(path))
 
     @pytest.mark.parametrize(
         "formula, message",

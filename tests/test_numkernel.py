@@ -1098,6 +1098,10 @@ class TestDomainTypes:
         with pytest.raises(InvalidInputError):
             ProbEstimate(1.5, 0.0, True, 0)
 
+    def test_prob_estimate_rejects_a_negative_standard_error(self):
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            ProbEstimate(0.5, -1e-3, False, 0)
+
     def test_mvt_requires_symmetric_scale(self):
         with pytest.raises(InvalidInputError):
             MultivariateT(np.zeros(2), np.array([[1.0, 0.9], [0.0, 1.0]]), 2.0)
