@@ -29,7 +29,11 @@ row, four rows through the location, and pairs of correlation +-(1 -
 1e-8), just above the factor's rank-1 cut-over), centred cones of full
 rank (four rows whose correlation is not exchangeable, which Plackett's
 reduction takes, and five rows just below its cut-over, which the
-lattice does), the README demo and, on
+lattice does), three rows of rank 3 off the location of fixed laws (the
+trivariate rule, a system beyond its cancellation gate and one below its
+df cut-over, both on the lattice, and one whose third row holds to
+rounding and is dropped), two texts on the k5 fit whose complement lies
+near 1e-101 and 1e-142, the README demo and, on
 its fit, a complement whose intersection term repeats a row and a
 hypothesis that repeats one of its own rows.  Four
 k5 texts at one seed use every operand form of the grammar, so the bit
@@ -169,6 +173,29 @@ CENTRED_CASES = (
         6.0, tuple(tuple(int(i == j) for j in range(5)) for i in range(5)), None,
     ),
 )
+# Three rows of rank 3 off the location of fixed laws, as RANK2_CASES: the
+# trivariate rule and each of its gates.  An exchangeable correlation of
+# -0.3 at df 193 whose rule's parts add up to 57 times the sum (exact) and
+# to 72 times (beyond the cancellation gate: the lattice); the first at df
+# 20, below the df cut-over (the lattice); and a third row whose t tail is
+# below eps/4 of the other two rows' probability (dropped: the angular
+# rule on the pair).
+MINUS_03 = tuple(tuple(1.0 if i == j else -0.3 for j in range(3)) for i in range(3))
+EYE3 = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+THREE_ROW_CASES = (
+    ("trivariate rule df=193", (0.0, 0.0, 0.0), MINUS_03, 193.0, EYE3, (0.95, 0.85, 0.75)),
+    ("beyond the cancellation gate df=193", (0.0, 0.0, 0.0), MINUS_03, 193.0, EYE3, (1.0, 0.9, 0.8)),
+    ("below the df cut-over df=20", (0.0, 0.0, 0.0), MINUS_03, 20.0, EYE3, (0.95, 0.85, 0.75)),
+    (
+        "a row that holds to rounding df=996",
+        (0.0, 0.0, 0.0), ((1.0, 0.4, -0.3), (0.4, 1.0, 0.2), (-0.3, 0.2, 1.0)), 996.0, EYE3,
+        (1.2, 0.4, -11.0),
+    ),
+)
+# Two texts on the k5 fit whose complement's posterior factor lies near
+# 1e-101 and 1e-142: as a lattice estimate of one hit, its 90% interval
+# overflowed.
+FAR_TAIL_HYPOTHESES = ("(x1,x2)>-.5e-1; x3<+3", "(x1,x2)>0; x3<5")
 # Rows of rank 2 under fixed laws: (name, location, scale, df, rows, bounds
 # or None for rows through the location).
 NEAR_ONE = 1.0 - 1e-8
@@ -374,6 +401,10 @@ def cases(tmp):
         yield f"k5 seed={PARSE_SEED} parse {text!r}", lambda text=text: cli.render_json(
             engine.test_hypotheses(fit, text, mcrep=K5_MCREP, seed=PARSE_SEED), formula
         )
+    for text in FAR_TAIL_HYPOTHESES:
+        yield f"k5 seed=1 far tail {text}", lambda text=text: cli.render_json(
+            engine.test_hypotheses(fit, text, mcrep=K5_MCREP, seed=1), formula
+        )
 
     yield "k5 exploratory", lambda: _screen_json(engine.exploratory_test(fit, seed=1))
     underflow_fit = model.RegressionFit(
@@ -406,6 +437,8 @@ def cases(tmp):
         yield f"rank 2 {name}", lambda law=law: _region_prob(numkernel, *law)
     for name, *law in CENTRED_CASES:
         yield f"centred cone {name}", lambda law=law: _region_prob(numkernel, *law)
+    for name, *law in THREE_ROW_CASES:
+        yield f"three rows {name}", lambda law=law: _region_prob(numkernel, *law)
     yield "complement far tail df=1", lambda: _complement_json(numkernel, *FAR_TAIL_DF1)
 
     demo_fit = model.RegressionFit(

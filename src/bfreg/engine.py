@@ -13,9 +13,11 @@ region (conditioned on the equalities when both parts are present) and
 c_IE the same probability under the relocated prior.  Densities are
 handled in log space throughout; only the probability factors ever carry
 estimation error, that of a randomly shifted lattice rule; rows of rank
-2 or less, cones of 3 rows or less through the law's location, and
+2 or less, cones of 3 rows or less through the law's location,
 well-conditioned cones of 4 or 5 rows of full rank through it (such as
-the prior factor of a chain over 5 or 6 coefficients) are exact
+the prior factor of a chain over 5 or 6 coefficients), and three rows of
+rank 3 off it at 30 df or more within the trivariate rule's gates (such
+as the posterior factor of a chain over 3 coefficients) are exact
 (:func:`~bfreg.numkernel._path`).  The automatic complement covers
 whatever region the stated inequality-only hypotheses leave free.
 """
@@ -204,16 +206,18 @@ def bf_matrix(components) -> np.ndarray:
         return b[..., :, None] / b[..., None, :]
 
 
-def _ratio_ci90(bf, f_est: ProbEstimate, c_est: ProbEstimate):
+def _ratio_ci90(log_bf, f_est: ProbEstimate, c_est: ProbEstimate):
     """Delta-method 90% interval on log B for a ratio of estimated
     proportions (an exact one has standard error 0 and adds nothing); None
-    when both are exact, or when ``f_est`` or ``bf`` reads 0."""
-    if (f_est.exact and c_est.exact) or f_est.value <= 0 or bf <= 0:
+    when both are exact, or when ``f_est`` or B reads 0.  Its ends are
+    ``exp(log_bf -+ h)``, which saturate at 0 and inf: a relative
+    standard error past about 430 puts ``exp(h)`` beyond the float range."""
+    if (f_est.exact and c_est.exact) or f_est.value <= 0 or log_bf == -math.inf:
         return None
     h = _Z90 * math.sqrt(
         (f_est.std_error / f_est.value) ** 2 + (c_est.std_error / c_est.value) ** 2
     )
-    return (bf * math.exp(-h), bf * math.exp(h))
+    return (_exp(log_bf - h), _exp(log_bf + h))
 
 
 def _exp(log_x: float) -> float:
@@ -312,7 +316,7 @@ def bf_unconstrained(
     bf = _exp(log_bf)
     ci90 = None
     if f_ie is not None and c_ie is not None:
-        ci90 = _ratio_ci90(bf, f_ie, c_ie)
+        ci90 = _ratio_ci90(log_bf, f_ie, c_ie)
     return BFComponents(label, c_e, f_e, c_ie, f_ie, log_bf, bf, ci90)
 
 
@@ -382,7 +386,7 @@ def bf_complement(
         log_bf = float(np.log(f_ie.value)) - math.log(c_ie.value)
     bf = _exp(log_bf)
     return BFComponents(
-        "Hc", None, None, c_ie, f_ie, log_bf, bf, _ratio_ci90(bf, f_ie, c_ie)
+        "Hc", None, None, c_ie, f_ie, log_bf, bf, _ratio_ci90(log_bf, f_ie, c_ie)
     )
 
 

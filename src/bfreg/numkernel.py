@@ -30,11 +30,12 @@ it is at most ``_DEPENDENT`` depends on them, shares their column of the
 factor and bounds it from above or below (Genz and Kwong 2000).  That
 factor is the only rank rule.
 
+- closed form: one to three rows through the location, of any rank,
+  before any rank rule, from the angles between the rows in the factor
+  of the law's scale (:func:`_centred_cone_prob`, below);
 - exact interval: rows of rank 1, a single row among them, which bound
   one t variable, by the univariate t CDF (:func:`t_cdf`, in Python
   floats up to 5000 df);
-- closed form: two or three rows through the location, of any rank
-  (below);
 - Plackett's reduction: four or five rows through the location, of full
   rank, each of residual variance at least ``_PLACKETT_MIN_VAR`` given
   the others, as a one-dimensional integral of the closed forms, to
@@ -42,6 +43,16 @@ factor is the only rank rule.
 - angular rule: any other rows of rank 2, exact to rounding, as a
   one-dimensional integral over the angle of a ray in the plane of the
   factor's columns (:func:`_angular_prob`);
+- trivariate rule: three rows of rank 3 off the location.  A row whose t
+  tail is at most ``eps/4`` of the other two rows' exact probability
+  holds to rounding and is dropped, and the pair takes its path (the
+  angular rule, or the interval).  Otherwise, at df of at least
+  ``_TRIVARIATE_MIN_DF`` and on rows that pass the cut-over of
+  ``_PLACKETT_MIN_VAR``, Plackett's identity along a path of
+  correlations gives the probability as a radial integral plus
+  one-dimensional integrals of closed forms (:func:`_trivariate_prob`),
+  to about 1e-12 relative, unless its parts cancel by more than
+  ``_CANCELLATION``;
 - QMC: any other system of rank 3 or more is estimated by Genz-Bretz
   separation of variables on randomly shifted lattice points
   (:func:`_lattice_prob`).
@@ -56,12 +67,14 @@ factor is the only rank rule.
   rounding leaves them exact, and gives the bits of the formula as
   written: its time goes to ``ndtr`` and ``ndtri``.
 
-Only the lattice, the t CDF of an array and that of a scalar above 5000
-df use ``scipy.special``, which they import on first use: importing the
-package loads no scipy, and a process whose estimates are all exact at
-df up to 5000 never does (a cold ``import scipy.special`` costs more
-than the rest of a small analysis).  The Gauss-Legendre nodes of the
-exact rules are built on first use (:func:`_gauss_legendre`).
+Only the lattice, the trivariate rule, the t CDF of an array and that of
+a scalar above 5000 df use ``scipy.special``, which they import on first
+use: importing the package loads no scipy, and a process whose estimates
+are all exact by the other paths at df up to 5000 never does (a cold
+``import scipy.special`` costs more than the rest of a small analysis).
+The Gauss-Legendre nodes of the exact rules, and the Gauss-Laguerre
+nodes of the trivariate rule's radial integral at each df, are built on
+first use (:func:`_gauss_legendre`, :func:`_radial_rule`).
 
 A region probability needs the scale of the law to be positive
 semidefinite only: a singular scale makes some rows dependent, and a
@@ -106,13 +119,19 @@ Python floats finds the ``lam`` of the Mahalanobis distance from the
 location to the region (:func:`_half_space_bound`).  A term whose bound
 is at most ``_NEGLIGIBLE`` of the smallest target its sum can set
 waits, unstarted, and is taken as 0 when the waiting terms' bounds sum
-to at most ``_NEGLIGIBLE`` of the other terms' combined standard error,
-which that sum then joins; otherwise it is estimated like the others
-(:func:`_term_sum`).  Every term starts in one place, on its path
-computed at most once, whether it starts at once, after waiting, or
-when its ``known`` estimate misses its target.  On the benchmark's
-``order-mc``, six of the seven lattice terms of the complement's
-posterior factor lie beyond 1e-12 and wait, and one lattice term starts.
+to at most ``_NEGLIGIBLE`` of the larger of the other terms' combined
+standard error and ``_NEGLIGIBLE`` of the sum's value; that sum then
+joins the error.  Otherwise it is estimated like the others
+(:func:`_term_sum`).  The value's share is there for sums whose other
+terms are exact and leave no error to compare with.  A waiting term's
+bound is no sampling variance, so it does not count when the subtracted
+terms' variance is weighed against the added ones'.  Every term starts
+in one place, on its path computed at most once, whether it starts at
+once, after waiting, or when its ``known`` estimate misses its target.
+On the benchmark's ``order-mc``, the complement's posterior factor sums
+three exact pieces (the last by the trivariate rule) and six lattice
+terms beyond 1e-12, which wait: it takes no lattice point, and its
+standard error is the sum of their bounds, about 1e-5 of its value.
 
 Every path takes the rows it is given as they are.  Deciding rows the
 equalities leave without coefficient content, and dropping rows another
@@ -124,14 +143,18 @@ A cone whose apex is the location of the law (every row has ``R mu = r``
 to within ``_APEX_TOL`` of its standard deviation, as for every prior
 factor with an exact center) has the same probability under every
 elliptical law, whatever the df: the Gaussian orthant probability of the
-correlation of ``R S R'``.  With two or three rows that probability is
+correlation of ``R S R'``.  With one to three rows that probability is
 exact (Sheppard's and Plackett's formulas, which hold for a singular
-correlation too), and so, to about 1e-12 relative, with four or five
-rows of full rank that pass the cut-over of ``_PLACKETT_MIN_VAR``
-(Plackett's reduction to a one-dimensional integral of those formulas);
-with more, of rank 2, the angular rule gives the arc of the circle the
-cone cuts, and otherwise the lattice rule drops its radial coordinate,
-so the estimate does not depend on df.
+correlation too).  Their angles are taken from the rows times the
+Cholesky factor of the law's scale, not from ``R S R'``: two rows whose
+coefficients' scales differ by 1e5 are near dependence, and forming
+``R S R'`` loses half the digits of their ``1 - rho^2``.  Four or five
+rows of full rank that pass the cut-over of ``_PLACKETT_MIN_VAR`` are
+exact to about 1e-12 relative (Plackett's reduction to a
+one-dimensional integral of those formulas).  With more, of rank 2, the
+angular rule gives the arc of the circle the cone cuts, and otherwise
+the lattice rule drops its radial coordinate, so the estimate does not
+depend on df.
 """
 
 from __future__ import annotations
@@ -197,9 +220,10 @@ _TABLES = 128
 # A complement term left to the lattice waits, unstarted, while its
 # half-space bound is at most _NEGLIGIBLE of the smallest standard error
 # target its sum can set, and is taken as 0 when the waiting terms' bounds
-# sum to at most _NEGLIGIBLE of the other terms' combined standard error,
-# which the sum then joins: that error grows by a factor of at most
-# sqrt(1 + _NEGLIGIBLE^2) = 1.00005 (:func:`_term_sum`).
+# sum to at most _NEGLIGIBLE of the larger of the other terms' combined
+# standard error and _NEGLIGIBLE of the sum's value, and the sum then joins
+# the error: it grows by a factor of at most sqrt(1 + _NEGLIGIBLE^2) =
+# 1.00005, or comes to at most 1e-4 of the value (:func:`_term_sum`).
 _NEGLIGIBLE = 1e-2
 
 # The bound's coordinate ascent (:func:`_half_space_bound`) takes steps
@@ -531,13 +555,16 @@ def _beta_cf(a, b, x) -> float:
 def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimate:
     """Estimate ``Pr(R xi > r)`` for ``xi ~ dist``.
 
-    The path is chosen by :func:`_path`: rows of rank 1, a single row
-    among them, are an exact interval of the univariate t CDF, two or
-    three rows through the location a closed form, four or five through
-    it of full rank and well conditioned Plackett's reduction
+    The path is chosen by :func:`_path`: one to three rows through the
+    location are a closed form, rows of rank 1, a single row among them,
+    an exact interval of the univariate t CDF, four or five through the
+    location of full rank and well conditioned Plackett's reduction
     (:func:`_centred_orthant_prob`), other rows of rank 2 the exact
-    angular rule of :func:`_angular_prob`, and every other system of
-    rank 3 or more takes the lattice rule of
+    angular rule of :func:`_angular_prob`, and three rows of rank 3 off
+    the location, within the gates of df, conditioning and cancellation,
+    the exact trivariate rule of :func:`_trivariate_prob`, after a row
+    that holds to rounding is dropped.  Every other system of rank 3 or
+    more takes the lattice rule of
     :func:`_lattice_prob`, a weighted ratio pooled over all its points
     with a delta-method standard error, which stops once that error is at
     most the binomial one of ``n_draws`` draws and never uses more than
@@ -584,23 +611,36 @@ class _Lattice:
 
 def _path(dist: MultivariateT, R, r):
     """The estimation path of ``Pr(R xi > r)``: an exact
-    :class:`ProbEstimate`, or the :class:`_Lattice` it is left to.  This is
-    the one place where the path of a region probability is chosen.
+    :class:`ProbEstimate`, or the :class:`_Lattice` it is left to.  This
+    and :func:`_standard_path`, which it ends in, are the one place where
+    the path of a region probability is chosen.
 
     Rows of variance 0 under the scale are constants: one that fails
-    gives an exact 0, and if all hold the other rows take their path.  The
-    rows are taken under the law ``Y`` of ``R xi``: its rows are sorted by standardised bound ``a =
-    (r - mu) / sd``, largest (least likely) first, and their correlation is
-    factored by :func:`_factor`, whose rank decides the rest.  Rows of rank
-    1, a single row among them, bound one t variable and are exact, the
-    interval between their largest lower and smallest upper cut.  Two or three rows through the
-    location (the apex test of ``_APEX_TOL``), of any rank, are exact in
-    closed form, and so are four or five of full rank whose every row has
-    a residual variance given all the others (``1 / max diag C^-1``) of
-    at least ``_PLACKETT_MIN_VAR``, by Plackett's reduction
-    (:func:`_centred_orthant_prob`); that cut-over reads the same in
-    every row order.  Any other system of rank 2 is exact by the angular
-    rule of :func:`_angular_prob`.  Any other system is left to the
+    gives an exact 0, and if all hold the other rows take their path.  One
+    to three rows through the location (the apex test of ``_APEX_TOL``),
+    of any rank, are exact in closed form (:func:`_centred_cone_prob`) on
+    the rows times the Cholesky factor of the scale, before any rank rule:
+    rows near dependence keep the digits of their angle, and a row and a
+    positive multiple of it read exactly 1/2.  Otherwise the rows are taken under
+    the law ``Y`` of ``R xi``: they are sorted by standardised bound ``a =
+    (r - mu) / sd``, largest (least likely) first, and their correlation
+    is factored by :func:`_factor`, whose rank decides the rest.  Rows of
+    rank 1, a single row among them, bound one t variable and are exact,
+    the interval between their largest lower and smallest upper cut.
+    Four or five rows through the location of full rank whose every row
+    has a residual variance given all the others (``1 / max diag C^-1``)
+    of at least ``_PLACKETT_MIN_VAR`` are exact by Plackett's reduction
+    (:func:`_centred_orthant_prob`); that cut-over reads the same in every
+    row order.  Any other system of rank 2 is exact by the angular rule of
+    :func:`_angular_prob`.  Three rows of rank 3 off the location first
+    drop a row whose t tail (one ``stdtr`` call for all three) is at most
+    ``eps/4`` of the other two rows' exact probability, which the pair then
+    returns: the three rows' probability lies within that tail below it.
+    Otherwise, at df of at least ``_TRIVARIATE_MIN_DF`` and on rows that
+    pass the cut-over of ``_PLACKETT_MIN_VAR``, they are exact by the
+    trivariate rule of :func:`_trivariate_prob` unless its parts cancel by
+    more than ``_CANCELLATION``.  Each gate keeps the rule where its error
+    table stays below 1e-12 relative.  Any other system is left to the
     lattice.  More than three rows whose first three have rank 3 by that
     factor, and that are not four or five through the location, are left
     to it unfactored: the factor is taken when the lattice starts, which
@@ -620,30 +660,62 @@ def _path(dist: MultivariateT, R, r):
         return _path(dist, R[~const], r[~const])
     sd = np.sqrt(var)
     centred = bool((np.abs(mu - r) <= _APEX_TOL * sd).all())
+    if centred and q <= 3:
+        try:  # the rows in coordinates where the scale is the identity
+            M = R @ np.linalg.cholesky(dist.scale)
+        except np.linalg.LinAlgError:  # a singular scale
+            M = _factor(S / (sd[:, None] * sd))[0]
+        return ProbEstimate(_centred_cone_prob(M), 0.0, True, 0)
     a = np.zeros(q) if centred else (r - mu) / sd
     order = np.argsort(-a, kind="stable")
     a, sd = a[order], sd[order]
-    C = S[order][:, order] / (sd[:, None] * sd)
-    orthant = centred and q <= 5  # a cone _centred_orthant_prob can own
-    if q > 3 and not orthant and _factor(C[:3, :3])[0].shape[1] == 3:
+    return _standard_path(a, S[order][:, order] / (sd[:, None] * sd), df, centred)
+
+
+def _standard_path(a, C, df, centred):
+    """The path of ``Pr(Y > a)`` for a standardised t ``Y`` with ``df``
+    degrees of freedom and correlation ``C``, its rows sorted by bound,
+    largest first, and ``centred`` when every bound is at the location
+    (more than three rows): the part of :func:`_path` that reads the
+    standardised rows alone, so that a row dropped from three takes it on
+    the other two."""
+    q = len(a)
+    if q > 3 and not (centred and q <= 5) and _factor(C[:3, :3])[0].shape[1] == 3:
         return _Lattice(a, C, df)  # of rank 3 or more: factored when it starts
     L, col = _factor(C)
-    if L.shape[1] == 1:
+    rank = L.shape[1]
+    if rank == 1:
         cuts = a / L[:, 0]
         low = L[:, 0] > 0.0
         lo = float(cuts[low].max())
         hi = float(cuts[~low].min(initial=math.inf))
         p = t_cdf(-lo, df) - t_cdf(-hi, df)
         return ProbEstimate(max(p, 0.0), 0.0, True, 0)
-    if orthant and (
-        q <= 3
-        or L.shape[1] == q
-        and 1.0 / np.linalg.inv(C).diagonal().max() >= _PLACKETT_MIN_VAR
-    ):
+    if centred and q <= 5 and rank == q and _well_conditioned(C):
         return ProbEstimate(_centred_orthant_prob(C), 0.0, True, 0)
-    if L.shape[1] == 2:
+    if rank == 2:
         return ProbEstimate(_angular_prob(a, L, df), 0.0, True, 0)
+    if q == 3:  # three rows of rank 3 off the location
+        tails = t_cdf(np.concatenate([a, -a]), df).tolist()  # one stdtr call
+        fail, hold = tails[:3], tails[3:]
+        for k in (2, 1, 0):  # the row least likely to fail first
+            rest = [m for m in range(3) if m != k]
+            if fail[k] <= 0.25 * _EPS * min(hold[m] for m in rest):
+                other = _standard_path(a[rest], C[np.ix_(rest, rest)], df, False)
+                if fail[k] <= 0.25 * _EPS * other.value:  # row k holds to rounding
+                    return other
+        if df >= _TRIVARIATE_MIN_DF and _well_conditioned(C):
+            p = _trivariate_prob(a, C, df)
+            if p is not None:
+                return ProbEstimate(p, 0.0, True, 0)
     return _Lattice(a, C, df, (L, col))
+
+
+def _well_conditioned(C) -> bool:
+    """Whether every row of the correlation ``C`` has a residual variance
+    given all the others, ``1 / max diag C^-1``, of at least
+    ``_PLACKETT_MIN_VAR``; that reads the same in every row order."""
+    return 1.0 / np.linalg.inv(C).diagonal().max() >= _PLACKETT_MIN_VAR
 
 
 def _blocks(path, seed, cap):
@@ -756,22 +828,52 @@ _ANGULAR_POWER = 4
 _PLACKETT_NODES = 32
 _PLACKETT_MIN_VAR = 0.1
 
+# The trivariate rule of three rows of rank 3 off the location
+# (:func:`_trivariate_prob`) takes _RADIAL_NODES generalized Gauss-Laguerre
+# nodes for its radial integral and Plackett's nodes for its correlation
+# paths, and only at df of at least _TRIVARIATE_MIN_DF, on rows that pass
+# the cut-over of _PLACKETT_MIN_VAR, and where the parts of its sum add up
+# to at most _CANCELLATION times the sum; other systems go to the lattice.
+# Against a quadrature of the exact pair given the first row (scipy quad,
+# relative 1e-13), over 40 random systems per df (every |rho| <= 0.95,
+# bounds around the location and shifted into the tail, probabilities down
+# to 1e-37), the worst relative error within those gates was, at df 17,
+# 20, 25, 30, 60, 193 and 996: 2.2e-11, 1.5e-11, 4.3e-12, 4.9e-15, 3.0e-14,
+# 1.7e-14 and 6.6e-15.  The radial integrand is smooth in s, not in s^2,
+# so its error grows as df falls (at df 17 with 32 nodes it reached
+# 1.9e-9).  Beyond the cancellation gate the error is the rounding of the
+# parts, about 1e-16 to 1e-15 times their ratio to the sum: at df 30 and
+# above it reached 1.6e-13 at ratios up to 1e3, 9.7e-11 up to 1e5, and
+# 0.18 beyond.  Rows nearer dependence lose more: at a residual variance
+# of 6e-8 the error was 3e-9.
+_RADIAL_NODES = 48
+_TRIVARIATE_MIN_DF = 30.0
+_CANCELLATION = 64.0
+
+
+def _golub_welsch(diag, off):
+    """Nodes and weights of the Gauss rule of the probability measure whose
+    monic orthogonal polynomials have the Jacobi matrix of diagonal
+    ``diag`` and off-diagonal ``off``: its eigenvalues, and the squared
+    first components of its eigenvectors (Golub and Welsch 1969), which
+    sum to 1 whatever the measure's scale."""
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, v[0] ** 2
+
 
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n):
     """Nodes and weights of the ``n``-node Gauss-Legendre rule on (0, 1),
     built on first use (read-only: one pair serves every call).
 
-    The nodes are the eigenvalues of the Jacobi matrix of the Legendre
-    recurrence, and the weights the squared first components of its
-    eigenvectors (Golub and Welsch 1969): within 5e-15 of
+    From the Jacobi matrix of the Legendre recurrence
+    (:func:`_golub_welsch`): within 5e-15 of
     ``numpy.polynomial.legendre.leggauss``, without that module's import
     in a cold process (nor that of ``numpy.ma``, which ``np.unique``
     imports)."""
     k = np.arange(1.0, n)
-    off = k / np.sqrt(4.0 * k * k - 1.0)
-    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return _read_only((x + 1.0) / 2.0), _read_only(v[0] ** 2)
+    x, w = _golub_welsch(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
+    return _read_only((x + 1.0) / 2.0), _read_only(w)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1093,14 +1195,37 @@ def _radial(u, df):
     return s, weight
 
 
-def _centred_orthant_prob(rho) -> float:
-    """``Pr(Y > 0)`` for a centred elliptical ``Y`` of dimension 2 to 5
-    whose scale has the correlation ``rho``; it does not depend on df.
+def _centred_cone_prob(M) -> float:
+    """``Pr(M z > 0)`` for a spherical ``z`` and one to three rows ``M``,
+    singular or not; it does not depend on the law's radial part.
 
-    Two or three rows, singular or not, are closed forms: ``1/4 +
-    asin(rho_12) / (2 pi)`` (Sheppard) and ``1/8 + sum_{i<j} asin(rho_ij)
-    / (4 pi)`` (Plackett 1954, Biometrika 41).  Four or five rows, of
-    full rank, take Plackett's reduction along ``C(t) = I + t (rho - I)``:
+    The closed forms ``1/2``, ``1/4 + asin(rho_12) / (2 pi)`` (Sheppard)
+    and ``1/8 + sum_{i<j} asin(rho_ij) / (4 pi)`` (Plackett 1954,
+    Biometrika 41), with ``asin(rho_ij) = atan2(cos theta, sin theta)``
+    for the angle ``theta`` between the unit vectors ``u_i`` and ``u_j``
+    of rows ``i`` and ``j``: ``cos theta = u_i' u_j`` and ``sin theta = |u_i
+    - u_j| |u_i + u_j| / 2``.  A row and a positive multiple of it read
+    exactly 1/2 and a row and its negation exactly 0, and a pair near
+    dependence keeps the digits of its entries in ``sin theta``, which a
+    rounded ``rho_ij`` near 1 loses through ``asin``."""
+    units = [[x / math.hypot(*row) for x in row] for row in M.tolist()]
+    angles = 0.0
+    for k, u in enumerate(units):
+        for v in units[:k]:
+            cos = math.fsum(x * y for x, y in zip(u, v))
+            apart = math.hypot(*(x - y for x, y in zip(u, v)))
+            along = math.hypot(*(x + y for x, y in zip(u, v)))
+            angles += math.atan2(cos, 0.5 * apart * along)
+    q = len(units)
+    return min(1.0, max(0.0, 0.5**q + angles / (2 ** (q - 1) * math.pi)))
+
+
+def _centred_orthant_prob(rho) -> float:
+    """``Pr(Y > 0)`` for a centred elliptical ``Y`` of dimension 4 or 5 and
+    full rank whose scale has the correlation ``rho``; it does not depend
+    on df.
+
+    Plackett's reduction along ``C(t) = I + t (rho - I)``:
     ``dP/drho_ij = phi_2(0, 0; rho_ij) P_{q-2}(R_ij)``, where ``R_ij`` is
     the correlation of the other rows given rows ``i`` and ``j`` at 0,
     again centred, so that
@@ -1108,7 +1233,8 @@ def _centred_orthant_prob(rho) -> float:
         P = 2^-q + int_0^1 sum_{i<j} rho_ij phi_2(0, 0; t rho_ij)
                    P_{q-2}(R_ij(t)) dt
 
-    with ``P_{q-2}`` the closed form of two or three rows.  The integral
+    with ``P_{q-2}`` the closed form of two or three rows
+    (:func:`_centred_cone_prob`).  The integral
     is the Gauss-Legendre rule of :func:`_plackett_rule`, evaluated in one
     pass over every node and pair: given rows ``i`` and ``j``, whose
     correlation ``a = t rho_ij`` has the factor ``[[1, 0], [a, s]]``, ``s
@@ -1121,29 +1247,22 @@ def _centred_orthant_prob(rho) -> float:
     residual variance given the others is at least 0.1).
     """
     q = rho.shape[0]
-    if q > 3:
-        t, w = _plackett_rule()
-        i, j, o, k, l = _plackett_pairs(q)
-        tt = t[:, None, None]
-        c = rho[i, j]
-        a = t[:, None] * c  # (nodes, pairs)
-        s = np.sqrt(1.0 - a * a)
-        b = tt * rho[o, i[:, None]]  # (nodes, pairs, q - 2)
-        e = (tt * rho[o, j[:, None]] - a[..., None] * b) / s[..., None]
-        var = 1.0 - b * b - e * e
-        # (nodes, pairs, pairs of the other rows)
-        cov = tt * rho[o[:, k], o[:, l]] - b[..., k] * b[..., l] - e[..., k] * e[..., l]
-        m = q - 2
-        angles = np.arcsin(cov / np.sqrt(var[..., k] * var[..., l])).sum(axis=-1)
-        inner = 0.5**m + angles / (2 ** (m - 1) * math.pi)
-        density = (c * inner / s).sum(axis=-1) / (2.0 * math.pi)
-        return min(1.0, max(0.0, 0.5**q + float(w @ density)))
-    angles = sum(
-        math.asin(min(1.0, max(-1.0, float(rho[i, j]))))
-        for i in range(q)
-        for j in range(i + 1, q)
-    )
-    return min(1.0, max(0.0, 0.5**q + angles / (2 ** (q - 1) * math.pi)))
+    t, w = _plackett_rule()
+    i, j, o, k, l = _plackett_pairs(q)
+    tt = t[:, None, None]
+    c = rho[i, j]
+    a = t[:, None] * c  # (nodes, pairs)
+    s = np.sqrt(1.0 - a * a)
+    b = tt * rho[o, i[:, None]]  # (nodes, pairs, q - 2)
+    e = (tt * rho[o, j[:, None]] - a[..., None] * b) / s[..., None]
+    var = 1.0 - b * b - e * e
+    # (nodes, pairs, pairs of the other rows)
+    cov = tt * rho[o[:, k], o[:, l]] - b[..., k] * b[..., l] - e[..., k] * e[..., l]
+    m = q - 2
+    angles = np.arcsin(cov / np.sqrt(var[..., k] * var[..., l])).sum(axis=-1)
+    inner = 0.5**m + angles / (2 ** (m - 1) * math.pi)
+    density = (c * inner / s).sum(axis=-1) / (2.0 * math.pi)
+    return min(1.0, max(0.0, 0.5**q + float(w @ density)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -1167,6 +1286,89 @@ def _plackett_pairs(q):
     i, j = zip(*pairs)
     k, l = zip(*[(k, l) for k in range(q - 2) for l in range(k + 1, q - 2)])
     return tuple(_read_only(np.array(x)) for x in (i, j, o, k, l))
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _radial_rule(df):
+    """Nodes ``V``, their square roots and weights of the
+    ``_RADIAL_NODES``-node Gauss rule of
+    the chi-square law of ``df`` degrees of freedom (read-only, built on
+    first use per df): generalized Gauss-Laguerre in ``V / 2`` with
+    ``alpha = df/2 - 1`` (:func:`_golub_welsch`), whose weights, unlike
+    those of ``scipy.special.roots_genlaguerre``, do not overflow at large
+    df."""
+    alpha = 0.5 * df - 1.0
+    k = np.arange(1.0, _RADIAL_NODES)
+    x, w = _golub_welsch(2.0 * np.arange(_RADIAL_NODES) + alpha + 1.0, np.sqrt(k * (k + alpha)))
+    return _read_only(2.0 * x), _read_only(np.sqrt(2.0 * x)), _read_only(w)
+
+
+def _trivariate_prob(a, rho, df):
+    """``Pr(Y > a)`` for a standardised t ``Y`` of three rows with ``df``
+    degrees of freedom and correlation ``rho`` of full rank, or None where
+    the sum below cancels by more than ``_CANCELLATION``.
+
+    With ``Y = Z / s``, ``Z`` normal of correlation ``rho`` and ``s^2`` a
+    chi-square over df, ``P = E_s Pr(Z > s a)``.  Plackett's identity,
+    ``dPr(Z > b) / drho_ij = phi_2(b_i, b_j; rho_ij) Pr(Z_o > b_o | Z_i =
+    b_i, Z_j = b_j)``, integrated along the path that first turns on the
+    pair ``i, j`` of largest ``|rho|`` and then both correlations of the
+    third row ``p`` (Genz 2004, Stat. Comput. 14), gives ``P = A + B +
+    C``:
+
+    - ``A = E_s prod_k Phi(-s a_k)``, the rows uncorrelated, on the radial
+      rule of :func:`_radial_rule` in ``V = df s^2``, tilted by ``lam =
+      sum_{a_k > 0} a_k^2 / df``: ``A = (1 + lam)^(-df/2) E_V[exp(lam V /
+      (2 (1 + lam))) prod_k Phi(-a_k sqrt(V / (df (1 + lam))))]``, whose
+      integrand no longer decays in a far tail, taken through
+      ``log_ndtr``;
+    - ``B = c_ij int_0^1 K(a_i, a_j; tau c_ij) T(-a_p sqrt(df / (df + Q)))
+      dtau``, with row ``p`` uncorrelated;
+    - ``C = sum_{m in (i, j)} c_pm int_0^1 K(a_p, a_m; t c_pm) T(-mu_o(t)
+      sqrt(df / (df + Q))) dt``, ``o`` the third row and ``mu_o(t)`` its
+      standardised bound given rows ``p`` and ``m`` under the correlation
+      at ``t``.
+
+    Here ``K(x, y; rho) = (1 + Q / df)^(-df/2) / (2 pi sqrt(1 - rho^2))``
+    with ``Q = (x^2 - 2 rho x y + y^2) / (1 - rho^2)`` and ``T`` the t CDF
+    with df degrees of freedom: each derivative's mean over ``s`` is
+    closed, ``E_s[exp(-s^2 Q / 2) Phi(-s c)] = (1 + Q / df)^(-df/2) T(-c
+    sqrt(df / (df + Q)))``.  Both integrals take the nodes of
+    :func:`_plackett_rule`, and the t CDFs are one ``stdtr`` call.  The
+    parts can have either sign, so their rounding, about ``eps (|A| + |B|
+    + |C|)``, is relative to ``P`` as large as their ratio to it."""
+    from scipy.special import log_ndtr, stdtr
+
+    c = (rho[0, 1], rho[0, 2], rho[1, 2])
+    i, j, p = ((0, 1, 2), (0, 2, 1), (1, 2, 0))[max(range(3), key=lambda k: abs(c[k]))]
+    V, root_V, w = _radial_rule(df)
+    lam = sum(x * x for x in a.tolist() if x > 0.0) / df
+    tilt = 1.0 + lam
+    log_terms = log_ndtr(np.outer(a, root_V / -math.sqrt(df * tilt))).sum(axis=0)
+    log_terms += (0.5 * lam / tilt) * V
+    A = math.exp(-0.5 * df * math.log1p(lam)) * float(w @ np.exp(log_terms))
+    # Each derivative (B's, then C's two) is that of a pair u, v of bounds
+    # x, y, whose correlation r the path turns on, with the third row's
+    # bound z and its correlations s_u, s_v with them.
+    t, weight = _plackett_rule()
+    a_i, a_j, a_p = float(a[i]), float(a[j]), float(a[p])
+    c_ij, c_pi, c_pj = float(rho[i, j]), float(rho[p, i]), float(rho[p, j])
+    x, y, z = (np.array(v)[:, None] for v in ((a_i, a_p, a_p), (a_j, a_i, a_j), (a_p, a_j, a_i)))
+    coef = np.array([c_ij, c_pi, c_pj])[:, None]
+    r = coef * t
+    s_u, s_v = np.array([0.0, c_pj, c_pi])[:, None] * t, np.array([0.0, c_ij, c_ij])[:, None]
+    det = (1.0 - r) * (1.0 + r)
+    b_u, b_v = (s_u - r * s_v) / det, (s_v - r * s_u) / det
+    bound = (z - b_u * x - b_v * y) / np.sqrt(1.0 - s_u * b_u - s_v * b_v)
+    Q = (x * x - 2.0 * r * x * y + y * y) / det
+    parts = stdtr(df, -bound * np.sqrt(df / (df + Q)))
+    parts *= np.exp(-0.5 * df * np.log1p(Q / df)) / np.sqrt(det)
+    parts = parts @ weight * coef[:, 0] / (2.0 * math.pi)
+    B, C = float(parts[0]), float(parts[1] + parts[2])
+    P = A + B + C
+    if not (P > 0.0 and abs(A) + abs(B) + abs(C) <= _CANCELLATION * P):
+        return None
+    return min(P, 1.0)
 
 
 def _one_hit_se(n) -> float:
@@ -1225,10 +1427,14 @@ def complement_prob(dist: MultivariateT, systems, known, mcrep, seed):
     system alone when it is exact or meets that target.  A term left to
     the lattice whose half-space bound (:func:`_half_space_bound`) is
     negligible waits, unstarted, and is 0 within its bound when the
-    waiting terms' bounds together are negligible beside the others'
-    standard error; otherwise it is estimated like the rest.  A known
-    estimate and a bound are provisional: a term starts, on its path
-    computed at most once, in one place (:func:`_term_sum`).
+    waiting terms' bounds together are negligible beside the larger of
+    the others' standard error and 1e-2 of the sum's value; otherwise it
+    is estimated like the rest.  Exact terms leave no standard error, so
+    the value is the yardstick beside them, and a waiting term's bound
+    does not count as variance when a route's subtracted terms are
+    weighed against its added ones.  A known estimate and a bound are
+    provisional: a term starts, on its path computed at most once, in one
+    place (:func:`_term_sum`).
 
     Each term needs at least one lattice point, so a route fits when its
     terms fit in ``mcrep`` (and ``_MAX_TERMS``) beside those of the routes
@@ -1537,8 +1743,14 @@ def _term_sum(dist, pivots, terms, table, known, mcrep, seed, cap):
     provisional estimate is inexact and misses the target, which a
     waiting bound never does.  The waiting terms are then 0 within the
     sum of their bounds when that sum is at most ``_NEGLIGIBLE`` of the
-    others' combined standard error, and it joins that error; otherwise
-    they start too."""
+    larger of the others' combined standard error and ``_NEGLIGIBLE`` of
+    the sum's value, and it joins that error; otherwise they start too.
+    The value's share keeps far-tail terms unstarted beside exact ones,
+    whose standard error of 0 would start them all, and makes them cost
+    at most 1e-4 of the value in precision.  The variances weighed, of the
+    added and the subtracted terms, leave out terms still waiting: a bound
+    is no sampling variance, and beside exact added terms it would reject
+    every route under a pivot."""
     floor = _term_target(1.0 / mcrep, len(terms), mcrep)
     items, live = [], {()}
 
@@ -1586,7 +1798,8 @@ def _term_sum(dist, pivots, terms, table, known, mcrep, seed, cap):
     waiting = [t for t in items if waits(t)]
     rest = [t.est for t in items if not waits(t)]
     bound = sum(t.est.std_error for t in waiting)
-    if bound > _NEGLIGIBLE * math.sqrt(sum(est.std_error**2 for est in rest)):
+    spread = math.sqrt(sum(est.std_error**2 for est in rest))
+    if bound > _NEGLIGIBLE * max(spread, _NEGLIGIBLE * abs(value())):
         for t in waiting:
             start(t, target)
         waiting, rest = [], [t.est for t in items]
@@ -1594,5 +1807,6 @@ def _term_sum(dist, pivots, terms, table, known, mcrep, seed, cap):
     points = sum(t.est.n_draws for t in items if t.blocks is not None)
     var = [0.0, 0.0]  # of the added terms, of the subtracted ones
     for t in items:
-        var[len(t.S) % 2] += t.est.std_error**2
+        if not waits(t):
+            var[len(t.S) % 2] += t.est.std_error**2
     return _sum_estimate(value(), ests, points, mcrep), var[1] <= var[0]

@@ -21,7 +21,8 @@ from dump_outputs import _underflow_csv
 BF_EQ = 0.3825498458570321
 BF_MIXED = 10.060613733940691
 ANALYTIC_HYP = "x1=x2=0; x1>x2=0"
-# Three rows of rank 3 off the posterior's location: a lattice estimate.
+# Three rows of rank 3 off the posterior's location at df 17, below the
+# trivariate rule's cut-over: a lattice estimate.
 RANK3_HYP = "(Intercept)>x1>x2>0"
 README_HYP = "x1=x2=0; (x1,x2)>0; x1>x2=0"
 
@@ -521,13 +522,32 @@ class TestImport:
         assert out.rsplit("\n", 2)[-2] == "(False, 0, 0) (False, 1, 0)"
 
     def test_rank_three_takes_the_lattice(self, csv_path):
-        """Rows of rank 3 still take the lattice, and with it scipy.special."""
+        """Rows of rank 3 below the trivariate rule's df cut-over still take
+        the lattice, and with it scipy.special."""
         args = ("test", "--data", csv_path, "--formula", "y ~ x1 + x2", "--hyp", RANK3_HYP)
         out = _cold_process(_CLI_THEN_MODULES, *args, "--output", "json", "--seed", "1")
         text, modules = out.rsplit("\n", 2)[:2]
         assert "scipy.special" in modules
         est = json.loads(text)["bf_unconstrained"][0]["f_ie"]
         assert not est["exact"] and est["n_draws"] > 0 and est["std_error"] > 0
+
+
+class TestFarTailComplement:
+    @pytest.mark.parametrize("hyp", ["(x1,x2)>-.5e-1; x3<+3", "(x1,x2)>0; x3<5"])
+    def test_prints_and_exits_0(self, capsys, tmp_path, hyp):
+        """On the k = 5 data, Hc's f_ie lies near 1e-101 (1e-142 for the
+        second text).  On the lattice its standard error was that of one
+        hit, about 1e95 times the value, and the 90% interval overflowed
+        in a traceback; the term is now exact, and the command prints its
+        table and exits 0."""
+        path = write_csv(tmp_path / "k5.csv", make_k5_dataset())
+        argv = ("test", "--data", path, "--formula", "y ~ x1 + x2 + x3 + x4", "--hyp", hyp, "--seed", "1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert "Hc" in out
+        code, out, err = run_cli(capsys, *argv, "--output", "json")
+        hc = json.loads(out)["bf_unconstrained"][-1]
+        assert code == 0 and hc["label"] == "Hc" and 0.0 < hc["f_ie"]["value"] < 1e-100
 
 
 class TestFailures:

@@ -1,5 +1,6 @@
 """Bayes factors, complement handling, posterior probabilities, tables."""
 
+import math
 import warnings
 
 import numpy as np
@@ -141,6 +142,23 @@ class TestBfMatrix:
             for j in range(3):
                 for l in range(3):
                     assert m[i, j] * m[j, l] == pytest.approx(m[i, l], rel=1e-12)
+
+
+class TestRatioInterval:
+    def test_saturates_at_a_large_relative_error(self):
+        """A factor whose relative standard error is 1e4 gives ``exp(h)``
+        far beyond the float range: the interval is ``(0, inf)``, not an
+        OverflowError, and a moderate one is ``B exp(-+h)``."""
+        log_bf = math.log(3.0)
+        f = ProbEstimate(1e-10, 1e-6, False, 1024)
+        c = ProbEstimate(0.25, 0.0, True, 0)
+        assert bfreg.engine._ratio_ci90(log_bf, f, c) == (0.0, math.inf)
+        f = ProbEstimate(0.2, 0.01, False, 1024)
+        lo, hi = bfreg.engine._ratio_ci90(log_bf, f, c)
+        h = bfreg.engine._Z90 * 0.05
+        assert lo == pytest.approx(3.0 * math.exp(-h), rel=1e-14)
+        assert hi == pytest.approx(3.0 * math.exp(h), rel=1e-14)
+        assert bfreg.engine._ratio_ci90(-math.inf, f, c) is None
 
 
 class TestBfUnconstrainedTwoEffect:
@@ -752,6 +770,17 @@ def _k5_fit():
     return fit_ols(make_k5_dataset(), "y ~ x1 + x2 + x3 + x4")
 
 
+def _small_k5_fit():
+    """A fit like the k = 5 one on 28 rows (numpy ``default_rng(2018)``,
+    slopes 1.5, .9, .3, -.3): df 23, below the trivariate rule's
+    cut-over, so its rows of rank 3 off the location take the lattice."""
+    rng = np.random.default_rng(2018)
+    x = rng.standard_normal((28, 4))
+    y = 0.2 + x @ np.array([1.5, 0.9, 0.3, -0.3]) + rng.standard_normal(28)
+    data = Dataset(("y", "x1", "x2", "x3", "x4"), np.column_stack([y, x]))
+    return fit_ols(data, "y ~ x1 + x2 + x3 + x4")
+
+
 def _posterior_t(fit, b):
     """Location, scale and df of the fraction-b posterior of beta."""
     nu = fit.n * b - fit.k
@@ -782,6 +811,33 @@ def test_order_chains_have_exact_prior_factors():
     for comp in res.components[:2]:
         assert comp.c_ie.exact and comp.c_ie.n_draws == 0
         assert abs(comp.c_ie.value * 720.0 - 1.0) <= 1e-12
+
+
+def test_centred_pair_near_dependence_against_sheppard():
+    """``x2 < x1 > 0`` where x2's coefficient has a standard deviation
+    about 1e-5 of x1's (numpy ``default_rng(2)``, n = 50, ``y = 0.1 x1 +
+    0.3 z + e``, ``x2 = 1.2e5 z``): the prior factor's two rows through
+    its location have ``1 - rho^2 = 7.8e-11``, below the rank rule's
+    1e-10, yet take Sheppard's formula, not the rank-1 interval's 1/2.
+    The reference forms ``R S R'`` of the prior scale in exact rationals,
+    so ``asin(rho) = pi/2 - asin(sqrt(1 - rho^2))`` keeps the digits that
+    a rounded ``rho`` loses; within 1e-12."""
+    from fractions import Fraction
+
+    rng = np.random.default_rng(2)
+    x1, z = rng.standard_normal(50), rng.standard_normal(50)
+    y = 0.1 * x1 + 0.3 * z + rng.standard_normal(50)
+    fit = fit_ols(Dataset(("y", "x1", "x2"), np.column_stack([y, x1, 1.2e5 * z])), "y ~ x1 + x2")
+    c_ie = run_hypotheses(fit, "x2 < x1 > 0", mcrep=20_000, seed=1).components[0].c_ie
+    R = parse_hypotheses("x2 < x1 > 0", fit.coef_names)[0].R_I
+    scale = _posterior_t(fit, minimal_fraction(fit)).scale
+    S = [[Fraction(float(v)) for v in row] for row in scale]
+    rows = [[Fraction(float(v)) for v in row] for row in R]
+    SR = [[sum(a * S[i][j] * b for i, a in enumerate(u) for j, b in enumerate(v)) for v in rows] for u in rows]
+    gap = float((SR[0][0] * SR[1][1] - SR[0][1] ** 2) / (SR[0][0] * SR[1][1]))
+    assert SR[0][1] > 0 and 7e-11 < gap < 8e-11
+    want = 0.25 + (0.5 * math.pi - math.asin(math.sqrt(gap))) / (2.0 * math.pi)
+    assert c_ie.exact and abs(c_ie.value - want) <= 1e-12 and abs(c_ie.value - 0.5) > 1e-6
 
 
 def _every_term_sum(dist, pivots, terms, table, known, mcrep, seed, cap):
@@ -829,8 +885,9 @@ class TestComplementRoutes:
         return taken
 
     def test_unresolved_inclusion_exclusion_falls_back_to_direct(self, monkeypatch):
-        """x4<x1>x2>0; x4<x2>x1>0 (rows of rank 3) leaves x1 <= 0, x2 <= 0,
-        or the larger of x1, x2 at most x4: about 4e-8.
+        """x4<x1>x2>0; x4<x2>x1>0 (rows of rank 3, on the lattice at df 23)
+        leaves x1 <= 0, x2 <= 0, or the larger of x1, x2 at most x4: about
+        4e-5.
 
         Inclusion-exclusion cannot resolve it at mcrep 40000 and the
         disjoint pieces take over; the reference brackets it between the
@@ -839,7 +896,7 @@ class TestComplementRoutes:
         """
         from scipy import stats
 
-        fit = _k5_fit()
+        fit = _small_k5_fit()
         taken = self._routes(monkeypatch)
         res = run_hypotheses(fit, "x4<x1>x2>0; x4<x2>x1>0", mcrep=40_000, seed=1)
         assert taken == [(), (0, 1), ()]
@@ -900,12 +957,12 @@ class TestComplementRoutes:
     def test_far_tail_terms_are_bounded_not_sampled(self, monkeypatch):
         """On the benchmark's order-mc fit, (x1,x2,x3)>0 misses with
         posterior probability about 3e-8, so Hc's f_ie sums the terms under
-        its three pieces.  Six of them hold a piece and one of the two
-        chains, far below 1e-12; their half-space bounds sum to far less
-        than a hundredth of the others' standard error, so they take no
-        point: one term starts the lattice, not seven.  The sum agrees
-        within 1e-3 of its standard error with every term taken on its
-        ``_path``, and its standard error with theirs to 1e-4."""
+        its three pieces.  The pieces are exact (the last by the trivariate
+        rule); six terms hold a piece and one of the two chains, far below
+        1e-12, and wait on their half-space bounds.  The bounds sum to
+        less than 1e-4 of the sum's value, so none starts: no term takes a
+        lattice point, the standard error is the sum of the six bounds,
+        and the value is within it of every term taken on its ``_path``."""
         text = "x1>x2>x3>x4>x5>x6; x6>x5>x4>x3>x2>x1; (x1,x2,x3)>0; x1>x2>x3=x4=x5=x6=0"
         starts, calls = [], []
         lattice, term_sum = bfreg.numkernel._lattice_prob, bfreg.numkernel._term_sum
@@ -925,19 +982,30 @@ class TestComplementRoutes:
         hc = run_hypotheses(_order_fit(), text, mcrep=1_000_000, seed=5).components[-1]
         args, est, started = calls[0]
         assert args[1] == (2,) and hc.f_ie == est
-        assert started == 1 and est.n_draws == 1024
-        assert sum(len(S) == 1 for S, _, _ in args[2]) == 6
-        value, se = _every_term_sum(*args)
-        assert abs(est.value - value) <= 1e-3 * est.std_error
-        assert abs(est.std_error / se - 1.0) <= 1e-4
+        assert started == 0 and est.n_draws == 0 and not est.exact
+        dist, _, terms, table = args[:4]
+        bounds = []
+        for S, node, ix in terms:
+            path = _path(dist, table.rows[ix], table.bounds[ix])
+            if S:
+                assert isinstance(path, bfreg.numkernel._Lattice)
+                bounds.append(bfreg.numkernel._half_space_bound(path.a, path.C, path.df))
+            else:
+                assert path.exact
+        assert len(bounds) == 6 and sum(bounds) <= 1e-4 * est.value
+        assert est.std_error == pytest.approx(sum(bounds), rel=1e-12)
+        value, _ = _every_term_sum(*args)
+        assert abs(est.value - value) <= est.std_error
 
     @pytest.mark.parametrize(
         "text, started",
         [
             # the dump's fallback case: bounded terms are started after all
             ("x1>0.1; x2<-0.2; x3>x4=0.5; x4<(x1,x2)>0.05", "bounded"),
-            # a known estimate misses its term's target and is started
-            ("x4<x1>x2>0; x4<x2>x1>0", "known"),
+            # a known estimate misses its term's target and is started; x1 > 0
+            # and x2 > 0, implied by the others but not parallel to one, keep
+            # each system at four rows of rank 3, on the lattice
+            ("x4<x1>x2>0<x1; x4<x2>x1>0<x2", "known"),
         ],
     )
     def test_each_term_takes_its_path_once(self, monkeypatch, text, started):
@@ -1360,19 +1428,20 @@ class TestGeneratedRewrites:
         assert min(taken.values()) >= 10, taken
 
     def test_an_added_row_never_raises_the_posterior_factor(self):
-        """On 64 generated fits (k 3 to 5, n 12 to 60), each generated
+        """On 64 generated fits (k 3 to 5, n 12 to 32), each generated
         hypothesis with one more comparison at the end of its chain, to a
         name it does not hold or to a number, at mcrep 20000 and one seed:
         the added row shrinks the region, so ``f_ie`` never rises by more
         than 4 combined standard errors, or by more than 1e-12 relative
-        when both estimates are exact.  ``c_ie`` is left out: it need not
-        fall, because the prior is re-centred on the new rows: on 100 rows
-        of ``y = 0.5 x1 + e`` with ``x1`` of standard deviation 3,
-        ``x1>0`` has ``c_ie`` 1/2 and ``1>x1>0`` 0.650."""
+        when both estimates are exact.  Every df is below the trivariate
+        rule's cut-over, so rows of rank 3 take the lattice.  ``c_ie`` is
+        left out: it need not fall, because the prior is re-centred on the
+        new rows: on 100 rows of ``y = 0.5 x1 + e`` with ``x1`` of standard
+        deviation 3, ``x1>0`` has ``c_ie`` 1/2 and ``1>x1>0`` 0.650."""
         checked = inexact = 0
         for case in range(64):
             rng = np.random.default_rng(1800 + case)
-            k, n = int(rng.integers(3, 6)), int(rng.integers(12, 61))
+            k, n = int(rng.integers(3, 6)), int(rng.integers(12, 33))
             fit = make_random_fit(1800 + case, n=n, k=k)
             names = list(fit.coef_names[1:])
             for operands, ops in _generated_chains(rng, names):

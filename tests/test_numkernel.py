@@ -17,13 +17,18 @@ from scipy import integrate, stats
 from scipy.special import ndtr, ndtri, owens_t, stdtr
 
 from bfreg import (
+    Dataset,
     DecompositionError,
     InvalidInputError,
     MultivariateT,
     NumericError,
     ProbEstimate,
+    fit_ols,
+    parse_hypotheses,
 )
 from bfreg import numkernel
+from bfreg.constraints import fractional_posterior_beta
+from bfreg.engine import test_hypotheses as run_hypotheses
 from bfreg.numkernel import (
     _blocks,
     _factor,
@@ -386,6 +391,41 @@ class TestMvtConstraintProb:
         ref = oracle_inequality_prob(d, r_mat, r_vec, 400_000, seed=62)
         assert abs(est.value - ref.value) < 4 * ref.value * ref.rel_error_bound
 
+    def test_centred_closed_form_against_the_correlation(self):
+        """Two and three rows through the location of a random law, each
+        pair's angle from the rows in the scale's factor: within 1e-15 of
+        ``1/4 + asin(rho)/(2 pi)`` and ``1/8 + sum asin(rho_ij)/(4 pi)`` on
+        the correlation of ``R S R'``.  A row and a positive multiple of
+        it read exactly 1/2, a row and its negation exactly 0, and a third
+        row with them gives the pair's value (to 1e-15) or exactly 0.  A
+        singular scale of rank 2 in 3 dimensions, whose Cholesky factor
+        mostly fails, reads the pair's formula to 1e-14."""
+        rng = np.random.default_rng(65)
+        for _ in range(20):
+            B = rng.standard_normal((3, 2))
+            d = MultivariateT(rng.standard_normal(3), B @ B.T, 5.0)
+            R = rng.standard_normal((2, 3))
+            C = _correlation(R @ d.scale @ R.T)
+            est = mvt_constraint_prob(d, R, R @ d.location, 10, seed=1)
+            assert est.exact and abs(est.value - (0.25 + np.arcsin(C[0, 1]) / (2.0 * np.pi))) <= 1e-14
+        for _ in range(20):
+            d = _random_law(rng, 4, 5.0)
+            R = rng.standard_normal((3, 4))
+            for q in (2, 3):
+                C = _correlation(R[:q] @ d.scale @ R[:q].T)
+                angles = sum(np.arcsin(C[i, j]) for i in range(q) for j in range(i + 1, q))
+                want = 0.5**q + angles / (2 ** (q - 1) * np.pi)
+                est = mvt_constraint_prob(d, R[:q], R[:q] @ d.location, 10, seed=1)
+                assert est.exact and abs(est.value - want) <= 1e-15
+            u, w = R[0], R[1]
+            for rows, want in (([u, 3.7 * u], 0.5), ([u, -u], 0.0), ([-u, u, w], 0.0)):
+                rows = np.array(rows)
+                assert mvt_constraint_prob(d, rows, rows @ d.location, 10, seed=1).value == want
+            pair = mvt_constraint_prob(d, np.array([u, w]), np.array([u, w]) @ d.location, 10, seed=1)
+            rows = np.array([u, 0.3 * u, w])
+            est = mvt_constraint_prob(d, rows, rows @ d.location, 10, seed=1)
+            assert est.exact and abs(est.value - pair.value) <= 1e-15
+
     def test_centred_chain_takes_the_lattice_path(self):
         """Six rows through the location: the lattice rule without df
         (four and five rows take Plackett's reduction, ``TestPlackett``).
@@ -417,7 +457,8 @@ class TestMvtConstraintProb:
         Random correlations; the bounds are either scattered around the
         location or, for q >= 4, the location itself (a centred cone).  Two
         rows off the location are exact (the angular rule) and are held to
-        the same draws.  Centred cones of 4 and 5 rows can be exact
+        the same draws, and so are three at df 60, above the trivariate
+        rule's cut-over.  Centred cones of 4 and 5 rows can be exact
         (Plackett's reduction), so they go to the lattice directly
         (``_lattice_only``).
         """
@@ -432,7 +473,8 @@ class TestMvtConstraintProb:
             )
         prob = _lattice_only if centred and q <= 5 else mvt_constraint_prob
         est = prob(d, r_mat, r_vec, 1_000_000, seed=101)
-        assert est.exact == (q == 2) and (est.n_draws == 0) == est.exact
+        exact = q == 2 or q == 3 and df >= numkernel._TRIVARIATE_MIN_DF
+        assert est.exact == exact and (est.n_draws == 0) == est.exact
         assert est.n_draws <= 1_000_000
         ref = oracle_inequality_prob(d, r_mat, r_vec, 400_000, seed=102)
         se = np.hypot(est.std_error, ref.value * ref.rel_error_bound)
@@ -520,11 +562,13 @@ class TestMvtConstraintProb:
     def test_no_spread_carries_the_error_of_one_hit(self):
         """Forty scales beyond the location every point is 0, and forty
         before it every point is 1: inexact, with the standard error of
-        one hit in the budget, not 0."""
-        d = MultivariateT(np.zeros(3), 0.7 * np.eye(3) + 0.3, 1e4)
+        one hit in the budget, not 0.  Four rows of rank 4 stay on the
+        lattice (three would take the trivariate rule, or drop rows that
+        hold to rounding)."""
+        d = MultivariateT(np.zeros(4), 0.7 * np.eye(4) + 0.3, 1e4)
         one_hit = np.sqrt((1 / 1e6) * (1 - 1 / 1e6) / 1e6)
         for bound, value in ((40.0, 0.0), (-40.0, 1.0)):
-            est = mvt_constraint_prob(d, np.eye(3), np.full(3, bound), 1_000_000, seed=1)
+            est = mvt_constraint_prob(d, np.eye(4), np.full(4, bound), 1_000_000, seed=1)
             assert not est.exact and est.value == value
             assert est.std_error == pytest.approx(one_hit, rel=1e-12)
 
@@ -534,9 +578,10 @@ class TestMvtConstraintProb:
         Twenty random systems (q 2 to 6, df 1, 5 or 60, off the apex or
         centred) at twenty seeds each, against the same rule with a
         standard error target 100 times finer.  Two rows off the apex take
-        the exact angular rule in ``mvt_constraint_prob``, and centred
-        cones of 4 or 5 rows can take Plackett's reduction; here they go
-        to the lattice directly (``_lattice_only``).
+        the exact angular rule in ``mvt_constraint_prob``, three can take
+        the trivariate rule, and centred cones of 4 or 5 rows can take
+        Plackett's reduction; here they go to the lattice directly
+        (``_lattice_only``).
         """
         rng = np.random.default_rng(140)
         z = []
@@ -549,7 +594,7 @@ class TestMvtConstraintProb:
             centred = q > 3 and k % 2 == 0
             if centred:
                 r_vec = d.location
-            prob = _lattice_only if q == 2 or centred and q <= 5 else mvt_constraint_prob
+            prob = _lattice_only if q <= 3 or centred and q <= 5 else mvt_constraint_prob
             hp = prob(d, np.eye(q), r_vec, 10**10, seed=1000 + k)
             for seed in range(20):
                 est = prob(d, np.eye(q), r_vec, 1_000_000, seed=seed)
@@ -938,6 +983,170 @@ class TestPlackett:
             assert isinstance(_path(d, R, R @ d.location), numkernel._Lattice)
 
 
+def _conditional_prob3(a, C, df):
+    """``Pr(Y > a)`` for a standardised trivariate t ``Y`` of correlation
+    ``C``: ``int_{a_0}^inf t_df(y) P_2(y) dy`` (scipy quad, relative
+    tolerance 1e-13), where given ``Y_0 = y`` the other two rows are a
+    bivariate t with ``df + 1`` degrees of freedom, location ``rho y``
+    (``rho = C[1:, 0]``) and scale ``(C_22 - rho rho') (df + y^2) / (df +
+    1)``.  The pair's probability ``P_2`` is the angular rule's, but
+    ``_conditional_prob``'s where a standardised conditional bound is within
+    0.05 of 0: there the angular rule reads up to 1e-6 relative off.  The
+    pieces start at relative steps from ``a_0`` and from each ``a_k /
+    rho_k``, where a conditional bound crosses 0, and the last runs in ``u
+    = top / y``.  The density's gamma ratio is taken by its series, as in
+    ``_conditional_prob``."""
+    rho = C[1:, 0]
+    S = C[1:, 1:] - np.outer(rho, rho)
+    sd, r = np.sqrt(np.diag(S)), S[0, 1] / math.sqrt(S[0, 0] * S[1, 1])
+    pair = MultivariateT(np.zeros(2), np.array([[1.0, r], [r, 1.0]]), df + 1.0)
+    log_norm = _log_gamma_ratio(0.5 * df) - 0.5 * math.log(df * math.pi)
+
+    def f(y):
+        b = (a[1:] - rho * y) / (sd * math.sqrt((df + y * y) / (df + 1.0)))
+        if np.abs(b).min() < 0.05:
+            p = _conditional_prob(b[0], b[1], r, df + 1.0)
+        else:
+            p = mvt_constraint_prob(pair, np.eye(2), b, 10, seed=1).value
+        return math.exp(log_norm - 0.5 * (df + 1.0) * math.log1p(y * y / df)) * p
+
+    knots = [a[0]] + [a[k] / rho[k - 1] for k in (1, 2) if rho[k - 1] and a[k] / rho[k - 1] > a[0]]
+    steps = (0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0)
+    edges = sorted({k + h * max(1.0, abs(k)) for k in knots for h in steps})
+    top = edges[-1]
+    pieces = [(f, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    pieces.append((lambda u: f(top / u) * top / (u * u), 0.0, 1.0))
+    return math.fsum(
+        integrate.quad(g, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0] for g, lo, hi in pieces
+    )
+
+
+def _standard_law_path(a, C, df):
+    """``_path`` of ``Y > a`` for a standardised ``Y`` of correlation ``C``."""
+    return _path(MultivariateT(np.zeros(len(a)), C, df), np.eye(len(a)), np.asarray(a, dtype=float))
+
+
+class TestTrivariateRule:
+    """Three rows of rank 3 off the location: Plackett's identity along a
+    correlation path, each derivative's mean over the radial law in closed
+    form (``_trivariate_prob``), behind its gates of df, conditioning and
+    cancellation, and after rows that hold to rounding are dropped."""
+
+    @pytest.mark.parametrize("df", [30.0, 193.0, 996.0])
+    def test_against_the_conditional_pair(self, df):
+        """Within 1e-12 relative of ``_conditional_prob3`` wherever the
+        rule is taken: random correlations with every ``|rho| <= 0.95``
+        and bounds around the location, and far tails down to 1e-30 (three
+        positively correlated rows far beyond it).  At the cut-over, df 30,
+        and above."""
+        rng = np.random.default_rng(560 + int(df))
+        cases = []
+        for _ in range(40):
+            s = rng.standard_normal((3, 4))
+            C = _correlation(s @ s.T)
+            a = np.sort(1.5 * rng.standard_normal(3))[::-1]
+            taken = isinstance(_standard_law_path(a, C, df), ProbEstimate)
+            if taken and np.abs(C[np.triu_indices(3, 1)]).max() <= 0.95:
+                cases.append((a, C))
+                if len(cases) == 6:
+                    break
+        far = {30.0: 40.0, 193.0: 12.0, 996.0: 10.0}[df]
+        for shift in (0.5 * far, far):
+            s = np.abs(rng.standard_normal((3, 2)))
+            C = _correlation(s @ s.T + np.eye(3))
+            cases.append((np.sort(shift + 0.3 * rng.standard_normal(3))[::-1], C))
+        smallest = 1.0
+        for a, C in cases:
+            est = _standard_law_path(a, C, df)
+            want = _conditional_prob3(a, C, df)
+            assert isinstance(est, ProbEstimate) and est.exact, (a, C)
+            assert abs(est.value - want) <= 1e-12 * want, (a, C)
+            smallest = min(smallest, want)
+        assert len(cases) == 8 and smallest < 1e-30
+
+    def test_row_order(self):
+        """Every order of the rows, and every order of a law's coordinates,
+        gives the same probability to 1e-13 relative."""
+        rng = np.random.default_rng(570)
+        checked = 0
+        for _ in range(8):
+            d = _random_law(rng, 3, 193.0)
+            r = d.location + 0.8 * np.sqrt(np.diag(d.scale)) * rng.standard_normal(3)
+            est = mvt_constraint_prob(d, np.eye(3), r, 1000, seed=1)
+            if not est.exact:
+                continue
+            checked += 1
+            for perm in itertools.permutations(range(3)):
+                other = mvt_constraint_prob(d, np.eye(3)[list(perm)], r[list(perm)], 1000, seed=1)
+                assert other.exact and abs(other.value - est.value) <= 1e-13 * est.value
+        assert checked >= 4
+
+    def test_a_row_that_holds_to_rounding_is_dropped(self, monkeypatch):
+        """A row whose t tail is at most eps/4 of the other two rows'
+        probability is dropped: the pair takes the angular rule, not the
+        trivariate one, and the value is within 1e-12 of the three rows'
+        ``_conditional_prob3``, and the pair's to the bit.  A row whose
+        tail is just above that stays."""
+        called = []
+        rule = numkernel._trivariate_prob
+        monkeypatch.setattr(numkernel, "_trivariate_prob", lambda *args: called.append(1) or rule(*args))
+        C = np.array([[1.0, 0.4, -0.3], [0.4, 1.0, 0.2], [-0.3, 0.2, 1.0]])
+        for df, low in ((996.0, -11.0), (193.0, -14.0)):
+            a = np.array([1.2, 0.4, low])
+            est = _standard_law_path(a, C, df)
+            pair = _standard_law_path(a[:2], C[:2, :2], df)
+            assert not called and est == pair
+            assert t_cdf(low, df) <= 0.25 * np.finfo(float).eps * pair.value
+            want = _conditional_prob3(a, C, df)
+            assert abs(est.value - want) <= 1e-12 * want
+        a = np.array([1.2, 0.4, -6.0])
+        est = _standard_law_path(a, C, 996.0)
+        assert called and est.exact
+        assert abs(est.value - _conditional_prob3(a, C, 996.0)) <= 1e-12 * est.value
+
+    def test_sim_study_chain(self):
+        """The benchmark's sim-study at seed 7001, operation 419 (dataset
+        19, rebuilt with numpy as the workload builds it): H1's f_ie,
+        ``x1>x2>x3>0`` off the location at df 996, takes the trivariate
+        rule and is within 1e-12 relative of ``_conditional_prob3``; every
+        estimate of the operation is exact."""
+        rng = np.random.default_rng(7001)
+        for _ in range(20):
+            x = rng.standard_normal((1000, 3))
+            y = x @ np.array([0.45, 0.30, 0.15]) + rng.standard_normal(1000)
+        fit = fit_ols(Dataset(("y", "x1", "x2", "x3"), np.column_stack([y, x])), "y ~ x1 + x2 + x3")
+        res = run_hypotheses(fit, "x1>x2>x3>0; x3>x2>x1>0", mcrep=20_000, seed=1)
+        for comp in res.components:
+            assert comp.f_ie.exact and comp.c_ie.exact and comp.f_ie.n_draws == 0
+        cs = parse_hypotheses("x1>x2>x3>0", fit.coef_names)[0]
+        post = fractional_posterior_beta(fit, 1.0)
+        want = _conditional_prob3(*_standardised(post, cs.R_I, cs.r_I), post.df)
+        f = res.components[0].f_ie.value
+        assert abs(f - want) <= 1e-12 * want and abs(f - 0.949192) < 1e-6
+
+    def test_each_side_of_the_gates(self):
+        """Which path each system takes on either side of the gates: the
+        df cut-over (30 exact, 29.5 the lattice), the cut-over of
+        ``_PLACKETT_MIN_VAR`` (an edge correlation at 1.001 and 0.999 of
+        it) and the cancellation gate (an exchangeable correlation of
+        -0.3 whose parts add up to 57 and 72 times the sum)."""
+        lattice = numkernel._Lattice
+        C = np.full((3, 3), -0.3) + 1.3 * np.eye(3)
+        below, beyond = np.array([0.95, 0.85, 0.75]), np.array([1.0, 0.9, 0.8])
+        est = _standard_law_path(below, C, 193.0)
+        assert est.exact and abs(est.value - _conditional_prob3(below, C, 193.0)) <= 1e-12 * est.value
+        assert isinstance(_standard_law_path(beyond, C, 193.0), lattice)
+        assert _standard_law_path(below, C, numkernel._TRIVARIATE_MIN_DF).exact
+        assert isinstance(_standard_law_path(below, C, 29.5), lattice)
+        rng = np.random.default_rng(580)
+        a = np.array([0.3, 0.0, -0.3])
+        for _ in range(3):
+            edge = _edge_correlation(rng, 3, 1.001)
+            est = _standard_law_path(a, edge, 193.0)
+            assert est.exact and abs(est.value - _conditional_prob3(a, edge, 193.0)) <= 1e-12 * est.value
+            assert isinstance(_standard_law_path(a, _edge_correlation(rng, 3, 0.999), 193.0), lattice)
+
+
 class TestHalfSpaceBound:
     """``_half_space_bound``: an upper bound on ``Pr(Y > a)`` from one
     half-space that holds the region, which lets a complement leave a
@@ -975,7 +1184,8 @@ class TestHalfSpaceBound:
         """At or above ``P - 4 SE`` of the lattice at 2^22 points on
         systems of rank 3 off the location: an orthant with one far bound,
         a chain with an orthant (five rows), and a tetrahedron-like cone
-        of four rows."""
+        of four rows.  The orthant at df 60 takes the trivariate rule in
+        ``_path``, so every system goes to the lattice directly."""
         rng = np.random.default_rng(370 + int(df))
         d = _random_law(rng, 3, df)
         sd = np.sqrt(np.diag(d.scale))
@@ -988,10 +1198,9 @@ class TestHalfSpaceBound:
         for k, (R, r) in enumerate(systems):
             if r is None:  # every row off the location by 1.5 of its sd
                 r = R @ d.location + 1.5 * np.sqrt(np.diag(R @ d.scale @ R.T))
-            path = numkernel._path(d, R, r)
-            assert isinstance(path, numkernel._Lattice)
-            bound = numkernel._half_space_bound(path.a, path.C, path.df)
-            ref = _refined(numkernel._blocks(path, 371 + k, 1 << 22), 1 << 22)
+            a, C = _standardised(d, R, r)
+            bound = numkernel._half_space_bound(a, C, df)
+            ref = _refined(numkernel._lattice_prob(a, *_factor(C), df, 371 + k, 1 << 22), 1 << 22)
             assert ref.value > 0.0 and ref.value - 4.0 * ref.std_error <= bound <= 1.0
 
     def test_one_when_the_location_satisfies_every_row(self):
@@ -1060,8 +1269,9 @@ class TestRadialMap:
         Neither reference uses the lattice or its radial map, so a bias of
         the map shows here, where the same rule at a finer target cannot
         see it.  Two rows take the exact angular rule in
-        ``mvt_constraint_prob``, so here they go to the lattice directly,
-        with its stop rule.  The shift spread understates the error a little
+        ``mvt_constraint_prob``, and three at df 193 the trivariate rule,
+        so here every system goes to the lattice directly, with its stop
+        rule.  The shift spread understates the error a little
         (about 6.5% of errors pass two standard errors, against 5% for
         Student's t with 63 df), so the share is pooled over every df.
         """
@@ -1078,8 +1288,7 @@ class TestRadialMap:
                     o = oracle_inequality_prob(d, np.eye(q), r_vec, 1_000_000, seed=161, rel_se=2e-3)
                     ref, ref_se = o.value, o.value * o.rel_error_bound
                 for seed in range(20):
-                    prob = _lattice_only if q == 2 else mvt_constraint_prob
-                    est = prob(d, np.eye(q), r_vec, 20_000, seed)
+                    est = _lattice_only(d, np.eye(q), r_vec, 20_000, seed)
                     assert not est.exact and est.n_draws == 1024
                     z[df].append((est.value - ref) / np.hypot(est.std_error, ref_se))
         for df, errors in z.items():
@@ -1261,16 +1470,22 @@ class TestSingularLattice:
         assert col.tolist() == [0, 1, 2, 3]
 
 
-def _lattice_args(dist, R, r):
-    """The standardised bounds, factor and columns of ``R xi > r`` that
-    ``_path`` leaves to the lattice: rows sorted by bound, largest
-    first."""
+def _standardised(dist, R, r):
+    """The standardised bounds and correlation of ``R xi > r`` as ``_path``
+    takes them: rows sorted by bound, largest first."""
     S = R @ dist.scale @ R.T
     sd = np.sqrt(np.diag(S))
     a = (r - R @ dist.location) / sd
     order = np.argsort(-a, kind="stable")
-    L, col = _factor(S[np.ix_(order, order)] / np.outer(sd[order], sd[order]))
-    return a[order], L, col
+    return a[order], S[np.ix_(order, order)] / np.outer(sd[order], sd[order])
+
+
+def _lattice_args(dist, R, r):
+    """The standardised bounds, factor and columns of ``R xi > r`` that
+    ``_path`` leaves to the lattice: rows sorted by bound, largest
+    first."""
+    a, C = _standardised(dist, R, r)
+    return (a, *_factor(C))
 
 
 def _lattice_only(dist, R, r, cap, seed):
@@ -1615,8 +1830,10 @@ class TestComplementProb:
 
     def _apart_near_one(self):
         """An orthant and its opposite, which share no point, far inside
-        the first: ``mcrep (1 - p_1) < 1`` at mcrep 20000, 1 - U ~3e-5."""
-        d = MultivariateT(np.full(3, 4.6), 0.8 * np.eye(3) + 0.2, 60.0)
+        the first: ``mcrep (1 - p_1) < 1`` at mcrep 20000, 1 - U ~3e-5.
+        At df 20, below the trivariate rule's cut-over, the orthant's
+        piece of three rows stays on the lattice."""
+        d = MultivariateT(np.full(3, 5.5), 0.8 * np.eye(3) + 0.2, 20.0)
         systems = [(np.eye(3), np.zeros(3)), (-np.eye(3), np.zeros(3))]
         known = _own_estimates(d, systems, 20_000, 325)
         assert 20_000 * (1.0 - known[0].value) < 1.0
@@ -1646,8 +1863,10 @@ class TestComplementProb:
     def test_no_overlap_takes_the_likeliest_pieces_less_the_known(self):
         """An orthant of rank 3 and ``x1 < -0.5``, which share no point:
         ``1 - U`` is the walk over the orthant's pieces, on the same streams,
-        less the exact ``p_2``, to the bit."""
-        d = MultivariateT(np.full(3, 4.6), 0.8 * np.eye(3) + 0.2, 60.0)
+        less the exact ``p_2``, to the bit.  At df 20, below the trivariate
+        rule's cut-over, the orthant's piece of three rows stays on the
+        lattice."""
+        d = MultivariateT(np.full(3, 5.5), 0.8 * np.eye(3) + 0.2, 20.0)
         systems = [(np.eye(3), np.zeros(3)), (np.array([[-1.0, 0.0, 0.0]]), np.array([0.5]))]
         known = _own_estimates(d, systems, 20_000, 330)
         assert 20_000 * (1.0 - known[0].value) < 1.0 and known[1].exact
@@ -1689,8 +1908,10 @@ class TestComplementProb:
         """x1 > x2 > x3, x3 > x2 > x1 and (x1, x2, x3) > 0, deep in the
         orthant: ``mcrep (1 - p_3) < 1`` at mcrep 20000 and ``1 - U`` is
         about 2e-5.  The orthant's pieces, less their overlaps with each
-        chain, stand alone, against raw t draws."""
-        d = MultivariateT(np.array([5.5, 5.0, 4.2]), 0.8 * np.eye(3) + 0.2, 60.0)
+        chain, stand alone, against raw t draws.  At df 20, below the
+        trivariate rule's cut-over, the terms of three rows stay on the
+        lattice."""
+        d = MultivariateT(np.array([6.5, 6.0, 5.2]), 0.8 * np.eye(3) + 0.2, 20.0)
         chain = np.eye(3)[:-1] - np.eye(3)[1:]
         systems = [(chain, np.zeros(2)), (-chain[::-1], np.zeros(2)), (np.eye(3), np.zeros(3))]
         known = _own_estimates(d, systems, 20_000, 400)
