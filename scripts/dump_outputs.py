@@ -33,10 +33,12 @@ lattice does), three rows of rank 3 off the location of fixed laws (the
 trivariate rule, a system beyond its cancellation gate and one below its
 df cut-over, both on the lattice, and one whose third row holds to
 rounding and is dropped), two texts on the k5 fit whose complement lies
-near 1e-101 and 1e-142, the README demo and, on
-its fit, a complement whose intersection term repeats a row and a
-hypothesis that repeats one of its own rows.  Four
-k5 texts at one seed use every operand form of the grammar, so the bit
+near 1e-101 and 1e-142, the chain ``x1 > x2 > x3 > b`` on fits whose
+predictors are in units of 1e-3 to 1e3 ("badly scaled chain seed=N" for
+seeds 3, 10, 60 and 191 of :func:`_badly_scaled_chain`; each prior
+center is exact, and the prior factor is a centred cone), the README
+demo and, on its fit, a complement whose intersection term repeats a row
+and a hypothesis that repeats one of its own rows.  Four k5 texts at one seed use every operand form of the grammar, so the bit
 check covers the parser too.  Three cases are the text reports instead:
 the README demo and, on the k5 fit, a lattice factor that reads an
 inexact 0 beside exact ones, each with every ``--show`` table, and the
@@ -192,6 +194,13 @@ THREE_ROW_CASES = (
         (1.2, 0.4, -11.0),
     ),
 )
+# Fits whose predictors are in units of 1e-3 to 1e3, each with a chain
+# x1 > x2 > x3 > b (:func:`_badly_scaled_chain`): seed 3's prior factor
+# took the lattice, seeds 10 and 191 read a prior factor of 0 (the lattice,
+# and the angular rule on a correlation of -1 to 9 digits), and seed 60's
+# 90% interval overflowed, while every prior center is exact.
+BADLY_SCALED_SEEDS = (3, 10, 60, 191)
+BADLY_SCALED_MCREP = 20_000
 # Two texts on the k5 fit whose complement's posterior factor lies near
 # 1e-101 and 1e-142: as a lattice estimate of one hit, its 90% interval
 # overflowed.
@@ -240,6 +249,19 @@ def _underflow_csv(tmp):
         fh.write("y,x1\n")
         fh.writelines(f"{a!r},{b!r}\n" for a, b in zip(y.tolist(), x.tolist()))
     return path
+
+
+def _badly_scaled_chain(seed):
+    """The columns ``y, x1, ..., x4`` of 60 rows whose predictors are in
+    units of 1e-3 to 1e3, slopes inverse to them and unit noise, and the
+    chain ``x1 > x2 > x3 > b`` with ``b`` a round number in (-100, 100)."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-3, 3, 4)
+    x = rng.standard_normal((60, 4)) * scales
+    beta = rng.uniform(-2, 2, 4) / scales
+    y = x @ beta + rng.standard_normal(60)
+    b = round(float(rng.uniform(-100, 100)), 2)
+    return np.column_stack([y, x]), f"x1 > x2 > x3 > {b}"
 
 
 def _outcome(fn):
@@ -404,6 +426,13 @@ def cases(tmp):
     for text in FAR_TAIL_HYPOTHESES:
         yield f"k5 seed=1 far tail {text}", lambda text=text: cli.render_json(
             engine.test_hypotheses(fit, text, mcrep=K5_MCREP, seed=1), formula
+        )
+
+    for seed in BADLY_SCALED_SEEDS:
+        columns, text = _badly_scaled_chain(seed)
+        scaled = model.fit_ols(model.Dataset(("y", "x1", "x2", "x3", "x4"), columns), formula)
+        yield f"badly scaled chain seed={seed}", lambda fit=scaled, text=text: cli.render_json(
+            engine.test_hypotheses(fit, text, mcrep=BADLY_SCALED_MCREP, seed=1), formula
         )
 
     yield "k5 exploratory", lambda: _screen_json(engine.exploratory_test(fit, seed=1))

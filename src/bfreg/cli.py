@@ -348,6 +348,8 @@ def main(argv=None) -> int:
         if derived:
             print(f"seed: {seed} (time-derived)", file=sys.stderr)
         data = load_csv(ns.data, delimiter=ns.delimiter)
+        if data.n_dropped:
+            print(f"note: dropped {data.n_dropped} rows with a missing cell", file=sys.stderr)
         if ns.standardize:
             response, terms, _ = parse_formula(ns.formula)
             data = standardize(data, [response, *terms])

@@ -211,12 +211,12 @@ def _ratio_ci90(log_bf, f_est: ProbEstimate, c_est: ProbEstimate):
     proportions (an exact one has standard error 0 and adds nothing); None
     when both are exact, or when ``f_est`` or B reads 0.  Its ends are
     ``exp(log_bf -+ h)``, which saturate at 0 and inf: a relative
-    standard error past about 430 puts ``exp(h)`` beyond the float range."""
+    standard error past about 430 puts ``exp(h)`` beyond the float range.
+    ``h`` takes the two relative errors by ``hypot``, which does not
+    overflow where their squares would (past about 1.3e154)."""
     if (f_est.exact and c_est.exact) or f_est.value <= 0 or log_bf == -math.inf:
         return None
-    h = _Z90 * math.sqrt(
-        (f_est.std_error / f_est.value) ** 2 + (c_est.std_error / c_est.value) ** 2
-    )
+    h = _Z90 * math.hypot(f_est.std_error / f_est.value, c_est.std_error / c_est.value)
     return (_exp(log_bf - h), _exp(log_bf + h))
 
 

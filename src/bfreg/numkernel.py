@@ -107,9 +107,10 @@ disjoint systems and the union's prior center, computed when the table
 is made, and the terms of each pivot set, on first use) is worked out
 once per distinct row content and kept, for the last ``_TABLES``
 contents, in a read-only :class:`_Table`.  Only the estimates depend on
-the law, the seed and the budget.  The pair tests and the prior center
-are those of :mod:`bfreg.hyparse`, which owns every fact about
-constraint rows, so the parser and the kernel decide them alike.
+the law, the seed and the budget.  The pair tests, the prior center and
+the test of rows through the location are those of :mod:`bfreg.hyparse`,
+which owns every fact about constraint rows, so the parser and the
+kernel decide them alike.
 
 A complement term left to the lattice need not be sampled when it
 cannot move the sum.  For any ``lam >= 0`` over its rows, ``lam' Y``
@@ -139,11 +140,12 @@ implies, is the job of the cached equality reduction
 (:attr:`bfreg.hyparse.ConstraintSystem.reduction`), whose live rows are
 what the engine passes.
 
-A cone whose apex is the location of the law (every row has ``R mu = r``
-to within ``_APEX_TOL`` of its standard deviation, as for every prior
-factor with an exact center) has the same probability under every
-elliptical law, whatever the df: the Gaussian orthant probability of the
-correlation of ``R S R'``.  With one to three rows that probability is
+A cone whose apex is the location of the law (every row passes through
+it by :func:`bfreg.hyparse._through`, the rule that also decides whether
+a prior center is exact, so the prior factor of every hypothesis whose
+center is exact, and of no other, is one) has the same probability under
+every elliptical law, whatever the df: the Gaussian orthant probability
+of the correlation of ``R S R'``.  With one to three rows that probability is
 exact (Sheppard's and Plackett's formulas, which hold for a singular
 correlation too).  Their angles are taken from the rows times the
 Cholesky factor of the law's scale, not from ``R S R'``: two rows whose
@@ -168,7 +170,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DecompositionError, InvalidInputError, NumericError
-from .hyparse import _parallel_pairs, _unimplied, prior_center
+from .hyparse import _parallel_pairs, _through, _unimplied, prior_center
 
 # The lattice evaluates its points in chunks of at most this many to bound
 # memory.  The chunks set the order of summation, so the size must stay
@@ -176,15 +178,6 @@ from .hyparse import _parallel_pairs, _unimplied, prior_center
 _CHUNK = 1 << 18
 
 _EPS = float(np.finfo(float).eps)
-
-# A row whose offset |R mu - r| is within this many of its standard
-# deviations counts as passing through the location.  Moving the apex by
-# delta standard deviations moves a cone probability p by at most
-# 0.4 q delta (0.4 bounds every standardized t density), so treating such
-# a cone as centred changes log p by less than 2e-10 for p >= 1e-3 and
-# q <= 5.  Centers computed by least squares on well-scaled rows miss by
-# about 1e-16.
-_APEX_TOL = 1e-13
 
 # The lattice rule of the transformed path: _SHIFTS independent random
 # shifts give the delta-method standard error of the pooled ratio, and the
@@ -556,16 +549,17 @@ def mvt_constraint_prob(dist: MultivariateT, R, r, n_draws, seed) -> ProbEstimat
     """Estimate ``Pr(R xi > r)`` for ``xi ~ dist``.
 
     The path is chosen by :func:`_path`: one to three rows through the
-    location are a closed form, rows of rank 1, a single row among them,
-    an exact interval of the univariate t CDF, four or five through the
-    location of full rank and well conditioned Plackett's reduction
-    (:func:`_centred_orthant_prob`), other rows of rank 2 the exact
-    angular rule of :func:`_angular_prob`, and three rows of rank 3 off
-    the location, within the gates of df, conditioning and cancellation,
-    the exact trivariate rule of :func:`_trivariate_prob`, after a row
-    that holds to rounding is dropped.  Every other system of rank 3 or
-    more takes the lattice rule of
-    :func:`_lattice_prob`, a weighted ratio pooled over all its points
+    location (by :func:`bfreg.hyparse._through`, as for the prior factor
+    of every hypothesis whose center is exact) are a closed form, rows of
+    rank 1, a single row among them, an exact interval of the univariate
+    t CDF, four or five through the location of full rank and well
+    conditioned Plackett's reduction (:func:`_centred_orthant_prob`),
+    other rows of rank 2 the exact angular rule of :func:`_angular_prob`,
+    and three rows of rank 3 off the location, within the gates of df,
+    conditioning and cancellation, the exact trivariate rule of
+    :func:`_trivariate_prob`, after a row that holds to rounding is
+    dropped.  Every other system of rank 3 or more takes the lattice rule
+    of :func:`_lattice_prob`, a weighted ratio pooled over all its points
     with a delta-method standard error, which stops once that error is at
     most the binomial one of ``n_draws`` draws and never uses more than
     ``n_draws`` points.  A lattice estimate whose shifts show no spread
@@ -617,8 +611,9 @@ def _path(dist: MultivariateT, R, r):
 
     Rows of variance 0 under the scale are constants: one that fails
     gives an exact 0, and if all hold the other rows take their path.  One
-    to three rows through the location (the apex test of ``_APEX_TOL``),
-    of any rank, are exact in closed form (:func:`_centred_cone_prob`) on
+    to three rows through the location (by :func:`bfreg.hyparse._through`
+    on ``R mu``, the rule of the prior center's ``exact`` flag), of any
+    rank, are exact in closed form (:func:`_centred_cone_prob`) on
     the rows times the Cholesky factor of the scale, before any rank rule:
     rows near dependence keep the digits of their angle, and a row and a
     positive multiple of it read exactly 1/2.  Otherwise the rows are taken under
@@ -659,7 +654,7 @@ def _path(dist: MultivariateT, R, r):
             return ProbEstimate(float(hold[const].all()), 0.0, True, 0)
         return _path(dist, R[~const], r[~const])
     sd = np.sqrt(var)
-    centred = bool((np.abs(mu - r) <= _APEX_TOL * sd).all())
+    centred = bool(_through(R, r, dist.location, mu).all())
     if centred and q <= 3:
         try:  # the rows in coordinates where the scale is the identity
             M = R @ np.linalg.cholesky(dist.scale)

@@ -13,7 +13,7 @@ import pytest
 from bfreg import Dataset
 from bfreg.cli import _ci_places, main
 from conftest import make_k5_dataset, make_two_effect_dataset
-from dump_outputs import _underflow_csv
+from dump_outputs import _badly_scaled_chain, _underflow_csv
 
 # Exact Bayes factors for the all-analytic pair "x1=x2=0; x1>x2=0" on
 # the two-effect dataset; the complement is the unit factor because no
@@ -548,6 +548,42 @@ class TestFarTailComplement:
         code, out, err = run_cli(capsys, *argv, "--output", "json")
         hc = json.loads(out)["bf_unconstrained"][-1]
         assert code == 0 and hc["label"] == "Hc" and 0.0 < hc["f_ie"]["value"] < 1e-100
+
+
+class TestBadlyScaledChain:
+    def test_an_interval_beyond_the_float_range_prints_inf(self, capsys, tmp_path):
+        """Predictors in units of 1e-3 to 1e3 (``_badly_scaled_chain(60)``,
+        ``x1 > x2 > x3 > 64.72``): the posterior factor is a lattice
+        estimate near 1e-209 with a standard error near 1e-5, whose
+        relative square overflows a float.  The command exits 0 and the
+        interval's upper end prints as ``Inf``; before, it ended in an
+        OverflowError traceback."""
+        columns, text = _badly_scaled_chain(60)
+        data = Dataset(("y", "x1", "x2", "x3", "x4"), columns)
+        path = write_csv(tmp_path / "scaled.csv", data)
+        code, out, err = run_cli(
+            capsys, "test", "--data", path, "--formula", "y ~ x1 + x2 + x3 + x4",
+            "--hyp", text, "--mcrep", "20000", "--seed", "1", "--show", "ci",
+        )
+        assert code == 0, err
+        assert "Inf" in out
+
+
+class TestDroppedRows:
+    def test_a_note_counts_rows_with_a_missing_cell(self, capsys, tmp_path, csv_path):
+        """A row with an ``NA`` cell is dropped: stderr says so, and the
+        JSON is byte-identical to that of the file without the row."""
+        text = Path(csv_path).read_text()
+        header, first, rest = text.split("\n", 2)
+        with_na = tmp_path / "with_na.csv"
+        with_na.write_text(f"{header}\n{first}\nNA,{first.split(',', 1)[1]}\n{rest}")
+        outs = []
+        for path in (csv_path, str(with_na)):
+            code, out, err = run_cli(capsys, *base_test_args(path, "x1>0", "--output", "json"))
+            assert code == 0
+            outs.append((out, err))
+        assert outs[0] == (outs[1][0], "")
+        assert outs[1][1] == "note: dropped 1 rows with a missing cell\n"
 
 
 class TestFailures:

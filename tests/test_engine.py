@@ -31,13 +31,14 @@ from bfreg import (
 from bfreg.constraints import minimal_fraction
 from bfreg.engine import _log_posteriors, bf_unconstrained
 from bfreg.hyparse import prior_center, validate
-from bfreg.numkernel import _SHIFTS, _blocks, _path, derived_seed
+from bfreg.numkernel import _SHIFTS, _blocks, _path, derived_seed, mvt_constraint_prob
 from conftest import (
     make_k5_dataset,
     make_random_fit,
     make_two_effect_dataset,
     make_two_effect_fit,
 )
+from dump_outputs import _badly_scaled_chain
 from oracle import oracle_complement_prob, oracle_inequality_prob
 
 # pytest would otherwise try to collect the package entry point as a test
@@ -148,16 +149,19 @@ class TestRatioInterval:
     def test_saturates_at_a_large_relative_error(self):
         """A factor whose relative standard error is 1e4 gives ``exp(h)``
         far beyond the float range: the interval is ``(0, inf)``, not an
-        OverflowError, and a moderate one is ``B exp(-+h)``."""
+        OverflowError, and so does one of 1e195, whose square overflows a
+        float.  A moderate one is ``B exp(-+h)``, with both factors'
+        relative errors entering as ``hypot``."""
         log_bf = math.log(3.0)
-        f = ProbEstimate(1e-10, 1e-6, False, 1024)
         c = ProbEstimate(0.25, 0.0, True, 0)
-        assert bfreg.engine._ratio_ci90(log_bf, f, c) == (0.0, math.inf)
+        for f in (ProbEstimate(1e-10, 1e-6, False, 1024), ProbEstimate(1e-200, 1e-5, False, 1024)):
+            assert bfreg.engine._ratio_ci90(log_bf, f, c) == (0.0, math.inf)
         f = ProbEstimate(0.2, 0.01, False, 1024)
-        lo, hi = bfreg.engine._ratio_ci90(log_bf, f, c)
-        h = bfreg.engine._Z90 * 0.05
-        assert lo == pytest.approx(3.0 * math.exp(-h), rel=1e-14)
-        assert hi == pytest.approx(3.0 * math.exp(h), rel=1e-14)
+        for c, rel in ((c, 0.0), (ProbEstimate(0.3, 0.006, False, 1024), 0.02)):
+            lo, hi = bfreg.engine._ratio_ci90(log_bf, f, c)
+            h = bfreg.engine._Z90 * math.sqrt(0.05**2 + rel**2)
+            assert lo == pytest.approx(3.0 * math.exp(-h), rel=1e-14)
+            assert hi == pytest.approx(3.0 * math.exp(h), rel=1e-14)
         assert bfreg.engine._ratio_ci90(-math.inf, f, c) is None
 
 
@@ -1475,6 +1479,91 @@ class TestGeneratedRewrites:
                     inexact += 1
                 checked += 1
         assert checked >= 60 and inexact >= 40, (checked, inexact)
+
+
+def _badly_scaled_fit(seed):
+    """The fit and chain text of ``dump_outputs._badly_scaled_chain(seed)``:
+    predictors in units of 1e-3 to 1e3, ``x1 > x2 > x3 > b``."""
+    columns, text = _badly_scaled_chain(seed)
+    data = Dataset(("y", "x1", "x2", "x3", "x4"), columns)
+    return fit_ols(data, "y ~ x1 + x2 + x3 + x4"), text
+
+
+class TestBadlyScaledChains:
+    """Prior factors on fits whose predictors are in units of 1e-3 to 1e3.
+    The rows of a chain are contrasts of coefficients whose prior standard
+    deviations differ by up to 1e6, and every prior center is exact, so
+    every prior factor is a centred cone."""
+
+    def test_every_prior_factor_is_a_centred_cone(self):
+        """On 60 such fits, at mcrep 20000: ``test_hypotheses`` raises
+        nothing and warns nothing, and every ``c_ie`` is exact and within
+        1e-12 relative of the same law's factor on the rows moved to pass
+        through the center by construction (``r = R @ center``)."""
+        for seed in range(60):
+            fit, text = _badly_scaled_fit(seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ConstraintCenterWarning)
+                c_ie = run_hypotheses(fit, text, mcrep=20_000, seed=1).components[0].c_ie
+            red = parse_hypotheses(text, fit.coef_names)[0].reduction
+            R = red.Rtilde_I
+            prior = _posterior_t(fit, minimal_fraction(fit)).relocate(red.center)
+            ref = mvt_constraint_prob(prior, R, R @ red.center, 20_000, 1)
+            assert c_ie.exact and ref.exact, (seed, text, c_ie)
+            assert abs(c_ie.value - ref.value) <= 1e-12 * ref.value, (seed, text, c_ie, ref)
+
+    @pytest.mark.parametrize(
+        "seed, value",
+        [
+            (3, 0.10219891442288395),  # was the lattice, 0.10223 +- 1.8e-4
+            (10, 2.268340856953488e-07),  # was a lattice estimate of 0
+            (191, 1.830127478730237e-08),  # was an exact 0: rows of correlation -1 to 9 digits
+        ],
+    )
+    def test_known_prior_factors(self, seed, value):
+        fit, text = _badly_scaled_fit(seed)
+        c_ie = run_hypotheses(fit, text, mcrep=20_000, seed=1).components[0].c_ie
+        assert c_ie.exact and abs(c_ie.value - value) <= 1e-12 * value
+
+    def test_a_prior_factor_is_centred_exactly_when_no_warning_names_it(self, monkeypatch):
+        """On 32 such fits, with 1 to 3 generated hypotheses each and, on
+        every other fit, a band ``1 > xj > 0`` or ``1e-9 > xj > 0`` added
+        (its center is not exact), each hypothesis' Bayes factor taken
+        alone: the kernel takes the centred rules for its prior factor
+        (``_through`` holds on every row at its location) if and only if no
+        ``ConstraintCenterWarning`` names it."""
+        decided = []
+        through = bfreg.numkernel._through
+
+        def spy(R, r, x, Rx):
+            held = through(R, r, x, Rx)
+            decided.append((R.tobytes(), x.tobytes(), bool(held.all())))
+            return held
+
+        monkeypatch.setattr(bfreg.numkernel, "_through", spy)
+        bands = warned_total = 0
+        for case in range(32):
+            rng = np.random.default_rng(1300 + case)
+            fit, _ = _badly_scaled_fit(1300 + case)
+            names = list(fit.coef_names[1:])
+            text = "; ".join(_chain_text(*c) for c in _generated_chains(rng, names))
+            if case % 2:
+                text += f"; {rng.choice(['1', '1e-9'])} > {rng.choice(names)} > 0"
+                bands += 1
+            for cs in parse_hypotheses(text, fit.coef_names):
+                decided.clear()
+                with warnings.catch_warnings(record=True) as record:
+                    warnings.simplefilter("always")
+                    bf_unconstrained(fit, cs, 20_000, seed=1)
+                warned = any(w.category is ConstraintCenterWarning for w in record)
+                red = cs.reduction
+                if not len(red.rtilde_I):
+                    continue
+                key = (red.Rtilde_I.tobytes(), red.center.tobytes())
+                centred = {held for R, x, held in decided if (R, x) == key}
+                assert centred == {not warned}, (case, text, cs.label)
+                warned_total += warned
+        assert bands == 16 and warned_total >= 16
 
 
 def _zero_bound_chains(rng, names):

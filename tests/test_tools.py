@@ -1,4 +1,5 @@
-"""The bit-check tools under ``scripts/`` run, and agree across processes."""
+"""The bit-check tools and the example scripts under ``scripts/`` run, and
+the dump agrees across processes."""
 
 import json
 import os
@@ -50,3 +51,18 @@ def test_dump_is_byte_identical_across_processes_and_the_precision_script_runs(t
         timeout=300,
     )
     assert precision.returncode == 0, precision.stderr
+
+
+def test_example_scripts_run(tmp_path):
+    """The paper's consistency simulation, on a small sample, and the
+    two-effect demonstration at its defaults both exit 0: the first
+    reports how often the true order ranked first, the second its table
+    of pairwise Bayes factors."""
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+    for args, expect in (
+        (_script("consistency_experiment.py", "--n", 100, "--n-seeds", 3), "true order ranked first in"),
+        (_script("two_effect_demo.py"), "BF matrix:"),
+    ):
+        run = subprocess.run(args, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert expect in run.stdout, run.stdout
