@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from .numkernel import (
     MultivariateT,
     ProbEstimate,
     _log_gamma_ratio,
+    _log_t_tail,
     _table,
     complement_prob,
     derived_seed,
@@ -58,6 +60,7 @@ from .numkernel import (
     t_cdf,
 )
 
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal float range
 _Z90 = 1.6448536269514722  # the standard normal 95% quantile, to the nearest double
 
 # When the stated inequality-only hypotheses leave less prior mass than
@@ -67,6 +70,8 @@ _EXHAUSTION_TOL = 1e-3
 
 # An inequality factor with no region left to estimate.
 _CERTAIN = ProbEstimate(1.0, 0.0, True, 0)
+# The prior factor of a sign, ``x < 0`` or ``x > 0``, of the exploratory screen.
+_HALF = ProbEstimate(0.5, 0.0, True, 0)
 
 
 @dataclass(frozen=True)
@@ -111,14 +116,35 @@ class TestResult:
 
 @dataclass(frozen=True)
 class ExploratoryResult:
-    """Per-coefficient {< 0, = 0, > 0} posterior probability table."""
+    """Per-coefficient {< 0, = 0, > 0} posterior probability table.
+
+    ``post_probs`` has a row per coefficient, and ``bf_matrices`` maps each
+    coefficient's name to its 3 x 3 pairwise Bayes factors; a report
+    reads only these.  ``components``, per coefficient the
+    :class:`BFComponents` of ``x < 0``, ``x = 0`` and ``x > 0``, is built on
+    first read from the screen's arrays (``_columns``: ``f_lt``, ``f_gt``,
+    ``f_e``, ``c_e``, ``log_bf`` and ``bf``) and kept.
+    """
 
     coef_names: tuple
     post_probs: np.ndarray
-    components: tuple
     bf_matrices: dict
     seed: int
     mcrep: int
+    _columns: tuple = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def components(self) -> tuple:
+        f_lt, f_gt, *columns = self._columns
+        lt, gt = ([ProbEstimate(p, 0.0, True, 0) for p in a.tolist()] for a in (f_lt, f_gt))
+        return tuple(
+            (
+                BFComponents("H1", None, None, _HALF, p_lt, lb[0], b[0]),
+                BFComponents("H2", c, f, None, None, lb[1], b[1]),
+                BFComponents("H3", None, None, _HALF, p_gt, lb[2], b[2]),
+            )
+            for p_lt, p_gt, f, c, lb, b in zip(lt, gt, *(a.tolist() for a in columns))
+        )
 
 
 def _equal_weights(prior_probs) -> bool:
@@ -195,15 +221,32 @@ def _log_posteriors(log_bf, w=None) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def bf_matrix(components) -> np.ndarray:
+def bf_matrix(components, *, _log_bf=None) -> np.ndarray:
     """Pairwise Bayes factors ``B[..., i, j] = bf_i / bf_j`` of a sequence of
     :class:`BFComponents` or numbers, or of an array of Bayes factors along
-    its last axis: shape ``(k, 3)`` gives ``(k, 3, 3)``."""
+    its last axis: shape ``(k, 3)`` gives ``(k, 3, 3)``.
+
+    Where the quotient is NaN, or either factor or the quotient lies
+    outside the normal float range (an over- or underflow), the entry is
+    ``exp(log_bf_i - log_bf_j)`` instead, unless that is NaN as well: the
+    components' ``log_bf``, or ``_log_bf`` beside an array, so a factor
+    that underflows to 0 keeps its finite ratios.  Numbers carry no log,
+    and every other entry is the quotient.
+    """
     if not isinstance(components, np.ndarray):
+        components = list(components)
+        _log_bf = [c.log_bf if isinstance(c, BFComponents) else math.nan for c in components]
         components = [c.bf if isinstance(c, BFComponents) else float(c) for c in components]
     b = np.asarray(components, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return b[..., :, None] / b[..., None, :]
+        m = b[..., :, None] / b[..., None, :]
+        ok = (b >= _TINY) & (b <= _HUGE)
+        lost = ~(ok[..., :, None] & ok[..., None, :] & (m >= _TINY) & (m <= _HUGE))
+        if _log_bf is not None and lost.any():
+            lb = np.asarray(_log_bf, dtype=float)
+            by_log = np.exp(lb[..., :, None] - lb[..., None, :])
+            m = np.where(lost & ~np.isnan(by_log), by_log, m)
+    return m
 
 
 def _ratio_ci90(log_bf, f_est: ProbEstimate, c_est: ProbEstimate):
@@ -492,42 +535,43 @@ def exploratory_test(
     of the posterior and the minimal-fraction prior, the Bayes factors are
     ``T_nu(-z_j) / (1/2)``, ``t_nu(0; beta_j, v_j) / t_nu0(0; 0, v0_j)`` and
     ``T_nu(z_j) / (1/2)``: those of :func:`bf_unconstrained` on ``x<0``,
-    ``x=0`` and ``x>0``, evaluated for all coefficients at once.  All are
-    exact (``seed`` and ``mcrep`` are only recorded), each row sums to 1,
-    and no complement applies (the three hypotheses exhaust the line).
+    ``x=0`` and ``x>0``, evaluated for all coefficients at once.  Both
+    signs come from one array t CDF call, ``T_nu(-|z_j|)`` and its
+    complement; where that tail underflows to 0, its log is taken from
+    the continued fraction (:func:`~bfreg.numkernel._log_t_tail`), so
+    ``log_bf`` and the pairwise ratios stay finite.  All are exact
+    (``seed`` and ``mcrep`` are only recorded), each row sums to 1, and no
+    complement applies (the three hypotheses exhaust the line).  A zero
+    scale raises :class:`~bfreg.errors.NumericError` naming the first
+    coefficient that has one.  The result's ``components`` are built only
+    when read (:class:`ExploratoryResult`).
     """
     post, prior = _fit_laws(fit)
     v, v0 = np.diag(post.scale), np.diag(prior.scale)
-    if not np.all(np.minimum(v, v0) > 0):
-        raise NumericError("H1: prior constraint probability is numerically zero")
+    zero = np.flatnonzero(~(np.minimum(v, v0) > 0))
+    if zero.size:
+        raise NumericError(
+            f"{fit.coef_names[zero[0]]}: prior constraint probability is numerically zero"
+        )
     sd = np.sqrt(v)
     z = post.location / sd
-    f_lt, f_gt = t_cdf(-z, post.df), t_cdf(z, post.df)
+    lower, pos = t_cdf(-np.abs(z), post.df), z > 0
+    f_lt, f_gt = np.where(pos, lower, 1.0 - lower), np.where(pos, 1.0 - lower, lower)
     log_f = _t_logpdf(z, sd, post.df)
     log_c = _t_logpdf(0.0, np.sqrt(v0), prior.df)
     log_half = math.log(0.5)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_bf = np.column_stack(
-            [np.log(f_lt) - log_half, log_f - log_c, np.log(f_gt) - log_half]
-        )
+        log_lt, log_gt = np.log(f_lt), np.log(f_gt)
+        for j in np.flatnonzero(lower == 0.0):  # T_nu(-|z_j|) is below the float range
+            (log_lt if pos[j] else log_gt)[j] = _log_t_tail(float(abs(z[j])), post.df)
+        log_bf = np.column_stack([log_lt - log_half, log_f - log_c, log_gt - log_half])
         bf = np.exp(log_bf)
         f_e, c_e = np.exp(log_f), np.exp(log_c)
-    half = ProbEstimate(0.5, 0.0, True, 0)
-    lt, gt = ([ProbEstimate(p, 0.0, True, 0) for p in a.tolist()] for a in (f_lt, f_gt))
-    columns = (a.tolist() for a in (f_e, c_e, log_bf, bf))
-    components = tuple(
-        (
-            BFComponents("H1", None, None, half, p_lt, lb[0], b[0]),
-            BFComponents("H2", c, f, None, None, lb[1], b[1]),
-            BFComponents("H3", None, None, half, p_gt, lb[2], b[2]),
-        )
-        for p_lt, p_gt, f, c, lb, b in zip(lt, gt, *columns)
-    )
     return ExploratoryResult(
         coef_names=fit.coef_names,
         post_probs=_log_posteriors(log_bf),
-        components=components,
-        bf_matrices=dict(zip(fit.coef_names, bf_matrix(bf))),
+        bf_matrices=dict(zip(fit.coef_names, bf_matrix(bf, _log_bf=log_bf))),
         seed=seed,
         mcrep=int(mcrep),
+        _columns=(f_lt, f_gt, f_e, c_e, log_bf, bf),
     )

@@ -459,9 +459,9 @@ def t_cdf(x, df):
     0.5 - 1.59e-9.  An array, or a scalar at a larger df, goes to
     ``stdtr``, imported on first use: a vectorised continued fraction
     costs far more per call than ``stdtr`` (the exploratory screen is one
-    such call per side).  Saturates at 0/1 for infinite arguments.  The
-    complement identity ``t_cdf(z) + t_cdf(-z) == 1`` holds exactly in
-    floating point by construction.
+    such call, for both signs of every coefficient).  Saturates at 0/1 for
+    infinite arguments.  The complement identity ``t_cdf(z) + t_cdf(-z) ==
+    1`` holds exactly in floating point by construction.
     """
     df = float(df)
     if not (df > 0 and math.isfinite(df)):
@@ -506,6 +506,29 @@ def _t_tail(t, df) -> float:
         return 0.5
     if t == math.inf:
         return 0.0
+    a, r, x, log_front = _tail_front(t, df)
+    front = math.exp(log_front)
+    if x < (a + 1.0) / (a + 2.5):
+        return 0.5 * front * _beta_cf(a, 0.5, x) / a
+    return 0.5 - front * _beta_cf(0.5, a, 1.0 / (1.0 + r))
+
+
+def _log_t_tail(t, df) -> float:
+    """``log Pr(T <= -t)`` for ``t > 0``, finite where the tail itself
+    underflows to 0 (``stdtr`` does below about 5e-324).  In the tail, where
+    :func:`_t_tail` takes ``I_x(df/2, 1/2)`` directly, it is the log of
+    that prefactor plus the log of its continued fraction; nearer 0, the
+    log of :func:`_t_tail`."""
+    a, _, x, log_front = _tail_front(t, df)
+    if x < (a + 1.0) / (a + 2.5):
+        return log_front + math.log(0.5 * _beta_cf(a, 0.5, x) / a)
+    return math.log(_t_tail(t, df))
+
+
+def _tail_front(t, df) -> tuple:
+    """``(a, r, x, log_front)`` of :func:`_t_tail` at ``t > 0``: ``a =
+    df/2``, ``r = x / y``, ``x`` and the log of the prefactor ``x^a y^(1/2)
+    / B(a, 1/2)``."""
     a = 0.5 * df
     r = df / t / t  # x / y, without squaring t
     if sys.float_info.min <= r < math.inf:
@@ -514,11 +537,8 @@ def _t_tail(t, df) -> float:
         log_r = math.log(df) - 2.0 * math.log(t)
         log_x, log_y = min(log_r, 0.0), min(-log_r, 0.0)
     log_front = a * log_x + 0.5 * log_y + _log_gamma_ratio(a) - 0.5 * math.log(math.pi)
-    front = math.exp(log_front)
     x = r / (1.0 + r) if r < 1.0 else 1.0 / (1.0 + 1.0 / r)
-    if x < (a + 1.0) / (a + 2.5):
-        return 0.5 * front * _beta_cf(a, 0.5, x) / a
-    return 0.5 - front * _beta_cf(0.5, a, 1.0 / (1.0 + r))
+    return a, r, x, log_front
 
 
 def _beta_cf(a, b, x) -> float:

@@ -144,6 +144,25 @@ class TestBfMatrix:
                 for l in range(3):
                     assert m[i, j] * m[j, l] == pytest.approx(m[i, l], rel=1e-12)
 
+    def test_factors_past_the_float_range_keep_their_ratios(self):
+        """A quotient that is NaN or comes from an over- or underflow is
+        taken from the log Bayes factors instead; numbers carry no log."""
+        log_bf = [-800.0, -801.0, -720.0, 0.0, -math.inf]
+        comps = [
+            bfreg.engine.BFComponents(f"H{i}", None, None, None, None, lb, math.exp(lb))
+            for i, lb in enumerate(log_bf, 1)
+        ]
+        m = bf_matrix(comps)
+        e = math.exp(1.0)
+        assert m[0, 1] == pytest.approx(e, rel=1e-15)
+        assert m[1, 0] == pytest.approx(1 / e, rel=1e-15)
+        assert m[2, 0] == pytest.approx(math.exp(80.0), rel=1e-15)  # bf_3 is subnormal
+        assert np.diag(m)[:4].tolist() == [1.0] * 4
+        assert m[:2, 3].tolist() == [0.0] * 2 and m[3, :3].tolist() == [math.inf] * 3
+        assert m[4, :4].tolist() == [0.0] * 4 and m[:4, 4].tolist() == [math.inf] * 4
+        assert np.isnan(m[4, 4])
+        assert np.isnan(bf_matrix([0.0, 1.0])[0, 0])
+
 
 class TestRatioInterval:
     def test_saturates_at_a_large_relative_error(self):
@@ -1748,12 +1767,37 @@ class TestExploratory:
             n=20,
             k=3,
         )
-        with pytest.raises(NumericError, match="numerically zero"):
+        with pytest.raises(NumericError, match="^x1: .*numerically zero"):
             exploratory_test(fit)
 
+    def test_components_are_built_on_first_read(self, monkeypatch):
+        """The screen makes no BFComponents or ProbEstimate until its
+        ``components`` is read; then 3 and 2 per coefficient, once."""
+        built = {"BFComponents": 0, "ProbEstimate": 0}
+        for name in built:
+            cls = getattr(bfreg.engine, name)
+
+            def spy(*args, _cls=cls, _name=name, **kwargs):
+                built[_name] += 1
+                return _cls(*args, **kwargs)
+
+            monkeypatch.setattr(bfreg.engine, name, spy)
+        fit = make_scaled_fit()
+        res = exploratory_test(fit, seed=1)
+        assert built == {"BFComponents": 0, "ProbEstimate": 0}
+        components = res.components
+        assert built == {"BFComponents": 3 * fit.k, "ProbEstimate": 2 * fit.k}
+        assert res.components is components
+        assert built == {"BFComponents": 3 * fit.k, "ProbEstimate": 2 * fit.k}
+
     def test_underflowing_coefficient(self):
-        """z = 16962 underflows Pr(x1 < 0) to 0; the row and the
-        non-finite pairwise ratios are those of the per-system path."""
+        """z = 49 and z = 16962 underflow Pr(x < 0) to 0 for both
+        coefficients; its log comes from the continued fraction, so every
+        log Bayes factor and every pairwise ratio between x < 0 and x = 0 is
+        finite.  The references are 40-digit mpmath: ``T_nu(-z) =
+        I_{nu/(nu+z^2)}(nu/2, 1/2) / 2`` and the t densities at 0."""
+        import mpmath
+
         fit = RegressionFit(
             coef_names=("(Intercept)", "x1"),
             beta_hat=np.array([1.0, 60.0]),
@@ -1763,17 +1807,38 @@ class TestExploratory:
             k=2,
         )
         res = exploratory_test(fit)
-        assert res.post_probs[1].tolist() == [0.0, 0.0, 1.0]
-        lt, eq, gt = (c.log_bf for c in res.components[1])
-        assert lt == -np.inf
-        assert eq == pytest.approx(-11867.611118009852, rel=1e-12)
-        assert gt == pytest.approx(np.log(2.0), rel=1e-15)
-        m = res.bf_matrices["x1"]
-        assert np.array_equal(
-            np.isnan(m), [[True, True, False], [True, True, False], [False] * 3]
-        )
-        assert m[:2, 2].tolist() == [0.0, 0.0]
-        assert m[2].tolist() == [np.inf, np.inf, 1.0]
+        post, prior = bfreg.engine._fit_laws(fit)
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+
+        def log_t0(z, sd, nu):  # log of the t density at z SDs from the mean
+            return (
+                mp.loggamma((nu + 1) / 2) - mp.loggamma(nu / 2)
+                - mp.log(nu * mp.pi) / 2 - mp.log(sd) - (nu + 1) / 2 * mp.log1p(z * z / nu)
+            )
+
+        nu, nu0 = mp.mpf(post.df), mp.mpf(prior.df)
+        for j, name in enumerate(fit.coef_names):
+            sd = mp.sqrt(mp.mpf(post.scale[j, j]))
+            z = mp.mpf(post.location[j]) / sd
+            tail = mp.betainc(nu / 2, mp.mpf(1) / 2, 0, nu / (nu + z * z), regularized=True)
+            want_lt = mp.log(tail)  # log(T(-z) / (1/2))
+            want_eq = log_t0(z, sd, nu) - log_t0(0, mp.sqrt(mp.mpf(prior.scale[j, j])), nu0)
+            lt, eq, gt = (c.log_bf for c in res.components[j])
+            assert lt == pytest.approx(float(want_lt), rel=1e-12)
+            assert eq == pytest.approx(float(want_eq), rel=1e-12)
+            assert gt == pytest.approx(np.log(2.0), rel=1e-15)
+            assert res.post_probs[j].tolist() == [0.0, 0.0, 1.0]
+            m = res.bf_matrices[name]
+            assert not np.isnan(m).any()
+            # exp(lt - eq) carries the rounding of both logs: for x1, near
+            # -1.2e4, their ulp is 1.8e-12 and the ratio is off by 1.2e-12
+            rel = 1e-12 + 4 * np.finfo(float).eps * (abs(lt) + abs(eq))
+            assert m[0, 1] == pytest.approx(float(mp.exp(want_lt - want_eq)), rel=rel)
+            assert m[1, 0] == pytest.approx(float(mp.exp(want_eq - want_lt)), rel=rel)
+            assert np.diag(m).tolist() == [1.0] * 3
+            assert m[:2, 2].tolist() == [0.0, 0.0]
+            assert m[2].tolist() == [np.inf, np.inf, 1.0]
 
     @given(st.integers(0, 10**6), st.permutations(["x1", "x2", "x3", "x4"]))
     @settings(max_examples=30, deadline=None)
